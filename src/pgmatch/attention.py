@@ -2,8 +2,9 @@
 features, sample one compound-distribution attention weight per timestep,
 and fuse the adjusted features into a single embedding.
 
-One rollout over one instance's features is one episode; the trace keeps
-every per-step sample plus the episode log-probability sums that the PG
+A rollout runs a whole batch at once, looping over timesteps only; each
+instance's row is one episode. The trace keeps the per-step attention
+weights plus the per-instance episode log-probability sums that the PG
 losses differentiate.
 """
 
@@ -21,7 +22,7 @@ from .autodiff import (
     matmul,
     mul,
     parameter,
-    pick,
+    reshape,
     scalar_mul,
     sigmoid,
     softmax,
@@ -29,9 +30,9 @@ from .autodiff import (
 )
 from .distributions import (
     ActionSpace,
-    CompoundSample,
     categorical_sample,
     discrete_logprob,
+    gumbel_from_uniform,
     gumbel_softmax,
     normal_logprob,
     normal_sample_reparam,
@@ -88,39 +89,81 @@ class PolicyParams:
 
 @dataclass
 class AttentionTrace:
-    """Record of one sampling episode: per-timestep samples (one per head),
-    the combined per-step attention scalars, and the episode log-prob sums."""
+    """Record of one batch of sampling episodes: the per-step attention
+    columns (B, 1), combined over heads, and the episode log-prob sums,
+    one per instance (B,)."""
 
-    steps: list
     atts: list
     discrete_logprob_sum: Tensor
     continuous_logprob_sum: Tensor
-    mode: str
 
     @property
     def length(self) -> int:
-        return len(self.steps)
+        return len(self.atts)
 
 
-def _sample_head(h, w_mu, w_std, space, rng, mode, action_mode, st_soft_forward):
+@dataclass
+class RolloutNoise:
+    """Pre-drawn randomness for one branch's stochastic rollout, indexed
+    (instance, timestep, head): Gumbel noise over the labels, the uniform
+    behind each categorical draw, and the standard-normal eps. A stage
+    the action mode does not sample stays ``None``."""
+
+    gumbel: np.ndarray | None
+    uniform: np.ndarray | None
+    normal: np.ndarray | None
+
+
+def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
+               num_labels: int, action_mode: str) -> list:
+    """Draw every rollout's noise up front, one ``RolloutNoise`` per entry
+    of ``lengths`` (the branches' sequence lengths, image before text).
+
+    The order of draws is fixed: instance by instance, branch by branch,
+    then per timestep and per head: Gumbel ``random(num_labels)``, the
+    categorical ``random()``, the Normal ``standard_normal()``, each only in
+    the action modes that use it. Training trajectories depend on this
+    order, so the batched sampler reproduces it exactly."""
+    if action_mode not in ACTION_MODES:
+        raise ValueError(f"unknown action mode {action_mode!r}")
+    discrete = action_mode != "continuous"
+    normal = action_mode != "discrete"
+    uniforms = [np.empty((batch, n, heads, num_labels + 1)) if discrete else None
+                for n in lengths]
+    normals = [np.empty((batch, n, heads)) if normal else None for n in lengths]
+    for b in range(batch):
+        for u, z, n in zip(uniforms, normals, lengths):
+            for t in range(n):
+                for k in range(heads):
+                    if discrete:
+                        # the Gumbel vector and the categorical uniform are
+                        # consecutive draws from the same double stream
+                        u[b, t, k] = rng.random(num_labels + 1)
+                    if normal:
+                        z[b, t, k] = rng.standard_normal()
+    return [RolloutNoise(gumbel=None if u is None else gumbel_from_uniform(u[..., :-1]),
+                         uniform=None if u is None else u[..., -1],
+                         normal=z)
+            for u, z in zip(uniforms, normals)]
+
+
+def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_forward):
+    """One head's compound action for every row of the (B, hidden) state:
+    the (B, 1) attention and the discrete and continuous log-probs."""
     logits = matmul(h, w_mu)
-    sigma = add(softplus(pick(matmul(h, w_std), 0)), constant(np.asarray(SIGMA_FLOOR)))
-
     stochastic = mode == "stochastic"
     if action_mode == "continuous":
         # single-Gaussian policy: mean comes straight from the relaxed
         # probabilities, no categorical draw
-        soft = softmax(logits, axis=-1)
-        hard = int(np.argmax(soft.values))
-        mu = sigmoid(soft_action_value(soft, space.n))
-        dlp = constant(np.asarray(0.0))
+        mu = sigmoid(soft_action_value(softmax(logits, axis=-1), space.n))
+        dlp = _ZERO
     else:
         if stochastic:
-            soft = gumbel_softmax(logits, space.temperature, rng)
-            hard = categorical_sample(soft, rng)
+            soft = gumbel_softmax(logits, space.temperature, None, noise=noise.gumbel[:, t, k])
+            hard = categorical_sample(soft, uniforms=noise.uniform[:, t, k])
         else:
             soft = softmax(logits, axis=-1)
-            hard = int(np.argmax(soft.values))
+            hard = np.argmax(soft.values, axis=-1)
         dlp = discrete_logprob(soft, hard)
         if st_soft_forward:
             mu_in = soft_action_value(soft, space.n)
@@ -130,33 +173,27 @@ def _sample_head(h, w_mu, w_std, space, rng, mode, action_mode, st_soft_forward)
 
     if action_mode == "discrete":
         # discrete action used directly as the attention weight
-        raw = mu
-        att = mu
-        clp = constant(np.asarray(0.0))
-    elif stochastic:
-        raw = normal_sample_reparam(mu, sigma, rng)
-        att = sigmoid(raw)
-        clp = normal_logprob(raw, mu, sigma)
-    else:
-        raw = mu
-        att = sigmoid(mu)
-        clp = normal_logprob(mu, mu, sigma)
+        return mu, dlp, _ZERO
+    sigma = add(softplus(matmul(h, w_std)), constant(np.asarray(SIGMA_FLOOR)))
+    if stochastic:
+        raw = normal_sample_reparam(mu, sigma, None, eps=noise.normal[:, t, k, None])
+        return sigmoid(raw), dlp, normal_logprob(raw, mu, sigma)
+    return sigmoid(mu), dlp, normal_logprob(mu, mu, sigma)
 
-    sample = CompoundSample(soft_probs=soft, hard_index=hard, discrete_logprob=dlp,
-                            mu=mu, sigma=sigma, raw_sample=raw, att=att,
-                            continuous_logprob=clp)
-    return sample, att, dlp, clp
+
+_ZERO = constant(np.asarray(0.0))
 
 
 def policy_rollout(features, params: PolicyParams, space: ActionSpace,
-                   rng: np.random.Generator | None = None, mode: str = "stochastic",
+                   noise: RolloutNoise | None = None, mode: str = "stochastic",
                    action_mode: str = "compound", st_soft_forward: bool = False) -> AttentionTrace:
-    """Run the attention policy over a feature sequence.
+    """Run the attention policy over a batch of feature sequences.
 
-    ``features`` is a nonempty list of equal-length vector tensors. In
-    stochastic mode every step draws through the compound distribution; in
-    deterministic mode the argmax category is taken and the attention is
-    the squashed mean (log-prob sums are still recorded).
+    ``features`` is a nonempty list of (B, d) tensors, one per timestep;
+    the GRU state is (B, hidden). In stochastic mode every step samples
+    the compound distribution row-wise from ``noise`` (see ``draw_noise``);
+    in deterministic mode the argmax category is taken and the attention
+    is the squashed mean (log-prob sums are still recorded).
 
     ``st_soft_forward`` replaces the hard straight-through forward value
     with the relaxed expectation so the whole graph is finite-difference
@@ -169,60 +206,43 @@ def policy_rollout(features, params: PolicyParams, space: ActionSpace,
         raise ValueError(f"unknown rollout mode {mode!r}")
     if action_mode not in ACTION_MODES:
         raise ValueError(f"unknown action mode {action_mode!r}")
-    if mode == "stochastic" and rng is None:
-        raise ValueError("stochastic rollout needs an rng")
+    if mode == "stochastic" and noise is None:
+        raise ValueError("stochastic rollout needs noise pre-drawn from the rollout rng")
 
-    h = constant(np.zeros(params.gru.hidden_size))
-    dsum = constant(np.asarray(0.0))
-    csum = constant(np.asarray(0.0))
-    steps = []
+    batch = features[0].shape[0]
+    h = constant(np.zeros((batch, params.gru.hidden_size)))
+    dsum = csum = constant(np.zeros((batch, 1)))
     atts = []
-    for f in features:
+    for t, f in enumerate(features):
         h = gru_step(f, h, params.gru)
-        head_samples = []
         head_atts = []
-        for w_mu, w_std in zip(params.w_mu, params.w_std):
-            sample, att, dlp, clp = _sample_head(
-                h, w_mu, w_std, space, rng, mode, action_mode, st_soft_forward)
-            head_samples.append(sample)
+        for k, (w_mu, w_std) in enumerate(zip(params.w_mu, params.w_std)):
+            att, dlp, clp = _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode,
+                                         st_soft_forward)
             head_atts.append(att)
             dsum = add(dsum, dlp)
             csum = add(csum, clp)
         combined = head_atts[0]
         if len(head_atts) == 2:
             combined = scalar_mul(add(head_atts[0], head_atts[1]), 0.5)
-        steps.append(head_samples)
         atts.append(combined)
-    return AttentionTrace(steps=steps, atts=atts, discrete_logprob_sum=dsum,
-                          continuous_logprob_sum=csum, mode=mode)
-
-
-def multi_head_rollout(features, params: PolicyParams, space: ActionSpace,
-                       rng: np.random.Generator | None = None, mode: str = "stochastic",
-                       action_mode: str = "compound") -> AttentionTrace:
-    """Two-head rollout: both heads share the policy GRU, sample their own
-    compound action per step, and the step attention is the head mean."""
-    if params.head_count != 2:
-        raise ValueError(f"multi_head_rollout needs exactly 2 heads, got {params.head_count}")
-    return policy_rollout(features, params, space, rng, mode, action_mode)
+    return AttentionTrace(atts=atts, discrete_logprob_sum=reshape(dsum, (batch,)),
+                          continuous_logprob_sum=reshape(csum, (batch,)))
 
 
 def neutral_trace(length: int, lam: float) -> AttentionTrace:
     """Attention switched off: every weight is 1/lambda so the scaled
     features equal the originals and the PG sums are zero constants."""
-    att = 1.0 / lam
-    atts = [constant(np.asarray(att)) for _ in range(length)]
-    zero = constant(np.asarray(0.0))
-    return AttentionTrace(steps=[[] for _ in range(length)], atts=atts,
-                          discrete_logprob_sum=zero, continuous_logprob_sum=zero,
-                          mode="deterministic")
+    att = constant(np.full((1, 1), 1.0 / lam))
+    return AttentionTrace(atts=[att] * length, discrete_logprob_sum=_ZERO,
+                          continuous_logprob_sum=_ZERO)
 
 
 def fuse(features, trace: AttentionTrace, lam: float, gru: GruParams | None) -> Tensor:
-    """Scale each feature by lambda times its attention weight, reason over
-    the scaled sequence with the fusion GRU, and return final hidden state
-    plus the mean scaled feature. Callers normalize the result before any
-    similarity computation.
+    """Scale each (B, d) timestep by lambda times its attention column,
+    reason over the scaled sequence with the fusion GRU, and return the
+    final hidden state plus the mean scaled feature, one row per instance.
+    Callers normalize the result before any similarity computation.
 
     ``gru=None`` is a pass-through configuration (final hidden := last
     scaled feature) used to probe linearity."""
@@ -235,7 +255,7 @@ def fuse(features, trace: AttentionTrace, lam: float, gru: GruParams | None) -> 
     if gru is None:
         h = adjusted[-1]
     else:
-        h = constant(np.zeros(gru.hidden_size))
+        h = constant(np.zeros(adjusted[0].shape[:-1] + (gru.hidden_size,)))
         for a in adjusted:
             h = gru_step(a, h, gru)
     acc = adjusted[0]

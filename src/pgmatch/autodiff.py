@@ -61,42 +61,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, tracked={_TAPE.is_tracked(self)})"
 
-    # Thin operator sugar; every path goes through the module-level ops.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
 
 def constant(values) -> Tensor:
     """Untracked tensor; never receives a gradient."""
@@ -136,7 +100,7 @@ class Tape:
         self.generation += 1
 
     def is_tracked(self, t: Tensor) -> bool:
-        return t.requires_grad or (t._tape_gen == self.generation and t._node_id is not None)
+        return t.requires_grad or t._tape_gen == self.generation
 
     def _register(self, t: Tensor) -> int:
         t._node_id = self._next_id
@@ -145,18 +109,16 @@ class Tape:
         self._next_id += 1
         return t._node_id
 
-    def _ensure_id(self, t: Tensor):
-        if t._tape_gen != self.generation or t._node_id is None:
-            self._register(t)
-
     def record(self, name: str, inputs, out_values, backward_fn) -> Tensor:
         out = Tensor(out_values)
-        if any(self.is_tracked(t) for t in inputs):
+        gen = self.generation
+        # a tensor registered in this generation is tracked; so is a leaf
+        # that requires grad, registered on first use
+        if any(t.requires_grad or t._tape_gen == gen for t in inputs):
             for t in inputs:
-                if self.is_tracked(t):
-                    self._ensure_id(t)
-            out_id = self._register(out)
-            self.records.append((out_id, tuple(inputs), backward_fn, name))
+                if t.requires_grad and t._tape_gen != gen:
+                    self._register(t)
+            self.records.append((self._register(out), tuple(inputs), backward_fn, name))
         return out
 
 
@@ -178,35 +140,35 @@ def record_op(name, inputs, out_values, backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(ancestor) into ``.grad`` of every tracked
-    ancestor. May be called once per loss node per tape; calling it again
-    on the same loss without re-recording raises."""
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf (tensor
+    created with ``requires_grad``) the loss depends on. May be called once
+    per loss node per tape; calling it again on the same loss without
+    re-recording raises."""
     t = _TAPE
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._tape_gen != t.generation or loss._node_id is None:
-        if loss.requires_grad:
-            t._ensure_id(loss)
-        else:
-            raise TapeError("backward on a tensor not recorded on the active tape (stale tape?)")
+    if not t.is_tracked(loss):
+        raise TapeError("backward on a tensor not recorded on the active tape (stale tape?)")
+    if loss._tape_gen != t.generation:  # a leaf used as the loss itself
+        t._register(loss)
     if loss._node_id in t._backwarded:
         raise TapeError("backward called twice on the same loss without re-recording")
     t._backwarded.add(loss._node_id)
 
+    gen = t.generation
     adjoints = {loss._node_id: np.ones_like(loss.values)}
     for out_id, inputs, backward_fn, _name in reversed(t.records):
-        g = adjoints.get(out_id)
+        # an op's output is consumed only by later records, so its adjoint
+        # is complete here; what remains at the end belongs to leaves
+        g = adjoints.pop(out_id, None)
         if g is None:
             continue
-        input_grads = backward_fn(g)
-        for inp, ig in zip(inputs, input_grads):
-            if ig is None or not t.is_tracked(inp):
+        for inp, ig in zip(inputs, backward_fn(g)):
+            if ig is None or inp._tape_gen != gen:  # untracked constant
                 continue
             nid = inp._node_id
-            if nid in adjoints:
-                adjoints[nid] = adjoints[nid] + ig
-            else:
-                adjoints[nid] = ig
+            prev = adjoints.get(nid)
+            adjoints[nid] = ig if prev is None else prev + ig
     for nid, adj in adjoints.items():
         tensor = t._tensors[nid]
         tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
@@ -214,39 +176,44 @@ def backward(loss: Tensor):
 
 # ---------------------------------------------------------------------------
 # forward ops
+#
+# Tensors are batch-major: the leading axis indexes instances, and a
+# single instance is the case B = 1. Elementwise ops broadcast with numpy
+# rules; their gradients are summed back onto each operand's shape.
 # ---------------------------------------------------------------------------
 
 
-def _shape_check(name, a, b):
-    if a.shape != b.shape and a.values.ndim != 0 and b.values.ndim != 0:
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform")
+def _broadcast(name, op, a, b):
+    """``op`` on the operands' values, which must broadcast."""
+    try:
+        return op(a.values, b.values)
+    except ValueError:
+        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform") from None
 
 
 def _reduce_to(g, shape):
-    # collapse a broadcast gradient back onto a 0-d operand
-    if shape == ():
-        return np.asarray(g.sum())
-    return g
+    """Sum a broadcast gradient over the axes that broadcasting added or
+    stretched, so it matches an operand of ``shape``."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
+                                      if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _shape_check("add", a, b)
-    out = a.values + b.values
-
-    def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
-
-    return _TAPE.record("add", (a, b), out, bw)
+    out = _broadcast("add", np.add, a, b)
+    sa, sb = a.shape, b.shape
+    if sa == sb:
+        return _TAPE.record("add", (a, b), out, lambda g: (g, g))
+    return _TAPE.record("add", (a, b), out, lambda g: (_reduce_to(g, sa), _reduce_to(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _shape_check("sub", a, b)
-    out = a.values - b.values
-
-    def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    return _TAPE.record("sub", (a, b), out, bw)
+    out = _broadcast("sub", np.subtract, a, b)
+    sa, sb = a.shape, b.shape
+    return _TAPE.record("sub", (a, b), out, lambda g: (_reduce_to(g, sa), _reduce_to(-g, sb)))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -254,13 +221,12 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one operand may be a 0-d scalar."""
-    _shape_check("mul", a, b)
+    """Elementwise product with broadcasting."""
+    out = _broadcast("mul", np.multiply, a, b)
     av, bv = a.values, b.values
-    out = av * bv
 
     def bw(g):
-        return _reduce_to(g * bv, a.shape), _reduce_to(g * av, b.shape)
+        return _reduce_to(g * bv, av.shape), _reduce_to(g * av, bv.shape)
 
     return _TAPE.record("mul", (a, b), out, bw)
 
@@ -271,49 +237,78 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise quotient; denominator may be a 0-d scalar, never zero."""
-    _shape_check("div", a, b)
+    """Elementwise quotient with broadcasting; the denominator is never zero."""
     av, bv = a.values, b.values
     if np.any(bv == 0.0):
         raise DomainError("div: zero denominator")
-    out = av / bv
+    out = _broadcast("div", np.divide, a, b)
 
     def bw(g):
-        return _reduce_to(g / bv, a.shape), _reduce_to(-g * av / (bv * bv), b.shape)
+        return _reduce_to(g / bv, av.shape), _reduce_to(-g * av / (bv * bv), bv.shape)
 
     return _TAPE.record("div", (a, b), out, bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``np.matmul`` semantics: vectors, matrices, and stacks of matrices
+    whose leading axes broadcast, e.g. (B, n, k) @ (k, m) with a shared
+    weight or (B, n, k) @ (B, k, m)."""
     av, bv = a.values, b.values
-    if av.ndim == 0 or bv.ndim == 0 or av.ndim > 2 or bv.ndim > 2:
+    if av.ndim == 0 or bv.ndim == 0:
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    if av.shape[-1] != (bv.shape[0] if bv.ndim >= 1 else None):
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    out = av @ bv
+    try:
+        if av.ndim > 2 and bv.ndim == 2:  # shared weight: one product over all rows
+            out = (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
+        else:
+            out = np.matmul(av, bv)
+    except ValueError:
+        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform") from None
 
     def bw(g):
+        if av.ndim == 2 and bv.ndim == 2:
+            return g @ bv.T, av.T @ g
         if av.ndim == 1 and bv.ndim == 1:  # dot -> 0-d
             return g * bv, g * av
-        if av.ndim == 1:  # (k,) @ (k,m) -> (m,)
-            return g @ bv.T, np.outer(av, g)
-        if bv.ndim == 1:  # (n,k) @ (k,) -> (n,)
-            return np.outer(g, bv), av.T @ g
-        return g @ bv.T, av.T @ g
+        a2 = av[None, :] if av.ndim == 1 else av
+        b2 = bv[:, None] if bv.ndim == 1 else bv
+        g2 = g[..., None] if bv.ndim == 1 else g
+        g2 = g2[..., None, :] if av.ndim == 1 else g2
+        if b2.ndim == 2:  # fold a's leading axes into rows
+            g_rows = g2.reshape(-1, g2.shape[-1])
+            ga = (g_rows @ b2.T).reshape(a2.shape)
+            gb = a2.reshape(-1, a2.shape[-1]).T @ g_rows
+        else:
+            ga = _reduce_to(g2 @ np.swapaxes(b2, -1, -2), a2.shape)
+            gb = _reduce_to(np.swapaxes(a2, -1, -2) @ g2, b2.shape)
+        return ga.reshape(av.shape), gb.reshape(bv.shape)
 
     return _TAPE.record("matmul", (a, b), out, bw)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
+    """Swap the last two axes."""
+    if a.values.ndim < 2:
         raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    return _TAPE.record("transpose", (a,), a.values.T.copy(), lambda g: (g.T,))
+    return _TAPE.record("transpose", (a,), np.swapaxes(a.values, -1, -2),
+                        lambda g: (np.swapaxes(g, -1, -2),))
 
 
-def tsum(a: Tensor) -> Tensor:
+def reshape(a: Tensor, shape) -> Tensor:
+    shape_in = a.shape
+    return _TAPE.record("reshape", (a,), a.values.reshape(shape),
+                        lambda g: (g.reshape(shape_in),))
+
+
+def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Sum of all entries, or along one axis."""
     shape = a.shape
-    return _TAPE.record("sum", (a,), np.asarray(a.values.sum()),
-                        lambda g: (np.broadcast_to(g, shape).copy(),))
+
+    def bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
+
+    return _TAPE.record("sum", (a,), np.asarray(a.values.sum(axis=axis, keepdims=keepdims)), bw)
 
 
 def tmean(a: Tensor) -> Tensor:
@@ -322,47 +317,59 @@ def tmean(a: Tensor) -> Tensor:
                         lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
 
-def concat(tensors) -> Tensor:
+def concat(tensors, axis: int = -1) -> Tensor:
+    """Join tensors of equal rank along ``axis``; all other extents match."""
     tensors = list(tensors)
-    for t in tensors:
-        if t.values.ndim != 1:
-            raise ShapeError(f"concat: expected vectors, got shape {t.shape}")
-    sizes = [t.values.size for t in tensors]
-    out = np.concatenate([t.values for t in tensors])
-    offsets = np.cumsum([0] + sizes)
+    try:
+        out = np.concatenate([t.values for t in tensors], axis=axis)
+    except ValueError:
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise ShapeError(f"concat: shapes {shapes} do not conform on axis {axis}") from None
+    bounds = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
+    return _TAPE.record("concat", tuple(tensors), out,
+                        lambda g: tuple(np.split(g, bounds, axis=axis)))
+
+
+def timestep(a: Tensor, t: int) -> Tensor:
+    """Step ``t`` of a (B, T, ...) sequence, as a (B, ...) tensor."""
+    if a.values.ndim < 2 or not 0 <= t < a.shape[1]:
+        raise IndexError(f"timestep: step {t} out of range for shape {a.shape}")
+    shape = a.shape
 
     def bw(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+        acc = np.zeros(shape)
+        acc[:, t] = g
+        return (acc,)
 
-    return _TAPE.record("concat", tuple(tensors), out, bw)
+    return _TAPE.record("timestep", (a,), a.values[:, t], bw)
 
 
-def stack_rows(tensors) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    tensors = list(tensors)
-    n = tensors[0].values.size
-    for t in tensors:
-        if t.values.ndim != 1 or t.values.size != n:
-            raise ShapeError(f"stack_rows: expected vectors of length {n}, got shape {t.shape}")
-    out = np.stack([t.values for t in tensors])
+def shift(a: Tensor, k: int) -> Tensor:
+    """Delay a (B, T, ...) sequence by ``k`` >= 1 steps: step t reads step
+    t - k, and the first k steps read zeros."""
+    v = a.values
+    if v.ndim < 2 or k < 1:
+        raise ShapeError(f"shift: needs a (B, T, ...) tensor and k >= 1, got {a.shape}, k={k}")
+    out = np.zeros_like(v)
+    out[:, k:] = v[:, :v.shape[1] - k]
 
     def bw(g):
-        return tuple(g[i] for i in range(len(tensors)))
+        acc = np.zeros_like(g)
+        acc[:, :g.shape[1] - k] = g[:, k:]
+        return (acc,)
 
-    return _TAPE.record("stack_rows", tuple(tensors), out, bw)
+    return _TAPE.record("shift", (a,), out, bw)
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, never
+    # exponentiating a positive number
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(np.atleast_1d(a.values)).reshape(a.shape)
+    s = _sigmoid(a.values)
     return _TAPE.record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
 
 
@@ -432,18 +439,20 @@ def sqrt(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     v = a.values
     out = np.where(v > 30.0, v, np.log1p(np.exp(np.minimum(v, 30.0))))
-    s = _sigmoid(np.atleast_1d(v)).reshape(v.shape)
+    s = _sigmoid(v)
     return _TAPE.record("softplus", (a,), out, lambda g: (g * s,))
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Row lookup; gradient scatters back into exactly the used rows."""
+    """Row lookup for an id array of any shape: the result has shape
+    ``ids.shape + (cols,)``. Gradients scatter back into exactly the used
+    rows."""
     if table.values.ndim != 2:
         raise ShapeError(f"gather_rows: expected a matrix, got shape {table.shape}")
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"gather_rows: id out of range [0, {table.shape[0]})")
-    out = table.values[ids].copy()
+    out = table.values[ids]
 
     def bw(g):
         acc = np.zeros_like(table.values)
@@ -454,60 +463,30 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
 
 def pick(a: Tensor, index) -> Tensor:
-    """Select one entry as a 0-d scalar: vector + int, or matrix + (i, j)."""
+    """One entry per row along the last axis, ``np.take_along_axis``
+    style: ``index`` has ``a``'s rank and a last extent of 1, so a (B, C)
+    input and a (B, 1) index give the (B, 1) picked column."""
     v = a.values
-    if v.ndim == 1:
-        i = int(index)
-        if not 0 <= i < v.size:
-            raise IndexError(f"pick: index {i} out of range for length {v.size}")
-        idx = (i,)
-    elif v.ndim == 2:
-        i, j = index
-        idx = (int(i), int(j))
-        if not (0 <= idx[0] < v.shape[0] and 0 <= idx[1] < v.shape[1]):
-            raise IndexError(f"pick: index {idx} out of range for shape {v.shape}")
-    else:
-        raise ShapeError(f"pick: expected vector or matrix, got shape {a.shape}")
-    out = np.asarray(v[idx])
+    idx = np.asarray(index, dtype=np.intp)
+    if v.ndim == 0 or idx.shape != v.shape[:-1] + (1,):
+        raise ShapeError(f"pick: index shape {idx.shape} does not fit shape {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= v.shape[-1]):
+        raise IndexError(f"pick: index out of range [0, {v.shape[-1]})")
+    out = np.take_along_axis(v, idx, axis=-1)
 
     def bw(g):
         acc = np.zeros_like(v)
-        acc[idx] = g
+        np.put_along_axis(acc, idx, g, axis=-1)
         return (acc,)
 
     return _TAPE.record("pick", (a,), out, bw)
 
 
 def l2_normalize(v: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale a vector to unit Euclidean norm (composite op)."""
-    norm = sqrt(add(tsum(square(v)), constant(eps)))
+    """Scale each row (each vector along the last axis) to unit Euclidean
+    norm (composite op)."""
+    norm = sqrt(add(tsum(square(v), axis=-1, keepdims=True), constant(eps)))
     return div(v, norm)
-
-
-def cosine_similarity_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarities between the rows of two matrices."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"cosine_similarity_rows: shapes {a.shape} and {b.shape} do not conform")
-    an = stack_rows([l2_normalize(pick_row(a, i)) for i in range(a.shape[0])])
-    bn = stack_rows([l2_normalize(pick_row(b, i)) for i in range(b.shape[0])])
-    return matmul(an, transpose(bn))
-
-
-def pick_row(a: Tensor, i: int) -> Tensor:
-    """Select row i of a matrix as a vector."""
-    if a.values.ndim != 2:
-        raise ShapeError(f"pick_row: expected a matrix, got shape {a.shape}")
-    i = int(i)
-    if not 0 <= i < a.shape[0]:
-        raise IndexError(f"pick_row: row {i} out of range for shape {a.shape}")
-    out = a.values[i].copy()
-
-    def bw(g):
-        acc = np.zeros_like(a.values)
-        acc[i] = g
-        return (acc,)
-
-    return _TAPE.record("pick_row", (a,), out, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ SPLITS = ("train", "val", "test")
 DATASET_FORMAT = "pgmatch-dataset-v1"
 
 
+class DatasetError(ValueError):
+    """A dataset or matrix file does not match its header or manifest."""
+
+
 @dataclass
 class Instance:
     class_id: int
@@ -110,12 +114,14 @@ def read_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = np.frombuffer(fh.read(8), dtype="<u4")
         if header.size != 2:
-            raise ValueError(f"{path}: truncated header")
+            raise DatasetError(f"{path}: truncated header")
         rows, cols = int(header[0]), int(header[1])
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, got {data.size}")
-    return data.reshape(rows, cols).astype(np.float64)
+        payload = fh.read(rows * cols * 8)
+        size = len(payload) + len(fh.read())
+    if size != rows * cols * 8:
+        raise DatasetError(f"{path}: header ({rows} x {cols}) expected {rows * cols * 8} bytes "
+                           f"of float64 values, got {size}")
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
 
 
 def export_dataset(ds: SyntheticDataset, outdir, force: bool = False):
@@ -152,33 +158,61 @@ def export_dataset(ds: SyntheticDataset, outdir, force: bool = False):
 
 
 def load_dataset(path) -> SyntheticDataset:
-    with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
+    """Read a dataset directory; a malformed file raises ``DatasetError``
+    naming the file and the field."""
+    manifest_file = os.path.join(path, "manifest.json")
+    with open(manifest_file, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: unknown dataset format {manifest.get('format')!r}")
-    ds = SyntheticDataset(
-        classes=manifest["classes"],
-        regions_per_instance=manifest["regions_per_instance"],
-        tokens_per_instance=manifest["tokens_per_instance"],
-        feature_dim=manifest["feature_dim"],
-        noise_scale=manifest["noise_scale"],
-        seed=manifest["seed"],
-        distractors=manifest["distractors"],
-    )
-    t = ds.regions_per_instance
-    for split, info in manifest["splits"].items():
-        regions = read_matrix(os.path.join(path, f"{split}_regions.bin"))
-        tokens = read_matrix(os.path.join(path, f"{split}_tokens.bin")).astype(np.int64)
-        count = info["count"]
-        if regions.shape != (count * t, ds.feature_dim):
-            raise ValueError(f"{path}: {split} regions shape {regions.shape} inconsistent with manifest")
-        instances = []
-        for i, class_id in enumerate(info["class_ids"]):
-            instances.append(Instance(class_id=int(class_id),
-                                      regions=regions[i * t:(i + 1) * t].copy(),
-                                      tokens=tokens[i].copy()))
-        ds.splits[split] = instances
+        raise DatasetError(f"{path}: unknown dataset format {manifest.get('format')!r}")
+    try:
+        ds = SyntheticDataset(
+            classes=manifest["classes"],
+            regions_per_instance=manifest["regions_per_instance"],
+            tokens_per_instance=manifest["tokens_per_instance"],
+            feature_dim=manifest["feature_dim"],
+            noise_scale=manifest["noise_scale"],
+            seed=manifest["seed"],
+            distractors=manifest["distractors"],
+        )
+        for split, info in manifest["splits"].items():
+            ds.splits[split] = _load_split(path, split, info, ds)
+    except KeyError as exc:
+        raise DatasetError(f"{manifest_file}: missing field {exc.args[0]!r}") from None
     return ds
+
+
+def _load_split(path, split, info, ds: SyntheticDataset) -> list:
+    """Read one split's matrices and check them against the manifest:
+    batches are stacked from these arrays, so this is where they must be
+    rectangular, finite and in range."""
+    t, n = ds.regions_per_instance, ds.tokens_per_instance
+    count = info["count"]
+    regions_file = os.path.join(path, f"{split}_regions.bin")
+    tokens_file = os.path.join(path, f"{split}_tokens.bin")
+    regions = read_matrix(regions_file)
+    tokens = read_matrix(tokens_file)
+    if len(info["class_ids"]) != count:
+        raise DatasetError(f"{path}: {split} has {len(info['class_ids'])} class_ids "
+                           f"for count {count}")
+    if regions.shape != (count * t, ds.feature_dim):
+        raise DatasetError(f"{regions_file}: shape {regions.shape} inconsistent with count "
+                           f"{count} x regions_per_instance {t}, feature_dim {ds.feature_dim}")
+    if not np.all(np.isfinite(regions)):
+        raise DatasetError(f"{regions_file}: region features contain non-finite values")
+    if tokens.shape != (count, n):
+        raise DatasetError(f"{tokens_file}: shape {tokens.shape} inconsistent with count "
+                           f"{count} x tokens_per_instance {n}")
+    # NaN and infinities fail these comparisons too
+    bad = ~((tokens >= 0) & (tokens < ds.vocab_size) & (tokens == np.round(tokens)))
+    if np.any(bad):
+        row, col = np.argwhere(bad)[0]
+        raise DatasetError(f"{tokens_file}: token id {tokens[row, col]} at row {row}, "
+                           f"column {col} outside vocab_size [0, {ds.vocab_size})")
+    tokens = tokens.astype(np.int64)
+    return [Instance(class_id=int(class_id), regions=regions[i * t:(i + 1) * t].copy(),
+                     tokens=tokens[i].copy())
+            for i, class_id in enumerate(info["class_ids"])]
 
 
 def dataset_fingerprint(path) -> str:

@@ -52,59 +52,53 @@ class ActionSpace:
         return self.n + 1
 
 
-@dataclass
-class CompoundSample:
-    """One timestep of the two-stage action draw."""
-
-    soft_probs: Tensor
-    hard_index: int
-    discrete_logprob: Tensor
-    mu: Tensor
-    sigma: Tensor
-    raw_sample: Tensor
-    att: Tensor
-    continuous_logprob: Tensor
-
-
-def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    u = np.clip(rng.random(shape), 1e-300, 1.0 - 1e-16)
-    return -np.log(-np.log(u))
+def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Standard Gumbel variates from uniform draws on [0, 1)."""
+    return -np.log(-np.log(np.clip(u, 1e-300, 1.0 - 1e-16)))
 
 
 def gumbel_softmax(logits: Tensor, temperature: float, rng: np.random.Generator,
                    noise: np.ndarray | None = None) -> Tensor:
     """Relaxed categorical sample on the simplex, differentiable w.r.t.
-    logits. Works row-wise on matrices. ``noise`` overrides the Gumbel
-    draw (used to freeze randomness in gradient checks)."""
+    logits. Works row-wise on matrices. ``noise`` replaces the Gumbel draw
+    (pre-drawn rollout noise, or frozen randomness in gradient checks)."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if noise is None:
-        noise = gumbel_noise(rng, logits.shape)
+        noise = gumbel_from_uniform(rng.random(logits.shape))
     perturbed = add(logits, constant(noise))
     return softmax(scalar_mul(perturbed, 1.0 / temperature), axis=-1)
 
 
-def categorical_sample(probs, rng: np.random.Generator) -> int:
-    """Draw an index from a simplex vector."""
+def categorical_sample(probs, rng: np.random.Generator | None = None,
+                       uniforms=None):
+    """Draw one index per row of a simplex vector (returns an int) or
+    matrix (returns an index vector). ``uniforms``, one per row, replace
+    the ``rng.random()`` draws."""
     p = probs.values if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"categorical_sample expects a vector, got shape {p.shape}")
+    if p.ndim not in (1, 2):
+        raise ValueError(f"categorical_sample expects a vector or matrix, got shape {p.shape}")
     if np.any(p < 0):
         raise ValueError("categorical_sample: negative probability entry")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
+    total = p.sum(axis=-1)
+    if np.any(np.abs(total - 1.0) > 1e-6):
         raise ValueError(f"categorical_sample: probabilities sum to {total}, not 1")
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    return min(idx, p.size - 1)
+    if uniforms is None:
+        uniforms = rng.random() if p.ndim == 1 else rng.random(p.shape[0])
+    cum = np.cumsum(p, axis=-1)
+    # first position whose running total exceeds the draw
+    idx = np.minimum((cum <= (uniforms * total)[..., None]).sum(axis=-1), p.shape[-1] - 1)
+    return int(idx) if p.ndim == 1 else idx
 
 
-def discrete_logprob(probs: Tensor, index: int) -> Tensor:
-    """log(probs[index]) as a tape node, differentiable into the probs."""
-    index = int(index)
-    if probs.values[index] <= 0.0:
+def discrete_logprob(probs: Tensor, index) -> Tensor:
+    """log(probs[..., index]) as a tape node, differentiable into the
+    probs: one index per row (an int for a vector), one log-prob per row
+    as a (..., 1) column."""
+    idx = np.asarray(index, dtype=np.intp)[..., None]
+    if np.any(np.take_along_axis(probs.values, idx, axis=-1) <= 0.0):
         raise DomainError(f"discrete_logprob: zero probability at index {index}")
-    return log(pick(probs, index))
+    return log(pick(probs, idx))
 
 
 def action_to_mu(index: int, n: int) -> float:
@@ -115,11 +109,12 @@ def action_to_mu(index: int, n: int) -> float:
     return 1.0 / (1.0 + math.exp(-index / n))
 
 
-def straight_through(hard_index: int, soft_probs: Tensor, n: int) -> Tensor:
-    """Pre-squash mean input: forward value is exactly hard_index/n, the
-    backward pass sees the relaxed expectation sum_i (i/n) * probs[i]."""
-    labels = np.arange(soft_probs.size, dtype=np.float64) / n
-    out = np.asarray(float(hard_index) / n)
+def straight_through(hard_index, soft_probs: Tensor, n: int) -> Tensor:
+    """Pre-squash mean input, one per row as a (..., 1) column: the
+    forward value is exactly hard_index/n, the backward pass sees the
+    relaxed expectation sum_i (i/n) * probs[i]."""
+    labels = np.arange(soft_probs.shape[-1], dtype=np.float64) / n
+    out = np.asarray(hard_index, dtype=np.float64)[..., None] / n
 
     def bw(g):
         return (g * labels,)
@@ -128,21 +123,22 @@ def straight_through(hard_index: int, soft_probs: Tensor, n: int) -> Tensor:
 
 
 def soft_action_value(soft_probs: Tensor, n: int) -> Tensor:
-    """The relaxed path on its own: sum_i (i/n) * probs[i]. This is what
-    ``straight_through`` routes gradients through."""
-    labels = np.arange(soft_probs.size, dtype=np.float64) / n
-    return tsum(mul(soft_probs, constant(labels)))
+    """The relaxed path on its own: sum_i (i/n) * probs[i] per row, as a
+    (..., 1) column. This is what ``straight_through`` routes gradients
+    through."""
+    labels = np.arange(soft_probs.shape[-1], dtype=np.float64) / n
+    return tsum(mul(soft_probs, constant(labels)), axis=-1, keepdims=True)
 
 
 def normal_sample_reparam(mu: Tensor, sigma: Tensor, rng: np.random.Generator,
-                          eps: float | None = None) -> Tensor:
-    """mu + sigma * eps with eps a standard-normal constant, so gradients
-    flow into both mu and sigma."""
-    if float(sigma.values) <= 0.0:
-        raise DomainError(f"normal_sample_reparam: sigma must be positive, got {float(sigma.values)}")
+                          eps=None) -> Tensor:
+    """mu + sigma * eps with eps a standard-normal constant (one per
+    entry of sigma), so gradients flow into both mu and sigma."""
+    if np.any(sigma.values <= 0.0):
+        raise DomainError(f"normal_sample_reparam: sigma must be positive, got {sigma.values}")
     if eps is None:
-        eps = float(rng.standard_normal())
-    return add(mu, scalar_mul(sigma, eps))
+        eps = rng.standard_normal() if sigma.values.ndim == 0 else rng.standard_normal(sigma.shape)
+    return add(mu, mul(sigma, constant(eps)))
 
 
 def normal_logprob(x, mu, sigma) -> Tensor:
@@ -151,7 +147,7 @@ def normal_logprob(x, mu, sigma) -> Tensor:
     x = x if isinstance(x, Tensor) else constant(np.asarray(float(x)))
     mu = mu if isinstance(mu, Tensor) else constant(np.asarray(float(mu)))
     sigma = sigma if isinstance(sigma, Tensor) else constant(np.asarray(float(sigma)))
-    if float(sigma.values) <= 0.0:
-        raise DomainError(f"normal_logprob: sigma must be positive, got {float(sigma.values)}")
+    if np.any(sigma.values <= 0.0):
+        raise DomainError(f"normal_logprob: sigma must be positive, got {sigma.values}")
     quad = div(square(sub(x, mu)), scalar_mul(square(sigma), 2.0))
     return sub(sub(constant(np.asarray(-0.5 * LOG_2PI)), log(sigma)), quad)

@@ -26,44 +26,6 @@ from .autodiff import (
 
 
 @dataclass
-class RegionSet:
-    """Per-instance image region features, one row per region."""
-
-    features: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError(f"region features must be a T x d matrix, got {self.features.shape}")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("region features contain non-finite entries")
-
-    @property
-    def count(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass
-class TokenSeq:
-    """Token-id sequence for one caption."""
-
-    token_ids: np.ndarray
-
-    def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        if self.token_ids.ndim != 1 or self.token_ids.size < 1:
-            raise ValueError(f"token ids must be a nonempty vector, got shape {self.token_ids.shape}")
-
-    @property
-    def length(self) -> int:
-        return self.token_ids.size
-
-
-@dataclass
 class GruParams:
     """Gate weights for one GRU cell (input size p, hidden size q)."""
 
@@ -118,38 +80,55 @@ class GruParams:
 
 
 def gru_step(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """One GRU update: h' = (1-z) * h + z * candidate."""
-    if x.shape != (params.input_size,) or h.shape != (params.hidden_size,):
+    """One GRU update, row-wise on (B, p) inputs and (B, q) states:
+    h' = (1-z) * h + z * candidate."""
+    if (x.shape[-1:] != (params.input_size,) or h.shape[-1:] != (params.hidden_size,)
+            or x.shape[:-1] != h.shape[:-1]):
         raise ShapeError(
             f"gru_step: x {x.shape} / h {h.shape} do not match params "
             f"({params.input_size}, {params.hidden_size})")
     z = sigmoid(add(add(matmul(x, params.w_xz), matmul(h, params.w_hz)), params.b_z))
     r = sigmoid(add(add(matmul(x, params.w_xr), matmul(h, params.w_hr)), params.b_r))
     cand = tanh(add(add(matmul(x, params.w_xc), matmul(mul(r, h), params.w_hc)), params.b_c))
-    one = constant(np.ones(params.hidden_size))
-    return add(mul(sub(one, z), h), mul(z, cand))
+    return add(mul(sub(_ONE, z), h), mul(z, cand))
+
+
+_ONE = constant(np.asarray(1.0))
+
+
+def region_batch(regions) -> np.ndarray:
+    """Finite (B, T, d) regions, T >= 1; a single (T, d) set is the batch B = 1."""
+    arr = np.asarray(regions, dtype=np.float64)
+    arr = arr[None] if arr.ndim == 2 else arr
+    if arr.ndim != 3 or arr.shape[1] < 1 or not np.isfinite(arr).all():
+        raise ValueError(f"regions must be a finite (T, d) or (B, T, d) array, got {arr.shape}")
+    return arr
 
 
 def region_affinity(features: Tensor, w_embed_a: Tensor, w_embed_b: Tensor) -> Tensor:
-    """Pairwise affinities between embedded region features:
-    (F @ Wa) (F @ Wb)^T. Pass the same weight twice for the tied variant."""
+    """Pairwise affinities between embedded region features, per instance
+    of a (B, T, d) batch (or of one (T, d) set): (F @ Wa) (F @ Wb)^T. Pass
+    the same weight twice for the tied variant."""
     return matmul(matmul(features, w_embed_a), transpose(matmul(features, w_embed_b)))
 
 
 def gcn_reason(features: Tensor, relation: Tensor, w_graph: Tensor) -> Tensor:
-    """One residual graph-convolution layer over the fully-connected region
-    graph: F + ReLU(row_softmax(relation) @ F @ W)."""
-    if relation.shape != (features.shape[0], features.shape[0]):
+    """One residual graph-convolution layer over each instance's
+    fully-connected region graph: F + ReLU(row_softmax(relation) @ F @ W)."""
+    regions = features.shape[-2]
+    if relation.shape != features.shape[:-1] + (regions,):
         raise ShapeError(
-            f"gcn_reason: relation {relation.shape} does not match {features.shape[0]} regions")
-    propagated = matmul(matmul(softmax(relation, axis=1), features), w_graph)
+            f"gcn_reason: relation {relation.shape} does not match {regions} regions")
+    propagated = matmul(matmul(softmax(relation, axis=-1), features), w_graph)
     return add(features, relu(propagated))
 
 
 def embed_words(ids, table: Tensor) -> Tensor:
-    """Look up word embeddings, one row per token. Gradients accumulate
-    into exactly the rows used."""
-    ids = ids.token_ids if isinstance(ids, TokenSeq) else np.asarray(ids, dtype=np.int64)
+    """Look up word embeddings: (B, N) ids, N >= 1, give (B, N, e), and (N,)
+    ids give (N, e). Gradients accumulate into exactly the rows used."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim not in (1, 2) or ids.shape[-1] < 1:
+        raise ValueError(f"token ids must be a nonempty (N,) or (B, N) array, got {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"token id out of vocabulary range [0, {table.shape[0]})")
     return gather_rows(table, ids)

@@ -12,20 +12,22 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
-    constant,
     concat,
+    constant,
     gather_rows,
     log_softmax,
     matmul,
     neg,
     parameter,
     pick,
-    pick_row,
     relu,
+    reshape,
     scalar_mul,
+    shift,
     sub,
+    transpose,
+    tsum,
 )
-from .encoders import TokenSeq
 
 
 @dataclass
@@ -75,77 +77,62 @@ def total_loss(triplet=None, instance=None, text_decode_image=None, text_decode_
     return LossBundle(total=total, **parts)
 
 
-def discrete_pg_loss(traces, advantages, batch_mean: bool = True) -> Tensor:
-    """REINFORCE surrogate for the categorical stage: minus the advantage-
-    weighted episode log-prob sums, averaged over the batch. Advantages are
-    constants; gradients flow only through the log-probs."""
-    traces = list(traces)
+def _pg_surrogate(logprob_sums: Tensor, advantages, batch_mean: bool) -> Tensor:
     advantages = np.asarray(advantages, dtype=np.float64)
-    if len(traces) != advantages.size:
-        raise ValueError(f"{len(traces)} traces vs {advantages.size} advantages")
-    scale = 1.0 / len(traces) if batch_mean else 1.0
-    loss = _zero()
-    for trace, adv in zip(traces, advantages):
-        loss = add(loss, scalar_mul(trace.discrete_logprob_sum, -float(adv) * scale))
-    return loss
+    if logprob_sums.shape != advantages.shape:
+        raise ValueError(f"{logprob_sums.shape} log-prob sums vs {advantages.shape} advantages")
+    scale = 1.0 / advantages.size if batch_mean else 1.0
+    return matmul(constant(-advantages * scale), logprob_sums)
 
 
-def continuous_pg_loss(traces, advantages, batch_mean: bool = True) -> Tensor:
+def discrete_pg_loss(trace, advantages, batch_mean: bool = True) -> Tensor:
+    """REINFORCE surrogate for the categorical stage: minus the dot product
+    of the advantages with the per-instance episode log-prob sums, averaged
+    over the batch. Advantages are constants; gradients flow only through
+    the log-probs."""
+    return _pg_surrogate(trace.discrete_logprob_sum, advantages, batch_mean)
+
+
+def continuous_pg_loss(trace, advantages, batch_mean: bool = True) -> Tensor:
     """REINFORCE surrogate for the Normal stage, on the episode sums of the
     raw-sample log-densities."""
-    traces = list(traces)
-    advantages = np.asarray(advantages, dtype=np.float64)
-    if len(traces) != advantages.size:
-        raise ValueError(f"{len(traces)} traces vs {advantages.size} advantages")
-    scale = 1.0 / len(traces) if batch_mean else 1.0
-    loss = _zero()
-    for trace, adv in zip(traces, advantages):
-        loss = add(loss, scalar_mul(trace.continuous_logprob_sum, -float(adv) * scale))
-    return loss
+    return _pg_surrogate(trace.continuous_logprob_sum, advantages, batch_mean)
 
 
 def triplet_loss(sim: Tensor, margin: float = 0.2) -> Tensor:
     """Hinge ranking loss with in-batch hardest negatives, averaged over
-    instances. Negatives are selected on detached values; gradients reach
-    only the diagonal and the selected entries."""
+    instances. Negatives are selected on detached values (one masked
+    argmax per direction); gradients reach only the diagonal and the
+    selected entries."""
     if margin <= 0:
         raise ValueError(f"margin must be positive, got {margin}")
     k_total = sim.shape[0]
     if sim.values.ndim != 2 or sim.shape[0] != sim.shape[1] or k_total < 2:
         raise ValueError(f"triplet loss needs a square gallery of size >= 2, got {sim.shape}")
-    vals = sim.values
-    masked = vals.copy()
+    masked = sim.values.copy()
     np.fill_diagonal(masked, -np.inf)
-    hardest_col_per_row = masked.argmax(axis=1)
-    hardest_row_per_col = masked.argmax(axis=0)
+    hardest_col_per_row = masked.argmax(axis=1)[:, None]
+    hardest_row_per_col = masked.argmax(axis=0)[:, None]
 
-    m = constant(np.asarray(float(margin)))
-    loss = _zero()
-    for k in range(k_total):
-        pos = pick(sim, (k, k))
-        neg_txt = pick(sim, (k, int(hardest_col_per_row[k])))
-        neg_img = pick(sim, (int(hardest_row_per_col[k]), k))
-        loss = add(loss, relu(add(sub(m, pos), neg_txt)))
-        loss = add(loss, relu(add(sub(m, pos), neg_img)))
+    slack = sub(constant(np.asarray(float(margin))), pick(sim, np.arange(k_total)[:, None]))
+    neg_txt = pick(sim, hardest_col_per_row)
+    neg_img = pick(transpose(sim), hardest_row_per_col)
+    loss = add(tsum(relu(add(slack, neg_txt))), tsum(relu(add(slack, neg_img))))
     return scalar_mul(loss, 1.0 / k_total)
 
 
-def instance_loss(embeddings, labels, classifier: Tensor) -> Tensor:
-    """Mean softmax cross-entropy of each embedding against its instance
-    label, through a classifier shared by both modalities."""
-    embeddings = list(embeddings)
-    labels = [int(l) for l in labels]
-    if len(embeddings) != len(labels):
-        raise ValueError(f"{len(embeddings)} embeddings vs {len(labels)} labels")
+def instance_loss(embeddings: Tensor, labels, classifier: Tensor) -> Tensor:
+    """Mean softmax cross-entropy of each embedding row against its
+    instance label, through a classifier shared by both modalities."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if embeddings.shape[0] != labels.size:
+        raise ValueError(f"{embeddings.shape[0]} embeddings vs {labels.size} labels")
     num_classes = classifier.shape[1]
-    for l in labels:
-        if not 0 <= l < num_classes:
-            raise ValueError(f"label {l} outside [0, {num_classes})")
-    loss = _zero()
-    for emb, label in zip(embeddings, labels):
-        lsm = log_softmax(matmul(emb, classifier), axis=-1)
-        loss = add(loss, neg(pick(lsm, label)))
-    return scalar_mul(loss, 1.0 / len(embeddings))
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} outside [0, {num_classes})")
+    lsm = log_softmax(matmul(embeddings, classifier), axis=-1)
+    return scalar_mul(neg(tsum(pick(lsm, labels[:, None]))), 1.0 / labels.size)
 
 
 @dataclass
@@ -192,39 +179,37 @@ class DecoderParams:
                 self.conv2_w, self.conv2_b, self.out_w, self.out_b]
 
 
-def _causal_conv(xs, w, b):
-    channels = xs[0].shape[0]
-    pad = constant(np.zeros(channels))
-    out = []
-    for i in range(len(xs)):
-        left2 = xs[i - 2] if i >= 2 else pad
-        left1 = xs[i - 1] if i >= 1 else pad
-        window = concat([left2, left1, xs[i]])
-        out.append(relu(add(matmul(window, w), b)))
-    return out
+def _causal_conv(x, w, b):
+    """Kernel-3 causal convolution over a (B, N, C) sequence: each step sees
+    itself and the two before it (zeros before the start)."""
+    window = concat([shift(x, 2), shift(x, 1), x], axis=-1)
+    return relu(add(matmul(window, w), b))
 
 
-def text_decoding_loss(embedding: Tensor, target, decoder: DecoderParams) -> Tensor:
-    """Teacher-forced next-token cross-entropy. Each position sees the
+def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> Tensor:
+    """Teacher-forced next-token cross-entropy, averaged over positions and
+    then over the batch. Row b of the (B, embed_dim) embeddings conditions
+    the decoding of row b of the (B, N) targets; each position sees the
     conditioning embedding plus a causal convolution over the previous
-    target tokens; position i predicts target[i]."""
-    ids = target.token_ids if isinstance(target, TokenSeq) else np.asarray(target, dtype=np.int64)
-    if ids.size < 1:
-        raise ValueError("text_decoding_loss: empty target")
+    target tokens, and position i predicts target[i]."""
+    ids = np.asarray(targets, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] < 1:
+        raise ValueError(f"text_decoding_loss: empty target (shape {ids.shape})")
+    if ids.shape[0] != embeddings.shape[0]:
+        raise ValueError(f"{embeddings.shape[0]} embeddings vs {ids.shape[0]} targets")
     if ids.min() < 0 or ids.max() >= decoder.vocab_size:
         raise ValueError(f"target token outside vocabulary [0, {decoder.vocab_size})")
+    batch, length = ids.shape
+    channels = decoder.channels
 
-    cond_vec = matmul(embedding, decoder.cond)
-    prev = gather_rows(decoder.tok_table, ids[:-1]) if ids.size > 1 else None
-    xs = [add(decoder.start, cond_vec)]
-    for i in range(ids.size - 1):
-        xs.append(add(pick_row(prev, i), cond_vec))
+    # position 0 reads the start vector, stored as one extra table row
+    table = concat([decoder.tok_table, reshape(decoder.start, (1, channels))], axis=0)
+    inputs = np.concatenate([np.full((batch, 1), decoder.vocab_size), ids[:, :-1]], axis=1)
+    cond = reshape(matmul(embeddings, decoder.cond), (batch, 1, channels))
+    x = add(gather_rows(table, inputs), cond)
 
-    hidden = _causal_conv(xs, decoder.conv1_w, decoder.conv1_b)
+    hidden = _causal_conv(x, decoder.conv1_w, decoder.conv1_b)
     hidden = _causal_conv(hidden, decoder.conv2_w, decoder.conv2_b)
 
-    loss = _zero()
-    for i, h in enumerate(hidden):
-        lsm = log_softmax(add(matmul(h, decoder.out_w), decoder.out_b), axis=-1)
-        loss = add(loss, neg(pick(lsm, int(ids[i]))))
-    return scalar_mul(loss, 1.0 / ids.size)
+    lsm = log_softmax(add(matmul(hidden, decoder.out_w), decoder.out_b), axis=-1)
+    return scalar_mul(neg(tsum(pick(lsm, ids[..., None]))), 1.0 / ids.size)

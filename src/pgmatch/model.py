@@ -10,12 +10,12 @@ import os
 
 import numpy as np
 
-from .attention import PolicyParams, fuse, multi_head_rollout, neutral_trace, policy_rollout
-from .autodiff import constant, l2_normalize, matmul, parameter, pick_row
+from .attention import PolicyParams, draw_noise, fuse, neutral_trace, policy_rollout
+from .autodiff import constant, l2_normalize, matmul, parameter, timestep
 from .config import ModelConfig
 from .data import read_matrix, write_matrix
 from .distributions import ActionSpace
-from .encoders import embed_words, gcn_reason, load_embedding_table, region_affinity
+from .encoders import embed_words, gcn_reason, load_embedding_table, region_affinity, region_batch
 from .losses import DecoderParams
 
 
@@ -125,42 +125,51 @@ class MatchingModel:
         self.word_table.grad = None
 
     # -- forward ------------------------------------------------------------
+    #
+    # Inputs are batch-major: (B, T, d) regions and (B, N) token ids, one
+    # row of the returned (B, embed_dim) embeddings per instance. A single
+    # (T, d) region set or (N,) token sequence is the batch B = 1.
 
     def encode_image(self, regions: np.ndarray) -> list:
-        feats = constant(np.asarray(regions, dtype=np.float64))
+        """GCN-reasoned region features, one (B, d) tensor per region."""
+        feats = constant(region_batch(regions))
         relation = region_affinity(feats, self.w_aff_a, self.w_aff_b)
         out = feats
         for w in self.w_gcn:
             out = gcn_reason(out, relation, w)
-        return [pick_row(out, t) for t in range(out.shape[0])]
+        return [timestep(out, t) for t in range(out.shape[1])]
 
     def encode_text(self, tokens) -> list:
-        emb = embed_words(tokens, self.word_table)
-        return [pick_row(emb, i) for i in range(emb.shape[0])]
+        """Word embeddings, one (B, word_dim) tensor per token position."""
+        emb = embed_words(np.atleast_2d(tokens), self.word_table)
+        return [timestep(emb, t) for t in range(emb.shape[1])]
 
-    def _rollout(self, features, policy: PolicyParams, rng, mode: str,
+    def draw_noise(self, rng: np.random.Generator, batch: int, lengths) -> list:
+        """Rollout noise for ``batch`` instances and one branch per entry of
+        ``lengths``, in the fixed draw order of ``attention.draw_noise``."""
+        if self.config.pg_mode == "off":
+            return [None] * len(lengths)
+        return draw_noise(rng, batch, lengths, self.config.heads, self.space.num_labels,
+                          self.config.pg_mode)
+
+    def _rollout(self, features, policy: PolicyParams, noise, mode: str,
                  st_soft_forward: bool = False):
-        pg = self.config.pg_mode
-        if pg == "off":
+        if self.config.pg_mode == "off":
             return neutral_trace(len(features), self.config.lam)
-        action_mode = {"discrete": "discrete", "continuous": "continuous",
-                       "compound": "compound"}[pg]
-        if policy.head_count == 2 and not st_soft_forward:
-            return multi_head_rollout(features, policy, self.space, rng, mode, action_mode)
-        return policy_rollout(features, policy, self.space, rng, mode, action_mode,
+        return policy_rollout(features, policy, self.space, noise, mode, self.config.pg_mode,
                               st_soft_forward=st_soft_forward)
 
-    def embed_image(self, regions: np.ndarray, rng, mode: str = "stochastic",
+    def embed_image(self, regions: np.ndarray, noise, mode: str = "stochastic",
                     st_soft_forward: bool = False):
         features = self.encode_image(regions)
-        trace = self._rollout(features, self.img_policy, rng, mode, st_soft_forward)
+        trace = self._rollout(features, self.img_policy, noise, mode, st_soft_forward)
         fused = fuse(features, trace, self.config.lam, self.img_policy.fusion_gru)
         return l2_normalize(matmul(fused, self.proj_img)), trace
 
-    def embed_text(self, tokens, rng, mode: str = "stochastic",
+    def embed_text(self, tokens, noise, mode: str = "stochastic",
                    st_soft_forward: bool = False):
         features = self.encode_text(tokens)
-        trace = self._rollout(features, self.txt_policy, rng, mode, st_soft_forward)
+        trace = self._rollout(features, self.txt_policy, noise, mode, st_soft_forward)
         fused = fuse(features, trace, self.config.lam, self.txt_policy.fusion_gru)
         return l2_normalize(matmul(fused, self.proj_txt)), trace
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
-
 REWARD_MODES = ("r1", "ap", "r1+ap")
 DIRECTIONS = ("i2t", "t2i", "both")
 
@@ -31,22 +29,12 @@ class RewardRecord:
 
 
 def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
-    """K x K matrix of dot products between unit-normalized embeddings;
-    rows index images, columns index texts."""
-    img = _detach_rows(img_embs)
-    txt = _detach_rows(txt_embs)
+    """K x K dot products of (K, D) unit-normalized embeddings, rows images
+    and columns texts; a Tensor is read detached, off the tape."""
+    img, txt = (np.asarray(getattr(e, "values", e), dtype=np.float64) for e in (img_embs, txt_embs))
     if img.shape[0] != txt.shape[0]:
         raise ValueError(f"gallery size mismatch: {img.shape[0]} images vs {txt.shape[0]} texts")
     return img @ txt.T
-
-
-def _detach_rows(embs) -> np.ndarray:
-    if isinstance(embs, Tensor):
-        return embs.values.copy()
-    if isinstance(embs, np.ndarray):
-        return np.asarray(embs, dtype=np.float64)
-    return np.stack([e.values if isinstance(e, Tensor) else np.asarray(e, dtype=np.float64)
-                     for e in embs])
 
 
 def recall_at_1(sim: np.ndarray, k: int) -> float:
@@ -77,11 +65,7 @@ def instance_rewards(sim: np.ndarray, direction: str = "both",
     if mode not in REWARD_MODES:
         raise ValueError(f"reward mode must be one of {REWARD_MODES}, got {mode!r}")
     k_total = sim.shape[0]
-    views = []
-    if direction in ("i2t", "both"):
-        views.append(sim)
-    if direction in ("t2i", "both"):
-        views.append(sim.T)
+    views = [v for d, v in (("i2t", sim), ("t2i", sim.T)) if direction in (d, "both")]
     records = []
     for k in range(k_total):
         r1 = float(np.mean([recall_at_1(v, k) for v in views]))

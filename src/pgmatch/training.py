@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, add, backward, clear_tape, matmul, scalar_mul, stack_rows, transpose
+from .autodiff import Adam, backward, clear_tape, concat, matmul, transpose
 from .config import ModelConfig
 from .data import SyntheticDataset
 from .losses import (
@@ -27,7 +27,7 @@ from .losses import (
     triplet_loss,
 )
 from .model import MatchingModel
-from .rewards import attach_baseline, instance_rewards, rank_of
+from .rewards import attach_baseline, instance_rewards, rank_of, similarity_matrix
 
 
 class TrainingDiverged(RuntimeError):
@@ -68,46 +68,36 @@ def record_line(record: dict) -> str:
 def _batch_losses(model: MatchingModel, instances, labels, rollout_rng,
                   st_soft_forward: bool = False):
     cfg = model.config
-    img_embs, txt_embs, img_traces, txt_traces = [], [], [], []
-    for inst in instances:
-        emb_i, trace_i = model.embed_image(inst.regions, rollout_rng, mode="stochastic",
-                                           st_soft_forward=st_soft_forward)
-        emb_t, trace_t = model.embed_text(inst.tokens, rollout_rng, mode="stochastic",
-                                          st_soft_forward=st_soft_forward)
-        img_embs.append(emb_i)
-        txt_embs.append(emb_t)
-        img_traces.append(trace_i)
-        txt_traces.append(trace_t)
+    regions = np.stack([inst.regions for inst in instances])
+    tokens = np.stack([inst.tokens for inst in instances])
+    img_noise, txt_noise = model.draw_noise(rollout_rng, len(instances),
+                                            (regions.shape[1], tokens.shape[1]))
+    img, img_trace = model.embed_image(regions, img_noise, mode="stochastic",
+                                       st_soft_forward=st_soft_forward)
+    txt, txt_trace = model.embed_text(tokens, txt_noise, mode="stochastic",
+                                      st_soft_forward=st_soft_forward)
 
-    sim = matmul(stack_rows(img_embs), transpose(stack_rows(txt_embs)))
-    sim_detached = sim.values.copy()
-    reward_records = instance_rewards(sim_detached, direction="both", mode=cfg.reward_mode)
+    sim = matmul(img, transpose(txt))
+    reward_records = instance_rewards(sim.values.copy(), direction="both", mode=cfg.reward_mode)
     attach_baseline(reward_records, beta=cfg.beta)
-    advantages = [rec.advantage for rec in reward_records]
+    advantages = np.array([rec.advantage for rec in reward_records])
 
     parts = {}
     if cfg.loss_triplet:
         parts["triplet"] = triplet_loss(sim, cfg.margin)
     if cfg.loss_instance:
-        parts["instance"] = instance_loss(img_embs + txt_embs, labels + labels,
+        parts["instance"] = instance_loss(concat([img, txt], axis=0), list(labels) * 2,
                                           model.classifier)
     if cfg.loss_decode:
-        td_img = None
-        td_txt = None
-        for inst, emb_i, emb_t in zip(instances, img_embs, txt_embs):
-            li = text_decoding_loss(emb_i, inst.tokens, model.decoder)
-            lt = text_decoding_loss(emb_t, inst.tokens, model.decoder)
-            td_img = li if td_img is None else add(td_img, li)
-            td_txt = lt if td_txt is None else add(td_txt, lt)
-        parts["text_decode_image"] = scalar_mul(td_img, 1.0 / len(instances))
-        parts["text_decode_text"] = scalar_mul(td_txt, 1.0 / len(instances))
+        parts["text_decode_image"] = text_decoding_loss(img, tokens, model.decoder)
+        parts["text_decode_text"] = text_decoding_loss(txt, tokens, model.decoder)
     if cfg.pg_mode in ("discrete", "compound"):
-        parts["pg_discrete_image"] = discrete_pg_loss(img_traces, advantages, cfg.pg_batch_mean)
-        parts["pg_discrete_text"] = discrete_pg_loss(txt_traces, advantages, cfg.pg_batch_mean)
+        parts["pg_discrete_image"] = discrete_pg_loss(img_trace, advantages, cfg.pg_batch_mean)
+        parts["pg_discrete_text"] = discrete_pg_loss(txt_trace, advantages, cfg.pg_batch_mean)
     if cfg.pg_mode in ("continuous", "compound"):
-        parts["pg_continuous_image"] = continuous_pg_loss(img_traces, advantages,
+        parts["pg_continuous_image"] = continuous_pg_loss(img_trace, advantages,
                                                           cfg.pg_batch_mean)
-        parts["pg_continuous_text"] = continuous_pg_loss(txt_traces, advantages,
+        parts["pg_continuous_text"] = continuous_pg_loss(txt_trace, advantages,
                                                          cfg.pg_batch_mean)
     bundle = total_loss(**parts)
     mean_reward = float(np.mean([rec.reward for rec in reward_records]))
@@ -188,17 +178,17 @@ def _eval_ks(split_size: int):
 
 def evaluate(model: MatchingModel, instances, ks=(1, 5, 10)) -> dict:
     """Recall at K over a full split, both directions, with deterministic
-    rollouts. The correct item must rank within the top K (descending
-    similarity, ties by index)."""
+    rollouts; the split is embedded as one batch. The correct item must
+    rank within the top K (descending similarity, ties by index)."""
     if len(instances) < max(ks):
         raise ValueError(f"split of {len(instances)} is smaller than K={max(ks)}")
     clear_tape()
-    img = np.stack([model.embed_image(inst.regions, None, mode="deterministic")[0].values
-                    for inst in instances])
-    txt = np.stack([model.embed_text(inst.tokens, None, mode="deterministic")[0].values
-                    for inst in instances])
+    regions = np.stack([inst.regions for inst in instances])
+    tokens = np.stack([inst.tokens for inst in instances])
+    img = model.embed_image(regions, None, mode="deterministic")[0].values
+    txt = model.embed_text(tokens, None, mode="deterministic")[0].values
     clear_tape()
-    sim = img @ txt.T
+    sim = similarity_matrix(img, txt)
     out = {}
     for direction, view in (("i2t", sim), ("t2i", sim.T)):
         ranks = np.array([rank_of(view[k], k) for k in range(view.shape[0])])

@@ -94,6 +94,7 @@ def _binary_cases(rng):
     v1 = ad.Tensor(rng.standard_normal(4))
     v2 = ad.Tensor(rng.standard_normal(4))
     posb = ad.Tensor(1.0 + rng.random((3, 4)))
+    col = ad.Tensor(rng.standard_normal((3, 1)))
     return [
         ("add", lambda p, q: ad.tsum(ad.square(ad.add(p, q))), (a, b)),
         ("sub", lambda p, q: ad.tsum(ad.square(ad.sub(p, q))), (a, b)),
@@ -104,6 +105,14 @@ def _binary_cases(rng):
         ("matmul_vec_mat", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))), (v1, m2)),
         ("matmul_mat_vec", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))), (m1, v2)),
         ("matmul_dot", lambda p, q: ad.square(ad.matmul(p, q)), (v1, v2)),
+        ("matmul_batched_shared_weight", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))),
+         (ad.Tensor(rng.standard_normal((2, 3, 4))), m2)),
+        ("matmul_batched", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))),
+         (ad.Tensor(rng.standard_normal((2, 3, 4))), ad.Tensor(rng.standard_normal((2, 4, 2))))),
+        ("add_broadcast_row", lambda p, q: ad.tsum(ad.square(ad.add(p, q))), (a, v1)),
+        ("add_broadcast_column", lambda p, q: ad.tsum(ad.square(ad.add(p, q))), (a, col)),
+        ("mul_broadcast_row", lambda p, q: ad.tsum(ad.mul(ad.square(p), q)), (a, v1)),
+        ("mul_broadcast_column", lambda p, q: ad.tsum(ad.mul(ad.square(p), q)), (a, col)),
     ]
 
 
@@ -112,21 +121,35 @@ def _structural_cases(rng):
     v2 = ad.Tensor(rng.standard_normal(4))
     table = ad.Tensor(rng.standard_normal((5, 3)))
     mat = ad.Tensor(rng.standard_normal((4, 3)))
+    seq = ad.Tensor(rng.standard_normal((2, 4, 3)))
     weights7 = ad.constant(np.arange(7.))
+    weights_seq = ad.constant(np.arange(24.).reshape(2, 4, 3))
+    weights_flat = ad.constant(np.arange(24.).reshape(4, 6))
 
     def concat_loss(p, q):
         return ad.tsum(ad.mul(ad.concat([p, q]), weights7))
 
-    def stack_loss(p, q):
-        return ad.tsum(ad.square(ad.stack_rows([p, ad.scalar_mul(q, 2.0)])))
+    def concat_last_axis_loss(p, q):
+        return ad.tsum(ad.square(ad.concat([p, ad.scalar_mul(q, 2.0), p], axis=-1)))
+
+    def concat_rows_loss(p, q):
+        return ad.tsum(ad.square(ad.concat([p, ad.reshape(q, (1, 3))], axis=0)))
 
     return [
         ("concat", concat_loss, (v1, v2)),
-        ("stack_rows", stack_loss, (ad.Tensor(rng.standard_normal(4)), v2)),
+        ("concat_last_axis", concat_last_axis_loss,
+         (seq, ad.Tensor(rng.standard_normal((2, 4, 2))))),
+        ("concat_rows", concat_rows_loss, (mat, ad.Tensor(rng.standard_normal(3)))),
+        ("reshape", lambda t: ad.tsum(ad.mul(ad.reshape(t, (4, 6)), weights_flat)), (seq,)),
+        ("timestep", lambda t: ad.tsum(ad.square(ad.timestep(t, 2))), (seq,)),
+        ("shift", lambda t: ad.tsum(ad.mul(ad.shift(t, 1), weights_seq)), (seq,)),
+        ("sum_axis", lambda t: ad.tsum(ad.square(ad.tsum(t, axis=1))), (seq,)),
         ("gather_rows", lambda t: ad.tsum(ad.square(ad.gather_rows(t, [0, 2, 2, 4]))), (table,)),
-        ("pick_vector", lambda t: ad.square(ad.pick(t, 1)), (v1,)),
-        ("pick_matrix", lambda t: ad.square(ad.pick(t, (2, 1))), (mat,)),
-        ("pick_row", lambda t: ad.tsum(ad.square(ad.pick_row(t, 2))), (mat,)),
+        ("gather_rows_batched", lambda t: ad.tsum(ad.square(ad.gather_rows(t, [[0, 2], [2, 4]]))),
+         (table,)),
+        ("pick_vector", lambda t: ad.tsum(ad.square(ad.pick(t, [1]))), (v1,)),
+        ("pick_index_vector", lambda t: ad.tsum(ad.square(ad.pick(t, [[2], [0], [1], [2]]))),
+         (mat,)),
     ]
 
 
@@ -142,6 +165,9 @@ def _model_cases(rng):
     mu = ad.Tensor(np.asarray(0.55))
     sg = ad.Tensor(np.asarray(0.8))
     probs_logits = ad.Tensor(rng.standard_normal(5))
+    xb = ad.Tensor(rng.standard_normal((2, 3)))
+    hb = ad.Tensor(0.5 * rng.standard_normal((2, 3)))
+    feats_b = ad.Tensor(rng.standard_normal((2, 4, 3)))
 
     def gru_loss(xx, hh):
         return ad.tsum(ad.square(gru_step(xx, hh, gru)))
@@ -161,8 +187,10 @@ def _model_cases(rng):
 
     return [
         ("gru_step", gru_loss, (x, h)),
+        ("gru_step_batched", gru_loss, (xb, hb)),
         ("region_affinity", affinity_loss, (feats,)),
         ("gcn_reason", gcn_loss, (feats,)),
+        ("gcn_reason_batched", gcn_loss, (feats_b,)),
         ("normal_logprob", norm_lp, (xv, mu, sg)),
         ("soft_action_path", soft_mu, (probs_logits,)),
     ]
@@ -361,6 +389,17 @@ def metrics_suite() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _bandit_episodes(theta, rng, n):
+    """Draw ``n`` arms from softmax(theta) as one batch of one-step
+    episodes; returns their trace and their rewards."""
+    probs = ad.mul(ad.softmax(theta, axis=-1), ad.constant(np.ones((n, 1))))
+    idx = categorical_sample(probs, rng)
+    lp = ad.reshape(discrete_logprob(probs, idx), (n,))
+    trace = AttentionTrace(atts=[], discrete_logprob_sum=lp,
+                           continuous_logprob_sum=ad.constant(np.zeros(n)))
+    return trace, BANDIT_ARMS[idx]
+
+
 def bandit_gradient_estimate(theta_values, samples: int = 100_000, seed: int = 0,
                              chunk: int = 500) -> np.ndarray:
     """Monte-Carlo mean of the REINFORCE gradient samples on the 3-armed
@@ -372,17 +411,8 @@ def bandit_gradient_estimate(theta_values, samples: int = 100_000, seed: int = 0
     while done < samples:
         n = min(chunk, samples - done)
         ad.clear_tape()
-        probs = ad.softmax(theta, axis=-1)
-        traces, rewards = [], []
-        zero = ad.constant(np.asarray(0.0))
-        for _ in range(n):
-            idx = categorical_sample(probs, rng)
-            lp = discrete_logprob(probs, idx)
-            traces.append(AttentionTrace(steps=[], atts=[], discrete_logprob_sum=lp,
-                                         continuous_logprob_sum=zero, mode="stochastic"))
-            rewards.append(BANDIT_ARMS[idx])
-        loss = discrete_pg_loss(traces, rewards, batch_mean=False)
-        ad.backward(loss)
+        trace, rewards = _bandit_episodes(theta, rng, n)
+        ad.backward(discrete_pg_loss(trace, rewards, batch_mean=False))
         done += n
     grad = theta.grad.copy()
     ad.clear_tape()
@@ -417,17 +447,8 @@ def bandit_optimize(steps: int = 2000, batch: int = 8, lr: float = 0.05,
     opt = ad.Adam([theta], lr=lr)
     for step in range(1, steps + 1):
         ad.clear_tape()
-        probs = ad.softmax(theta, axis=-1)
-        zero = ad.constant(np.asarray(0.0))
-        traces, rewards = [], []
-        for _ in range(batch):
-            idx = categorical_sample(probs, rng)
-            traces.append(AttentionTrace(steps=[], atts=[],
-                                         discrete_logprob_sum=discrete_logprob(probs, idx),
-                                         continuous_logprob_sum=zero, mode="stochastic"))
-            rewards.append(BANDIT_ARMS[idx])
-        loss = discrete_pg_loss(traces, rewards)
-        ad.backward(loss)
+        trace, rewards = _bandit_episodes(theta, rng, batch)
+        ad.backward(discrete_pg_loss(trace, rewards))
         opt.step()
         p = np.exp(theta.values - theta.values.max())
         p /= p.sum()

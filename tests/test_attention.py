@@ -6,12 +6,13 @@ import pytest
 import pgmatch.autodiff as ad
 from pgmatch.attention import (
     PolicyParams,
+    RolloutNoise,
+    draw_noise,
     fuse,
-    multi_head_rollout,
     neutral_trace,
     policy_rollout,
 )
-from pgmatch.distributions import ActionSpace
+from pgmatch.distributions import ActionSpace, gumbel_from_uniform
 from pgmatch.encoders import GruParams, gru_step
 
 
@@ -40,47 +41,57 @@ def random_policy(dim, hidden, space, rng, heads=1):
     return PolicyParams.init(dim, hidden, space, rng, heads=heads)
 
 
-def random_features(rng, count, dim):
-    return [ad.Tensor(rng.standard_normal(dim)) for _ in range(count)]
+def random_features(rng, count, dim, batch=1):
+    """One (batch, dim) tensor per timestep."""
+    return [ad.Tensor(rng.standard_normal((batch, dim))) for _ in range(count)]
+
+
+def noise_for(rng, feats, params, space, action_mode="compound"):
+    batch = feats[0].shape[0]
+    return draw_noise(rng, batch, [len(feats)], params.head_count, space.num_labels,
+                      action_mode)[0]
+
+
+def rollout(feats, params, space, rng, action_mode="compound"):
+    noise = noise_for(rng, feats, params, space, action_mode)
+    return policy_rollout(feats, params, space, noise, action_mode=action_mode)
 
 
 def trace_values(trace):
-    vals = [trace.discrete_logprob_sum.item(), trace.continuous_logprob_sum.item()]
+    vals = (trace.discrete_logprob_sum.values.tolist()
+            + trace.continuous_logprob_sum.values.tolist())
     for att in trace.atts:
-        vals.append(att.item())
-    for step in trace.steps:
-        for s in step:
-            vals.extend([s.hard_index, s.mu.item(), s.sigma.item(),
-                         s.raw_sample.item(), s.att.item(),
-                         s.discrete_logprob.item(), s.continuous_logprob.item()])
+        vals.extend(att.values.ravel().tolist())
     return vals
+
+
+def squashed_labels(n):
+    """Every attention value a discrete action can take: logistic(k / n)."""
+    return 1.0 / (1.0 + np.exp(-np.arange(n + 1) / n))
 
 
 class TestPolicyRollout:
     def test_deterministic_zero_weights(self):
         space = ActionSpace(n=100)
         params = zero_policy(4, 5, space)
-        feats = random_features(np.random.default_rng(0), 3, 4)
+        feats = random_features(np.random.default_rng(0), 3, 4, batch=2)
         trace = policy_rollout(feats, params, space, mode="deterministic")
-        # uniform logits tie-break to index 0 -> mu = logistic(0) = 0.5
-        for step in trace.steps:
-            assert step[0].hard_index == 0
-            assert step[0].mu.item() == 0.5
-            np.testing.assert_allclose(step[0].att.item(), 1 / (1 + math.exp(-0.5)),
-                                       rtol=1e-12)
-            assert abs(step[0].att.item() - 0.6225) < 5e-5
+        # uniform logits tie-break to index 0 -> mu = logistic(0) = 0.5, and
+        # the deterministic attention is logistic(mu)
+        for att in trace.atts:
+            np.testing.assert_allclose(att.values, 1 / (1 + math.exp(-0.5)), rtol=1e-12)
+            assert np.all(np.abs(att.values - 0.6225) < 5e-5)
 
     def test_stochastic_fixed_seed_bit_identical(self):
         space = ActionSpace(n=10)
         rng = np.random.default_rng(5)
         params = random_policy(4, 5, space, rng)
-        feats = random_features(rng, 4, 4)
+        feats = random_features(rng, 4, 4, batch=3)
 
-        t1 = policy_rollout(feats, params, space, np.random.default_rng(77))
-        v1 = trace_values(t1)
+        v1 = trace_values(rollout(feats, params, space, np.random.default_rng(77)))
         ad.clear_tape()
-        t2 = policy_rollout(feats, params, space, np.random.default_rng(77))
-        assert trace_values(t2) == v1
+        v2 = trace_values(rollout(feats, params, space, np.random.default_rng(77)))
+        assert v1 == v2
 
     def test_trace_invariants_over_random_rollouts(self):
         space = ActionSpace(n=8)
@@ -88,31 +99,61 @@ class TestPolicyRollout:
         for trial in range(1000):
             ad.clear_tape()
             params = random_policy(3, 3, space, master)
-            feats = random_features(master, int(master.integers(1, 4)), 3)
-            trace = policy_rollout(feats, params, space, master)
+            batch = int(master.integers(1, 4))
+            feats = random_features(master, int(master.integers(1, 4)), 3, batch)
+            trace = rollout(feats, params, space, master)
             assert trace.length == len(feats)
             assert len(trace.atts) == len(feats)
-            assert trace.discrete_logprob_sum.item() <= 0.0
-            for att, step in zip(trace.atts, trace.steps):
-                assert 0.0 < att.item() < 1.0
-                for s in step:
-                    assert s.sigma.item() > 0.0
-                    assert 0.0 < s.att.item() < 1.0
+            assert trace.discrete_logprob_sum.shape == (batch,)
+            assert np.all(trace.discrete_logprob_sum.values <= 0.0)
+            for att in trace.atts:
+                assert att.shape == (batch, 1)
+                assert np.all((0.0 < att.values) & (att.values < 1.0))
 
     def test_episode_discrete_logprob_additivity(self):
         space = ActionSpace(n=6)
         rng = np.random.default_rng(3)
         params = random_policy(3, 4, space, rng)
-        feats = random_features(rng, 5, 3)
-        trace = policy_rollout(feats, params, space, rng)
-        per_step = sum(s.discrete_logprob.item() for step in trace.steps for s in step)
-        np.testing.assert_allclose(trace.discrete_logprob_sum.item(), per_step, rtol=1e-12)
+        feats = random_features(rng, 5, 3, batch=2)
+        noise = noise_for(rng, feats, params, space)
+        whole = policy_rollout(feats, params, space, noise).discrete_logprob_sum.values
+        prev = np.zeros(2)
+        for t in range(5):
+            # the first t+1 steps of an episode are an episode of their own,
+            # and each step adds one log-probability
+            prefix = policy_rollout(feats[:t + 1], params, space, noise)
+            step = prefix.discrete_logprob_sum.values - prev
+            assert np.all(step < 0.0)
+            prev = prefix.discrete_logprob_sum.values
+        np.testing.assert_allclose(whole, prev, rtol=1e-12)
+
+    def test_batch_rows_match_single_instance_rollouts(self):
+        space = ActionSpace(n=6)
+        rng = np.random.default_rng(21)
+        params = random_policy(3, 4, space, rng, heads=2)
+        feats = random_features(rng, 4, 3, batch=3)
+        noise = noise_for(np.random.default_rng(8), feats, params, space)
+        batched = policy_rollout(feats, params, space, noise)
+        for b in range(3):
+            ad.clear_tape()
+            row = RolloutNoise(gumbel=noise.gumbel[b:b + 1], uniform=noise.uniform[b:b + 1],
+                               normal=noise.normal[b:b + 1])
+            single = policy_rollout([ad.Tensor(f.values[b:b + 1]) for f in feats],
+                                    params, space, row)
+            np.testing.assert_allclose(single.discrete_logprob_sum.values,
+                                       batched.discrete_logprob_sum.values[b:b + 1],
+                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(single.continuous_logprob_sum.values,
+                                       batched.continuous_logprob_sum.values[b:b + 1],
+                                       rtol=1e-12, atol=1e-14)
+            for a, c in zip(single.atts, batched.atts):
+                np.testing.assert_allclose(a.values[0], c.values[b], rtol=1e-12)
 
     def test_deterministic_mode_is_pure(self):
         space = ActionSpace(n=6)
         rng = np.random.default_rng(4)
         params = random_policy(3, 4, space, rng)
-        feats = random_features(rng, 3, 3)
+        feats = random_features(rng, 3, 3, batch=2)
         a = trace_values(policy_rollout(feats, params, space, mode="deterministic"))
         ad.clear_tape()
         b = trace_values(policy_rollout(feats, params, space, mode="deterministic"))
@@ -122,26 +163,51 @@ class TestPolicyRollout:
         space = ActionSpace(n=5)
         params = zero_policy(3, 3, space)
         with pytest.raises(ValueError, match="empty"):
-            policy_rollout([], params, space, np.random.default_rng(0))
+            policy_rollout([], params, space, None, mode="deterministic")
 
     def test_stochastic_needs_rng(self):
         space = ActionSpace(n=5)
         params = zero_policy(3, 3, space)
         feats = random_features(np.random.default_rng(0), 2, 3)
-        with pytest.raises(ValueError, match="rng"):
+        with pytest.raises(ValueError, match="noise pre-drawn from the rollout rng"):
             policy_rollout(feats, params, space, None)
+
+
+class TestDrawNoise:
+    def test_instance_then_branch_then_step_then_head_order(self):
+        labels, heads, lengths = 4, 2, (3, 2)
+        img, txt = draw_noise(np.random.default_rng(6), 2, lengths, heads, labels, "compound")
+        rng = np.random.default_rng(6)
+        for b in range(2):
+            for noise, n in zip((img, txt), lengths):
+                for t in range(n):
+                    for k in range(heads):
+                        np.testing.assert_array_equal(noise.gumbel[b, t, k],
+                                                      gumbel_from_uniform(rng.random(labels)))
+                        assert noise.uniform[b, t, k] == rng.random()
+                        assert noise.normal[b, t, k] == rng.standard_normal()
+
+    def test_action_modes_draw_only_their_stages(self):
+        rng = np.random.default_rng(7)
+        (disc,) = draw_noise(rng, 2, (3,), 1, 5, "discrete")
+        assert disc.normal is None and disc.gumbel.shape == (2, 3, 1, 5)
+        (cont,) = draw_noise(rng, 2, (3,), 1, 5, "continuous")
+        assert cont.gumbel is None and cont.uniform is None
+        ref = np.random.default_rng(7)
+        ref.random(2 * 3 * 6)
+        np.testing.assert_array_equal(cont.normal.ravel(), ref.standard_normal(6))
 
 
 class TestFuse:
     def test_neutral_attention_recovers_features(self):
         rng = np.random.default_rng(6)
         lam = 20.0
-        feats = random_features(rng, 4, 3)
+        feats = random_features(rng, 4, 3, batch=2)
         trace = neutral_trace(4, lam)
         gru = GruParams.init(3, 3, rng)
         out = fuse(feats, trace, lam, gru)
 
-        h = ad.constant(np.zeros(3))
+        h = ad.constant(np.zeros((2, 3)))
         for f in feats:
             h = gru_step(f, h, gru)
         expect = h.values + np.mean([f.values for f in feats], axis=0)
@@ -153,13 +219,13 @@ class TestFuse:
         trace = neutral_trace(1, 5.0)
         gru = GruParams.init(3, 3, rng)
         out = fuse(feats, trace, 5.0, gru)
-        h = gru_step(feats[0], ad.constant(np.zeros(3)), gru)
+        h = gru_step(feats[0], ad.constant(np.zeros((1, 3))), gru)
         np.testing.assert_allclose(out.values, h.values + feats[0].values, atol=1e-12)
 
     def test_linear_in_features_with_passthrough_gru(self):
         rng = np.random.default_rng(8)
         trace = neutral_trace(3, 2.0)
-        feats = random_features(rng, 3, 4)
+        feats = random_features(rng, 3, 4, batch=2)
         base = fuse(feats, trace, 2.0, None).values
         doubled = fuse([ad.Tensor(2.0 * f.values) for f in feats], trace, 2.0, None).values
         np.testing.assert_allclose(doubled, 2.0 * base, atol=1e-12)
@@ -179,61 +245,27 @@ class TestFuse:
         space = ActionSpace(n=10)
         rng = np.random.default_rng(10)
         params = random_policy(3, 4, space, rng)
-        feats = random_features(rng, 6, 3)
+        feats = random_features(rng, 6, 3, batch=2)
         lam = 20.0
-        trace = policy_rollout(feats, params, space, rng)
+        trace = rollout(feats, params, space, rng)
         for att in trace.atts:
-            assert 0.0 < lam * att.item() < lam
+            assert np.all((0.0 < lam * att.values) & (lam * att.values < lam))
 
     def test_gradients_reach_policy_heads_through_reparam(self):
         space = ActionSpace(n=6)
         rng = np.random.default_rng(11)
         params = random_policy(3, 4, space, rng)
-        feats = random_features(rng, 3, 3)
-        trace = policy_rollout(feats, params, space, rng)
+        feats = random_features(rng, 3, 3, batch=2)
+        trace = rollout(feats, params, space, rng)
         out = fuse(feats, trace, 2.0, params.fusion_gru)
         ad.backward(ad.tsum(ad.square(out)))
         assert params.w_std[0].grad is not None and np.any(params.w_std[0].grad != 0.0)
         assert params.w_mu[0].grad is not None and np.any(params.w_mu[0].grad != 0.0)
 
 
-class ReplayRng:
-    """Replays each group of `cycle` draws twice: the second head sees the
-    first head's noise. The inner generator is only consumed on fresh draws,
-    so a plain generator with the same seed produces the same fresh stream."""
-
-    def __init__(self, seed, cycle=3):
-        self.inner = np.random.default_rng(seed)
-        self.cycle = cycle
-        self.buffer = []
-        self.pos = 0
-
-    def _next(self, draw):
-        if self.pos < self.cycle:
-            value = draw()
-            self.buffer.append(value)
-        else:
-            value = self.buffer[self.pos - self.cycle]
-        self.pos += 1
-        if self.pos == 2 * self.cycle:
-            self.pos = 0
-            self.buffer = []
-        return value
-
-    def random(self, shape=None):
-        return self._next(lambda: self.inner.random(shape))
-
-    def standard_normal(self):
-        return self._next(self.inner.standard_normal)
-
-
 class TestMultiHead:
     def test_head_count_validated(self):
         space = ActionSpace(n=5)
-        params = zero_policy(3, 3, space, heads=1)
-        feats = random_features(np.random.default_rng(0), 2, 3)
-        with pytest.raises(ValueError, match="2 heads"):
-            multi_head_rollout(feats, params, space, np.random.default_rng(0))
         with pytest.raises(ValueError, match="head count"):
             zero_policy(3, 3, space, heads=3)
 
@@ -245,16 +277,20 @@ class TestMultiHead:
                               w_mu=[single.w_mu[0], single.w_mu[0]],
                               w_std=[single.w_std[0], single.w_std[0]],
                               fusion_gru=single.fusion_gru)
-        feats = random_features(rng, 3, 3)
+        feats = random_features(rng, 3, 3, batch=2)
 
-        t1 = policy_rollout(feats, single, space, np.random.default_rng(99))
-        atts1 = [a.item() for a in t1.atts]
-        d1 = t1.discrete_logprob_sum.item()
+        noise = noise_for(np.random.default_rng(99), feats, single, space)
+        t1 = policy_rollout(feats, single, space, noise)
+        atts1 = [a.values.tolist() for a in t1.atts]
+        d1 = t1.discrete_logprob_sum.values.copy()
         ad.clear_tape()
-        t2 = multi_head_rollout(feats, double, space, ReplayRng(99))
-        atts2 = [a.item() for a in t2.atts]
-        assert atts1 == atts2
-        np.testing.assert_allclose(t2.discrete_logprob_sum.item(), 2.0 * d1, rtol=1e-12)
+        # the second head sees the first head's noise
+        shared = RolloutNoise(gumbel=np.repeat(noise.gumbel, 2, axis=2),
+                              uniform=np.repeat(noise.uniform, 2, axis=2),
+                              normal=np.repeat(noise.normal, 2, axis=2))
+        t2 = policy_rollout(feats, double, space, shared)
+        assert [a.values.tolist() for a in t2.atts] == atts1
+        np.testing.assert_allclose(t2.discrete_logprob_sum.values, 2.0 * d1, rtol=1e-12)
 
     def test_deterministic_identical_heads_equal_single(self):
         space = ActionSpace(n=6)
@@ -262,30 +298,28 @@ class TestMultiHead:
         single = random_policy(3, 4, space, rng, heads=1)
         double = PolicyParams(gru=single.gru, w_mu=[single.w_mu[0]] * 2,
                               w_std=[single.w_std[0]] * 2, fusion_gru=single.fusion_gru)
-        feats = random_features(rng, 4, 3)
-        a = [x.item() for x in policy_rollout(feats, single, space, mode="deterministic").atts]
-        b = [x.item() for x in multi_head_rollout(feats, double, space,
-                                                  mode="deterministic").atts]
+        feats = random_features(rng, 4, 3, batch=2)
+        a = [x.values for x in policy_rollout(feats, single, space, mode="deterministic").atts]
+        b = [x.values for x in policy_rollout(feats, double, space, mode="deterministic").atts]
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_mean_attention_in_unit_interval(self):
         space = ActionSpace(n=6)
         rng = np.random.default_rng(16)
         params = random_policy(3, 4, space, rng, heads=2)
-        feats = random_features(rng, 5, 3)
-        trace = multi_head_rollout(feats, params, space, rng)
+        feats = random_features(rng, 5, 3, batch=2)
+        trace = rollout(feats, params, space, rng)
         for att in trace.atts:
-            assert 0.0 < att.item() < 1.0
-        assert all(len(step) == 2 for step in trace.steps)
+            assert np.all((0.0 < att.values) & (att.values < 1.0))
 
     def test_fixed_seed_deterministic(self):
         space = ActionSpace(n=6)
         rng = np.random.default_rng(17)
         params = random_policy(3, 4, space, rng, heads=2)
-        feats = random_features(rng, 3, 3)
-        a = trace_values(multi_head_rollout(feats, params, space, np.random.default_rng(4)))
+        feats = random_features(rng, 3, 3, batch=2)
+        a = trace_values(rollout(feats, params, space, np.random.default_rng(4)))
         ad.clear_tape()
-        b = trace_values(multi_head_rollout(feats, params, space, np.random.default_rng(4)))
+        b = trace_values(rollout(feats, params, space, np.random.default_rng(4)))
         assert a == b
 
 
@@ -294,30 +328,32 @@ class TestActionModes:
         space = ActionSpace(n=6)
         rng = np.random.default_rng(18)
         params = random_policy(3, 4, space, rng)
-        feats = random_features(rng, 3, 3)
-        trace = policy_rollout(feats, params, space, rng, action_mode="discrete")
-        for step, att in zip(trace.steps, trace.atts):
-            assert att.item() == step[0].mu.item()
-        assert trace.continuous_logprob_sum.item() == 0.0
+        feats = random_features(rng, 3, 3, batch=2)
+        trace = rollout(feats, params, space, rng, action_mode="discrete")
+        for att in trace.atts:
+            assert np.all(np.isin(att.values, squashed_labels(space.n)))
+        assert np.all(trace.continuous_logprob_sum.values == 0.0)
 
     def test_continuous_mode_has_no_discrete_logprob(self):
         space = ActionSpace(n=6)
         rng = np.random.default_rng(19)
         params = random_policy(3, 4, space, rng)
-        feats = random_features(rng, 3, 3)
-        trace = policy_rollout(feats, params, space, rng, action_mode="continuous")
-        assert trace.discrete_logprob_sum.item() == 0.0
-        assert trace.continuous_logprob_sum.item() != 0.0
+        feats = random_features(rng, 3, 3, batch=2)
+        trace = rollout(feats, params, space, rng, action_mode="continuous")
+        assert np.all(trace.discrete_logprob_sum.values == 0.0)
+        assert np.all(trace.continuous_logprob_sum.values != 0.0)
 
     def test_unknown_modes_rejected(self):
         space = ActionSpace(n=6)
         params = zero_policy(3, 3, space)
         feats = random_features(np.random.default_rng(0), 2, 3)
         with pytest.raises(ValueError, match="rollout mode"):
-            policy_rollout(feats, params, space, np.random.default_rng(0), mode="greedy")
+            policy_rollout(feats, params, space, None, mode="greedy")
         with pytest.raises(ValueError, match="action mode"):
-            policy_rollout(feats, params, space, np.random.default_rng(0),
+            policy_rollout(feats, params, space, None, mode="deterministic",
                            action_mode="hybrid")
+        with pytest.raises(ValueError, match="action mode"):
+            draw_noise(np.random.default_rng(0), 1, (2,), 1, 7, "hybrid")
 
 
 class TestNeutralTrace:

@@ -130,24 +130,80 @@ class TestBackward:
         np.testing.assert_array_equal(g1, g2)
 
 
-class TestCosineSimilarityRows:
-    def test_matches_normalized_oracle(self):
+class TestBatchOps:
+    def test_broadcast_gradients_sum_over_stretched_axes(self):
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((3, 5))
-        b = rng.standard_normal((4, 5))
-        out = ad.cosine_similarity_rows(ad.Tensor(a), ad.Tensor(b)).values
-        an = a / np.linalg.norm(a, axis=1, keepdims=True)
-        bn = b / np.linalg.norm(b, axis=1, keepdims=True)
-        np.testing.assert_allclose(out, an @ bn.T, atol=1e-9)
-        assert np.all(np.abs(out) <= 1.0 + 1e-12)
+        x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        row = ad.Tensor(rng.standard_normal(4), requires_grad=True)
+        col = ad.Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+        ad.backward(ad.tsum(ad.mul(ad.add(x, row), col)))
+        np.testing.assert_allclose(row.grad, np.full(4, col.values.sum()), rtol=1e-12)
+        np.testing.assert_allclose(col.grad, (x.values + row.values).sum(axis=1, keepdims=True),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(x.grad, np.broadcast_to(col.values, (3, 4)), rtol=1e-12)
 
-    def test_gradient(self):
+    def test_non_broadcastable_shapes_rejected(self):
+        with pytest.raises(ad.ShapeError, match=r"mul.*\(3, 4\).*\(3,\)"):
+            ad.mul(ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros(3)))
+
+    def test_matmul_batched_matches_per_instance(self):
         rng = np.random.default_rng(7)
-        a = ad.Tensor(rng.standard_normal((2, 4)))
-        b = ad.Tensor(rng.standard_normal((2, 4)))
-        err = ad.grad_check(lambda p, q: ad.tsum(ad.square(ad.cosine_similarity_rows(p, q))),
-                            [a, b])
-        assert err < 1e-4
+        a = rng.standard_normal((3, 2, 4))
+        w = rng.standard_normal((4, 5))
+        b = rng.standard_normal((3, 4, 2))
+        shared = ad.matmul(ad.Tensor(a), ad.Tensor(w)).values
+        stacked = ad.matmul(ad.Tensor(a), ad.Tensor(b)).values
+        for i in range(3):
+            np.testing.assert_allclose(shared[i], a[i] @ w, rtol=1e-13)
+            np.testing.assert_allclose(stacked[i], a[i] @ b[i], rtol=1e-13)
+
+    def test_shared_weight_gradient_sums_over_batch(self):
+        rng = np.random.default_rng(8)
+        a = ad.Tensor(rng.standard_normal((3, 2, 4)))
+        w = ad.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        ad.backward(ad.tsum(ad.matmul(a, w)))
+        expect = sum(a.values[i].T @ np.ones((2, 5)) for i in range(3))
+        np.testing.assert_allclose(w.grad, expect, rtol=1e-12)
+
+    def test_pick_by_index_vector(self):
+        m = ad.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        out = ad.pick(m, [[1], [3], [0]])
+        np.testing.assert_array_equal(out.values, [[1.0], [7.0], [8.0]])
+        ad.backward(ad.tsum(out))
+        expect = np.zeros((3, 4))
+        expect[[0, 1, 2], [1, 3, 0]] = 1.0
+        np.testing.assert_array_equal(m.grad, expect)
+        with pytest.raises(ad.ShapeError):
+            ad.pick(m, [1, 3, 0])
+        with pytest.raises(IndexError):
+            ad.pick(m, [[1], [4], [0]])
+
+    def test_sum_along_axis(self):
+        x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        np.testing.assert_array_equal(ad.tsum(x, axis=0).values, [3.0, 5.0, 7.0])
+        np.testing.assert_array_equal(ad.tsum(x, axis=-1, keepdims=True).values, [[3.0], [12.0]])
+        ad.backward(ad.tsum(ad.mul(ad.tsum(x, axis=1), ad.constant([1.0, 2.0]))))
+        np.testing.assert_array_equal(x.grad, [[1.0] * 3, [2.0] * 3])
+
+    def test_timestep_shift_and_concat(self):
+        seq = np.arange(12.0).reshape(1, 4, 3)
+        x = ad.Tensor(seq)
+        np.testing.assert_array_equal(ad.timestep(x, 2).values, seq[:, 2])
+        shifted = ad.shift(x, 1).values
+        np.testing.assert_array_equal(shifted[:, 0], 0.0)
+        np.testing.assert_array_equal(shifted[:, 1:], seq[:, :3])
+        window = ad.concat([ad.shift(x, 1), x], axis=-1)
+        assert window.shape == (1, 4, 6)
+        with pytest.raises(ad.ShapeError, match="concat"):
+            ad.concat([x, ad.Tensor(np.zeros((1, 3, 3)))], axis=-1)
+        with pytest.raises(IndexError):
+            ad.timestep(x, 4)
+
+    def test_row_wise_l2_normalize(self):
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((4, 5))
+        out = ad.l2_normalize(ad.Tensor(v)).values
+        np.testing.assert_allclose(out, v / np.linalg.norm(v, axis=1, keepdims=True), rtol=1e-12)
 
 
 class TestGradCheck:

@@ -162,6 +162,48 @@ class TestAblate:
         assert (out / "table.txt").exists()
 
 
+def truncate(path, nbytes):
+    path.write_bytes(path.read_bytes()[:-nbytes])
+
+
+def poison_token(data_dir, split="val"):
+    from pgmatch.data import read_matrix, write_matrix
+    path = data_dir / f"{split}_tokens.bin"
+    tokens = read_matrix(path)
+    tokens[1, 2] = 999.0
+    write_matrix(path, tokens)
+
+
+class TestMalformedDataset:
+    """A broken dataset is a user error (exit 1) reported when it is
+    loaded, naming the file; it never gets as far as training."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_truncated_matrix(self, dataset_dir, tmp_path, capsys, command):
+        truncate(dataset_dir / "val_regions.bin", 3)
+        assert main([command, "--data", str(dataset_dir), "--out", str(tmp_path / "r")]
+                    + FAST_TRAIN) == 1
+        assert "val_regions.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_out_of_vocab_token(self, dataset_dir, tmp_path, capsys, command):
+        poison_token(dataset_dir)
+        assert main([command, "--data", str(dataset_dir), "--out", str(tmp_path / "r")]
+                    + FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert "val_tokens.bin" in err and "vocab_size" in err
+        assert not (tmp_path / "r" / "metrics.jsonl").exists()
+
+    def test_eval_on_malformed_dataset(self, dataset_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run),
+                     "--epochs", "1"] + FAST_TRAIN[:-2]) == 0
+        truncate(dataset_dir / "test_tokens.bin", 3)
+        assert main(["eval", "--checkpoint", str(run / "checkpoint-best"),
+                     "--data", str(dataset_dir)]) == 1
+        assert "test_tokens.bin" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_metrics_suite_passes(self, capsys):
         assert main(["verify", "metrics"]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pgmatch.data import (
+    DatasetError,
     dataset_fingerprint,
     export_dataset,
     generate_dataset,
@@ -92,6 +93,21 @@ class TestBinaryFormat:
         with pytest.raises(ValueError, match="expected"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("cut", [1, 3, 7])
+    def test_partial_value_detected(self, tmp_path, cut):
+        path = tmp_path / "m.bin"
+        write_matrix(path, np.ones((2, 2)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DatasetError, match=r"m\.bin.*\(2 x 2\) expected 32 bytes"):
+            read_matrix(path)
+
+    def test_trailing_bytes_detected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_matrix(path, np.ones((2, 2)))
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(DatasetError, match="expected 32 bytes"):
+            read_matrix(path)
+
 
 class TestExportImport:
     def test_roundtrip_exact(self, tmp_path):
@@ -141,3 +157,60 @@ class TestExportImport:
                        tmp_path / "c")
         assert dataset_fingerprint(tmp_path / "a") == dataset_fingerprint(tmp_path / "b")
         assert dataset_fingerprint(tmp_path / "a") != dataset_fingerprint(tmp_path / "c")
+
+
+class TestLoadValidation:
+    """Each malformed field raises a ValueError naming the file and the field."""
+
+    @pytest.fixture()
+    def ds_dir(self, tmp_path):
+        out = tmp_path / "ds"
+        export_dataset(generate_dataset(classes=3, regions=2, tokens=4, dim=5, seed=11), out)
+        return out
+
+    def rewrite(self, path, edit):
+        arr = read_matrix(path)
+        write_matrix(path, edit(arr))
+
+    def test_truncated_regions_file(self, ds_dir):
+        path = ds_dir / "val_regions.bin"
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="val_regions.bin"):
+            load_dataset(ds_dir)
+
+    def test_tokens_not_count_by_tokens_per_instance(self, ds_dir):
+        self.rewrite(ds_dir / "train_tokens.bin", lambda a: a[:, :-1])
+        with pytest.raises(ValueError, match="train_tokens.bin.*tokens_per_instance"):
+            load_dataset(ds_dir)
+
+    @pytest.mark.parametrize("bad", [-1.0, 7.0, 2.5, np.nan])
+    def test_token_id_outside_vocab(self, ds_dir, bad):
+        def edit(a):
+            a[2, 1] = bad
+            return a
+
+        self.rewrite(ds_dir / "test_tokens.bin", edit)
+        with pytest.raises(ValueError, match="test_tokens.bin.*row 2, column 1.*vocab_size"):
+            load_dataset(ds_dir)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_region_value(self, ds_dir, bad):
+        def edit(a):
+            a[1, 3] = bad
+            return a
+
+        self.rewrite(ds_dir / "val_regions.bin", edit)
+        with pytest.raises(ValueError, match="val_regions.bin.*non-finite"):
+            load_dataset(ds_dir)
+
+    def test_regions_shape_names_the_file(self, ds_dir):
+        self.rewrite(ds_dir / "train_regions.bin", lambda a: a[:-1])
+        with pytest.raises(ValueError, match="train_regions.bin.*regions_per_instance"):
+            load_dataset(ds_dir)
+
+    def test_missing_manifest_field(self, ds_dir):
+        manifest = json.loads((ds_dir / "manifest.json").read_text())
+        del manifest["feature_dim"]
+        (ds_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest.json.*feature_dim"):
+            load_dataset(ds_dir)

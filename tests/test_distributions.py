@@ -6,7 +6,6 @@ import pytest
 import pgmatch.autodiff as ad
 from pgmatch.distributions import (
     ActionSpace,
-    CompoundSample,
     action_to_mu,
     categorical_sample,
     discrete_logprob,
@@ -93,6 +92,19 @@ class TestCategoricalSample:
         freqs = np.bincount(draws, minlength=100) / 100_000
         assert np.abs(freqs - 0.01).max() < 0.003
 
+    def test_rows_match_scalar_draws(self):
+        rng = np.random.default_rng(13)
+        p = rng.random((50, 6))
+        p /= p.sum(axis=1, keepdims=True)
+        u = rng.random(50)
+        rows = categorical_sample(p, uniforms=u)
+        for b in range(50):
+            expect = categorical_sample(p[b], _FixedDraw(u[b]))
+            assert rows[b] == expect
+        drawn = categorical_sample(p, np.random.default_rng(3))
+        replay = np.random.default_rng(3)
+        assert [categorical_sample(p[b], replay) for b in range(50)] == drawn.tolist()
+
     def test_invalid_inputs(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="negative"):
@@ -101,7 +113,21 @@ class TestCategoricalSample:
             categorical_sample(np.array([0.4, 0.4]), rng)
 
 
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 class TestDiscreteLogprob:
+    def test_one_logprob_per_row(self):
+        probs = ad.Tensor(np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]]))
+        lp = discrete_logprob(probs, np.array([1, 0, 0]))
+        np.testing.assert_allclose(lp.values, np.log([[0.8], [0.5], [1.0]]), rtol=1e-12)
+
+
     def test_certainty(self):
         lp = discrete_logprob(ad.Tensor([1.0, 0.0, 0.0]), 0)
         assert lp.item() == 0.0
@@ -232,6 +258,13 @@ class TestStraightThrough:
         ad.backward(soft_action_value(probs, 5))
         np.testing.assert_array_equal(hard_grad, probs.grad)
 
+    def test_rows(self):
+        probs = ad.Tensor(np.full((2, 6), 1 / 6), requires_grad=True)
+        st = straight_through(np.array([4, 1]), probs, 5)
+        np.testing.assert_array_equal(st.values, [[0.8], [0.2]])
+        ad.backward(ad.tsum(st))
+        np.testing.assert_array_equal(probs.grad, np.tile(np.arange(6) / 5, (2, 1)))
+
     def test_forward_invariant_to_soft_probs(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -258,14 +291,9 @@ class TestStraightThrough:
         sigma = ad.Tensor(np.asarray(0.4))
         raw = normal_sample_reparam(mu, sigma, rng)
         att = ad.sigmoid(raw)
-        sample = CompoundSample(soft_probs=soft, hard_index=hard,
-                                discrete_logprob=discrete_logprob(soft, hard),
-                                mu=mu, sigma=sigma, raw_sample=raw, att=att,
-                                continuous_logprob=normal_logprob(raw, mu, sigma))
-        assert abs(sample.soft_probs.values.sum() - 1.0) < 1e-9
-        np.testing.assert_allclose(sample.mu.item(),
-                                   1.0 / (1.0 + math.exp(-hard / space.n)), rtol=1e-12)
-        np.testing.assert_allclose(sample.att.item(),
-                                   1.0 / (1.0 + math.exp(-raw.item())), rtol=1e-12)
-        assert sample.discrete_logprob.item() <= 0.0
-        assert 0.0 < sample.att.item() < 1.0
+        assert abs(soft.values.sum() - 1.0) < 1e-9
+        np.testing.assert_allclose(mu.item(), 1.0 / (1.0 + math.exp(-hard / space.n)), rtol=1e-12)
+        np.testing.assert_allclose(att.item(), 1.0 / (1.0 + math.exp(-raw.item())), rtol=1e-12)
+        assert discrete_logprob(soft, hard).item() <= 0.0
+        assert np.isfinite(normal_logprob(raw, mu, sigma).item())
+        assert 0.0 < att.item() < 1.0

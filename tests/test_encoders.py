@@ -4,13 +4,12 @@ import pytest
 import pgmatch.autodiff as ad
 from pgmatch.encoders import (
     GruParams,
-    RegionSet,
-    TokenSeq,
     embed_words,
     gcn_reason,
     gru_step,
     load_embedding_table,
     region_affinity,
+    region_batch,
 )
 
 
@@ -31,17 +30,23 @@ def zero_gru(p, q):
 class TestRegionTypes:
     def test_region_set_validation(self):
         with pytest.raises(ValueError):
-            RegionSet(np.zeros(4))
+            region_batch(np.zeros(4))
         with pytest.raises(ValueError):
-            RegionSet(np.array([[1.0, np.inf]]))
-        rs = RegionSet(np.ones((3, 5)))
-        assert rs.count == 3 and rs.dim == 5
+            region_batch(np.array([[1.0, np.inf]]))
+        with pytest.raises(ValueError):
+            region_batch(np.zeros((2, 0, 5)))
+        assert region_batch(np.ones((3, 5))).shape == (1, 3, 5)
+        assert region_batch(np.ones((2, 3, 5))).shape == (2, 3, 5)
 
     def test_token_seq_validation(self):
+        table = ad.Tensor(np.arange(12.0).reshape(4, 3))
         with pytest.raises(ValueError):
-            TokenSeq(np.array([], dtype=np.int64))
-        ts = TokenSeq(np.array([1, 2, 1]))
-        assert ts.length == 3
+            embed_words(np.array([], dtype=np.int64), table)
+        with pytest.raises(ValueError):
+            embed_words(np.zeros((2, 2, 2), dtype=np.int64), table)
+        out = embed_words(np.array([1, 2, 1]), table)
+        assert out.shape == (3, 3)
+        np.testing.assert_array_equal(out.values, table.values[[1, 2, 1]])
 
 
 class TestRegionAffinity:
@@ -103,6 +108,16 @@ class TestGcnReason:
         expect = f + np.maximum(0.0, norm @ f @ wg)
         np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
+    def test_batch_matches_each_instance(self):
+        rng = np.random.default_rng(10)
+        f = rng.standard_normal((3, 4, 5))
+        wa, wb, wg = (ad.Tensor(rng.standard_normal((5, 5))) for _ in range(3))
+        batched = gcn_reason(ad.Tensor(f), region_affinity(ad.Tensor(f), wa, wb), wg).values
+        for b in range(3):
+            single = ad.Tensor(f[b])
+            expect = gcn_reason(single, region_affinity(single, wa, wb), wg).values
+            np.testing.assert_allclose(batched[b], expect, rtol=1e-13, atol=1e-13)
+
     def test_shape_preserved(self):
         rng = np.random.default_rng(6)
         f = ad.Tensor(rng.standard_normal((7, 3)))
@@ -131,6 +146,11 @@ class TestEmbedWords:
         expect[1] = 2.0
         expect[4] = 1.0
         np.testing.assert_array_equal(table.grad, expect)
+
+    def test_batch_of_sequences(self):
+        table = ad.Tensor(np.eye(5))
+        ids = np.array([[3, 0], [1, 1]])
+        np.testing.assert_array_equal(embed_words(ids, table).values, np.eye(5)[ids])
 
     def test_out_of_vocab(self):
         table = ad.Tensor(np.zeros((5, 3)))
@@ -169,10 +189,22 @@ class TestGruStep:
         err = ad.grad_check(lambda a, b: ad.tsum(ad.square(gru_step(a, b, params))), [x, h])
         assert err < 1e-4
 
+    def test_rows_update_independently(self):
+        rng = np.random.default_rng(10)
+        params = GruParams.init(3, 4, rng, scale=0.5)
+        x = rng.standard_normal((5, 3))
+        h = rng.standard_normal((5, 4))
+        batched = gru_step(ad.Tensor(x), ad.Tensor(h), params).values
+        for b in range(5):
+            single = gru_step(ad.Tensor(x[b]), ad.Tensor(h[b]), params).values
+            np.testing.assert_allclose(batched[b], single, rtol=1e-13, atol=1e-13)
+
     def test_shape_validation(self):
         params = zero_gru(3, 4)
         with pytest.raises(ad.ShapeError):
             gru_step(ad.Tensor(np.zeros(5)), ad.Tensor(np.zeros(4)), params)
+        with pytest.raises(ad.ShapeError):
+            gru_step(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 4))), params)
 
 
 class TestEmbeddingTableLoader:

@@ -5,7 +5,7 @@ import pytest
 
 import pgmatch.autodiff as ad
 from pgmatch.attention import AttentionTrace
-from pgmatch.distributions import normal_logprob
+from pgmatch.distributions import discrete_logprob, normal_logprob
 from pgmatch.losses import (
     DecoderParams,
     continuous_pg_loss,
@@ -25,75 +25,79 @@ def fresh_tape():
 
 
 def make_trace(dsum, csum):
-    return AttentionTrace(steps=[], atts=[],
-                          discrete_logprob_sum=dsum, continuous_logprob_sum=csum,
-                          mode="stochastic")
+    return AttentionTrace(atts=[], discrete_logprob_sum=dsum, continuous_logprob_sum=csum)
 
 
-def logprob_trace(logits_tensor, index):
-    lp = ad.log(ad.pick(ad.softmax(logits_tensor, axis=-1), index))
-    return make_trace(lp, ad.constant(np.asarray(0.0)))
+def sums(*values):
+    return ad.constant(np.array(values, dtype=np.float64))
+
+
+def logprob_trace(logits_tensor, indices):
+    """One episode per index: the log-prob of drawing it from softmax(logits)."""
+    n = len(indices)
+    probs = ad.mul(ad.softmax(logits_tensor, axis=-1), ad.constant(np.ones((n, 1))))
+    lp = ad.reshape(discrete_logprob(probs, np.array(indices)), (n,))
+    return make_trace(lp, ad.constant(np.zeros(n)))
 
 
 class TestDiscretePgLoss:
     def test_zero_advantages_zero_loss_and_grads(self):
         logits = ad.Tensor(np.array([0.3, -0.4, 0.2]), requires_grad=True)
-        traces = [logprob_trace(logits, 0), logprob_trace(logits, 2)]
-        loss = discrete_pg_loss(traces, [0.0, 0.0])
+        loss = discrete_pg_loss(logprob_trace(logits, [0, 2]), [0.0, 0.0])
         assert loss.item() == 0.0
         ad.backward(loss)
         np.testing.assert_array_equal(logits.grad, np.zeros(3))
 
     def test_single_trace_value(self):
-        dsum = ad.constant(np.asarray(-2.0))
-        loss = discrete_pg_loss([make_trace(dsum, dsum)], [1.0])
+        dsum = sums(-2.0)
+        loss = discrete_pg_loss(make_trace(dsum, dsum), [1.0])
         assert loss.item() == 2.0
 
     def test_batch_mean_toggle(self):
-        dsum = ad.constant(np.asarray(-3.0))
-        traces = [make_trace(dsum, dsum)] * 4
+        dsum = sums(-3.0, -3.0, -3.0, -3.0)
+        trace = make_trace(dsum, dsum)
         advs = [1.0] * 4
-        assert discrete_pg_loss(traces, advs, batch_mean=True).item() == 3.0
-        assert discrete_pg_loss(traces, advs, batch_mean=False).item() == 12.0
+        assert discrete_pg_loss(trace, advs, batch_mean=True).item() == 3.0
+        assert discrete_pg_loss(trace, advs, batch_mean=False).item() == 12.0
 
     def test_gradient_is_advantage_times_logprob_grad(self):
         adv = -1.7
         logits = ad.Tensor(np.array([0.1, 0.5, -0.2]), requires_grad=True)
-        loss = discrete_pg_loss([logprob_trace(logits, 1)], [adv])
+        loss = discrete_pg_loss(logprob_trace(logits, [1]), [adv])
         ad.backward(loss)
         got = logits.grad.copy()
 
         ad.clear_tape()
         logits.grad = None
-        ad.backward(logprob_trace(logits, 1).discrete_logprob_sum)
+        ad.backward(logprob_trace(logits, [1]).discrete_logprob_sum)
         np.testing.assert_allclose(got, -adv * logits.grad, rtol=1e-12)
 
     def test_finite_difference_check(self):
         logits = ad.Tensor(np.array([0.1, 0.5, -0.2]))
 
         def f(lg):
-            return discrete_pg_loss([logprob_trace(lg, 1), logprob_trace(lg, 0)], [0.7, -0.3])
+            return discrete_pg_loss(logprob_trace(lg, [1, 0]), [0.7, -0.3])
 
         assert ad.grad_check(f, [logits]) < 1e-4
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="traces vs"):
-            discrete_pg_loss([], [1.0])
+        with pytest.raises(ValueError, match="vs"):
+            discrete_pg_loss(make_trace(sums(), sums()), [1.0])
 
 
 class TestContinuousPgLoss:
     def test_zero_advantages(self):
-        csum = ad.constant(np.asarray(-1.1))
-        assert continuous_pg_loss([make_trace(csum, csum)], [0.0]).item() == 0.0
+        csum = sums(-1.1)
+        assert continuous_pg_loss(make_trace(csum, csum), [0.0]).item() == 0.0
 
     def test_closed_form_at_mean(self):
         # each step's density at the mean with sigma=1 is -log(2*pi)/2
         steps = 4
         adv = 0.8
-        csum = ad.constant(np.asarray(0.0))
+        csum = sums(0.0)
         for _ in range(steps):
             csum = ad.add(csum, normal_logprob(0.3, 0.3, 1.0))
-        loss = continuous_pg_loss([make_trace(csum, csum)], [adv])
+        loss = continuous_pg_loss(make_trace(csum, csum), [adv])
         np.testing.assert_allclose(loss.item(), adv * steps * 0.5 * math.log(2 * math.pi),
                                    rtol=1e-12)
         assert abs(loss.item() - adv * steps * 0.9189) < 1e-3
@@ -104,8 +108,9 @@ class TestContinuousPgLoss:
             ad.clear_tape()
             sigma = ad.Tensor(np.asarray(0.7), requires_grad=True)
             sigma.grad = None
-            lp = normal_logprob(ad.constant(np.asarray(x)), ad.constant(np.asarray(0.1)), sigma)
-            loss = continuous_pg_loss([make_trace(lp, lp)], [adv])
+            lp = ad.reshape(normal_logprob(ad.constant(np.asarray(x)),
+                                           ad.constant(np.asarray(0.1)), sigma), (1,))
+            loss = continuous_pg_loss(make_trace(lp, lp), [adv])
             ad.backward(loss)
             # |x - mu| = 0.3 < sigma: density falls as sigma grows, so the
             # loss gradient carries the advantage's sign
@@ -157,35 +162,35 @@ class TestTripletLoss:
 class TestInstanceLoss:
     def test_uniform_logits(self):
         classes = 7
-        embs = [ad.Tensor(np.random.default_rng(0).standard_normal(4))]
+        embs = ad.Tensor(np.random.default_rng(0).standard_normal((1, 4)))
         zero_cls = ad.Tensor(np.zeros((4, classes)))
         loss = instance_loss(embs, [3], zero_cls)
         np.testing.assert_allclose(loss.item(), math.log(classes), rtol=1e-12)
 
     def test_confident_correct_goes_to_zero(self):
-        emb = ad.Tensor(np.array([1.0]))
+        emb = ad.Tensor(np.array([[1.0]]))
         cls = ad.Tensor(np.array([[40.0, 0.0, 0.0]]))
-        assert instance_loss([emb], [0], cls).item() < 1e-12
+        assert instance_loss(emb, [0], cls).item() < 1e-12
 
     def test_matches_naive_softmax_ce(self):
         rng = np.random.default_rng(2)
-        embs = [ad.Tensor(rng.standard_normal(4)) for _ in range(3)]
+        embs = ad.Tensor(rng.standard_normal((3, 4)))
         cls = ad.Tensor(rng.standard_normal((4, 8)))
         labels = [1, 5, 0]
         loss = instance_loss(embs, labels, cls)
         expect = 0.0
-        for emb, label in zip(embs, labels):
-            logits = emb.values @ cls.values
+        for emb, label in zip(embs.values, labels):
+            logits = emb @ cls.values
             p = np.exp(logits - logits.max())
             p /= p.sum()
             expect -= math.log(p[label])
         np.testing.assert_allclose(loss.item(), expect / 3, atol=1e-12)
 
     def test_label_out_of_range(self):
-        emb = ad.Tensor(np.zeros(4))
+        emb = ad.Tensor(np.zeros((1, 4)))
         cls = ad.Tensor(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="label 3"):
-            instance_loss([emb], [3], cls)
+            instance_loss(emb, [3], cls)
 
 
 class TestTextDecodingLoss:
@@ -195,15 +200,15 @@ class TestTextDecodingLoss:
         dec = DecoderParams.init(vocab, embed_dim=5, channels=4, rng=rng)
         dec.out_w.values[:] = 0.0
         dec.out_b.values[:] = 0.0
-        emb = ad.Tensor(rng.standard_normal(5))
-        loss = text_decoding_loss(emb, np.array([1, 4, 7]), dec)
+        emb = ad.Tensor(rng.standard_normal((2, 5)))
+        loss = text_decoding_loss(emb, np.array([[1, 4, 7], [0, 10, 2]]), dec)
         np.testing.assert_allclose(loss.item(), math.log(vocab), rtol=1e-12)
 
     def test_shared_weights_across_branches(self):
         rng = np.random.default_rng(4)
         dec = DecoderParams.init(9, embed_dim=5, channels=4, rng=rng)
-        emb = ad.Tensor(rng.standard_normal(5))
-        target = np.array([2, 5, 1])
+        emb = ad.Tensor(rng.standard_normal((1, 5)))
+        target = np.array([[2, 5, 1]])
         a = text_decoding_loss(emb, target, dec).item()
         b = text_decoding_loss(emb, target, dec).item()
         assert a == b
@@ -211,8 +216,8 @@ class TestTextDecodingLoss:
     def test_memorizes_single_target(self):
         rng = np.random.default_rng(5)
         dec = DecoderParams.init(8, embed_dim=4, channels=6, rng=rng)
-        emb = ad.constant(rng.standard_normal(4))
-        target = np.array([3, 1, 6])
+        emb = ad.constant(rng.standard_normal((1, 4)))
+        target = np.array([[3, 1, 6]])
         opt = ad.Adam(dec.tensors(), lr=0.02)
         loss_val = None
         for _ in range(500):
@@ -229,15 +234,26 @@ class TestTextDecodingLoss:
         rng = np.random.default_rng(6)
         dec = DecoderParams.init(5, embed_dim=3, channels=4, rng=rng)
         with pytest.raises(ValueError, match="empty"):
-            text_decoding_loss(ad.Tensor(np.zeros(3)), np.array([], dtype=np.int64), dec)
+            text_decoding_loss(ad.Tensor(np.zeros((1, 3))), np.zeros((1, 0), dtype=np.int64), dec)
 
     def test_gradient_reaches_conditioning_embedding(self):
         rng = np.random.default_rng(7)
         dec = DecoderParams.init(6, embed_dim=4, channels=4, rng=rng)
-        emb = ad.Tensor(rng.standard_normal(4), requires_grad=True)
-        loss = text_decoding_loss(emb, np.array([1, 3]), dec)
+        emb = ad.Tensor(rng.standard_normal((1, 4)), requires_grad=True)
+        loss = text_decoding_loss(emb, np.array([[1, 3]]), dec)
         ad.backward(loss)
         assert emb.grad is not None and np.any(emb.grad != 0.0)
+
+
+    def test_batch_is_mean_of_single_instances(self):
+        rng = np.random.default_rng(9)
+        dec = DecoderParams.init(7, embed_dim=4, channels=3, rng=rng)
+        embs = rng.standard_normal((3, 4))
+        targets = np.array([[1, 3, 6, 0], [2, 2, 5, 1], [6, 0, 0, 4]])
+        batch = text_decoding_loss(ad.Tensor(embs), targets, dec).item()
+        singles = [text_decoding_loss(ad.Tensor(embs[b:b + 1]), targets[b:b + 1], dec).item()
+                   for b in range(3)]
+        np.testing.assert_allclose(batch, np.mean(singles), rtol=1e-13)
 
 
 class TestTotalLoss:

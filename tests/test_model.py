@@ -47,8 +47,8 @@ class TestParameters:
         model = tiny_model(gcn_layers=3)
         assert "w_gcn.2" in model.named_parameters()
         rng = np.random.default_rng(0)
-        rows = model.encode_image(rng.standard_normal((4, 6)))
-        assert len(rows) == 4 and rows[0].shape == (6,)
+        steps = model.encode_image(rng.standard_normal((4, 6)))
+        assert len(steps) == 4 and steps[0].shape == (1, 6)
 
     def test_state_roundtrip(self):
         model = tiny_model(seed=1)
@@ -69,13 +69,29 @@ class TestForward:
     def test_embeddings_unit_norm(self):
         model = tiny_model()
         rng = np.random.default_rng(3)
-        regions = rng.standard_normal((4, 6))
-        emb, trace = model.embed_image(regions, np.random.default_rng(0))
-        np.testing.assert_allclose(np.linalg.norm(emb.values), 1.0, atol=1e-9)
+        regions = rng.standard_normal((2, 4, 6))
+        tokens = np.array([[1, 4, 2], [0, 0, 8]])
+        img_noise, txt_noise = model.draw_noise(np.random.default_rng(0), 2, (4, 3))
+        emb, trace = model.embed_image(regions, img_noise)
+        assert emb.shape == (2, 6)
+        np.testing.assert_allclose(np.linalg.norm(emb.values, axis=1), 1.0, atol=1e-9)
         assert trace.length == 4
-        emb_t, trace_t = model.embed_text(np.array([1, 4, 2]), np.random.default_rng(0))
-        np.testing.assert_allclose(np.linalg.norm(emb_t.values), 1.0, atol=1e-9)
+        emb_t, trace_t = model.embed_text(tokens, txt_noise)
+        np.testing.assert_allclose(np.linalg.norm(emb_t.values, axis=1), 1.0, atol=1e-9)
         assert trace_t.length == 3
+
+    def test_single_instance_is_batch_of_one(self):
+        model = tiny_model()
+        rng = np.random.default_rng(6)
+        regions = rng.standard_normal((3, 4, 6))
+        tokens = np.array([[1, 4], [2, 2], [8, 0]])
+        batch = model.embed_image(regions, None, mode="deterministic")[0].values
+        words = model.embed_text(tokens, None, mode="deterministic")[0].values
+        for b in range(3):
+            one = model.embed_image(regions[b], None, mode="deterministic")[0].values
+            np.testing.assert_allclose(one, batch[b:b + 1], rtol=1e-12, atol=1e-15)
+            one = model.embed_text(tokens[b], None, mode="deterministic")[0].values
+            np.testing.assert_allclose(one, words[b:b + 1], rtol=1e-12, atol=1e-15)
 
     def test_pg_off_uses_neutral_trace(self):
         model = tiny_model(pg_mode="off")

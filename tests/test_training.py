@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import pgmatch.autodiff as ad
 from pgmatch.config import ModelConfig
 from pgmatch.data import generate_dataset
 from pgmatch.model import MatchingModel
 from pgmatch.rewards import rank_of
 from pgmatch.training import (
     TrainingDiverged,
+    _batch_losses,
     canonical_records,
     evaluate,
     format_ablation_table,
@@ -112,6 +114,37 @@ class TestTrain:
                      and r["epoch"] == result.best_epoch][0]
         assert metrics["r1_i2t"] == best_eval["r1_i2t"]
         assert metrics["r1_t2i"] == best_eval["r1_t2i"]
+
+
+class TestBatchMajor:
+    @pytest.mark.parametrize("overrides", [{}, {"heads": 2}, {"pg_mode": "off"},
+                                           {"pg_mode": "continuous"}])
+    def test_tape_records_independent_of_batch_size(self, overrides):
+        ds = tiny_dataset()
+        config = ModelConfig(**{**TINY, **overrides})
+        model = MatchingModel(config, ds.vocab_size, 8, np.random.default_rng(0))
+        counts = []
+        for batch in (2, 8):
+            ad.clear_tape()
+            _batch_losses(model, ds.split("train")[:batch], list(range(batch)),
+                          np.random.default_rng(1))
+            counts.append(len(ad.active_tape().records))
+        ad.clear_tape()
+        assert counts[0] == counts[1]
+
+    def test_evaluate_is_one_batch(self, monkeypatch):
+        ds = tiny_dataset()
+        model = MatchingModel(ModelConfig(**TINY), ds.vocab_size, 8, np.random.default_rng(0))
+        calls = []
+        real = MatchingModel.embed_image
+
+        def spy(self, regions, *args, **kwargs):
+            calls.append(np.shape(regions))
+            return real(self, regions, *args, **kwargs)
+
+        monkeypatch.setattr(MatchingModel, "embed_image", spy)
+        evaluate(model, ds.split("val"), ks=(1, 5))
+        assert calls == [(8, 3, 6)]
 
 
 class TestEvaluate:
