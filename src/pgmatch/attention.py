@@ -10,38 +10,34 @@ losses differentiate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (
+    DomainError,
     ShapeError,
     Tensor,
+    _matmul_grads,
+    _matmul_values,
+    _sigmoid,
+    _softmax,
+    _softmax_grad,
     add,
     constant,
-    matmul,
     mul,
     parameter,
+    pick,
+    record_op,
     reshape,
     scalar_mul,
-    sigmoid,
-    softmax,
-    softplus,
 )
-from .distributions import (
-    ActionSpace,
-    categorical_sample,
-    discrete_logprob,
-    gumbel_from_uniform,
-    gumbel_softmax,
-    normal_logprob,
-    normal_sample_reparam,
-    soft_action_value,
-    straight_through,
-)
+from .distributions import ActionSpace, categorical_sample, gumbel_from_uniform
 from .encoders import GruParams, gru_step
 
 SIGMA_FLOOR = 1e-3
+LOG_2PI = math.log(2.0 * math.pi)
 
 ACTION_MODES = ("compound", "discrete", "continuous")
 ROLLOUT_MODES = ("stochastic", "deterministic")
@@ -148,37 +144,122 @@ def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
 
 
 def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_forward):
-    """One head's compound action for every row of the (B, hidden) state:
-    the (B, 1) attention and the discrete and continuous log-probs."""
-    logits = matmul(h, w_mu)
-    stochastic = mode == "stochastic"
-    if action_mode == "continuous":
-        # single-Gaussian policy: mean comes straight from the relaxed
-        # probabilities, no categorical draw
-        mu = sigmoid(soft_action_value(softmax(logits, axis=-1), space.n))
-        dlp = _ZERO
-    else:
-        if stochastic:
-            soft = gumbel_softmax(logits, space.temperature, None, noise=noise.gumbel[:, t, k])
-            hard = categorical_sample(soft, uniforms=noise.uniform[:, t, k])
-        else:
-            soft = softmax(logits, axis=-1)
-            hard = np.argmax(soft.values, axis=-1)
-        dlp = discrete_logprob(soft, hard)
-        if st_soft_forward:
-            mu_in = soft_action_value(soft, space.n)
-        else:
-            mu_in = straight_through(hard, soft, space.n)
-        mu = sigmoid(mu_in)
+    """One head's compound action for every row of the (B, hidden) state,
+    as a single tape record: a (B, 3) tensor whose columns are the
+    attention weight, the discrete log-prob and the continuous log-prob
+    (a stage the action mode does not sample reads 0).
 
-    if action_mode == "discrete":
-        # discrete action used directly as the attention weight
-        return mu, dlp, _ZERO
-    sigma = add(softplus(matmul(h, w_std)), constant(np.asarray(SIGMA_FLOOR)))
-    if stochastic:
-        raw = normal_sample_reparam(mu, sigma, None, eps=noise.normal[:, t, k, None])
-        return sigmoid(raw), dlp, normal_logprob(raw, mu, sigma)
-    return sigmoid(mu), dlp, normal_logprob(mu, mu, sigma)
+    The action is drawn in two stages. The discrete stage takes the
+    logits ``l = h W_mu``, perturbs them with the pre-drawn Gumbel noise
+    and relaxes them to ``soft = softmax((l + g) / temperature)``; the
+    category ``k`` is drawn from ``soft`` with the pre-drawn uniform
+    (deterministic mode: ``soft = softmax(l)`` and ``k`` its argmax), and
+    the discrete log-prob is ``log soft[k]``. The Normal mean is
+    ``mu = sigmoid(k / n)``, whose gradient goes straight through to the
+    relaxed mean ``sum_i (i / n) soft[i]`` (``st_soft_forward`` uses that
+    relaxed mean in the forward pass as well, so the graph is
+    finite-difference checkable). The continuous stage draws
+    ``raw = mu + sigma * eps`` with ``sigma = softplus(h W_std) + SIGMA_FLOOR``
+    and the pre-drawn eps, and the attention is ``sigmoid(raw)``
+    (deterministic mode: ``sigmoid(mu)``, with the log-prob taken at
+    ``raw = mu``). The ``discrete`` action mode stops at ``mu`` and uses
+    it as the attention; the ``continuous`` one has no categorical draw
+    and takes ``mu`` from the relaxed mean of ``softmax(l)``.
+
+    The forward pass evaluates the same numpy expressions, in the same
+    order, as the stages written out in primitive tape ops, and the
+    backward pass adds up every adjoint in the order reverse-mode over
+    those ops would, so results match the primitive graph bit for bit.
+    ``h`` is listed once per use (the sigma projection first, then the
+    logits) for the same reason.
+
+    This reproduces ROADMAP item 1's defect in the continuous-stage score
+    function on purpose: the log-prob is taken at ``raw`` itself, not at
+    a detached copy, so ``(raw - mu)^2 / 2 sigma^2 = eps^2 / 2`` carries
+    no gradient into ``mu``, and d log-prob / d sigma is ``-1 / sigma``
+    whatever the sample. The backward line that the fix changes is
+    marked below."""
+    stochastic = mode == "stochastic"
+    discrete = action_mode != "continuous"
+    continuous = action_mode != "discrete"
+    hv, wmu = h.values, w_mu.values
+    batch = hv.shape[0]
+    labels = np.arange(space.num_labels, dtype=np.float64) / space.n
+    zeros = np.zeros((batch, 1))
+
+    logits = _matmul_values(hv, wmu)
+    if discrete and stochastic:
+        inv_temp = float(1.0 / space.temperature)
+        soft = _softmax(inv_temp * (logits + noise.gumbel[:, t, k]))
+        hard = categorical_sample(soft, uniforms=noise.uniform[:, t, k])
+    else:
+        soft = _softmax(logits)
+        hard = np.argmax(soft, axis=-1)
+    if discrete:
+        idx = hard[:, None]
+        picked = np.take_along_axis(soft, idx, axis=-1)
+        if np.any(picked <= 0.0):
+            raise DomainError(f"_sample_head: zero probability at index {hard}")
+        dlp = np.log(picked)
+    else:
+        dlp = zeros
+    if discrete and not st_soft_forward:
+        mu_in = np.asarray(hard, dtype=np.float64)[..., None] / space.n
+    else:
+        mu_in = (soft * labels).sum(axis=-1, keepdims=True)
+    mu = _sigmoid(mu_in)
+
+    if continuous:
+        wstd = w_std.values
+        pre = _matmul_values(hv, wstd)
+        sigma = np.where(pre > 30.0, pre, np.log1p(np.exp(np.minimum(pre, 30.0)))) + SIGMA_FLOOR
+        if stochastic:
+            eps = noise.normal[:, t, k, None]
+            x = mu + sigma * eps
+        else:
+            x = mu
+        att = _sigmoid(x)
+        d = x - mu
+        d2 = d * d
+        two_var = 2.0 * (sigma * sigma)
+        clp = (-0.5 * LOG_2PI - np.log(sigma)) - d2 / two_var
+    else:
+        att, clp = mu, zeros
+    out = np.concatenate([att, dlp, clp], axis=-1)
+
+    def bw(g):
+        g_att, g_dlp, g_clp = g[:, 0:1], g[:, 1:2], g[:, 2:3]
+        if continuous:
+            g_quad = -g_clp
+            g_sigma = -g_clp / sigma
+            g_d = 2.0 * d * (g_quad / two_var)
+            g_sigma = g_sigma + 2.0 * sigma * (2.0 * (-g_quad * d2 / (two_var * two_var)))
+            if stochastic:
+                g_x = g_d  # ROADMAP item 1: with a detached raw this term is dropped
+                g_x = g_x + g_att * att * (1.0 - att)
+                g_mu = -g_d + g_x
+                g_sigma = g_sigma + g_x * eps
+            else:  # the log-prob is taken at mu itself: both parts cancel
+                g_mu = g_d + -g_d + g_att * att * (1.0 - att)
+            g_pre = g_sigma * _sigmoid(pre)
+            g_h_std, g_wstd = _matmul_grads(g_pre, hv, wstd)
+        else:
+            g_mu = g_att
+        g_soft = g_mu * mu * (1.0 - mu) * labels
+        if discrete:
+            g_pick = np.zeros_like(soft)
+            np.put_along_axis(g_pick, idx, g_dlp / picked, axis=-1)
+            g_soft = g_soft + g_pick
+        g_logits = _softmax_grad(g_soft, soft)
+        if discrete and stochastic:
+            g_logits = inv_temp * g_logits
+        g_h_mu, g_wmu = _matmul_grads(g_logits, hv, wmu)
+        if continuous:
+            return g_h_std, g_h_mu, g_wmu, g_wstd
+        return g_h_mu, g_wmu
+
+    inputs = (h, h, w_mu, w_std) if continuous else (h, w_mu)
+    return record_op("sample_head", inputs, out, bw)
 
 
 _ZERO = constant(np.asarray(0.0))
@@ -210,6 +291,7 @@ def policy_rollout(features, params: PolicyParams, space: ActionSpace,
         raise ValueError("stochastic rollout needs noise pre-drawn from the rollout rng")
 
     batch = features[0].shape[0]
+    att_col, dlp_col, clp_col = (np.full((batch, 1), j) for j in range(3))
     h = constant(np.zeros((batch, params.gru.hidden_size)))
     dsum = csum = constant(np.zeros((batch, 1)))
     atts = []
@@ -217,11 +299,13 @@ def policy_rollout(features, params: PolicyParams, space: ActionSpace,
         h = gru_step(f, h, params.gru)
         head_atts = []
         for k, (w_mu, w_std) in enumerate(zip(params.w_mu, params.w_std)):
-            att, dlp, clp = _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode,
-                                         st_soft_forward)
-            head_atts.append(att)
-            dsum = add(dsum, dlp)
-            csum = add(csum, clp)
+            out = _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode,
+                               st_soft_forward)
+            head_atts.append(pick(out, att_col))
+            if action_mode != "continuous":
+                dsum = add(dsum, pick(out, dlp_col))
+            if action_mode != "discrete":
+                csum = add(csum, pick(out, clp_col))
         combined = head_atts[0]
         if len(head_atts) == 2:
             combined = scalar_mul(add(head_atts[0], head_atts[1]), 0.5)

@@ -83,10 +83,13 @@ class Tape:
     Records are (out_id, inputs, backward_fn, op_name) tuples in
     construction order, which is topological by immutability. ``clear``
     advances the generation; node ids from older generations go stale.
+    While ``recording`` is off, ops compute their values and record
+    nothing (``training.evaluate`` runs its forward pass that way).
     """
 
     def __init__(self):
         self.records = []
+        self.recording = True
         self.generation = 0
         self._next_id = 0
         self._tensors = {}
@@ -111,6 +114,8 @@ class Tape:
 
     def record(self, name: str, inputs, out_values, backward_fn) -> Tensor:
         out = Tensor(out_values)
+        if not self.recording:
+            return out
         gen = self.generation
         # a tensor registered in this generation is tracked; so is a leaf
         # that requires grad, registered on first use
@@ -134,8 +139,10 @@ def clear_tape():
 
 
 def record_op(name, inputs, out_values, backward_fn) -> Tensor:
-    """Register a custom op on the active tape (for ops with bespoke
-    gradients, e.g. straight-through estimators)."""
+    """Register a custom op on the active tape: a fused kernel or an op
+    with a bespoke gradient. ``backward_fn(g)`` returns one gradient (or
+    ``None``) per entry of ``inputs``; a tensor listed several times gets
+    its gradients added in the order they are listed."""
     return _TAPE.record(name, tuple(inputs), out_values, backward_fn)
 
 
@@ -249,6 +256,34 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _TAPE.record("div", (a, b), out, bw)
 
 
+def _matmul_values(av, bv):
+    """``np.matmul`` of two arrays; a 3-D or deeper ``av`` times a 2-D
+    ``bv`` is folded into one 2-D product."""
+    if av.ndim > 2 and bv.ndim == 2:  # shared weight: one product over all rows
+        return (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
+    return np.matmul(av, bv)
+
+
+def _matmul_grads(g, av, bv):
+    """Gradients of ``_matmul_values(av, bv)`` for the output adjoint ``g``."""
+    if av.ndim == 2 and bv.ndim == 2:
+        return g @ bv.T, av.T @ g
+    if av.ndim == 1 and bv.ndim == 1:  # dot -> 0-d
+        return g * bv, g * av
+    a2 = av[None, :] if av.ndim == 1 else av
+    b2 = bv[:, None] if bv.ndim == 1 else bv
+    g2 = g[..., None] if bv.ndim == 1 else g
+    g2 = g2[..., None, :] if av.ndim == 1 else g2
+    if b2.ndim == 2:  # fold a's leading axes into rows
+        g_rows = g2.reshape(-1, g2.shape[-1])
+        ga = (g_rows @ b2.T).reshape(a2.shape)
+        gb = a2.reshape(-1, a2.shape[-1]).T @ g_rows
+    else:
+        ga = _reduce_to(g2 @ np.swapaxes(b2, -1, -2), a2.shape)
+        gb = _reduce_to(np.swapaxes(a2, -1, -2) @ g2, b2.shape)
+    return ga.reshape(av.shape), gb.reshape(bv.shape)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``np.matmul`` semantics: vectors, matrices, and stacks of matrices
     whose leading axes broadcast, e.g. (B, n, k) @ (k, m) with a shared
@@ -257,32 +292,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if av.ndim == 0 or bv.ndim == 0:
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
     try:
-        if av.ndim > 2 and bv.ndim == 2:  # shared weight: one product over all rows
-            out = (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
-        else:
-            out = np.matmul(av, bv)
+        out = _matmul_values(av, bv)
     except ValueError:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform") from None
-
-    def bw(g):
-        if av.ndim == 2 and bv.ndim == 2:
-            return g @ bv.T, av.T @ g
-        if av.ndim == 1 and bv.ndim == 1:  # dot -> 0-d
-            return g * bv, g * av
-        a2 = av[None, :] if av.ndim == 1 else av
-        b2 = bv[:, None] if bv.ndim == 1 else bv
-        g2 = g[..., None] if bv.ndim == 1 else g
-        g2 = g2[..., None, :] if av.ndim == 1 else g2
-        if b2.ndim == 2:  # fold a's leading axes into rows
-            g_rows = g2.reshape(-1, g2.shape[-1])
-            ga = (g_rows @ b2.T).reshape(a2.shape)
-            gb = a2.reshape(-1, a2.shape[-1]).T @ g_rows
-        else:
-            ga = _reduce_to(g2 @ np.swapaxes(b2, -1, -2), a2.shape)
-            gb = _reduce_to(np.swapaxes(a2, -1, -2) @ g2, b2.shape)
-        return ga.reshape(av.shape), gb.reshape(bv.shape)
-
-    return _TAPE.record("matmul", (a, b), out, bw)
+    return _TAPE.record("matmul", (a, b), out, lambda g: _matmul_grads(g, av, bv))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -309,12 +322,6 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _TAPE.record("sum", (a,), np.asarray(a.values.sum(axis=axis, keepdims=keepdims)), bw)
-
-
-def tmean(a: Tensor) -> Tensor:
-    shape, n = a.shape, a.values.size
-    return _TAPE.record("mean", (a,), np.asarray(a.values.mean()),
-                        lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -365,7 +372,7 @@ def _sigmoid(x):
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, never
     # exponentiating a positive number
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -388,14 +395,19 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         raise ShapeError("softmax: scalar input has no axis")
     if not -a.values.ndim <= axis < a.values.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    z = a.values - a.values.max(axis=axis, keepdims=True)
+    s = _softmax(a.values, axis)
+    return _TAPE.record("softmax", (a,), s, lambda g: (_softmax_grad(g, s, axis),))
+
+
+def _softmax(v, axis=-1):
+    z = v - v.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
-    def bw(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
-    return _TAPE.record("softmax", (a,), s, bw)
+def _softmax_grad(g, s, axis=-1):
+    """Input gradient of a softmax with output ``s`` for the adjoint ``g``."""
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -434,13 +446,6 @@ def sqrt(a: Tensor) -> Tensor:
         raise DomainError("sqrt: non-positive input")
     r = np.sqrt(a.values)
     return _TAPE.record("sqrt", (a,), r, lambda g: (g / (2.0 * r),))
-
-
-def softplus(a: Tensor) -> Tensor:
-    v = a.values
-    out = np.where(v > 30.0, v, np.log1p(np.exp(np.minimum(v, 30.0))))
-    s = _sigmoid(v)
-    return _TAPE.record("softplus", (a,), out, lambda g: (g * s,))
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -544,15 +549,24 @@ def grad_check(f, inputs, eps: float = 1e-5) -> float:
 
 
 class Adam:
-    """Standard Adam with bias correction; one (m, v, t) state per parameter."""
+    """Standard Adam with bias correction. The moments of all parameters
+    live in two flat vectors, so one step is a handful of vectorized
+    updates into preallocated buffers; every operation is elementwise and
+    in the textbook order, so the result is the same as updating each
+    parameter on its own."""
 
     def __init__(self, params, lr: float = 4e-4, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
-        self._m = [np.zeros_like(p.values) for p in self.params]
-        self._v = [np.zeros_like(p.values) for p in self.params]
+        self._bounds = np.cumsum([0] + [p.size for p in self.params])
+        size = int(self._bounds[-1])
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._g = np.empty(size)
+        self._tmp = np.empty(size)
+        self._step = np.empty(size)
         self._t = 0
 
     def step(self):
@@ -562,13 +576,23 @@ class Adam:
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t
         b2t = 1.0 - self.beta2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v, g, tmp, step = self._m, self._v, self._g, self._tmp, self._step
+        np.concatenate([p.grad.reshape(-1) for p in self.params], out=g)
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        # step = (lr (m / b1t)) / (sqrt(v / b2t) + eps)
+        np.divide(m, b1t, out=step)
+        step *= self.lr
+        np.divide(v, b2t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step /= tmp
+        for p, lo, hi in zip(self.params, self._bounds[:-1], self._bounds[1:]):
+            p.values -= step[lo:hi].reshape(p.shape)
             p.grad = None
 
     def zero_grad(self):

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ModelConfig, parse_config_file, resolve_config
 from .data import DatasetError, dataset_fingerprint, export_dataset, generate_dataset, load_dataset
-from .model import MatchingModel
+from .model import CheckpointError, MatchingModel
 from .training import (
     TrainingDiverged,
     evaluate,
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         handler = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval,
                    "ablate": cmd_ablate, "verify": cmd_verify}[args.command]
         return handler(args)
-    except (UserError, DatasetError) as exc:
+    except (UserError, DatasetError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

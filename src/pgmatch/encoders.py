@@ -10,17 +10,17 @@ import numpy as np
 from .autodiff import (
     ShapeError,
     Tensor,
+    _matmul_grads,
+    _matmul_values,
+    _reduce_to,
+    _sigmoid,
     add,
-    constant,
     gather_rows,
     matmul,
-    mul,
     parameter,
+    record_op,
     relu,
-    sigmoid,
     softmax,
-    sub,
-    tanh,
     transpose,
 )
 
@@ -80,20 +80,53 @@ class GruParams:
 
 
 def gru_step(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """One GRU update, row-wise on (B, p) inputs and (B, q) states:
-    h' = (1-z) * h + z * candidate."""
+    """One GRU update, row-wise on (B, p) inputs and (B, q) states (or one
+    (p,) input and (q,) state), as a single tape record:
+
+        z = sigmoid(x W_xz + h W_hz + b_z)
+        r = sigmoid(x W_xr + h W_hr + b_r)
+        c = tanh(x W_xc + (r * h) W_hc + b_c)
+        h' = (1 - z) * h + z * c
+
+    The forward pass evaluates the same numpy expressions, in the same
+    order, as these formulas written out in primitive tape ops, and the
+    backward pass adds up every adjoint in the order reverse-mode over
+    those ops would. ``h`` is listed as an input four times and ``x``
+    three times, one per use, so their gradient parts reach the engine
+    in that order too, and the results match the primitive graph bit for
+    bit."""
     if (x.shape[-1:] != (params.input_size,) or h.shape[-1:] != (params.hidden_size,)
             or x.shape[:-1] != h.shape[:-1]):
         raise ShapeError(
             f"gru_step: x {x.shape} / h {h.shape} do not match params "
             f"({params.input_size}, {params.hidden_size})")
-    z = sigmoid(add(add(matmul(x, params.w_xz), matmul(h, params.w_hz)), params.b_z))
-    r = sigmoid(add(add(matmul(x, params.w_xr), matmul(h, params.w_hr)), params.b_r))
-    cand = tanh(add(add(matmul(x, params.w_xc), matmul(mul(r, h), params.w_hc)), params.b_c))
-    return add(mul(sub(_ONE, z), h), mul(z, cand))
+    xv, hv = x.values, h.values
+    w_xz, w_hz, b_z, w_xr, w_hr, b_r, w_xc, w_hc, b_c = (t.values for t in params.tensors())
+    z = _sigmoid(_matmul_values(xv, w_xz) + _matmul_values(hv, w_hz) + b_z)
+    r = _sigmoid(_matmul_values(xv, w_xr) + _matmul_values(hv, w_hr) + b_r)
+    rh = r * hv
+    cand = np.tanh(_matmul_values(xv, w_xc) + _matmul_values(rh, w_hc) + b_c)
+    omz = 1.0 - z
+    out = omz * hv + z * cand
 
+    def bw(g):
+        # g_a*: adjoints of the gate pre-activations
+        g_z = g * cand - g * hv
+        g_ac = (g * z) * (1.0 - cand * cand)
+        g_rh, g_whc = _matmul_grads(g_ac, rh, w_hc)
+        g_xc, g_wxc = _matmul_grads(g_ac, xv, w_xc)
+        g_ar = g_rh * hv * r * (1.0 - r)
+        g_hr, g_whr = _matmul_grads(g_ar, hv, w_hr)
+        g_xr, g_wxr = _matmul_grads(g_ar, xv, w_xr)
+        g_az = g_z * z * (1.0 - z)
+        g_hz, g_whz = _matmul_grads(g_az, hv, w_hz)
+        g_xz, g_wxz = _matmul_grads(g_az, xv, w_xz)
+        return (g * omz, g_rh * r, g_hr, g_hz, g_xc, g_xr, g_xz,
+                g_wxz, g_whz, _reduce_to(g_az, b_z.shape),
+                g_wxr, g_whr, _reduce_to(g_ar, b_r.shape),
+                g_wxc, g_whc, _reduce_to(g_ac, b_c.shape))
 
-_ONE = constant(np.asarray(1.0))
+    return record_op("gru_step", (h, h, h, h, x, x, x) + tuple(params.tensors()), out, bw)
 
 
 def region_batch(regions) -> np.ndarray:

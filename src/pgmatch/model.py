@@ -13,10 +13,15 @@ import numpy as np
 from .attention import PolicyParams, draw_noise, fuse, neutral_trace, policy_rollout
 from .autodiff import constant, l2_normalize, matmul, parameter, timestep
 from .config import ModelConfig
-from .data import read_matrix, write_matrix
+from .data import DatasetError, read_matrix, write_matrix
 from .distributions import ActionSpace
 from .encoders import embed_words, gcn_reason, load_embedding_table, region_affinity, region_batch
 from .losses import DecoderParams
+
+
+class CheckpointError(ValueError):
+    """A checkpoint directory is missing a file or does not match the model
+    its manifest describes."""
 
 
 class MatchingModel:
@@ -195,18 +200,56 @@ class MatchingModel:
 
     @classmethod
     def load_checkpoint(cls, path) -> "MatchingModel":
-        with open(os.path.join(path, "checkpoint.json"), "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        """Rebuild a model from ``save_checkpoint`` output. A missing or
+        malformed file raises ``CheckpointError`` naming the file and the
+        field."""
+        manifest_file = os.path.join(path, "checkpoint.json")
+
+        def fail(message):
+            raise CheckpointError(f"{manifest_file}: {message}") from None
+
+        try:
+            with open(manifest_file, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except OSError as exc:
+            fail(f"cannot read ({exc.strerror})")
+        except ValueError as exc:
+            fail(f"not valid JSON ({exc})")
+        if not isinstance(manifest, dict):
+            fail("expected a JSON object")
         if manifest.get("format") != "pgmatch-checkpoint-v1":
-            raise ValueError(f"{path}: unknown checkpoint format {manifest.get('format')!r}")
-        config = ModelConfig.from_dict(manifest["config"])
-        model = cls(config, manifest["vocab_size"], manifest["num_instances"],
-                    np.random.default_rng(0))
+            fail(f"field 'format' is {manifest.get('format')!r}, expected 'pgmatch-checkpoint-v1'")
+        for key in ("config", "vocab_size", "num_instances", "params"):
+            if key not in manifest:
+                fail(f"missing field {key!r}")
+        if not isinstance(manifest["params"], dict):
+            fail("field 'params' is not an object")
+        try:
+            config = ModelConfig.from_dict(manifest["config"])
+            model = cls(config, int(manifest["vocab_size"]), int(manifest["num_instances"]),
+                        np.random.default_rng(0))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            fail(f"field 'config'/'vocab_size'/'num_instances': {exc}")
         arrays = {}
         for name, info in manifest["params"].items():
-            flat = read_matrix(os.path.join(path, info["file"]))
-            arrays[name] = flat.reshape(info["shape"])
-        model.load_state_arrays(arrays)
+            try:
+                bin_file = os.path.join(path, info["file"])
+                shape = tuple(int(n) for n in info["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                fail(f"field 'params.{name}' needs a file name and a shape ({exc})")
+            try:
+                flat = read_matrix(bin_file)
+            except (OSError, DatasetError) as exc:
+                reason = exc.strerror if isinstance(exc, OSError) else exc
+                raise CheckpointError(f"{bin_file}: cannot read params.{name} ({reason})") from None
+            if flat.size != int(np.prod(shape)):
+                raise CheckpointError(f"{bin_file}: {flat.size} values do not fill "
+                                      f"params.{name}.shape {list(shape)}")
+            arrays[name] = flat.reshape(shape)
+        try:
+            model.load_state_arrays(arrays)
+        except ValueError as exc:
+            fail(f"field 'params': {exc}")
         return model
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, backward, clear_tape, concat, matmul, transpose
+from .autodiff import Adam, active_tape, backward, clear_tape, concat, matmul, transpose
 from .config import ModelConfig
 from .data import SyntheticDataset
 from .losses import (
@@ -178,16 +178,21 @@ def _eval_ks(split_size: int):
 
 def evaluate(model: MatchingModel, instances, ks=(1, 5, 10)) -> dict:
     """Recall at K over a full split, both directions, with deterministic
-    rollouts; the split is embedded as one batch. The correct item must
-    rank within the top K (descending similarity, ties by index)."""
+    rollouts; the split is embedded as one batch, with tape recording off.
+    The correct item must rank within the top K (descending similarity,
+    ties by index)."""
     if len(instances) < max(ks):
         raise ValueError(f"split of {len(instances)} is smaller than K={max(ks)}")
     clear_tape()
     regions = np.stack([inst.regions for inst in instances])
     tokens = np.stack([inst.tokens for inst in instances])
-    img = model.embed_image(regions, None, mode="deterministic")[0].values
-    txt = model.embed_text(tokens, None, mode="deterministic")[0].values
-    clear_tape()
+    tape = active_tape()
+    tape.recording = False
+    try:
+        img = model.embed_image(regions, None, mode="deterministic")[0].values
+        txt = model.embed_text(tokens, None, mode="deterministic")[0].values
+    finally:
+        tape.recording = True
     sim = similarity_matrix(img, txt)
     out = {}
     for direction, view in (("i2t", sim), ("t2i", sim.T)):

@@ -13,18 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionTrace
+from .attention import SIGMA_FLOOR, AttentionTrace, RolloutNoise, _sample_head, draw_noise
 from .config import ModelConfig
 from .data import Instance
-from .distributions import (
-    action_to_mu,
-    categorical_sample,
-    discrete_logprob,
-    gumbel_softmax,
-    normal_logprob,
-    normal_sample_reparam,
-    soft_action_value,
-)
+from .distributions import ActionSpace, categorical_sample
 from .encoders import GruParams, gcn_reason, gru_step, region_affinity
 from .losses import discrete_pg_loss
 from .model import MatchingModel
@@ -75,8 +67,7 @@ def _unary_cases(rng):
         ("exp", lambda t: ad.tsum(ad.exp(t)), x),
         ("square", lambda t: ad.tsum(ad.square(t)), x),
         ("sqrt", lambda t: ad.tsum(ad.sqrt(t)), pos),
-        ("softplus", lambda t: ad.tsum(ad.softplus(t)), x),
-        ("mean", lambda t: ad.tmean(ad.square(t)), x),
+        ("mean", lambda t: ad.scalar_mul(ad.tsum(ad.square(t)), 1.0 / 12), x),
         ("neg", lambda t: ad.tsum(ad.mul(ad.neg(t), t)), x),
         ("transpose", lambda t: ad.tsum(ad.square(ad.transpose(t))), x),
         ("scalar_mul", lambda t: ad.tsum(ad.scalar_mul(ad.square(t), 2.5)), x),
@@ -153,6 +144,23 @@ def _structural_cases(rng):
     ]
 
 
+def _head_loss(action_mode, mode, rng):
+    """A weighted sum of the three columns of one ``_sample_head`` call on
+    two rows, with frozen noise and the relaxed straight-through forward
+    (``st_soft_forward``), as a function of the state and both weights."""
+    space = ActionSpace(n=4)
+    noise = draw_noise(np.random.default_rng(11), 2, [1], 1, space.num_labels, action_mode)[0]
+    weights = ad.constant(rng.standard_normal((2, 3)))
+
+    def loss(h, w_mu, w_std):
+        out = _sample_head(h, w_mu, w_std, space, noise, 0, 0, mode, action_mode, True)
+        return ad.tsum(ad.mul(out, weights))
+
+    args = (ad.Tensor(rng.standard_normal((2, 3))), ad.Tensor(0.5 * rng.standard_normal((3, 5))),
+            ad.Tensor(0.5 * rng.standard_normal((3, 1))))
+    return loss, args
+
+
 def _model_cases(rng):
     gru = GruParams.init(3, 3, rng)
     x = ad.Tensor(rng.standard_normal(3))
@@ -161,10 +169,6 @@ def _model_cases(rng):
     wa = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
     wb = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
     wg = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
-    xv = ad.Tensor(np.asarray(0.3))
-    mu = ad.Tensor(np.asarray(0.55))
-    sg = ad.Tensor(np.asarray(0.8))
-    probs_logits = ad.Tensor(rng.standard_normal(5))
     xb = ad.Tensor(rng.standard_normal((2, 3)))
     hb = ad.Tensor(0.5 * rng.standard_normal((2, 3)))
     feats_b = ad.Tensor(rng.standard_normal((2, 4, 3)))
@@ -179,21 +183,17 @@ def _model_cases(rng):
         rel = region_affinity(ff, wa, wb)
         return ad.tsum(ad.square(gcn_reason(ff, rel, wg)))
 
-    def norm_lp(a, b, c):
-        return normal_logprob(a, b, c)
-
-    def soft_mu(lg):
-        return ad.sigmoid(soft_action_value(ad.softmax(lg, axis=-1), 4))
-
+    heads = [(f"sample_head_{action_mode}", *_head_loss(action_mode, "stochastic", rng))
+             for action_mode in ("compound", "discrete", "continuous")]
+    heads.append(("sample_head_compound_deterministic",
+                  *_head_loss("compound", "deterministic", rng)))
     return [
         ("gru_step", gru_loss, (x, h)),
         ("gru_step_batched", gru_loss, (xb, hb)),
         ("region_affinity", affinity_loss, (feats,)),
         ("gcn_reason", gcn_loss, (feats,)),
         ("gcn_reason_batched", gcn_loss, (feats_b,)),
-        ("normal_logprob", norm_lp, (xv, mu, sg)),
-        ("soft_action_path", soft_mu, (probs_logits,)),
-    ]
+    ] + heads
 
 
 def _composite_model_check() -> tuple[bool, str]:
@@ -252,12 +252,10 @@ def gradcheck_suite() -> list[CheckResult]:
 
 
 def _gumbel_max_frequencies(logits, draws, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    ad.clear_tape()
-    tiled = ad.constant(np.tile(logits, (draws, 1)))
-    relaxed = gumbel_softmax(tiled, 1.0, rng)
-    winners = np.argmax(relaxed.values, axis=1)
-    ad.clear_tape()
+    """Winners of argmax(logits + g) over the Gumbel noise the rollouts
+    draw (``draw_noise``)."""
+    noise = draw_noise(np.random.default_rng(seed), draws, [1], 1, len(logits), "discrete")[0]
+    winners = np.argmax(logits + noise.gumbel[:, 0, 0], axis=1)
     return np.bincount(winners, minlength=len(logits)) / draws
 
 
@@ -270,41 +268,86 @@ def _gumbel_check(logits, seed):
     return worst < FREQ_TOL, f"max |freq - softmax| = {worst:.4f} (tol {FREQ_TOL})"
 
 
-def _quadrature_check(mu, sigma):
-    xs = np.linspace(mu - 8 * sigma, mu + 8 * sigma, 20_001)
+def _continuous_head(logits, pre, eps):
+    """A stochastic continuous-mode ``_sample_head`` as a function of
+    (h, w_mu, w_std), with one row per Normal draw in ``eps``, and inputs
+    that give every row the logits ``logits`` (n = len(logits) - 1) and
+    the pre-softplus std ``pre``."""
+    eps = np.asarray(eps, dtype=np.float64)
+    space = ActionSpace(n=len(logits) - 1)
+    noise = RolloutNoise(gumbel=None, uniform=None, normal=eps.reshape(-1, 1, 1))
+
+    def head(h, w_mu, w_std):
+        return _sample_head(h, w_mu, w_std, space, noise, 0, 0, "stochastic", "continuous", False)
+
+    args = (ad.Tensor(np.ones((eps.size, 1))), ad.Tensor(np.asarray(logits, dtype=np.float64)[None]),
+            ad.Tensor(np.array([[pre]])))
+    return head, args
+
+
+def _quadrature_check(sigma, logits):
+    """The continuous stage's log-density, read from the kernel on a grid
+    of Normal draws eps, integrates to 1 over raw = mu + sigma * eps."""
+    eps = np.linspace(-8.0, 8.0, 20_001)
+    head, args = _continuous_head(logits, math.log(math.expm1(sigma - SIGMA_FLOOR)), eps)
     ad.clear_tape()
-    dens = np.array([math.exp(normal_logprob(float(x), mu, sigma).item()) for x in xs])
+    log_density = head(*args).values[:, 2]
     ad.clear_tape()
-    integral = float(np.trapezoid(dens, xs))
+    integral = float(np.trapezoid(np.exp(log_density), sigma * eps))
     return abs(integral - 1.0) < QUAD_TOL, f"|integral - 1| = {abs(integral - 1.0):.2e}"
 
 
 def _action_map_check():
-    lo = action_to_mu(0, 100)
-    hi = action_to_mu(100, 100)
+    """The Normal mean of label k is sigmoid(k / n): read from the kernel's
+    deterministic discrete attention, row k having its argmax at label k."""
+    n = 100
+    eye = np.eye(n + 1)
+    ad.clear_tape()
+    out = _sample_head(ad.Tensor(5.0 * eye), ad.Tensor(eye), ad.Tensor(np.zeros((n + 1, 1))),
+                       ActionSpace(n=n), None, 0, 0, "deterministic", "discrete", False)
+    ad.clear_tape()
+    mus = out.values[:, 0]
+    lo, hi = float(mus[0]), float(mus[n])
     expect_hi = 1.0 / (1.0 + math.exp(-1.0))
-    ok = lo == 0.5 and hi == expect_hi and abs(hi - 0.7311) < 5e-5
-    mono = all(action_to_mu(i, 100) < action_to_mu(i + 1, 100) for i in range(100))
+    ok = lo == 0.5 and abs(hi - expect_hi) <= 1e-15 and abs(hi - 0.7311) < 5e-5
+    mono = bool(np.all(np.diff(mus) > 0))
     return ok and mono, f"mu(0)={lo}, mu(100)={hi:.6f}, strictly monotone={mono}"
 
 
 def _reparam_check():
-    eps = 0.6321
-    mu = ad.Tensor(np.asarray(0.55))
-    sigma = ad.Tensor(np.asarray(0.9))
+    """The attention sigmoid(raw), raw = mu + sigma * eps, has the pathwise
+    gradient of the reparameterised draw: d raw/d mu = 1 and
+    d raw/d sigma = eps, checked in closed form and by finite differences."""
+    eps, pre = 0.6321, 0.2
+    logits = np.array([0.3, -0.1, 0.4, 0.0])
+    head, args = _continuous_head(logits, pre, [eps])
 
-    def f(m, s):
-        return normal_sample_reparam(m, s, None, eps=eps)
+    def att(*inputs):
+        return ad.tsum(ad.pick(head(*inputs), [[0]]))
 
-    err = ad.grad_check(f, [mu, sigma], eps=GRAD_EPS)
+    err = ad.grad_check(att, list(args), eps=GRAD_EPS)
     ad.clear_tape()
-    mu.requires_grad = sigma.requires_grad = True
-    out = f(mu, sigma)
-    ad.backward(out)
-    dmu, dsig = float(mu.grad), float(sigma.grad)
+    for t in args:
+        t.requires_grad = True
+    ad.backward(att(*args))
+    w_mu, w_std = args[1:]
+    p = np.exp(logits - logits.max())
+    p /= p.sum()
+    labels = np.arange(4) / 3
+    mu = 1.0 / (1.0 + math.exp(-float(p @ labels)))
+    sigma = math.log1p(math.exp(pre)) + SIGMA_FLOOR
+    a = 1.0 / (1.0 + math.exp(-(mu + sigma * eps)))
+    d_mu = a * (1.0 - a)                 # d att/d mu, as d raw/d mu = 1
+    d_sigma = a * (1.0 - a) * eps        # d att/d sigma, as d raw/d sigma = eps
+    want_std = d_sigma / (1.0 + math.exp(-pre))
+    want_mu = d_mu * mu * (1.0 - mu) * p * (labels - p @ labels)
+    got_std, got_mu = float(w_std.grad[0, 0]), w_mu.grad[0]
     ad.clear_tape()
-    ok = err < GRAD_TOL and abs(dmu - 1.0) < 1e-12 and abs(dsig - eps) < 1e-12
-    return ok, f"d/dmu={dmu}, d/dsigma={dsig} (eps={eps}), fd err {err:.2g}"
+    rel = max(abs(got_std - want_std) / abs(want_std),
+              float(np.max(np.abs(got_mu - want_mu) / np.abs(want_mu))))
+    ok = err < GRAD_TOL and rel < 1e-12
+    return ok, (f"d att/d w_std={got_std:.6g} (closed form {want_std:.6g}), max rel diff "
+                f"{rel:.2g} over both weights, fd err {err:.2g}")
 
 
 def _categorical_check():
@@ -324,8 +367,10 @@ def distributions_suite() -> list[CheckResult]:
     results = []
     _check(results, "gumbel_max.uniform_logits", lambda: _gumbel_check([0.0, 0.0, 0.0], seed=42))
     _check(results, "gumbel_max.skewed_logits", lambda: _gumbel_check([0.5, 0.0, -0.5], seed=43))
-    _check(results, "normal_density.quadrature_standard", lambda: _quadrature_check(0.0, 1.0))
-    _check(results, "normal_density.quadrature_offset", lambda: _quadrature_check(0.3, 0.7))
+    _check(results, "normal_density.quadrature_standard",
+           lambda: _quadrature_check(1.0, [0.0, 0.0, 0.0]))
+    _check(results, "normal_density.quadrature_offset",
+           lambda: _quadrature_check(0.7, [0.5, 0.0, -0.5]))
     _check(results, "action_to_mu.endpoints", _action_map_check)
     _check(results, "reparam.derivatives", _reparam_check)
     _check(results, "categorical.monte_carlo", _categorical_check)
@@ -394,7 +439,7 @@ def _bandit_episodes(theta, rng, n):
     episodes; returns their trace and their rewards."""
     probs = ad.mul(ad.softmax(theta, axis=-1), ad.constant(np.ones((n, 1))))
     idx = categorical_sample(probs, rng)
-    lp = ad.reshape(discrete_logprob(probs, idx), (n,))
+    lp = ad.reshape(ad.log(ad.pick(probs, idx[:, None])), (n,))
     trace = AttentionTrace(atts=[], discrete_logprob_sum=lp,
                            continuous_logprob_sum=ad.constant(np.zeros(n)))
     return trace, BANDIT_ARMS[idx]

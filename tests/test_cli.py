@@ -204,6 +204,83 @@ class TestMalformedDataset:
         assert "test_tokens.bin" in capsys.readouterr().err
 
 
+class TestMalformedCheckpoint:
+    """A broken checkpoint is a user error (exit 1) naming the file and
+    the field, never an internal error."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ckpt")
+        data = root / "data"
+        assert main(gen_args(data)) == 0
+        assert main(["train", "--data", str(data), "--out", str(root / "run"),
+                     "--epochs", "1"] + FAST_TRAIN[:-2]) == 0
+        return data, root / "run" / "checkpoint-best"
+
+    @pytest.fixture()
+    def ckpt(self, trained, tmp_path):
+        import shutil
+        return shutil.copytree(trained[1], tmp_path / "ckpt")
+
+    def eval_error(self, trained, ckpt, capsys):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(trained[0])]) == 1
+        return capsys.readouterr().err
+
+    @staticmethod
+    def edit_manifest(ckpt, edit):
+        path = ckpt / "checkpoint.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def test_missing_parameter(self, trained, ckpt, capsys):
+        self.edit_manifest(ckpt, lambda m: m["params"].pop("classifier"))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "'params'" in err and "classifier" in err
+
+    def test_extra_parameter(self, trained, ckpt, capsys):
+        self.edit_manifest(ckpt, lambda m: m["params"].update(
+            stray={"file": "classifier.bin", "shape": m["params"]["classifier"]["shape"]}))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "'params'" in err and "stray" in err
+
+    def test_shape_mismatch(self, trained, ckpt, capsys):
+        self.edit_manifest(ckpt, lambda m: m["params"]["word_table"].update(
+            shape=m["params"]["word_table"]["shape"][::-1]))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "word_table" in err and "shape" in err
+
+    def test_shape_not_filled_by_file(self, trained, ckpt, capsys):
+        self.edit_manifest(ckpt, lambda m: m["params"]["proj_img"].update(shape=[2, 2]))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "proj_img.bin" in err and "params.proj_img.shape" in err
+
+    def test_missing_manifest(self, trained, ckpt, capsys):
+        (ckpt / "checkpoint.json").unlink()
+        assert "checkpoint.json" in self.eval_error(trained, ckpt, capsys)
+
+    def test_malformed_manifest(self, trained, ckpt, capsys):
+        (ckpt / "checkpoint.json").write_text("{not json")
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "JSON" in err
+
+    def test_manifest_missing_field(self, trained, ckpt, capsys):
+        self.edit_manifest(ckpt, lambda m: m.pop("vocab_size"))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "vocab_size" in err
+
+    def test_truncated_parameter_file(self, trained, ckpt, capsys):
+        truncate(ckpt / "classifier.bin", 3)
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "classifier.bin" in err and "params.classifier" in err
+
+    def test_missing_parameter_file(self, trained, ckpt, capsys):
+        (ckpt / "w_aff_a.bin").unlink()
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "w_aff_a.bin" in err and "params.w_aff_a" in err
+
+
 class TestVerify:
     def test_metrics_suite_passes(self, capsys):
         assert main(["verify", "metrics"]) == 0

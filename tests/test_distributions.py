@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
-from pgmatch.distributions import (
-    ActionSpace,
+from pgmatch.distributions import ActionSpace, categorical_sample
+from unfused import (
     action_to_mu,
-    categorical_sample,
     discrete_logprob,
     gumbel_softmax,
     normal_logprob,

@@ -5,7 +5,6 @@ import pytest
 
 import pgmatch.autodiff as ad
 from pgmatch.attention import AttentionTrace
-from pgmatch.distributions import discrete_logprob, normal_logprob
 from pgmatch.losses import (
     DecoderParams,
     continuous_pg_loss,
@@ -15,6 +14,7 @@ from pgmatch.losses import (
     total_loss,
     triplet_loss,
 )
+from unfused import discrete_logprob, normal_logprob
 
 
 @pytest.fixture(autouse=True)

@@ -132,6 +132,51 @@ class TestBatchMajor:
         ad.clear_tape()
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("pg_mode", ["compound", "discrete", "continuous", "off"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_tape_records_per_step_formula(self, pg_mode, heads):
+        """Each timestep of either branch records the feature's timestep
+        slice and the fusion step (scaled feature, GRU kernel, running
+        sum): 4 records. With attention on, it adds the attention scaling,
+        the policy GRU kernel and, per head, the head kernel, one pick per
+        column it reads and one add per log-prob sum (2 + 2 per sampled
+        stage); two heads add their average (2). The encoders, projections
+        and losses are a fixed 104 records plus 4 per sampled stage."""
+        stages = {"off": 0, "discrete": 1, "continuous": 1, "compound": 2}[pg_mode]
+        per_step = 4 if stages == 0 else 6 + heads * (2 + 2 * stages) + 2 * (heads == 2)
+        for regions, tokens in ((3, 4), (5, 6)):
+            ds = generate_dataset(classes=8, regions=regions, tokens=tokens, dim=6,
+                                  noise_scale=0.15, seed=0)
+            config = ModelConfig(**{**TINY, "pg_mode": pg_mode, "heads": heads})
+            model = MatchingModel(config, ds.vocab_size, 8, np.random.default_rng(0))
+            ad.clear_tape()
+            _batch_losses(model, ds.split("train")[:4], list(range(4)), np.random.default_rng(1))
+            assert len(ad.active_tape().records) == (104 + 4 * stages
+                                                     + (regions + tokens) * per_step)
+        ad.clear_tape()
+
+    def test_evaluate_records_nothing(self):
+        ds = tiny_dataset()
+        model = MatchingModel(ModelConfig(**TINY), ds.vocab_size, 8, np.random.default_rng(0))
+        tape = ad.active_tape()
+        evaluate(model, ds.split("val"), ks=(1, 5))
+        assert tape.records == [] and tape.recording
+
+    def test_evaluate_turns_recording_back_on_after_an_error(self, monkeypatch):
+        ds = tiny_dataset()
+        model = MatchingModel(ModelConfig(**TINY), ds.vocab_size, 8, np.random.default_rng(0))
+        seen = []
+
+        def broken(self, *args, **kwargs):
+            seen.append(ad.active_tape().recording)
+            raise RuntimeError("embedding failed")
+
+        monkeypatch.setattr(MatchingModel, "embed_text", broken)
+        with pytest.raises(RuntimeError, match="embedding failed"):
+            evaluate(model, ds.split("val"), ks=(1, 5))
+        assert seen == [False] and ad.active_tape().recording
+        assert ad.active_tape().records == []
+
     def test_evaluate_is_one_batch(self, monkeypatch):
         ds = tiny_dataset()
         model = MatchingModel(ModelConfig(**TINY), ds.vocab_size, 8, np.random.default_rng(0))

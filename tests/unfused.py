@@ -1,0 +1,161 @@
+"""The GRU cell and the compound-action head written out in primitive tape
+ops: the reference the fused kernels (``encoders.gru_step``,
+``attention._sample_head``) are checked against, bit for bit, in
+``test_kernels.py``. These are the compositions the package ran before
+the kernels replaced them, with the sampling helpers they were built
+from; nothing in ``src/`` uses them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+import pgmatch.autodiff as ad
+from pgmatch.attention import SIGMA_FLOOR, AttentionTrace
+from pgmatch.distributions import categorical_sample, gumbel_from_uniform
+
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+def sigmoid_nine_ops(x):
+    """The logistic function as the package computed it before the
+    seven-op form: the same branches, two more numpy ops."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softplus(a):
+    v = a.values
+    out = np.where(v > 30.0, v, np.log1p(np.exp(np.minimum(v, 30.0))))
+    s = ad._sigmoid(v)
+    return ad.record_op("softplus", (a,), out, lambda g: (g * s,))
+
+
+def gumbel_softmax(logits, temperature, rng, noise=None):
+    """Relaxed categorical sample, row-wise; ``noise`` replaces the Gumbel draw."""
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    if noise is None:
+        noise = gumbel_from_uniform(rng.random(logits.shape))
+    perturbed = ad.add(logits, ad.constant(noise))
+    return ad.softmax(ad.scalar_mul(perturbed, 1.0 / temperature), axis=-1)
+
+
+def discrete_logprob(probs, index):
+    """log(probs[..., index]) as a (..., 1) column."""
+    idx = np.asarray(index, dtype=np.intp)[..., None]
+    if np.any(np.take_along_axis(probs.values, idx, axis=-1) <= 0.0):
+        raise ad.DomainError(f"discrete_logprob: zero probability at index {index}")
+    return ad.log(ad.pick(probs, idx))
+
+
+def action_to_mu(index, n):
+    """Logistic squash of the label fraction: 1 / (1 + exp(-index / n))."""
+    index = int(index)
+    if not 0 <= index <= n:
+        raise ValueError(f"action label {index} outside [0, {n}]")
+    return 1.0 / (1.0 + math.exp(-index / n))
+
+
+def straight_through(hard_index, soft_probs, n):
+    """Forward value hard_index / n; the gradient of the relaxed mean."""
+    labels = np.arange(soft_probs.shape[-1], dtype=np.float64) / n
+    out = np.asarray(hard_index, dtype=np.float64)[..., None] / n
+    return ad.record_op("straight_through", (soft_probs,), out, lambda g: (g * labels,))
+
+
+def soft_action_value(soft_probs, n):
+    """sum_i (i / n) * probs[i] per row, as a (..., 1) column."""
+    labels = np.arange(soft_probs.shape[-1], dtype=np.float64) / n
+    return ad.tsum(ad.mul(soft_probs, ad.constant(labels)), axis=-1, keepdims=True)
+
+
+def normal_sample_reparam(mu, sigma, rng, eps=None):
+    """mu + sigma * eps with eps a standard-normal constant."""
+    if np.any(sigma.values <= 0.0):
+        raise ad.DomainError(f"normal_sample_reparam: sigma must be positive, got {sigma.values}")
+    if eps is None:
+        eps = rng.standard_normal() if sigma.values.ndim == 0 else rng.standard_normal(sigma.shape)
+    return ad.add(mu, ad.mul(sigma, ad.constant(eps)))
+
+
+def normal_logprob(x, mu, sigma):
+    """-log(2 pi)/2 - log(sigma) - (x - mu)^2 / (2 sigma^2)."""
+    x = x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(float(x)))
+    mu = mu if isinstance(mu, ad.Tensor) else ad.constant(np.asarray(float(mu)))
+    sigma = sigma if isinstance(sigma, ad.Tensor) else ad.constant(np.asarray(float(sigma)))
+    if np.any(sigma.values <= 0.0):
+        raise ad.DomainError(f"normal_logprob: sigma must be positive, got {sigma.values}")
+    quad = ad.div(ad.square(ad.sub(x, mu)), ad.scalar_mul(ad.square(sigma), 2.0))
+    return ad.sub(ad.sub(ad.constant(np.asarray(-0.5 * LOG_2PI)), ad.log(sigma)), quad)
+
+
+_ONE = ad.constant(np.asarray(1.0))
+_ZERO = ad.constant(np.asarray(0.0))
+
+
+def gru_step(x, h, params):
+    """h' = (1 - z) * h + z * candidate, in 20 primitive records."""
+    p = params
+    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xz), ad.matmul(h, p.w_hz)), p.b_z))
+    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xr), ad.matmul(h, p.w_hr)), p.b_r))
+    cand = ad.tanh(ad.add(ad.add(ad.matmul(x, p.w_xc), ad.matmul(ad.mul(r, h), p.w_hc)), p.b_c))
+    return ad.add(ad.mul(ad.sub(_ONE, z), h), ad.mul(z, cand))
+
+
+def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_forward):
+    """One head's (att, discrete log-prob, continuous log-prob), each a
+    (B, 1) column or the constant 0 for a stage the mode does not sample."""
+    logits = ad.matmul(h, w_mu)
+    stochastic = mode == "stochastic"
+    if action_mode == "continuous":
+        mu = ad.sigmoid(soft_action_value(ad.softmax(logits, axis=-1), space.n))
+        dlp = _ZERO
+    else:
+        if stochastic:
+            soft = gumbel_softmax(logits, space.temperature, None, noise=noise.gumbel[:, t, k])
+            hard = categorical_sample(soft, uniforms=noise.uniform[:, t, k])
+        else:
+            soft = ad.softmax(logits, axis=-1)
+            hard = np.argmax(soft.values, axis=-1)
+        dlp = discrete_logprob(soft, hard)
+        if st_soft_forward:
+            mu_in = soft_action_value(soft, space.n)
+        else:
+            mu_in = straight_through(hard, soft, space.n)
+        mu = ad.sigmoid(mu_in)
+
+    if action_mode == "discrete":
+        return mu, dlp, _ZERO
+    sigma = ad.add(softplus(ad.matmul(h, w_std)), ad.constant(np.asarray(SIGMA_FLOOR)))
+    if stochastic:
+        raw = normal_sample_reparam(mu, sigma, None, eps=noise.normal[:, t, k, None])
+        return ad.sigmoid(raw), dlp, normal_logprob(raw, mu, sigma)
+    return ad.sigmoid(mu), dlp, normal_logprob(mu, mu, sigma)
+
+
+def policy_rollout(features, params, space, noise=None, mode="stochastic",
+                   action_mode="compound", st_soft_forward=False):
+    """``attention.policy_rollout`` over the primitive GRU and head."""
+    features = list(features)
+    batch = features[0].shape[0]
+    h = ad.constant(np.zeros((batch, params.gru.hidden_size)))
+    dsum = csum = ad.constant(np.zeros((batch, 1)))
+    atts = []
+    for t, f in enumerate(features):
+        h = gru_step(f, h, params.gru)
+        head_atts = []
+        for k, (w_mu, w_std) in enumerate(zip(params.w_mu, params.w_std)):
+            att, dlp, clp = sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode,
+                                        st_soft_forward)
+            head_atts.append(att)
+            dsum = ad.add(dsum, dlp)
+            csum = ad.add(csum, clp)
+        combined = head_atts[0]
+        if len(head_atts) == 2:
+            combined = ad.scalar_mul(ad.add(head_atts[0], head_atts[1]), 0.5)
+        atts.append(combined)
+    return AttentionTrace(atts=atts, discrete_logprob_sum=ad.reshape(dsum, (batch,)),
+                          continuous_logprob_sum=ad.reshape(csum, (batch,)))
