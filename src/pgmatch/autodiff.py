@@ -55,9 +55,6 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, tracked={_TAPE.is_tracked(self)})"
 
@@ -221,10 +218,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _broadcast("sub", np.subtract, a, b)
     sa, sb = a.shape, b.shape
     return _TAPE.record("sub", (a, b), out, lambda g: (_reduce_to(g, sa), _reduce_to(-g, sb)))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _TAPE.record("neg", (a,), -a.values, lambda g: (-g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -593,8 +586,4 @@ class Adam:
         step /= tmp
         for p, lo, hi in zip(self.params, self._bounds[:-1], self._bounds[1:]):
             p.values -= step[lo:hi].reshape(p.shape)
-            p.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
             p.grad = None

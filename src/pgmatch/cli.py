@@ -129,9 +129,11 @@ def _flag_overrides(args) -> dict:
 
 
 def _resolve(args) -> ModelConfig:
-    file_values = parse_config_file(args.config) if args.config else None
     try:
+        file_values = parse_config_file(args.config) if args.config else None
         return resolve_config(file_values, _flag_overrides(args))
+    except OSError as exc:
+        raise UserError(f"{args.config}: cannot read config file ({exc.strerror})") from exc
     except (KeyError, ValueError) as exc:
         raise UserError(str(exc)) from exc
 
@@ -161,8 +163,6 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = _resolve(args)
     data_dir = _data_dir(args.data)
-    if not os.path.isdir(data_dir):
-        raise UserError(f"dataset directory {data_dir} does not exist")
     dataset = load_dataset(data_dir)
     _match_dataset(config, dataset)
     os.makedirs(args.out, exist_ok=True)
@@ -239,12 +239,18 @@ DEFAULT_GRID = [
 def _load_grid(source: str):
     if source == "default":
         return DEFAULT_GRID
-    with open(source, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    grid = []
-    for entry in raw:
-        grid.append((entry["name"], entry.get("overrides", {})))
-    return grid
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise UserError(f"{source}: cannot read grid file ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise UserError(f"{source}: not valid JSON ({exc})") from exc
+    try:
+        return [(entry["name"], entry.get("overrides", {})) for entry in raw]
+    except (KeyError, TypeError) as exc:
+        raise UserError(f"{source}: expected a JSON list of objects with a 'name' field "
+                        f"({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_ablate(args) -> int:

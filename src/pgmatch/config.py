@@ -80,10 +80,6 @@ class ModelConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def field_names(cls):
-        return [f.name for f in dataclasses.fields(cls)]
-
-    @classmethod
     def from_dict(cls, values: dict) -> "ModelConfig":
         cfg = cls()
         for key, value in values.items():

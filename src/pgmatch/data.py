@@ -161,8 +161,15 @@ def load_dataset(path) -> SyntheticDataset:
     """Read a dataset directory; a malformed file raises ``DatasetError``
     naming the file and the field."""
     manifest_file = os.path.join(path, "manifest.json")
-    with open(manifest_file, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_file, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise DatasetError(f"{manifest_file}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        raise DatasetError(f"{manifest_file}: not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{manifest_file}: expected a JSON object")
     if manifest.get("format") != DATASET_FORMAT:
         raise DatasetError(f"{path}: unknown dataset format {manifest.get('format')!r}")
     try:

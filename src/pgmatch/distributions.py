@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
-
 
 @dataclass
 class ActionSpace:
@@ -37,22 +35,16 @@ def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
     return -np.log(-np.log(np.clip(u, 1e-300, 1.0 - 1e-16)))
 
 
-def categorical_sample(probs, rng: np.random.Generator | None = None,
-                       uniforms=None):
-    """Draw one index per row of a simplex vector (returns an int) or
-    matrix (returns an index vector). ``uniforms``, one per row, replace
-    the ``rng.random()`` draws."""
-    p = probs.values if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
-    if p.ndim not in (1, 2):
-        raise ValueError(f"categorical_sample expects a vector or matrix, got shape {p.shape}")
-    if np.any(p < 0):
+def categorical_sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Draw one index per row of a (B, C) matrix of simplex rows: the first
+    position whose running total exceeds the row's uniform draw on [0, 1)
+    (scaled by the row total)."""
+    if probs.ndim != 2:
+        raise ValueError(f"categorical_sample expects a (B, C) matrix, got shape {probs.shape}")
+    if np.any(probs < 0):
         raise ValueError("categorical_sample: negative probability entry")
-    total = p.sum(axis=-1)
+    total = probs.sum(axis=-1)
     if np.any(np.abs(total - 1.0) > 1e-6):
         raise ValueError(f"categorical_sample: probabilities sum to {total}, not 1")
-    if uniforms is None:
-        uniforms = rng.random() if p.ndim == 1 else rng.random(p.shape[0])
-    cum = np.cumsum(p, axis=-1)
-    # first position whose running total exceeds the draw
-    idx = np.minimum((cum <= (uniforms * total)[..., None]).sum(axis=-1), p.shape[-1] - 1)
-    return int(idx) if p.ndim == 1 else idx
+    cum = np.cumsum(probs, axis=-1)
+    return np.minimum((cum <= (uniforms * total)[:, None]).sum(axis=-1), probs.shape[-1] - 1)

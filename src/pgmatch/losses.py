@@ -17,7 +17,6 @@ from .autodiff import (
     gather_rows,
     log_softmax,
     matmul,
-    neg,
     parameter,
     pick,
     relu,
@@ -132,7 +131,7 @@ def instance_loss(embeddings: Tensor, labels, classifier: Tensor) -> Tensor:
     if bad.size:
         raise ValueError(f"label {bad[0]} outside [0, {num_classes})")
     lsm = log_softmax(matmul(embeddings, classifier), axis=-1)
-    return scalar_mul(neg(tsum(pick(lsm, labels[:, None]))), 1.0 / labels.size)
+    return scalar_mul(tsum(pick(lsm, labels[:, None])), -1.0 / labels.size)
 
 
 @dataclass
@@ -212,4 +211,4 @@ def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> T
     hidden = _causal_conv(hidden, decoder.conv2_w, decoder.conv2_b)
 
     lsm = log_softmax(add(matmul(hidden, decoder.out_w), decoder.out_b), axis=-1)
-    return scalar_mul(neg(tsum(pick(lsm, ids[..., None]))), 1.0 / ids.size)
+    return scalar_mul(tsum(pick(lsm, ids[..., None])), -1.0 / ids.size)

@@ -8,24 +8,9 @@ gradient, never part of the differentiation graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-REWARD_MODES = ("r1", "ap", "r1+ap")
-DIRECTIONS = ("i2t", "t2i", "both")
-
-
-@dataclass
-class RewardRecord:
-    """Per-instance reward components; baseline/advantage filled once the
-    whole batch is known."""
-
-    r_at_1: float
-    ap: float
-    reward: float
-    baseline: float = float("nan")
-    advantage: float = float("nan")
+from .config import REWARD_MODES
 
 
 def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
@@ -37,47 +22,26 @@ def similarity_matrix(img_embs, txt_embs) -> np.ndarray:
     return img @ txt.T
 
 
-def recall_at_1(sim: np.ndarray, k: int) -> float:
-    """1.0 iff column k wins row k; ties go to the lowest index."""
-    return 1.0 if int(np.argmax(sim[k])) == k else 0.0
+def diagonal_ranks(sim: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's diagonal entry under a descending sort of
+    that row, ties going to the lower column index. R@K of row k is
+    ``rank <= K``; with one relevant item its AP is ``1 / rank``."""
+    idx = np.arange(sim.shape[0])
+    diag = sim[idx, idx][:, None]
+    ahead = (sim > diag) | ((sim == diag) & (idx[None, :] < idx[:, None]))
+    return 1 + ahead.sum(axis=1)
 
 
-def rank_of(row: np.ndarray, k: int) -> int:
-    """1-based rank of entry k under descending sort, ties by index."""
-    idx = np.arange(row.size)
-    return int(1 + (row > row[k]).sum() + ((row == row[k]) & (idx < k)).sum())
-
-
-def average_precision(sim: np.ndarray, k: int) -> float:
-    """Single-relevant AP: 1 / rank of the paired item in row k."""
-    return 1.0 / rank_of(sim[k], k)
-
-
-def instance_rewards(sim: np.ndarray, direction: str = "both",
-                     mode: str = "r1+ap") -> list[RewardRecord]:
-    """Reward each instance by its retrieval quality in the batch gallery.
-
-    ``direction`` picks image->text (rows), text->image (columns), or the
-    average of both. ``mode`` selects which metric combination feeds the
-    reward."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+def instance_rewards(sim: np.ndarray, mode: str = "r1+ap") -> np.ndarray:
+    """Reward each instance by its retrieval quality in the batch gallery,
+    averaged over image->text (rows of ``sim``) and text->image (columns).
+    ``mode`` picks R@1, AP, or their sum."""
     if mode not in REWARD_MODES:
         raise ValueError(f"reward mode must be one of {REWARD_MODES}, got {mode!r}")
-    k_total = sim.shape[0]
-    views = [v for d, v in (("i2t", sim), ("t2i", sim.T)) if direction in (d, "both")]
-    records = []
-    for k in range(k_total):
-        r1 = float(np.mean([recall_at_1(v, k) for v in views]))
-        ap = float(np.mean([average_precision(v, k) for v in views]))
-        if mode == "r1":
-            reward = r1
-        elif mode == "ap":
-            reward = ap
-        else:
-            reward = r1 + ap
-        records.append(RewardRecord(r_at_1=r1, ap=ap, reward=reward))
-    return records
+    i2t, t2i = diagonal_ranks(sim), diagonal_ranks(sim.T)
+    r1 = ((i2t == 1) * 1.0 + (t2i == 1)) / 2
+    ap = (1.0 / i2t + 1.0 / t2i) / 2
+    return {"r1": r1, "ap": ap, "r1+ap": r1 + ap}[mode]
 
 
 def pg_baseline(rewards, beta: float = 0.5):
@@ -90,12 +54,3 @@ def pg_baseline(rewards, beta: float = 0.5):
     baselines = (r.sum() - r) / (k - 1)
     advantages = r - beta * baselines
     return baselines, advantages
-
-
-def attach_baseline(records: list[RewardRecord], beta: float = 0.5) -> list[RewardRecord]:
-    """Fill baseline/advantage fields in place from the batch rewards."""
-    baselines, advantages = pg_baseline([rec.reward for rec in records], beta)
-    for rec, b, a in zip(records, baselines, advantages):
-        rec.baseline = float(b)
-        rec.advantage = float(a)
-    return records

@@ -27,7 +27,7 @@ from .losses import (
     triplet_loss,
 )
 from .model import MatchingModel
-from .rewards import attach_baseline, instance_rewards, rank_of, similarity_matrix
+from .rewards import diagonal_ranks, instance_rewards, pg_baseline, similarity_matrix
 
 
 class TrainingDiverged(RuntimeError):
@@ -78,9 +78,8 @@ def _batch_losses(model: MatchingModel, instances, labels, rollout_rng,
                                       st_soft_forward=st_soft_forward)
 
     sim = matmul(img, transpose(txt))
-    reward_records = instance_rewards(sim.values.copy(), direction="both", mode=cfg.reward_mode)
-    attach_baseline(reward_records, beta=cfg.beta)
-    advantages = np.array([rec.advantage for rec in reward_records])
+    rewards = instance_rewards(sim.values, cfg.reward_mode)
+    _, advantages = pg_baseline(rewards, cfg.beta)
 
     parts = {}
     if cfg.loss_triplet:
@@ -100,8 +99,7 @@ def _batch_losses(model: MatchingModel, instances, labels, rollout_rng,
         parts["pg_continuous_text"] = continuous_pg_loss(txt_trace, advantages,
                                                          cfg.pg_batch_mean)
     bundle = total_loss(**parts)
-    mean_reward = float(np.mean([rec.reward for rec in reward_records]))
-    return bundle, mean_reward
+    return bundle, float(np.mean(rewards))
 
 
 def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainResult:
@@ -196,7 +194,7 @@ def evaluate(model: MatchingModel, instances, ks=(1, 5, 10)) -> dict:
     sim = similarity_matrix(img, txt)
     out = {}
     for direction, view in (("i2t", sim), ("t2i", sim.T)):
-        ranks = np.array([rank_of(view[k], k) for k in range(view.shape[0])])
+        ranks = diagonal_ranks(view)
         for k in ks:
             out[f"r{k}_{direction}"] = float(np.mean(ranks <= k))
     return out

@@ -204,6 +204,49 @@ class TestMalformedDataset:
         assert "test_tokens.bin" in capsys.readouterr().err
 
 
+class TestMalformedUserFiles:
+    """A missing or malformed config, grid or dataset manifest is a user
+    error (exit 1) naming the file, never an internal error."""
+
+    def test_config_line_without_equals(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\nlam 10\n")
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"),
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "run.cfg:2" in err and "key = value" in err
+
+    def test_missing_config_file(self, dataset_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"),
+                     "--config", str(tmp_path / "absent.cfg")]) == 1
+        assert "absent.cfg" in capsys.readouterr().err
+
+    def test_eval_on_missing_data_dir(self, tmp_path, capsys):
+        assert main(["eval", "--checkpoint", str(tmp_path),
+                     "--data", str(tmp_path / "nodata")]) == 1
+        assert "nodata" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_malformed_dataset_manifest(self, dataset_dir, tmp_path, capsys, text):
+        (dataset_dir / "manifest.json").write_text(text)
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r")]
+                    + FAST_TRAIN) == 1
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_missing_grid_file(self, dataset_dir, tmp_path, capsys):
+        assert main(["ablate", "--data", str(dataset_dir), "--out", str(tmp_path / "a"),
+                     "--grid", str(tmp_path / "absent.json")] + FAST_TRAIN) == 1
+        assert "absent.json" in capsys.readouterr().err
+
+    def test_grid_entry_without_name(self, dataset_dir, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"overrides": {"pg_mode": "off"}}]))
+        assert main(["ablate", "--data", str(dataset_dir), "--out", str(tmp_path / "a"),
+                     "--grid", str(grid)] + FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert "grid.json" in err and "name" in err
+
+
 class TestMalformedCheckpoint:
     """A broken checkpoint is a user error (exit 1) naming the file and
     the field, never an internal error."""

@@ -77,47 +77,41 @@ class TestGumbelSoftmax:
 class TestCategoricalSample:
     def test_degenerate(self):
         rng = np.random.default_rng(0)
-        assert all(categorical_sample(np.array([1.0, 0.0, 0.0]), rng) == 0 for _ in range(50))
+        draws = categorical_sample(np.tile([1.0, 0.0, 0.0], (50, 1)), rng.random(50))
+        assert np.all(draws == 0)
 
     def test_monte_carlo_two_outcomes(self):
         rng = np.random.default_rng(11)
-        draws = [categorical_sample(np.array([0.25, 0.75]), rng) for _ in range(100_000)]
+        draws = categorical_sample(np.tile([0.25, 0.75], (100_000, 1)), rng.random(100_000))
         assert abs(np.mean(draws) - 0.75) < 0.01
 
     def test_monte_carlo_uniform_100(self):
         rng = np.random.default_rng(12)
-        probs = np.full(100, 0.01)
-        draws = np.array([categorical_sample(probs, rng) for _ in range(100_000)])
+        probs = np.broadcast_to(np.full(100, 0.01), (100_000, 100))
+        draws = categorical_sample(probs, rng.random(100_000))
         freqs = np.bincount(draws, minlength=100) / 100_000
         assert np.abs(freqs - 0.01).max() < 0.003
 
     def test_rows_match_scalar_draws(self):
+        """Each row's draw depends only on its own row and uniform: it is
+        the first index whose running total exceeds the uniform."""
         rng = np.random.default_rng(13)
         p = rng.random((50, 6))
         p /= p.sum(axis=1, keepdims=True)
         u = rng.random(50)
-        rows = categorical_sample(p, uniforms=u)
+        rows = categorical_sample(p, u)
         for b in range(50):
-            expect = categorical_sample(p[b], _FixedDraw(u[b]))
-            assert rows[b] == expect
-        drawn = categorical_sample(p, np.random.default_rng(3))
-        replay = np.random.default_rng(3)
-        assert [categorical_sample(p[b], replay) for b in range(50)] == drawn.tolist()
+            assert rows[b] == categorical_sample(p[b:b + 1], u[b:b + 1])[0]
+            assert rows[b] == int(np.sum(np.cumsum(p[b]) <= u[b] * p[b].sum()))
 
     def test_invalid_inputs(self):
-        rng = np.random.default_rng(0)
+        u = np.array([0.5])
         with pytest.raises(ValueError, match="negative"):
-            categorical_sample(np.array([-0.1, 1.1]), rng)
+            categorical_sample(np.array([[-0.1, 1.1]]), u)
         with pytest.raises(ValueError, match="sum"):
-            categorical_sample(np.array([0.4, 0.4]), rng)
-
-
-class _FixedDraw:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+            categorical_sample(np.array([[0.4, 0.4]]), u)
+        with pytest.raises(ValueError, match="matrix"):
+            categorical_sample(np.array([0.5, 0.5]), u)
 
 
 class TestDiscreteLogprob:
@@ -285,7 +279,7 @@ class TestStraightThrough:
         space = ActionSpace(n=10)
         logits = ad.Tensor(rng.standard_normal(space.num_labels))
         soft = gumbel_softmax(logits, space.temperature, rng)
-        hard = categorical_sample(soft, rng)
+        hard = int(categorical_sample(soft.values[None], rng.random(1))[0])
         mu = ad.sigmoid(straight_through(hard, soft, space.n))
         sigma = ad.Tensor(np.asarray(0.4))
         raw = normal_sample_reparam(mu, sigma, rng)

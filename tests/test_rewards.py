@@ -4,16 +4,30 @@ import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
-from pgmatch.rewards import (
-    RewardRecord,
-    attach_baseline,
-    average_precision,
-    instance_rewards,
-    pg_baseline,
-    rank_of,
-    recall_at_1,
-    similarity_matrix,
-)
+from pgmatch.rewards import diagonal_ranks, instance_rewards, pg_baseline, similarity_matrix
+
+
+def rank_of(row: np.ndarray, k: int) -> int:
+    """Oracle: 1-based rank of entry k of ``row`` under a descending sort,
+    ties going to the lower index."""
+    idx = np.arange(row.size)
+    return int(1 + (row > row[k]).sum() + ((row == row[k]) & (idx < k)).sum())
+
+
+def reward_oracle(sim: np.ndarray, k: int, mode: str) -> float:
+    """Instance k's reward one view at a time: R@1 by argmax (first
+    maximum wins), AP as 1 / rank, each the mean over sim and sim.T."""
+    views = (sim, sim.T)
+    r1 = float(np.mean([1.0 if int(np.argmax(v[k])) == k else 0.0 for v in views]))
+    ap = float(np.mean([1.0 / rank_of(v[k], k) for v in views]))
+    return {"r1": r1, "ap": ap, "r1+ap": r1 + ap}[mode]
+
+
+def tied_matrices(rng, count):
+    """Square integer-valued matrices, sizes 1..8, with many ties."""
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        yield rng.integers(0, 3, (n, n)).astype(np.float64)
 
 
 class TestSimilarityMatrix:
@@ -51,33 +65,45 @@ class TestSimilarityMatrix:
         ad.clear_tape()
 
 
+class TestDiagonalRanks:
+    def test_matches_per_row_oracle_with_ties(self):
+        rng = np.random.default_rng(5)
+        sims = list(tied_matrices(rng, 300)) + [np.ones((4, 4)), rng.standard_normal((9, 9))]
+        for sim in sims:
+            for view in (sim, sim.T):
+                oracle = [rank_of(view[k], k) for k in range(view.shape[0])]
+                assert np.array_equal(diagonal_ranks(view), oracle)
+
+
 class TestRecallAt1:
+    """R@1 of a query is its diagonal rank being 1."""
+
     def test_identity_matrix(self):
-        for k in range(4):
-            assert recall_at_1(np.eye(4), k) == 1.0
+        assert np.array_equal(diagonal_ranks(np.eye(4)) == 1, [True] * 4)
 
     def test_off_diagonal_max(self):
         sim = np.eye(3)
         sim[0, 2] = 2.0
-        assert recall_at_1(sim, 0) == 0.0
+        assert diagonal_ranks(sim)[0] != 1
 
     def test_matches_enumeration(self):
         for perm in itertools.permutations(range(4)):
             row = np.array(perm, dtype=np.float64)
-            sim = np.tile(row, (4, 1))
+            ranks = diagonal_ranks(np.tile(row, (4, 1)))
             for k in range(4):
-                oracle = 1.0 if all(row[k] >= row[j] for j in range(4)) else 0.0
-                assert recall_at_1(sim, k) == oracle
+                oracle = all(row[k] >= row[j] for j in range(4))
+                assert (ranks[k] == 1) == oracle
 
 
 class TestAveragePrecision:
+    """With one relevant item, AP is 1 / rank."""
+
     def test_rank_one(self):
-        assert average_precision(np.eye(3), 0) == 1.0
+        assert 1.0 / diagonal_ranks(np.eye(3))[0] == 1.0
 
     def test_rank_two_of_four(self):
         row = np.array([0.9, 0.5, 0.2, 0.1])
-        sim = np.tile(row, (4, 1))
-        assert average_precision(sim, 1) == 0.5
+        assert 1.0 / diagonal_ranks(np.tile(row, (4, 1)))[1] == 0.5
 
     def test_mean_over_all_placements_in_five_gallery(self):
         # relevant item placed at every rank of a 5-gallery
@@ -88,65 +114,57 @@ class TestAveragePrecision:
             row[0] = scores[rank_pos]
             others = [s for i, s in enumerate(scores) if i != rank_pos]
             row[1:] = others
-            total += average_precision(np.tile(row, (5, 1)), 0)
+            total += 1.0 / diagonal_ranks(np.tile(row, (5, 1)))[0]
         expect = (1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 5) / 5
         np.testing.assert_allclose(total / 5, expect, rtol=1e-12)
         assert abs(total / 5 - 0.4567) < 1e-4
 
     def test_tie_rank_by_index(self):
-        row = np.array([0.7, 0.7, 0.1])
-        assert rank_of(row, 0) == 1
-        assert rank_of(row, 1) == 2
+        ranks = diagonal_ranks(np.tile([0.7, 0.7, 0.1], (3, 1)))
+        assert ranks[0] == 1
+        assert ranks[1] == 2
 
 
 class TestInstanceRewards:
     def test_identity_perfect(self):
-        records = instance_rewards(np.eye(4))
-        for rec in records:
-            assert rec.reward == 2.0
-            assert rec.r_at_1 == 1.0 and rec.ap == 1.0
+        assert np.array_equal(instance_rewards(np.eye(4)), [2.0] * 4)
+        assert np.array_equal(instance_rewards(np.eye(4), "r1"), [1.0] * 4)
+        assert np.array_equal(instance_rewards(np.eye(4), "ap"), [1.0] * 4)
 
     def test_mismatched_pairs(self):
         sim = np.fliplr(np.eye(4))  # anti-diagonal best
-        records = instance_rewards(sim)
-        for rec in records:
-            assert rec.r_at_1 == 0.0
-            assert rec.ap < 1.0
+        assert np.all(instance_rewards(sim, "r1") == 0.0)
+        assert np.all(instance_rewards(sim, "ap") < 1.0)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
-        sim = rng.standard_normal((5, 5))
-        records = instance_rewards(sim)
-        for k, rec in enumerate(records):
-            r1 = (recall_at_1(sim, k) + recall_at_1(sim.T, k)) / 2
-            ap = (average_precision(sim, k) + average_precision(sim.T, k)) / 2
-            assert rec.r_at_1 == r1
-            assert rec.ap == ap
-            assert rec.reward == r1 + ap
+        sims = [rng.standard_normal((5, 5))] + list(tied_matrices(rng, 200))
+        for sim, mode in itertools.product(sims, ("r1", "ap", "r1+ap")):
+            oracle = [reward_oracle(sim, k, mode) for k in range(sim.shape[0])]
+            assert np.array_equal(instance_rewards(sim, mode), oracle), (sim, mode)
 
     def test_reward_bounds_and_perfect_condition(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             sim = rng.standard_normal((4, 4))
-            for k, rec in enumerate(instance_rewards(sim)):
-                assert 0.0 <= rec.reward <= 2.0
+            for k, reward in enumerate(instance_rewards(sim)):
+                assert 0.0 <= reward <= 2.0
                 both_first = rank_of(sim[k], k) == 1 and rank_of(sim.T[k], k) == 1
-                assert (rec.reward == 2.0) == both_first
+                assert (reward == 2.0) == both_first
 
     def test_reward_modes(self):
         sim = np.eye(3)
-        assert all(r.reward == 1.0 for r in instance_rewards(sim, mode="r1"))
-        assert all(r.reward == 1.0 for r in instance_rewards(sim, mode="ap"))
-        assert all(r.reward == 2.0 for r in instance_rewards(sim, mode="r1+ap"))
+        assert np.all(instance_rewards(sim, mode="r1") == 1.0)
+        assert np.all(instance_rewards(sim, mode="ap") == 1.0)
+        assert np.all(instance_rewards(sim, mode="r1+ap") == 2.0)
         with pytest.raises(ValueError, match="reward mode"):
             instance_rewards(sim, mode="r5")
 
-    def test_single_direction(self):
-        sim = np.array([[0.9, 0.95], [0.1, 0.8]])
-        i2t = instance_rewards(sim, direction="i2t")
-        assert i2t[0].r_at_1 == 0.0  # column 1 beats the pair in row 0
-        t2i = instance_rewards(sim, direction="t2i")
-        assert t2i[0].r_at_1 == 1.0
+    def test_leaves_sim_unchanged(self):
+        sim = np.random.default_rng(4).integers(0, 3, (6, 6)).astype(np.float64)
+        before = sim.copy()
+        instance_rewards(sim)
+        assert np.array_equal(sim, before)
 
 
 class TestPgBaseline:
@@ -176,11 +194,3 @@ class TestPgBaseline:
     def test_too_small_batch(self):
         with pytest.raises(ValueError, match="at least 2"):
             pg_baseline([1.0], beta=0.5)
-
-    def test_attach_fills_records(self):
-        records = [RewardRecord(1.0, 1.0, 2.0), RewardRecord(0.0, 0.5, 0.5)]
-        attach_baseline(records, beta=0.5)
-        assert records[0].baseline == 0.5
-        assert records[0].advantage == 2.0 - 0.25
-        assert records[1].baseline == 2.0
-        assert records[1].advantage == 0.5 - 1.0

@@ -5,7 +5,7 @@ import pgmatch.autodiff as ad
 from pgmatch.config import ModelConfig
 from pgmatch.data import generate_dataset
 from pgmatch.model import MatchingModel
-from pgmatch.rewards import rank_of
+from pgmatch.rewards import diagonal_ranks
 from pgmatch.training import (
     TrainingDiverged,
     _batch_losses,
@@ -141,7 +141,7 @@ class TestBatchMajor:
         the policy GRU kernel and, per head, the head kernel, one pick per
         column it reads and one add per log-prob sum (2 + 2 per sampled
         stage); two heads add their average (2). The encoders, projections
-        and losses are a fixed 104 records plus 4 per sampled stage."""
+        and losses are a fixed 101 records plus 4 per sampled stage."""
         stages = {"off": 0, "discrete": 1, "continuous": 1, "compound": 2}[pg_mode]
         per_step = 4 if stages == 0 else 6 + heads * (2 + 2 * stages) + 2 * (heads == 2)
         for regions, tokens in ((3, 4), (5, 6)):
@@ -151,7 +151,7 @@ class TestBatchMajor:
             model = MatchingModel(config, ds.vocab_size, 8, np.random.default_rng(0))
             ad.clear_tape()
             _batch_losses(model, ds.split("train")[:4], list(range(4)), np.random.default_rng(1))
-            assert len(ad.active_tape().records) == (104 + 4 * stages
+            assert len(ad.active_tape().records) == (101 + 4 * stages
                                                      + (regions + tokens) * per_step)
         ad.clear_tape()
 
@@ -204,7 +204,7 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         for _ in range(50):
             sim = rng.standard_normal((12, 12))
-            ranks = np.array([rank_of(sim[k], k) for k in range(12)])
+            ranks = diagonal_ranks(sim)
             r1, r5, r10 = (np.mean(ranks <= k) for k in (1, 5, 10))
             assert r10 >= r5 >= r1
 
@@ -213,7 +213,7 @@ class TestEvaluate:
         hits = []
         for _ in range(40):
             sim = rng.standard_normal((100, 100))
-            ranks = np.array([rank_of(sim[k], k) for k in range(100)])
+            ranks = diagonal_ranks(sim)
             hits.append(np.mean(ranks <= 1))
         assert abs(np.mean(hits) - 0.01) < 0.02
 

@@ -116,7 +116,7 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_f
     else:
         if stochastic:
             soft = gumbel_softmax(logits, space.temperature, None, noise=noise.gumbel[:, t, k])
-            hard = categorical_sample(soft, uniforms=noise.uniform[:, t, k])
+            hard = categorical_sample(soft.values, uniforms=noise.uniform[:, t, k])
         else:
             soft = ad.softmax(logits, axis=-1)
             hard = np.argmax(soft.values, axis=-1)
