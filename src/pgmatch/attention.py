@@ -3,9 +3,10 @@ features, sample one compound-distribution attention weight per timestep,
 and fuse the adjusted features into a single embedding.
 
 A rollout runs a whole batch at once, looping over timesteps only; each
-instance's row is one episode. The trace keeps the per-step attention
-weights plus the per-instance episode log-probability sums that the PG
-losses differentiate.
+instance's row is one episode. The rollout and the fusion are one tape
+record each. The trace keeps the per-step attention weights plus the
+per-instance episode log-probability sums that the PG losses
+differentiate.
 """
 
 from __future__ import annotations
@@ -19,22 +20,19 @@ from .autodiff import (
     DomainError,
     ShapeError,
     Tensor,
-    _matmul_grads,
-    _matmul_values,
     _sigmoid,
     _softmax,
     _softmax_grad,
-    add,
+    active_tape,
     constant,
-    mul,
     parameter,
     pick,
     record_op,
     reshape,
-    scalar_mul,
+    will_record,
 )
 from .distributions import ActionSpace, categorical_sample, gumbel_from_uniform
-from .encoders import GruParams, gru_step
+from .encoders import GruParams, GruSequence, add_in_order, time_blocks
 
 SIGMA_FLOOR = 1e-3
 LOG_2PI = math.log(2.0 * math.pi)
@@ -85,17 +83,22 @@ class PolicyParams:
 
 @dataclass
 class AttentionTrace:
-    """Record of one batch of sampling episodes: the per-step attention
-    columns (B, 1), combined over heads, and the episode log-prob sums,
-    one per instance (B,)."""
+    """Record of one batch of sampling episodes. ``weights`` holds each
+    step's attention weight, combined over heads, in its first ``length``
+    columns: the (B, T + 2) output of ``policy_rollout`` (whose last two
+    columns are the episode log-prob sums), or a (1, T) constant with
+    attention off. The log-prob sums the PG losses read are (B,) tensors,
+    one entry per instance."""
 
-    atts: list
+    weights: Tensor
+    length: int
     discrete_logprob_sum: Tensor
     continuous_logprob_sum: Tensor
 
     @property
-    def length(self) -> int:
-        return len(self.atts)
+    def attention(self) -> np.ndarray:
+        """The attention values, (B, T), or (1, T) with attention off."""
+        return self.weights.values[:, :self.length]
 
 
 @dataclass
@@ -143,11 +146,12 @@ def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
             for u, z in zip(uniforms, normals)]
 
 
-def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_forward):
-    """One head's compound action for every row of the (B, hidden) state,
-    as a single tape record: a (B, 3) tensor whose columns are the
-    attention weight, the discrete log-prob and the continuous log-prob
-    (a stage the action mode does not sample reads 0).
+def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forward, keep):
+    """One head's compound action for a block of policy states ``hs``
+    (n, B, hidden), steps t0..t0+n-1: the attention weight, the discrete
+    log-prob and the continuous log-prob, each (n, B, 1) (a stage the
+    action mode does not sample reads 0), and with ``keep`` the backward
+    function of the block.
 
     The action is drawn in two stages. The discrete stage takes the
     logits ``l = h W_mu``, perturbs them with the pre-drawn Gumbel noise
@@ -166,12 +170,13 @@ def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_
     it as the attention; the ``continuous`` one has no categorical draw
     and takes ``mu`` from the relaxed mean of ``softmax(l)``.
 
-    The forward pass evaluates the same numpy expressions, in the same
-    order, as the stages written out in primitive tape ops, and the
-    backward pass adds up every adjoint in the order reverse-mode over
-    those ops would, so results match the primitive graph bit for bit.
-    ``h`` is listed once per use (the sigma projection first, then the
-    logits) for the same reason.
+    Every value is the numpy expression the stages written out in
+    primitive tape ops evaluate, per (B, .) step slice, and the backward
+    function adds up every adjoint in the order reverse mode over those
+    ops would. It takes the adjoints of the three outputs and returns the
+    state-gradient parts in the order the engine added them (the sigma
+    projection's, then the logits'), and the per-step gradients of
+    ``w_mu`` and ``w_std``.
 
     This reproduces ROADMAP item 1's defect in the continuous-stage score
     function on purpose: the log-prob is taken at ``raw`` itself, not at
@@ -182,24 +187,27 @@ def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_
     stochastic = mode == "stochastic"
     discrete = action_mode != "continuous"
     continuous = action_mode != "discrete"
-    hv, wmu = h.values, w_mu.values
-    batch = hv.shape[0]
+    n = hs.shape[0]
+    steps = slice(t0, t0 + n)
+    wmu = w_mu.values
     labels = np.arange(space.num_labels, dtype=np.float64) / space.n
-    zeros = np.zeros((batch, 1))
+    zeros = np.zeros(hs.shape[:-1] + (1,))
 
-    logits = _matmul_values(hv, wmu)
+    logits = np.matmul(hs, wmu)
     if discrete and stochastic:
         inv_temp = float(1.0 / space.temperature)
-        soft = _softmax(inv_temp * (logits + noise.gumbel[:, t, k]))
-        hard = categorical_sample(soft, uniforms=noise.uniform[:, t, k])
+        soft = _softmax(inv_temp * (logits + noise.gumbel[:, steps, k].transpose(1, 0, 2)))
+        uniforms = noise.uniform[:, steps, k].T
+        hard = categorical_sample(soft.reshape(-1, soft.shape[-1]),
+                                  uniforms=uniforms.reshape(-1)).reshape(uniforms.shape)
     else:
         soft = _softmax(logits)
         hard = np.argmax(soft, axis=-1)
     if discrete:
-        idx = hard[:, None]
+        idx = hard[..., None]
         picked = np.take_along_axis(soft, idx, axis=-1)
         if np.any(picked <= 0.0):
-            raise DomainError(f"_sample_head: zero probability at index {hard}")
+            raise DomainError(f"policy_rollout: zero probability at index {hard.T}")
         dlp = np.log(picked)
     else:
         dlp = zeros
@@ -211,10 +219,10 @@ def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_
 
     if continuous:
         wstd = w_std.values
-        pre = _matmul_values(hv, wstd)
+        pre = np.matmul(hs, wstd)
         sigma = np.where(pre > 30.0, pre, np.log1p(np.exp(np.minimum(pre, 30.0)))) + SIGMA_FLOOR
         if stochastic:
-            eps = noise.normal[:, t, k, None]
+            eps = noise.normal[:, steps, k].T[..., None]
             x = mu + sigma * eps
         else:
             x = mu
@@ -225,10 +233,11 @@ def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_
         clp = (-0.5 * LOG_2PI - np.log(sigma)) - d2 / two_var
     else:
         att, clp = mu, zeros
-    out = np.concatenate([att, dlp, clp], axis=-1)
+    if not keep:
+        return att, dlp, clp, None
 
-    def bw(g):
-        g_att, g_dlp, g_clp = g[:, 0:1], g[:, 1:2], g[:, 2:3]
+    def backward(g_att, g_dlp, g_clp):
+        hs_t = hs.transpose(0, 2, 1)
         if continuous:
             g_quad = -g_clp
             g_sigma = -g_clp / sigma
@@ -242,9 +251,10 @@ def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_
             else:  # the log-prob is taken at mu itself: both parts cancel
                 g_mu = g_d + -g_d + g_att * att * (1.0 - att)
             g_pre = g_sigma * _sigmoid(pre)
-            g_h_std, g_wstd = _matmul_grads(g_pre, hv, wstd)
+            h_parts = [np.matmul(g_pre, wstd.T)]
+            g_wstd = np.matmul(hs_t, g_pre)
         else:
-            g_mu = g_att
+            g_mu, h_parts, g_wstd = g_att, [], None
         g_soft = g_mu * mu * (1.0 - mu) * labels
         if discrete:
             g_pick = np.zeros_like(soft)
@@ -253,96 +263,163 @@ def _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_
         g_logits = _softmax_grad(g_soft, soft)
         if discrete and stochastic:
             g_logits = inv_temp * g_logits
-        g_h_mu, g_wmu = _matmul_grads(g_logits, hv, wmu)
-        if continuous:
-            return g_h_std, g_h_mu, g_wmu, g_wstd
-        return g_h_mu, g_wmu
+        h_parts.append(np.matmul(g_logits, wmu.T))
+        return h_parts, np.matmul(hs_t, g_logits), g_wstd
 
-    inputs = (h, h, w_mu, w_std) if continuous else (h, w_mu)
-    return record_op("sample_head", inputs, out, bw)
+    return att, dlp, clp, backward
 
 
-_ZERO = constant(np.asarray(0.0))
+def _check_sequence(name, features, gru: GruParams, length=None):
+    if features.values.ndim != 3 or features.shape[1] < 1:
+        raise ShapeError(f"{name}: expected a nonempty (B, T, d) feature sequence, "
+                         f"got shape {features.shape}")
+    if features.shape[2] != gru.input_size:
+        raise ShapeError(f"{name}: features of width {features.shape[2]} do not fit a GRU "
+                         f"of input size {gru.input_size}")
+    if length is not None and features.shape[1] != length:
+        raise ValueError(f"{name}: {features.shape[1]} features vs trace length {length}")
 
 
-def policy_rollout(features, params: PolicyParams, space: ActionSpace,
+def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
                    noise: RolloutNoise | None = None, mode: str = "stochastic",
                    action_mode: str = "compound", st_soft_forward: bool = False) -> AttentionTrace:
     """Run the attention policy over a batch of feature sequences.
 
-    ``features`` is a nonempty list of (B, d) tensors, one per timestep;
-    the GRU state is (B, hidden). In stochastic mode every step samples
-    the compound distribution row-wise from ``noise`` (see ``draw_noise``);
-    in deterministic mode the argmax category is taken and the attention
-    is the squashed mean (log-prob sums are still recorded).
+    ``features`` is a (B, T, d) tensor; the GRU state is (B, hidden). In
+    stochastic mode every step samples the compound distribution row-wise
+    from ``noise`` (see ``draw_noise``); in deterministic mode the argmax
+    category is taken and the attention is the squashed mean (log-prob
+    sums are still recorded). ``st_soft_forward`` replaces the hard
+    straight-through forward value with the relaxed expectation so the
+    whole graph is finite-difference checkable; never used in training.
 
-    ``st_soft_forward`` replaces the hard straight-through forward value
-    with the relaxed expectation so the whole graph is finite-difference
-    checkable; never used in training.
+    The whole rollout is one tape record: the policy GRU over all T steps
+    (``GruSequence``), every head's sample (``_head``, one block of steps
+    at a time), the attention averaged over the heads and the episode
+    log-prob sums, packed into one (B, T + 2) output. The features are
+    listed as an input three times, once per GRU gate product, so their
+    gradient parts reach the engine in the order per-step records sent
+    them. Within the backward pass each state's adjoint adds the next
+    step's GRU parts first, then each head's parts, last head first, and
+    the log-prob sums add the steps (each head in turn) in time order, as
+    a chain of per-step records did: results match that chain bit for bit.
     """
-    features = list(features)
-    if not features:
-        raise ValueError("policy_rollout: empty feature sequence")
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
     if action_mode not in ACTION_MODES:
         raise ValueError(f"unknown action mode {action_mode!r}")
     if mode == "stochastic" and noise is None:
         raise ValueError("stochastic rollout needs noise pre-drawn from the rollout rng")
+    _check_sequence("policy_rollout", features, params.gru)
+    batch, length = features.shape[:2]
+    discrete = action_mode != "continuous"
+    continuous = action_mode != "discrete"
+    heads = list(zip(params.w_mu, params.w_std))
+    inputs = ((features,) * 3 + tuple(params.gru.tensors()) + tuple(params.w_mu)
+              + tuple(params.w_std))
+    keep = will_record(inputs)
+    xs = features.values.transpose(1, 0, 2)
+    gru = GruSequence(params.gru, batch, length, keep)
+    out = np.zeros((batch, length + 2))
+    dsum = csum = np.zeros((batch, 1))
+    blocks = time_blocks(length, batch)
+    backwards = []
+    for t0, t1 in blocks:
+        hs = gru.forward(xs[t0:t1], t0)
+        atts, dlps, clps, bws = zip(*(
+            _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forward, keep)
+            for k, (w_mu, w_std) in enumerate(heads)))
+        combined = atts[0] if len(atts) == 1 else 0.5 * (atts[0] + atts[1])
+        out[:, t0:t1] = combined[..., 0].T
+        # the sums add step by step, each head in turn
+        dsum = add_in_order(dsum, np.stack(dlps, axis=1).reshape((-1, batch, 1)))
+        csum = add_in_order(csum, np.stack(clps, axis=1).reshape((-1, batch, 1)))
+        backwards.append(bws)
+    out[:, length:] = np.concatenate([dsum, csum], axis=-1)
 
-    batch = features[0].shape[0]
-    att_col, dlp_col, clp_col = (np.full((batch, 1), j) for j in range(3))
-    h = constant(np.zeros((batch, params.gru.hidden_size)))
-    dsum = csum = constant(np.zeros((batch, 1)))
-    atts = []
-    for t, f in enumerate(features):
-        h = gru_step(f, h, params.gru)
-        head_atts = []
-        for k, (w_mu, w_std) in enumerate(zip(params.w_mu, params.w_std)):
-            out = _sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode,
-                               st_soft_forward)
-            head_atts.append(pick(out, att_col))
-            if action_mode != "continuous":
-                dsum = add(dsum, pick(out, dlp_col))
-            if action_mode != "discrete":
-                csum = add(csum, pick(out, clp_col))
-        combined = head_atts[0]
-        if len(head_atts) == 2:
-            combined = scalar_mul(add(head_atts[0], head_atts[1]), 0.5)
-        atts.append(combined)
-    return AttentionTrace(atts=atts, discrete_logprob_sum=reshape(dsum, (batch,)),
-                          continuous_logprob_sum=reshape(csum, (batch,)))
+    def backward(g):
+        g_att, g_dlp, g_clp = g[:, :length], g[:, length:length + 1], g[:, length + 1:]
+        g_x = [np.empty(xs.shape) for _ in range(3)]
+        g_w_mu, g_w_std = [None] * len(heads), [None] * len(heads)
+        for (t0, t1), bws in zip(reversed(blocks), reversed(backwards)):
+            g_head = g_att[:, t0:t1].T[..., None]
+            if len(heads) == 2:
+                g_head = 0.5 * g_head
+            parts = []
+            for k in reversed(range(len(heads))):
+                h_parts, g_wmu, g_wstd = bws[k](g_head, g_dlp, g_clp)
+                parts += h_parts
+                g_w_mu[k] = add_in_order(g_w_mu[k], g_wmu[::-1])
+                if g_wstd is not None:
+                    g_w_std[k] = add_in_order(g_w_std[k], g_wstd[::-1])
+            for buf, part in zip(g_x, gru.backward_block(parts)):
+                buf[t0:t1] = part
+        return ([buf.transpose(1, 0, 2) for buf in g_x] + gru.grads + g_w_mu + g_w_std)
+
+    packed = record_op("policy_rollout", inputs, out, backward)
+    zero = constant(np.zeros(batch))
+    return AttentionTrace(
+        weights=packed, length=length,
+        discrete_logprob_sum=(reshape(pick(packed, np.full((batch, 1), length)), (batch,))
+                              if discrete else zero),
+        continuous_logprob_sum=(reshape(pick(packed, np.full((batch, 1), length + 1)), (batch,))
+                                if continuous else zero))
+
+
+_ZERO = constant(np.asarray(0.0))
 
 
 def neutral_trace(length: int, lam: float) -> AttentionTrace:
     """Attention switched off: every weight is 1/lambda so the scaled
     features equal the originals and the PG sums are zero constants."""
-    att = constant(np.full((1, 1), 1.0 / lam))
-    return AttentionTrace(atts=[att] * length, discrete_logprob_sum=_ZERO,
-                          continuous_logprob_sum=_ZERO)
+    return AttentionTrace(weights=constant(np.full((1, length), 1.0 / lam)), length=length,
+                          discrete_logprob_sum=_ZERO, continuous_logprob_sum=_ZERO)
 
 
-def fuse(features, trace: AttentionTrace, lam: float, gru: GruParams | None) -> Tensor:
-    """Scale each (B, d) timestep by lambda times its attention column,
-    reason over the scaled sequence with the fusion GRU, and return the
-    final hidden state plus the mean scaled feature, one row per instance.
-    Callers normalize the result before any similarity computation.
+def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) -> Tensor:
+    """Scale each step of the (B, T, d) features by lambda times its
+    attention weight, reason over the scaled sequence with the fusion GRU,
+    and return the final hidden state plus the mean scaled feature, one
+    row per instance. Callers normalize the result before any similarity
+    computation.
 
-    ``gru=None`` is a pass-through configuration (final hidden := last
-    scaled feature) used to probe linearity."""
-    features = list(features)
-    if len(features) != trace.length:
-        raise ValueError(f"fuse: {len(features)} features vs trace length {trace.length}")
+    One tape record, sharing ``GruSequence`` with the rollout. The scaled
+    features of a block of steps are one array; their running sum adds
+    them step by step in time order, and in the backward pass each scaled
+    feature's adjoint is the mean's part plus the GRU's three input
+    parts, in that order, as per-step records added them."""
+    _check_sequence("fuse", features, gru, trace.length)
     if lam <= 0:
         raise ValueError(f"fuse: lambda must be positive, got {lam}")
-    adjusted = [mul(f, scalar_mul(att, lam)) for f, att in zip(features, trace.atts)]
-    if gru is None:
-        h = adjusted[-1]
-    else:
-        h = constant(np.zeros(adjusted[0].shape[:-1] + (gru.hidden_size,)))
+    batch, length = features.shape[:2]
+    weights = trace.weights
+    inputs = (features, weights) + tuple(gru.tensors())
+    keep = will_record(inputs)
+    weights_tracked = active_tape().is_tracked(weights)
+    xs = features.values.transpose(1, 0, 2)
+    scale = lam * trace.attention
+    run = GruSequence(gru, batch, length, keep)
+    blocks = time_blocks(length, batch)
+    acc = None
+    for t0, t1 in blocks:
+        adjusted = xs[t0:t1] * scale[:, t0:t1].T[..., None]
+        run.forward(adjusted, t0)
         for a in adjusted:
-            h = gru_step(a, h, gru)
-    acc = adjusted[0]
-    for a in adjusted[1:]:
-        acc = add(acc, a)
-    return add(h, scalar_mul(acc, 1.0 / len(adjusted)))
+            acc = a if acc is None else acc + a
+    c = float(1.0 / length)
+    out = run.h + c * acc
+
+    def backward(g):
+        g_acc = c * g
+        g_f = np.empty(xs.shape)
+        g_att = np.zeros(weights.shape) if weights_tracked else None
+        for t0, t1 in reversed(blocks):
+            g_xc, g_xr, g_xz = run.backward_block(g_end=g)
+            g_adj = ((g_acc + g_xc) + g_xr) + g_xz
+            s = scale[:, t0:t1].T[..., None]
+            g_f[t0:t1] = g_adj * s
+            if g_att is not None:
+                g_att[:, t0:t1] = (lam * (g_adj * xs[t0:t1]).sum(axis=-1)).T
+        return [g_f.transpose(1, 0, 2), g_att] + run.grads
+
+    return record_op("fuse", inputs, out, backward)

@@ -24,6 +24,15 @@ class TapeError(RuntimeError):
     """Backward requested on a stale or already-consumed graph."""
 
 
+class NonFiniteGradient(ArithmeticError):
+    """An optimizer step met a NaN or infinite gradient entry; ``tensor``
+    is the first parameter, in the optimizer's order, that holds one."""
+
+    def __init__(self, tensor):
+        self.tensor = tensor
+        super().__init__(f"non-finite gradient in a parameter of shape {tensor.shape}")
+
+
 class Tensor:
     """Shaped float64 array participating in reverse-mode differentiation.
 
@@ -141,6 +150,13 @@ def record_op(name, inputs, out_values, backward_fn) -> Tensor:
     ``None``) per entry of ``inputs``; a tensor listed several times gets
     its gradients added in the order they are listed."""
     return _TAPE.record(name, tuple(inputs), out_values, backward_fn)
+
+
+def will_record(inputs) -> bool:
+    """Whether ``record_op`` on ``inputs`` appends a record: recording is
+    on and one of them is tracked. Kernels keep the state their backward
+    pass reads only then."""
+    return _TAPE.recording and any(_TAPE.is_tracked(t) for t in inputs)
 
 
 def backward(loss: Tensor):
@@ -328,20 +344,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     bounds = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
     return _TAPE.record("concat", tuple(tensors), out,
                         lambda g: tuple(np.split(g, bounds, axis=axis)))
-
-
-def timestep(a: Tensor, t: int) -> Tensor:
-    """Step ``t`` of a (B, T, ...) sequence, as a (B, ...) tensor."""
-    if a.values.ndim < 2 or not 0 <= t < a.shape[1]:
-        raise IndexError(f"timestep: step {t} out of range for shape {a.shape}")
-    shape = a.shape
-
-    def bw(g):
-        acc = np.zeros(shape)
-        acc[:, t] = g
-        return (acc,)
-
-    return _TAPE.record("timestep", (a,), a.values[:, t], bw)
 
 
 def shift(a: Tensor, k: int) -> Tensor:
@@ -563,14 +565,19 @@ class Adam:
         self._t = 0
 
     def step(self):
+        """One update. A non-finite gradient raises ``NonFiniteGradient``
+        before any parameter or moment changes (one pass over the flat
+        gradient)."""
         for p in self.params:
             if p.grad is None:
                 raise ValueError("adam step with missing grad; call backward first")
+        m, v, g, tmp, step = self._m, self._v, self._g, self._tmp, self._step
+        np.concatenate([p.grad.reshape(-1) for p in self.params], out=g)
+        if not np.isfinite(g).all():
+            raise NonFiniteGradient(next(p for p in self.params if not np.isfinite(p.grad).all()))
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t
         b2t = 1.0 - self.beta2 ** self._t
-        m, v, g, tmp, step = self._m, self._v, self._g, self._tmp, self._step
-        np.concatenate([p.grad.reshape(-1) for p in self.params], out=g)
         # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=tmp)

@@ -188,7 +188,8 @@ def cmd_train(args) -> int:
             result = train(config, dataset, log_fh=log_fh)
         except TrainingDiverged as exc:
             log_fh.write(record_line({"type": "abort", "epoch": exc.epoch, "step": exc.step,
-                                      "components": exc.components}) + "\n")
+                                      "components": exc.components,
+                                      "parameter": exc.parameter}) + "\n")
             print(f"training diverged: {exc}", file=sys.stderr)
             return 2
     result.rebuild(best=True).save_checkpoint(os.path.join(args.out, "checkpoint-best"))
@@ -247,10 +248,20 @@ def _load_grid(source: str):
     except ValueError as exc:
         raise UserError(f"{source}: not valid JSON ({exc})") from exc
     try:
-        return [(entry["name"], entry.get("overrides", {})) for entry in raw]
+        grid = [(entry["name"], entry.get("overrides", {})) for entry in raw]
     except (KeyError, TypeError) as exc:
         raise UserError(f"{source}: expected a JSON list of objects with a 'name' field "
                         f"({type(exc).__name__}: {exc})") from exc
+    # every run would fail on these, one error per seed: refuse the grid up front
+    keys = ModelConfig().to_dict()
+    for name, overrides in grid:
+        if not isinstance(overrides, dict):
+            raise UserError(f"{source}: entry {name!r}: 'overrides' must be an object")
+        for key in overrides:
+            if key not in keys:
+                raise UserError(f"{source}: entry {name!r}: unknown config key {key!r} in "
+                                f"'overrides'; valid keys: {', '.join(sorted(keys))}")
+    return grid
 
 
 def cmd_ablate(args) -> int:

@@ -1,7 +1,7 @@
 """Sampling machinery for the compound action distribution: the action
 space, the Gumbel noise that perturbs the logits, and the categorical
 draw. The two-stage sampler itself, with its log-densities and its
-gradients, is one fused kernel, ``attention._sample_head``.
+gradients, is part of the rollout kernel, ``attention.policy_rollout``.
 """
 
 from __future__ import annotations

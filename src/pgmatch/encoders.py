@@ -1,5 +1,5 @@
 """Modality encoders: relational reasoning over region features, word
-embedding lookup, and the GRU cell shared by the policy and fusion stages."""
+embedding lookup, and the GRU shared by the policy and fusion stages."""
 
 from __future__ import annotations
 
@@ -10,15 +10,11 @@ import numpy as np
 from .autodiff import (
     ShapeError,
     Tensor,
-    _matmul_grads,
-    _matmul_values,
-    _reduce_to,
     _sigmoid,
     add,
     gather_rows,
     matmul,
     parameter,
-    record_op,
     relu,
     softmax,
     transpose,
@@ -79,54 +75,136 @@ class GruParams:
                 self.w_xc, self.w_hc, self.b_c]
 
 
-def gru_step(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """One GRU update, row-wise on (B, p) inputs and (B, q) states (or one
-    (p,) input and (q,) state), as a single tape record:
+BLOCK_ROWS = 128
+
+
+def time_blocks(length: int, batch: int) -> list:
+    """Consecutive [t0, t1) ranges of ``max(1, BLOCK_ROWS // batch)``
+    timesteps covering ``length``. The sequence kernels run every product
+    that does not feed a recurrence once per block, as one stacked
+    ``np.matmul``: a block stacks at most 128 rows (or one step of a larger
+    batch), so its temporaries stay small enough for the allocator to
+    reuse instead of mapping fresh pages on every call."""
+    size = max(1, BLOCK_ROWS // batch)
+    return [(t0, min(t0 + size, length)) for t0 in range(0, length, size)]
+
+
+def add_in_order(total, parts):
+    """``total + parts[0] + parts[1] + ...``, one addition at a time in
+    that order (``total`` None: start from ``parts[0]``), which is how the
+    engine sums the gradient parts of a chain of records. ``np.add.reduce``
+    over the leading axis adds in order while a part has several entries;
+    single entries it sums pairwise, so those go through the sequential
+    ``np.add.accumulate``."""
+    if total is not None:
+        parts = np.concatenate((total[None], parts))
+    if parts[0].size == 1:
+        return np.add.accumulate(parts, axis=0)[-1]
+    return np.add.reduce(parts, axis=0)
+
+
+class GruSequence:
+    """The GRU cell rolled over a time-major (T, B, p) input from a zero
+    (B, q) state, one block of timesteps (``time_blocks``) at a time:
 
         z = sigmoid(x W_xz + h W_hz + b_z)
         r = sigmoid(x W_xr + h W_hr + b_r)
         c = tanh(x W_xc + (r * h) W_hc + b_c)
         h' = (1 - z) * h + z * c
 
-    The forward pass evaluates the same numpy expressions, in the same
-    order, as these formulas written out in primitive tape ops, and the
-    backward pass adds up every adjoint in the order reverse-mode over
-    those ops would. ``h`` is listed as an input four times and ``x``
-    three times, one per use, so their gradient parts reach the engine
-    in that order too, and the results match the primitive graph bit for
-    bit."""
-    if (x.shape[-1:] != (params.input_size,) or h.shape[-1:] != (params.hidden_size,)
-            or x.shape[:-1] != h.shape[:-1]):
-        raise ShapeError(
-            f"gru_step: x {x.shape} / h {h.shape} do not match params "
-            f"({params.input_size}, {params.hidden_size})")
-    xv, hv = x.values, h.values
-    w_xz, w_hz, b_z, w_xr, w_hr, b_r, w_xc, w_hc, b_c = (t.values for t in params.tensors())
-    z = _sigmoid(_matmul_values(xv, w_xz) + _matmul_values(hv, w_hz) + b_z)
-    r = _sigmoid(_matmul_values(xv, w_xr) + _matmul_values(hv, w_hr) + b_r)
-    rh = r * hv
-    cand = np.tanh(_matmul_values(xv, w_xc) + _matmul_values(rh, w_hc) + b_c)
-    omz = 1.0 - z
-    out = omz * hv + z * cand
+    The input products ``x W_x*`` of a block are one stacked matmul each;
+    only the state products run step by step. ``backward_block`` walks the
+    blocks from last to first: the recurrence runs step by step, then the
+    block's input-gradient and weight-gradient products are stacked the
+    same way, and each weight's per-step gradients are summed from the
+    last step to the first.
 
-    def bw(g):
-        # g_a*: adjoints of the gate pre-activations
-        g_z = g * cand - g * hv
-        g_ac = (g * z) * (1.0 - cand * cand)
-        g_rh, g_whc = _matmul_grads(g_ac, rh, w_hc)
-        g_xc, g_wxc = _matmul_grads(g_ac, xv, w_xc)
-        g_ar = g_rh * hv * r * (1.0 - r)
-        g_hr, g_whr = _matmul_grads(g_ar, hv, w_hr)
-        g_xr, g_wxr = _matmul_grads(g_ar, xv, w_xr)
-        g_az = g_z * z * (1.0 - z)
-        g_hz, g_whz = _matmul_grads(g_az, hv, w_hz)
-        g_xz, g_wxz = _matmul_grads(g_az, xv, w_xz)
-        return (g * omz, g_rh * r, g_hr, g_hz, g_xc, g_xr, g_xz,
-                g_wxz, g_whz, _reduce_to(g_az, b_z.shape),
-                g_wxr, g_whr, _reduce_to(g_ar, b_r.shape),
-                g_wxc, g_whc, _reduce_to(g_ac, b_c.shape))
+    A stacked matmul computes each (B, .) slice exactly as a 2-D product
+    does, so every value is the same numpy expression on the same
+    operands as one GRU step per tape record gave, and every adjoint is
+    added in the order the engine added that step's parts (for the state:
+    ``g (1 - z)``, ``g_rh r``, then the reset- and update-gate products).
+    Results match a chain of per-step records bit for bit. With ``keep``
+    off (no tape record will be kept) the forward pass saves nothing for
+    the backward pass."""
 
-    return record_op("gru_step", (h, h, h, h, x, x, x) + tuple(params.tensors()), out, bw)
+    def __init__(self, params: GruParams, batch: int, length: int, keep: bool):
+        self.weights = [t.values for t in params.tensors()]
+        q = params.hidden_size
+        self.h = np.zeros((batch, q))
+        self.keep = keep
+        if keep:
+            # states[t] is the state before step t; the gates are per step
+            self.states = np.zeros((length + 1, batch, q))
+            self.z, self.r, self.rh, self.cand = (np.empty((length, batch, q)) for _ in range(4))
+            self.inputs = []
+            self.grads = [None] * 9
+            self.carry = None
+
+    def forward(self, x: np.ndarray, t0: int) -> np.ndarray:
+        """Run the block ``x`` (n, B, p) of steps t0..t0+n-1; returns the
+        states after each of its steps, (n, B, q)."""
+        w_xz, w_hz, b_z, w_xr, w_hr, b_r, w_xc, w_hc, b_c = self.weights
+        n = x.shape[0]
+        xz, xr, xc = np.matmul(x, w_xz), np.matmul(x, w_xr), np.matmul(x, w_xc)
+        if self.keep:
+            self.inputs.append(x)
+            out = self.states[t0 + 1:t0 + 1 + n]
+        else:
+            out = np.empty((n,) + self.h.shape)
+        h = self.h
+        for i in range(n):
+            z = _sigmoid(xz[i] + h @ w_hz + b_z)
+            r = _sigmoid(xr[i] + h @ w_hr + b_r)
+            rh = r * h
+            cand = np.tanh(xc[i] + rh @ w_hc + b_c)
+            h = (1.0 - z) * h + z * cand
+            out[i] = h
+            if self.keep:
+                t = t0 + i
+                self.z[t], self.r[t], self.rh[t], self.cand[t] = z, r, rh, cand
+        self.h = h
+        return out
+
+    def backward_block(self, parts=(), g_end=None) -> tuple:
+        """Backward over the latest block not yet processed. Each step's
+        state adjoint is the part the next step's backward left (or, at
+        the last step, ``g_end``), plus each entry of ``parts`` ((n, B, q)
+        arrays, per step) in order. Returns the block's input gradients
+        ``(g_xc, g_xr, g_xz)``, each (n, B, p), and adds its weight
+        gradients to ``grads``."""
+        w_xz, w_hz, b_z, w_xr, w_hr, b_r, w_xc, w_hc, b_c = self.weights
+        x = self.inputs.pop()
+        n = x.shape[0]
+        t0 = sum(len(b) for b in self.inputs)
+        g_az, g_ar, g_ac = (np.empty((n,) + self.h.shape) for _ in range(3))
+        steps = slice(t0, t0 + n)
+        hp, z, r, cand = self.states[steps], self.z[steps], self.r[steps], self.cand[steps]
+        # the factors that do not depend on the adjoint, for the whole block
+        omz, omr, dcand = 1.0 - z, 1.0 - r, 1.0 - cand * cand
+        w_hz_t, w_hr_t, w_hc_t = w_hz.T, w_hr.T, w_hc.T
+        g_next = self.carry if self.carry is not None else g_end
+        for i in range(n - 1, -1, -1):
+            g = g_next
+            for part in parts:
+                g = part[i] if g is None else g + part[i]
+            g_z = g * cand[i] - g * hp[i]
+            g_ac[i] = (g * z[i]) * dcand[i]
+            g_rh = g_ac[i] @ w_hc_t
+            g_ar[i] = g_rh * hp[i] * r[i] * omr[i]
+            g_hr = g_ar[i] @ w_hr_t
+            g_az[i] = g_z * z[i] * omz[i]
+            if t0 + i > 0:  # the zero initial state takes no gradient
+                g_next = ((g * omz[i] + g_rh * r[i]) + g_hr) + g_az[i] @ w_hz_t
+        self.carry = g_next
+        # one weight's per-step products at a time, each summed last step first
+        x_t, h_t = x.transpose(0, 2, 1), hp.transpose(0, 2, 1)
+        rh_t = self.rh[steps].transpose(0, 2, 1)
+        parts = (g.sum(axis=1) if a is None else np.matmul(a, g)
+                 for a, g in ((x_t, g_az), (h_t, g_az), (None, g_az), (x_t, g_ar), (h_t, g_ar),
+                              (None, g_ar), (x_t, g_ac), (rh_t, g_ac), (None, g_ac)))
+        self.grads = [add_in_order(total, part[::-1]) for total, part in zip(self.grads, parts)]
+        return np.matmul(g_ac, w_xc.T), np.matmul(g_ar, w_xr.T), np.matmul(g_az, w_xz.T)
 
 
 def region_batch(regions) -> np.ndarray:

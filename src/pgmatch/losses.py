@@ -5,7 +5,7 @@ modalities. The training objective is their unweighted sum."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -29,49 +29,40 @@ from .autodiff import (
 )
 
 
-@dataclass
-class LossBundle:
-    """Every objective component of one batch, plus their sum. PG terms are
-    sign-indefinite; everything else is non-negative."""
+COMPONENTS = ("triplet", "instance", "text_decode_image", "text_decode_text",
+              "pg_discrete_image", "pg_continuous_image",
+              "pg_discrete_text", "pg_continuous_text")
 
-    triplet: Tensor
-    instance: Tensor
-    text_decode_image: Tensor
-    text_decode_text: Tensor
-    pg_discrete_image: Tensor
-    pg_continuous_image: Tensor
-    pg_discrete_text: Tensor
-    pg_continuous_text: Tensor
-    total: Tensor
 
-    COMPONENTS = ("triplet", "instance", "text_decode_image", "text_decode_text",
-                  "pg_discrete_image", "pg_continuous_image",
-                  "pg_discrete_text", "pg_continuous_text")
+def _as_floats(bundle) -> dict:
+    out = {name: getattr(bundle, name).item() for name in COMPONENTS}
+    out["total"] = bundle.total.item()
+    return out
 
-    def as_floats(self) -> dict:
-        out = {name: getattr(self, name).item() for name in self.COMPONENTS}
-        out["total"] = self.total.item()
-        return out
+
+LossBundle = make_dataclass(
+    "LossBundle", [(name, Tensor) for name in COMPONENTS + ("total",)],
+    namespace={"COMPONENTS": COMPONENTS, "as_floats": _as_floats,
+               "__doc__": "Every objective component of one batch (one field per name in "
+                          "``COMPONENTS``), plus their sum. PG terms are sign-indefinite; "
+                          "everything else is non-negative."})
 
 
 def _zero() -> Tensor:
     return constant(np.asarray(0.0))
 
 
-def total_loss(triplet=None, instance=None, text_decode_image=None, text_decode_text=None,
-               pg_discrete_image=None, pg_continuous_image=None,
-               pg_discrete_text=None, pg_continuous_text=None) -> LossBundle:
-    """Assemble the bundle; missing components enter as zero constants so
-    ablation switches zero out exactly the disabled terms."""
-    parts = {
-        "triplet": triplet, "instance": instance,
-        "text_decode_image": text_decode_image, "text_decode_text": text_decode_text,
-        "pg_discrete_image": pg_discrete_image, "pg_continuous_image": pg_continuous_image,
-        "pg_discrete_text": pg_discrete_text, "pg_continuous_text": pg_continuous_text,
-    }
-    parts = {name: (_zero() if t is None else t) for name, t in parts.items()}
+def total_loss(**parts: Tensor) -> LossBundle:
+    """Assemble the bundle from components named as in ``COMPONENTS``;
+    missing components enter as zero constants so ablation switches zero
+    out exactly the disabled terms. The total adds them in
+    ``COMPONENTS`` order."""
+    unknown = sorted(set(parts) - set(COMPONENTS))
+    if unknown:
+        raise TypeError(f"total_loss: unknown loss terms {unknown}")
+    parts = {name: _zero() if parts.get(name) is None else parts[name] for name in COMPONENTS}
     total = _zero()
-    for name in LossBundle.COMPONENTS:
+    for name in COMPONENTS:
         total = add(total, parts[name])
     return LossBundle(total=total, **parts)
 

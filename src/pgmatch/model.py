@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .attention import PolicyParams, draw_noise, fuse, neutral_trace, policy_rollout
-from .autodiff import constant, l2_normalize, matmul, parameter, timestep
+from .autodiff import Tensor, constant, l2_normalize, matmul, parameter
 from .config import ModelConfig
 from .data import DatasetError, read_matrix, write_matrix
 from .distributions import ActionSpace
@@ -135,19 +135,18 @@ class MatchingModel:
     # row of the returned (B, embed_dim) embeddings per instance. A single
     # (T, d) region set or (N,) token sequence is the batch B = 1.
 
-    def encode_image(self, regions: np.ndarray) -> list:
-        """GCN-reasoned region features, one (B, d) tensor per region."""
+    def encode_image(self, regions: np.ndarray) -> Tensor:
+        """GCN-reasoned region features, (B, T, d)."""
         feats = constant(region_batch(regions))
         relation = region_affinity(feats, self.w_aff_a, self.w_aff_b)
         out = feats
         for w in self.w_gcn:
             out = gcn_reason(out, relation, w)
-        return [timestep(out, t) for t in range(out.shape[1])]
+        return out
 
-    def encode_text(self, tokens) -> list:
-        """Word embeddings, one (B, word_dim) tensor per token position."""
-        emb = embed_words(np.atleast_2d(tokens), self.word_table)
-        return [timestep(emb, t) for t in range(emb.shape[1])]
+    def encode_text(self, tokens) -> Tensor:
+        """Word embeddings, (B, N, word_dim)."""
+        return embed_words(np.atleast_2d(tokens), self.word_table)
 
     def draw_noise(self, rng: np.random.Generator, batch: int, lengths) -> list:
         """Rollout noise for ``batch`` instances and one branch per entry of
@@ -160,7 +159,7 @@ class MatchingModel:
     def _rollout(self, features, policy: PolicyParams, noise, mode: str,
                  st_soft_forward: bool = False):
         if self.config.pg_mode == "off":
-            return neutral_trace(len(features), self.config.lam)
+            return neutral_trace(features.shape[1], self.config.lam)
         return policy_rollout(features, policy, self.space, noise, mode, self.config.pg_mode,
                               st_soft_forward=st_soft_forward)
 

@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, active_tape, backward, clear_tape, concat, matmul, transpose
+from .autodiff import (
+    Adam,
+    NonFiniteGradient,
+    active_tape,
+    backward,
+    clear_tape,
+    concat,
+    matmul,
+    transpose,
+)
 from .config import ModelConfig
 from .data import SyntheticDataset
 from .losses import (
@@ -31,11 +40,16 @@ from .rewards import diagonal_ranks, instance_rewards, pg_baseline, similarity_m
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, step: int, components: dict):
+    """A non-finite loss, or with ``parameter`` set, a non-finite gradient
+    of that parameter (the first one, in optimizer order)."""
+
+    def __init__(self, epoch: int, step: int, components: dict, parameter: str | None = None):
         self.epoch = epoch
         self.step = step
         self.components = components
-        super().__init__(f"non-finite loss at epoch {epoch}, step {step}: {components}")
+        self.parameter = parameter
+        what = "loss" if parameter is None else f"gradient of {parameter}"
+        super().__init__(f"non-finite {what} at epoch {epoch}, step {step}: {components}")
 
 
 @dataclass
@@ -119,6 +133,7 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
 
     model = MatchingModel(config, dataset.vocab_size, len(train_split), init_rng)
     opt = Adam(model.trainable_parameters(), lr=config.lr)
+    names = {id(t): name for name, t in model.named_parameters().items()}
 
     records = []
     start = time.perf_counter()
@@ -151,7 +166,10 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
             if not np.isfinite(floats["total"]):
                 raise TrainingDiverged(epoch, step, floats)
             backward(bundle.total)
-            opt.step()
+            try:
+                opt.step()
+            except NonFiniteGradient as exc:
+                raise TrainingDiverged(epoch, step, floats, names[id(exc.tensor)]) from None
             step += 1
             emit({"type": "train", "epoch": epoch, "step": step,
                   "reward_mean": mean_reward, **floats})

@@ -13,11 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import SIGMA_FLOOR, AttentionTrace, RolloutNoise, _sample_head, draw_noise
+from .attention import (
+    SIGMA_FLOOR,
+    AttentionTrace,
+    PolicyParams,
+    RolloutNoise,
+    draw_noise,
+    fuse,
+    policy_rollout,
+)
 from .config import ModelConfig
 from .data import Instance
 from .distributions import ActionSpace, categorical_sample
-from .encoders import GruParams, gcn_reason, gru_step, region_affinity
+from .encoders import GruParams, gcn_reason, region_affinity
 from .losses import discrete_pg_loss
 from .model import MatchingModel
 from .rewards import diagonal_ranks, pg_baseline
@@ -132,7 +140,6 @@ def _structural_cases(rng):
          (seq, ad.Tensor(rng.standard_normal((2, 4, 2))))),
         ("concat_rows", concat_rows_loss, (mat, ad.Tensor(rng.standard_normal(3)))),
         ("reshape", lambda t: ad.tsum(ad.mul(ad.reshape(t, (4, 6)), weights_flat)), (seq,)),
-        ("timestep", lambda t: ad.tsum(ad.square(ad.timestep(t, 2))), (seq,)),
         ("shift", lambda t: ad.tsum(ad.mul(ad.shift(t, 1), weights_seq)), (seq,)),
         ("sum_axis", lambda t: ad.tsum(ad.square(ad.tsum(t, axis=1))), (seq,)),
         ("gather_rows", lambda t: ad.tsum(ad.square(ad.gather_rows(t, [0, 2, 2, 4]))), (table,)),
@@ -144,37 +151,48 @@ def _structural_cases(rng):
     ]
 
 
-def _head_loss(action_mode, mode, rng):
-    """A weighted sum of the three columns of one ``_sample_head`` call on
-    two rows, with frozen noise and the relaxed straight-through forward
-    (``st_soft_forward``), as a function of the state and both weights."""
+def _rollout_loss(action_mode, mode, rng):
+    """A weighted sum of the attention weights and both log-prob sums of
+    a three-step rollout over two rows, with frozen noise and the relaxed
+    straight-through forward (``st_soft_forward``), as a function of the
+    features, the policy GRU's weights and both head weights."""
     space = ActionSpace(n=4)
-    noise = draw_noise(np.random.default_rng(11), 2, [1], 1, space.num_labels, action_mode)[0]
-    weights = ad.constant(rng.standard_normal((2, 3)))
+    params = PolicyParams.init(3, 3, space, rng, scale=0.5)
+    noise = draw_noise(np.random.default_rng(11), 2, [3], 1, space.num_labels, action_mode)[0]
+    weights = ad.constant(rng.standard_normal((2, 3 + 2)))
 
-    def loss(h, w_mu, w_std):
-        out = _sample_head(h, w_mu, w_std, space, noise, 0, 0, mode, action_mode, True)
-        return ad.tsum(ad.mul(out, weights))
+    def loss(features, *tensors):
+        trace = policy_rollout(features, params, space, noise, mode, action_mode,
+                               st_soft_forward=True)
+        return ad.tsum(ad.mul(trace.weights, weights))
 
-    args = (ad.Tensor(rng.standard_normal((2, 3))), ad.Tensor(0.5 * rng.standard_normal((3, 5))),
-            ad.Tensor(0.5 * rng.standard_normal((3, 1))))
+    args = ((ad.Tensor(rng.standard_normal((2, 3, 3))),) + tuple(params.gru.tensors())
+            + (params.w_mu[0], params.w_std[0]))
     return loss, args
 
 
+def _fuse_loss(batch, steps, rng):
+    """The squared fusion output of ``steps`` steps over ``batch`` rows,
+    as a function of the features, the attention weights and the fusion
+    GRU's weights."""
+    gru = GruParams.init(3, 3, rng, scale=0.5)
+    zero = ad.constant(np.zeros(batch))
+
+    def loss(features, weights, *tensors):
+        trace = AttentionTrace(weights=weights, length=steps, discrete_logprob_sum=zero,
+                               continuous_logprob_sum=zero)
+        return ad.tsum(ad.square(fuse(features, trace, 2.0, gru)))
+
+    return loss, (ad.Tensor(rng.standard_normal((batch, steps, 3))),
+                  ad.Tensor(rng.random((batch, steps)))) + tuple(gru.tensors())
+
+
 def _model_cases(rng):
-    gru = GruParams.init(3, 3, rng)
-    x = ad.Tensor(rng.standard_normal(3))
-    h = ad.Tensor(0.5 * rng.standard_normal(3))
     feats = ad.Tensor(rng.standard_normal((4, 3)))
     wa = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
     wb = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
     wg = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
-    xb = ad.Tensor(rng.standard_normal((2, 3)))
-    hb = ad.Tensor(0.5 * rng.standard_normal((2, 3)))
     feats_b = ad.Tensor(rng.standard_normal((2, 4, 3)))
-
-    def gru_loss(xx, hh):
-        return ad.tsum(ad.square(gru_step(xx, hh, gru)))
 
     def affinity_loss(ff):
         return ad.tsum(ad.square(region_affinity(ff, wa, wb)))
@@ -183,13 +201,13 @@ def _model_cases(rng):
         rel = region_affinity(ff, wa, wb)
         return ad.tsum(ad.square(gcn_reason(ff, rel, wg)))
 
-    heads = [(f"sample_head_{action_mode}", *_head_loss(action_mode, "stochastic", rng))
+    heads = [(f"sample_head_{action_mode}", *_rollout_loss(action_mode, "stochastic", rng))
              for action_mode in ("compound", "discrete", "continuous")]
     heads.append(("sample_head_compound_deterministic",
-                  *_head_loss("compound", "deterministic", rng)))
+                  *_rollout_loss("compound", "deterministic", rng)))
     return [
-        ("gru_step", gru_loss, (x, h)),
-        ("gru_step_batched", gru_loss, (xb, hb)),
+        ("gru_step", *_fuse_loss(1, 1, rng)),
+        ("gru_step_batched", *_fuse_loss(2, 3, rng)),
         ("region_affinity", affinity_loss, (feats,)),
         ("gcn_reason", gcn_loss, (feats,)),
         ("gcn_reason_batched", gcn_loss, (feats_b,)),
@@ -268,45 +286,68 @@ def _gumbel_check(logits, seed):
     return worst < FREQ_TOL, f"max |freq - softmax| = {worst:.4f} (tol {FREQ_TOL})"
 
 
-def _continuous_head(logits, pre, eps):
-    """A stochastic continuous-mode ``_sample_head`` as a function of
-    (h, w_mu, w_std), with one row per Normal draw in ``eps``, and inputs
-    that give every row the logits ``logits`` (n = len(logits) - 1) and
+def _saturated_policy(w_mu, w_std, w_xc, b_c) -> PolicyParams:
+    """A one-head policy whose GRU state at every step is exactly the
+    candidate ``tanh(x W_xc + b_c)``: the update gate is saturated at 1
+    (its bias is 40) and every other weight is 0. With a zero input and
+    ``b_c`` = 20 every state is exactly 1.0, so the head's logits are
+    ``w_mu`` and its pre-softplus std is ``w_std``."""
+    inputs, hidden = w_xc.shape
+
+    def zeros(*shape):
+        return ad.constant(np.zeros(shape))
+
+    gru = GruParams(w_xz=zeros(inputs, hidden), w_hz=zeros(hidden, hidden),
+                    b_z=ad.constant(np.full(hidden, 40.0)),
+                    w_xr=zeros(inputs, hidden), w_hr=zeros(hidden, hidden), b_r=zeros(hidden),
+                    w_xc=ad.constant(w_xc), w_hc=zeros(hidden, hidden),
+                    b_c=ad.constant(np.full(hidden, float(b_c))))
+    return PolicyParams(gru=gru, w_mu=[w_mu], w_std=[w_std], fusion_gru=gru)
+
+
+def _continuous_rollout(logits, pre, eps):
+    """A stochastic continuous-mode one-step rollout as a function of
+    (w_mu, w_std), with one row per Normal draw in ``eps``, and a policy
+    that gives every row the logits ``logits`` (n = len(logits) - 1) and
     the pre-softplus std ``pre``."""
     eps = np.asarray(eps, dtype=np.float64)
     space = ActionSpace(n=len(logits) - 1)
     noise = RolloutNoise(gumbel=None, uniform=None, normal=eps.reshape(-1, 1, 1))
+    features = ad.constant(np.zeros((eps.size, 1, 1)))
 
-    def head(h, w_mu, w_std):
-        return _sample_head(h, w_mu, w_std, space, noise, 0, 0, "stochastic", "continuous", False)
+    def rollout(w_mu, w_std):
+        policy = _saturated_policy(w_mu, w_std, np.zeros((1, 1)), 20.0)
+        return policy_rollout(features, policy, space, noise, "stochastic", "continuous")
 
-    args = (ad.Tensor(np.ones((eps.size, 1))), ad.Tensor(np.asarray(logits, dtype=np.float64)[None]),
-            ad.Tensor(np.array([[pre]])))
-    return head, args
+    args = (ad.Tensor(np.asarray(logits, dtype=np.float64)[None]), ad.Tensor(np.array([[pre]])))
+    return rollout, args
 
 
 def _quadrature_check(sigma, logits):
-    """The continuous stage's log-density, read from the kernel on a grid
+    """The continuous stage's log-density, read from the rollout on a grid
     of Normal draws eps, integrates to 1 over raw = mu + sigma * eps."""
     eps = np.linspace(-8.0, 8.0, 20_001)
-    head, args = _continuous_head(logits, math.log(math.expm1(sigma - SIGMA_FLOOR)), eps)
+    rollout, args = _continuous_rollout(logits, math.log(math.expm1(sigma - SIGMA_FLOOR)), eps)
     ad.clear_tape()
-    log_density = head(*args).values[:, 2]
+    log_density = rollout(*args).continuous_logprob_sum.values
     ad.clear_tape()
     integral = float(np.trapezoid(np.exp(log_density), sigma * eps))
     return abs(integral - 1.0) < QUAD_TOL, f"|integral - 1| = {abs(integral - 1.0):.2e}"
 
 
 def _action_map_check():
-    """The Normal mean of label k is sigmoid(k / n): read from the kernel's
-    deterministic discrete attention, row k having its argmax at label k."""
+    """The Normal mean of label k is sigmoid(k / n): read from the
+    deterministic discrete attention of a one-step rollout whose row k has
+    the state e_k and the logits 5 e_k, so its argmax is label k."""
     n = 100
     eye = np.eye(n + 1)
+    policy = _saturated_policy(ad.Tensor(5.0 * eye), ad.Tensor(np.zeros((n + 1, 1))),
+                               20.0 * eye, 0.0)
     ad.clear_tape()
-    out = _sample_head(ad.Tensor(5.0 * eye), ad.Tensor(eye), ad.Tensor(np.zeros((n + 1, 1))),
-                       ActionSpace(n=n), None, 0, 0, "deterministic", "discrete", False)
+    trace = policy_rollout(ad.constant(eye[:, None, :]), policy, ActionSpace(n=n), None,
+                           "deterministic", "discrete")
     ad.clear_tape()
-    mus = out.values[:, 0]
+    mus = trace.attention[:, 0]
     lo, hi = float(mus[0]), float(mus[n])
     expect_hi = 1.0 / (1.0 + math.exp(-1.0))
     ok = lo == 0.5 and abs(hi - expect_hi) <= 1e-15 and abs(hi - 0.7311) < 5e-5
@@ -320,17 +361,17 @@ def _reparam_check():
     d raw/d sigma = eps, checked in closed form and by finite differences."""
     eps, pre = 0.6321, 0.2
     logits = np.array([0.3, -0.1, 0.4, 0.0])
-    head, args = _continuous_head(logits, pre, [eps])
+    rollout, args = _continuous_rollout(logits, pre, [eps])
 
     def att(*inputs):
-        return ad.tsum(ad.pick(head(*inputs), [[0]]))
+        return ad.tsum(ad.pick(rollout(*inputs).weights, [[0]]))
 
     err = ad.grad_check(att, list(args), eps=GRAD_EPS)
     ad.clear_tape()
     for t in args:
         t.requires_grad = True
     ad.backward(att(*args))
-    w_mu, w_std = args[1:]
+    w_mu, w_std = args
     p = np.exp(logits - logits.max())
     p /= p.sum()
     labels = np.arange(4) / 3
@@ -427,32 +468,41 @@ def metrics_suite() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _bandit_episodes(theta, rng, n):
-    """Draw ``n`` arms from softmax(theta) as one batch of one-step
-    episodes; returns their trace and their rewards."""
-    probs = ad.mul(ad.softmax(theta, axis=-1), ad.constant(np.ones((n, 1))))
-    idx = categorical_sample(probs.values, rng.random(n))
-    lp = ad.reshape(ad.log(ad.pick(probs, idx[:, None])), (n,))
-    trace = AttentionTrace(atts=[], discrete_logprob_sum=lp,
-                           continuous_logprob_sum=ad.constant(np.zeros(n)))
-    return trace, BANDIT_ARMS[idx]
+def _bandit_episodes(theta, rng, n, steps=1):
+    """``n`` episodes of ``steps`` pulls, drawn by the rollout kernel: a
+    stochastic discrete-mode rollout of a policy whose state is 1.0 at
+    every step, so its logits are ``theta``, with zero Gumbel noise and
+    temperature 1, so every pull is drawn from softmax(theta) itself.
+    Returns the trace and each episode's mean arm reward; arm k is read
+    back from its attention weight sigmoid(k / n)."""
+    space = ActionSpace(n=len(BANDIT_ARMS) - 1)
+    policy = _saturated_policy(theta, ad.constant(np.zeros((1, 1))), np.zeros((1, 1)), 20.0)
+    noise = RolloutNoise(gumbel=np.zeros((n, steps, 1, space.num_labels)),
+                         uniform=rng.random(n * steps).reshape(n, steps, 1), normal=None)
+    trace = policy_rollout(ad.constant(np.zeros((n, steps, 1))), policy, space, noise,
+                           "stochastic", "discrete")
+    weights = 1.0 / (1.0 + np.exp(-np.arange(space.num_labels) / space.n))
+    arms = np.abs(trace.attention[..., None] - weights).argmin(axis=-1)
+    return trace, BANDIT_ARMS[arms].mean(axis=1)
 
 
 def bandit_gradient_estimate(theta_values, samples: int = 100_000, seed: int = 0,
-                             chunk: int = 500) -> np.ndarray:
+                             chunk: int = 500, steps: int = 1) -> np.ndarray:
     """Monte-Carlo mean of the REINFORCE gradient samples on the 3-armed
-    bandit, computed through the real loss machinery. Returns the estimate
-    of the ascent direction d(expected reward)/d(logits)."""
+    bandit, with episodes of ``steps`` pulls rewarded by their mean arm
+    reward, computed through the rollout kernel and the real loss
+    machinery. Returns the estimate of the ascent direction
+    d(expected reward)/d(logits)."""
     rng = np.random.default_rng(seed)
-    theta = ad.Tensor(np.asarray(theta_values, dtype=np.float64), requires_grad=True)
+    theta = ad.Tensor(np.asarray(theta_values, dtype=np.float64)[None], requires_grad=True)
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
         ad.clear_tape()
-        trace, rewards = _bandit_episodes(theta, rng, n)
+        trace, rewards = _bandit_episodes(theta, rng, n, steps)
         ad.backward(discrete_pg_loss(trace, rewards, batch_mean=False))
         done += n
-    grad = theta.grad.copy()
+    grad = theta.grad[0].copy()
     ad.clear_tape()
     return -grad / samples
 
@@ -468,27 +518,31 @@ def bandit_analytic_gradient(theta_values) -> np.ndarray:
 
 
 def _bandit_gradient_check():
+    """One-pull and three-pull episodes: the mean reward of an episode has
+    the same gradient as one pull's expected reward."""
     theta = np.array([0.5, 0.0, -0.5])
-    est = bandit_gradient_estimate(theta, samples=100_000, seed=12)
     exact = bandit_analytic_gradient(theta)
-    rel = np.abs(est - exact) / np.abs(exact)
-    worst = float(rel.max())
-    return worst < BANDIT_REL_TOL, (
-        f"est {np.round(est, 4)} vs exact {np.round(exact, 4)}; max rel {worst:.3f}")
+    worst, details = 0.0, []
+    for steps in (1, 3):
+        est = bandit_gradient_estimate(theta, samples=100_000, seed=12, steps=steps)
+        rel = float(np.max(np.abs(est - exact) / np.abs(exact)))
+        worst = max(worst, rel)
+        details.append(f"T={steps}: est {np.round(est, 4)}, max rel {rel:.3f}")
+    return worst < BANDIT_REL_TOL, f"exact {np.round(exact, 4)}; " + "; ".join(details)
 
 
 def bandit_optimize(steps: int = 2000, batch: int = 8, lr: float = 0.05,
                     seed: int = 0, target: float = 0.95):
     """REINFORCE + Adam on the bandit; returns (best-arm prob, step reached)."""
     rng = np.random.default_rng(seed)
-    theta = ad.Tensor(np.zeros(3), requires_grad=True)
+    theta = ad.Tensor(np.zeros((1, 3)), requires_grad=True)
     opt = ad.Adam([theta], lr=lr)
     for step in range(1, steps + 1):
         ad.clear_tape()
         trace, rewards = _bandit_episodes(theta, rng, batch)
         ad.backward(discrete_pg_loss(trace, rewards))
         opt.step()
-        p = np.exp(theta.values - theta.values.max())
+        p = np.exp(theta.values[0] - theta.values.max())
         p /= p.sum()
         if p[0] > target:
             ad.clear_tape()

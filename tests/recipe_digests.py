@@ -1,0 +1,73 @@
+"""Print bit-identity digests of whole training runs.
+
+    PYTHONPATH=src python tests/recipe_digests.py
+
+For each recipe it trains once and prints two sha256 digests: one of the
+metric log (``canonical_records`` as newline-joined ``record_line``s, so
+wall time is stripped) and one of the final parameters (their raw bytes,
+in name order). A change that claims to keep training bit-identical must
+print the same lines as its parent. The recipes are the two benchmark
+recipes (``perfbench/workloads.py``: dataset seed 7, training seed 0) and
+the criterion-9 config of ``test_acceptance.py`` with its heads-2,
+``pg_mode`` and PG-losses-only variants.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+from pgmatch.config import ModelConfig
+from pgmatch.data import generate_dataset
+from pgmatch.training import canonical_records, record_line, train
+
+# The criterion-6 recipe the benchmark workloads train, with each
+# workload's batch size, epochs and dataset shape.
+_BENCH_CONFIG = dict(batch_size=16, beta=0.5, decoder_dim=32, decoder_init_scale=0.2,
+                     embed_dim=64, feature_dim=64, gcn_layers=1, heads=1, hidden=64,
+                     init_scale=0.05, lam=20.0, lr=0.001, lr_after_drop=0.0001,
+                     lr_drop_epoch=35, margin=0.2, n_actions=100, pg_mode="compound",
+                     reward_mode="r1+ap", seed=0, temperature=1.0, word_dim=32)
+_BENCH_DATA = dict(classes=32, dim=64, noise_scale=0.1, seed=7)
+_CRITERION_9_DATA = dict(classes=8, regions=4, tokens=4, dim=16, noise_scale=0.15, seed=5)
+_CRITERION_9_CONFIG = dict(feature_dim=16, word_dim=8, hidden=16, embed_dim=16,
+                           decoder_dim=8, batch_size=4, epochs=3, seed=2)
+
+
+def recipes():
+    """(name, dataset arguments, config) for every recipe, in print order."""
+    yield ("reference", dict(_BENCH_DATA, regions=8, tokens=6, train_per_class=1),
+           ModelConfig(**_BENCH_CONFIG).replaced(epochs=20))
+    yield ("stress", dict(_BENCH_DATA, regions=16, tokens=12, train_per_class=2),
+           ModelConfig(**_BENCH_CONFIG).replaced(batch_size=32, epochs=12))
+    base = ModelConfig(**_CRITERION_9_CONFIG)
+    yield "criterion9", _CRITERION_9_DATA, base
+    yield "criterion9.heads2", _CRITERION_9_DATA, base.replaced(heads=2)
+    for pg_mode in ("discrete", "continuous", "off"):
+        yield f"criterion9.{pg_mode}", _CRITERION_9_DATA, base.replaced(pg_mode=pg_mode)
+    # only the PG losses: no gradient reaches the fusion
+    yield "criterion9.pg_only", _CRITERION_9_DATA, base.replaced(
+        loss_triplet=False, loss_instance=False, loss_decode=False)
+
+
+def digests(dataset_args: dict, config: ModelConfig) -> tuple[str, str]:
+    result = train(config, generate_dataset(**dataset_args))
+    records = "\n".join(record_line(r) for r in canonical_records(result.records))
+    params = hashlib.sha256()
+    for name in sorted(result.final_params):
+        params.update(result.final_params[name].tobytes())
+    return hashlib.sha256(records.encode()).hexdigest(), params.hexdigest()
+
+
+def main(argv=None) -> int:
+    wanted = set(argv if argv is not None else sys.argv[1:])
+    for name, dataset_args, config in recipes():
+        if wanted and name not in wanted:
+            continue
+        records, params = digests(dataset_args, config)
+        print(f"{name:22s} records {records} params {params}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

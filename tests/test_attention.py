@@ -13,7 +13,8 @@ from pgmatch.attention import (
     policy_rollout,
 )
 from pgmatch.distributions import ActionSpace, gumbel_from_uniform
-from pgmatch.encoders import GruParams, gru_step
+from pgmatch.encoders import GruParams
+from unfused import gru_step
 
 
 @pytest.fixture(autouse=True)
@@ -42,13 +43,13 @@ def random_policy(dim, hidden, space, rng, heads=1):
 
 
 def random_features(rng, count, dim, batch=1):
-    """One (batch, dim) tensor per timestep."""
-    return [ad.Tensor(rng.standard_normal((batch, dim))) for _ in range(count)]
+    """A (batch, count, dim) sequence, drawn one timestep at a time."""
+    return ad.Tensor(np.stack([rng.standard_normal((batch, dim)) for _ in range(count)], axis=1))
 
 
 def noise_for(rng, feats, params, space, action_mode="compound"):
-    batch = feats[0].shape[0]
-    return draw_noise(rng, batch, [len(feats)], params.head_count, space.num_labels,
+    batch, length = feats.shape[:2]
+    return draw_noise(rng, batch, [length], params.head_count, space.num_labels,
                       action_mode)[0]
 
 
@@ -60,8 +61,7 @@ def rollout(feats, params, space, rng, action_mode="compound"):
 def trace_values(trace):
     vals = (trace.discrete_logprob_sum.values.tolist()
             + trace.continuous_logprob_sum.values.tolist())
-    for att in trace.atts:
-        vals.extend(att.values.ravel().tolist())
+    vals.extend(trace.attention.T.ravel().tolist())
     return vals
 
 
@@ -78,9 +78,8 @@ class TestPolicyRollout:
         trace = policy_rollout(feats, params, space, mode="deterministic")
         # uniform logits tie-break to index 0 -> mu = logistic(0) = 0.5, and
         # the deterministic attention is logistic(mu)
-        for att in trace.atts:
-            np.testing.assert_allclose(att.values, 1 / (1 + math.exp(-0.5)), rtol=1e-12)
-            assert np.all(np.abs(att.values - 0.6225) < 5e-5)
+        np.testing.assert_allclose(trace.attention, 1 / (1 + math.exp(-0.5)), rtol=1e-12)
+        assert np.all(np.abs(trace.attention - 0.6225) < 5e-5)
 
     def test_stochastic_fixed_seed_bit_identical(self):
         space = ActionSpace(n=10)
@@ -102,13 +101,11 @@ class TestPolicyRollout:
             batch = int(master.integers(1, 4))
             feats = random_features(master, int(master.integers(1, 4)), 3, batch)
             trace = rollout(feats, params, space, master)
-            assert trace.length == len(feats)
-            assert len(trace.atts) == len(feats)
+            assert trace.length == feats.shape[1]
+            assert trace.attention.shape == (batch, feats.shape[1])
             assert trace.discrete_logprob_sum.shape == (batch,)
             assert np.all(trace.discrete_logprob_sum.values <= 0.0)
-            for att in trace.atts:
-                assert att.shape == (batch, 1)
-                assert np.all((0.0 < att.values) & (att.values < 1.0))
+            assert np.all((0.0 < trace.attention) & (trace.attention < 1.0))
 
     def test_episode_discrete_logprob_additivity(self):
         space = ActionSpace(n=6)
@@ -121,7 +118,7 @@ class TestPolicyRollout:
         for t in range(5):
             # the first t+1 steps of an episode are an episode of their own,
             # and each step adds one log-probability
-            prefix = policy_rollout(feats[:t + 1], params, space, noise)
+            prefix = policy_rollout(ad.Tensor(feats.values[:, :t + 1]), params, space, noise)
             step = prefix.discrete_logprob_sum.values - prev
             assert np.all(step < 0.0)
             prev = prefix.discrete_logprob_sum.values
@@ -138,16 +135,14 @@ class TestPolicyRollout:
             ad.clear_tape()
             row = RolloutNoise(gumbel=noise.gumbel[b:b + 1], uniform=noise.uniform[b:b + 1],
                                normal=noise.normal[b:b + 1])
-            single = policy_rollout([ad.Tensor(f.values[b:b + 1]) for f in feats],
-                                    params, space, row)
+            single = policy_rollout(ad.Tensor(feats.values[b:b + 1]), params, space, row)
             np.testing.assert_allclose(single.discrete_logprob_sum.values,
                                        batched.discrete_logprob_sum.values[b:b + 1],
                                        rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(single.continuous_logprob_sum.values,
                                        batched.continuous_logprob_sum.values[b:b + 1],
                                        rtol=1e-12, atol=1e-14)
-            for a, c in zip(single.atts, batched.atts):
-                np.testing.assert_allclose(a.values[0], c.values[b], rtol=1e-12)
+            np.testing.assert_allclose(single.attention[0], batched.attention[b], rtol=1e-12)
 
     def test_deterministic_mode_is_pure(self):
         space = ActionSpace(n=6)
@@ -163,7 +158,8 @@ class TestPolicyRollout:
         space = ActionSpace(n=5)
         params = zero_policy(3, 3, space)
         with pytest.raises(ValueError, match="empty"):
-            policy_rollout([], params, space, None, mode="deterministic")
+            policy_rollout(ad.Tensor(np.zeros((1, 0, 3))), params, space, None,
+                           mode="deterministic")
 
     def test_stochastic_needs_rng(self):
         space = ActionSpace(n=5)
@@ -208,9 +204,9 @@ class TestFuse:
         out = fuse(feats, trace, lam, gru)
 
         h = ad.constant(np.zeros((2, 3)))
-        for f in feats:
-            h = gru_step(f, h, gru)
-        expect = h.values + np.mean([f.values for f in feats], axis=0)
+        for t in range(4):
+            h = gru_step(ad.Tensor(feats.values[:, t]), h, gru)
+        expect = h.values + np.mean(feats.values, axis=1)
         np.testing.assert_allclose(out.values, expect, atol=1e-12)
 
     def test_single_feature(self):
@@ -219,27 +215,19 @@ class TestFuse:
         trace = neutral_trace(1, 5.0)
         gru = GruParams.init(3, 3, rng)
         out = fuse(feats, trace, 5.0, gru)
-        h = gru_step(feats[0], ad.constant(np.zeros((1, 3))), gru)
-        np.testing.assert_allclose(out.values, h.values + feats[0].values, atol=1e-12)
-
-    def test_linear_in_features_with_passthrough_gru(self):
-        rng = np.random.default_rng(8)
-        trace = neutral_trace(3, 2.0)
-        feats = random_features(rng, 3, 4, batch=2)
-        base = fuse(feats, trace, 2.0, None).values
-        doubled = fuse([ad.Tensor(2.0 * f.values) for f in feats], trace, 2.0, None).values
-        np.testing.assert_allclose(doubled, 2.0 * base, atol=1e-12)
+        h = gru_step(ad.Tensor(feats.values[:, 0]), ad.constant(np.zeros((1, 3))), gru)
+        np.testing.assert_allclose(out.values, h.values + feats.values[:, 0], atol=1e-12)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(9)
         feats = random_features(rng, 3, 4)
         with pytest.raises(ValueError, match="3 features vs trace length 2"):
-            fuse(feats, neutral_trace(2, 1.0), 1.0, None)
+            fuse(feats, neutral_trace(2, 1.0), 1.0, GruParams.init(4, 4, rng))
 
     def test_invalid_lambda(self):
         feats = random_features(np.random.default_rng(0), 2, 3)
         with pytest.raises(ValueError, match="lambda"):
-            fuse(feats, neutral_trace(2, 1.0), 0.0, None)
+            fuse(feats, neutral_trace(2, 1.0), 0.0, GruParams.init(3, 3, np.random.default_rng(1)))
 
     def test_scaled_attention_bounded_by_lambda(self):
         space = ActionSpace(n=10)
@@ -248,8 +236,7 @@ class TestFuse:
         feats = random_features(rng, 6, 3, batch=2)
         lam = 20.0
         trace = rollout(feats, params, space, rng)
-        for att in trace.atts:
-            assert np.all((0.0 < lam * att.values) & (lam * att.values < lam))
+        assert np.all((0.0 < lam * trace.attention) & (lam * trace.attention < lam))
 
     def test_gradients_reach_policy_heads_through_reparam(self):
         space = ActionSpace(n=6)
@@ -281,7 +268,7 @@ class TestMultiHead:
 
         noise = noise_for(np.random.default_rng(99), feats, single, space)
         t1 = policy_rollout(feats, single, space, noise)
-        atts1 = [a.values.tolist() for a in t1.atts]
+        atts1 = t1.attention.tolist()
         d1 = t1.discrete_logprob_sum.values.copy()
         ad.clear_tape()
         # the second head sees the first head's noise
@@ -289,7 +276,7 @@ class TestMultiHead:
                               uniform=np.repeat(noise.uniform, 2, axis=2),
                               normal=np.repeat(noise.normal, 2, axis=2))
         t2 = policy_rollout(feats, double, space, shared)
-        assert [a.values.tolist() for a in t2.atts] == atts1
+        assert t2.attention.tolist() == atts1
         np.testing.assert_allclose(t2.discrete_logprob_sum.values, 2.0 * d1, rtol=1e-12)
 
     def test_deterministic_identical_heads_equal_single(self):
@@ -299,8 +286,8 @@ class TestMultiHead:
         double = PolicyParams(gru=single.gru, w_mu=[single.w_mu[0]] * 2,
                               w_std=[single.w_std[0]] * 2, fusion_gru=single.fusion_gru)
         feats = random_features(rng, 4, 3, batch=2)
-        a = [x.values for x in policy_rollout(feats, single, space, mode="deterministic").atts]
-        b = [x.values for x in policy_rollout(feats, double, space, mode="deterministic").atts]
+        a = policy_rollout(feats, single, space, mode="deterministic").attention
+        b = policy_rollout(feats, double, space, mode="deterministic").attention
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_mean_attention_in_unit_interval(self):
@@ -309,8 +296,7 @@ class TestMultiHead:
         params = random_policy(3, 4, space, rng, heads=2)
         feats = random_features(rng, 5, 3, batch=2)
         trace = rollout(feats, params, space, rng)
-        for att in trace.atts:
-            assert np.all((0.0 < att.values) & (att.values < 1.0))
+        assert np.all((0.0 < trace.attention) & (trace.attention < 1.0))
 
     def test_fixed_seed_deterministic(self):
         space = ActionSpace(n=6)
@@ -330,8 +316,7 @@ class TestActionModes:
         params = random_policy(3, 4, space, rng)
         feats = random_features(rng, 3, 3, batch=2)
         trace = rollout(feats, params, space, rng, action_mode="discrete")
-        for att in trace.atts:
-            assert np.all(np.isin(att.values, squashed_labels(space.n)))
+        assert np.all(np.isin(trace.attention, squashed_labels(space.n)))
         assert np.all(trace.continuous_logprob_sum.values == 0.0)
 
     def test_continuous_mode_has_no_discrete_logprob(self):
@@ -359,7 +344,7 @@ class TestActionModes:
 class TestNeutralTrace:
     def test_scale_is_inverse_lambda(self):
         trace = neutral_trace(4, 20.0)
-        assert all(att.item() == 1 / 20.0 for att in trace.atts)
+        assert np.all(trace.attention == 1 / 20.0) and trace.attention.shape == (1, 4)
         assert trace.discrete_logprob_sum.item() == 0.0
         assert trace.continuous_logprob_sum.item() == 0.0
         assert trace.length == 4

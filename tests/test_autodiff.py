@@ -185,10 +185,9 @@ class TestBatchOps:
         ad.backward(ad.tsum(ad.mul(ad.tsum(x, axis=1), ad.constant([1.0, 2.0]))))
         np.testing.assert_array_equal(x.grad, [[1.0] * 3, [2.0] * 3])
 
-    def test_timestep_shift_and_concat(self):
+    def test_shift_and_concat(self):
         seq = np.arange(12.0).reshape(1, 4, 3)
         x = ad.Tensor(seq)
-        np.testing.assert_array_equal(ad.timestep(x, 2).values, seq[:, 2])
         shifted = ad.shift(x, 1).values
         np.testing.assert_array_equal(shifted[:, 0], 0.0)
         np.testing.assert_array_equal(shifted[:, 1:], seq[:, :3])
@@ -196,8 +195,6 @@ class TestBatchOps:
         assert window.shape == (1, 4, 6)
         with pytest.raises(ad.ShapeError, match="concat"):
             ad.concat([x, ad.Tensor(np.zeros((1, 3, 3)))], axis=-1)
-        with pytest.raises(IndexError):
-            ad.timestep(x, 4)
 
     def test_row_wise_l2_normalize(self):
         rng = np.random.default_rng(9)

@@ -246,6 +246,17 @@ class TestMalformedUserFiles:
         err = capsys.readouterr().err
         assert "grid.json" in err and "name" in err
 
+    def test_grid_override_with_unknown_key(self, dataset_dir, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"name": "base"},
+                                    {"name": "weak", "overrides": {"lamda": 10}}]))
+        out = tmp_path / "a"
+        assert main(["ablate", "--data", str(dataset_dir), "--out", str(out),
+                     "--grid", str(grid), "--seeds", "2"] + FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert "grid.json" in err and "'weak'" in err and "'lamda'" in err
+        assert not out.exists()  # refused before any run started
+
 
 class TestMalformedCheckpoint:
     """A broken checkpoint is a user error (exit 1) naming the file and

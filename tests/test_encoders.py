@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
+from pgmatch.attention import fuse, neutral_trace
 from pgmatch.encoders import (
     GruParams,
+    GruSequence,
     embed_words,
     gcn_reason,
-    gru_step,
     load_embedding_table,
     region_affinity,
     region_batch,
@@ -158,53 +159,64 @@ class TestEmbedWords:
             embed_words(np.array([5]), table)
 
 
+def gru_states(params, x):
+    """The states of a GRU run over the (T, B, p) input x from a zero state."""
+    run = GruSequence(params, x.shape[1], x.shape[0], keep=False)
+    return run.forward(x, 0)
+
+
 class TestGruStep:
+    """The GRU update h' = (1 - z) h + z c, as ``GruSequence`` rolls it."""
+
     def test_zero_params_halve_hidden(self):
+        # zero weights open every gate halfway: each step halves the gap
+        # between the state and the candidate tanh(b_c)
         params = zero_gru(3, 4)
-        h = np.array([0.4, -0.2, 0.8, 0.0])
-        out = gru_step(ad.Tensor(np.ones(3)), ad.Tensor(h), params)
-        np.testing.assert_allclose(out.values, 0.5 * h, atol=1e-15)
+        params.b_c = ad.Tensor(np.array([0.4, -0.2, 0.8, 0.0]))
+        states = gru_states(params, np.ones((3, 1, 3)))
+        for t, h in enumerate(states, start=1):
+            np.testing.assert_allclose(h[0], (1 - 0.5 ** t) * np.tanh(params.b_c.values),
+                                       atol=1e-15)
 
     def test_copy_gate_limit(self):
-        params = zero_gru(3, 4)
-        params.b_z = ad.Tensor(np.full(4, -40.0))  # z -> 0 keeps the old state
-        h = np.array([0.4, -0.2, 0.8, 0.1])
-        out = gru_step(ad.Tensor(np.ones(3)), ad.Tensor(h), params)
-        np.testing.assert_allclose(out.values, h, atol=1e-12)
+        rng = np.random.default_rng(7)
+        params = GruParams.init(3, 4, rng, scale=0.8)
+        params.b_z = ad.Tensor(np.full(4, -40.0))  # z -> 0 keeps the old (zero) state
+        states = gru_states(params, rng.standard_normal((4, 2, 3)))
+        np.testing.assert_allclose(states, 0.0, atol=1e-12)
 
     def test_bounded_output(self):
         # candidate is tanh-bounded, so the state stays inside (-1, 1)
         rng = np.random.default_rng(8)
         params = GruParams.init(5, 6, rng, scale=0.8)
-        h = ad.Tensor(rng.uniform(-1, 1, 6))
-        for _ in range(10):
-            h = gru_step(ad.Tensor(rng.standard_normal(5)), h, params)
-            assert np.all(np.abs(h.values) < 1.0)
+        states = gru_states(params, 3.0 * rng.standard_normal((10, 2, 5)))
+        assert np.all(np.abs(states) < 1.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         params = GruParams.init(3, 3, rng)
-        x = ad.Tensor(rng.standard_normal(3))
-        h = ad.Tensor(0.5 * rng.standard_normal(3))
-        err = ad.grad_check(lambda a, b: ad.tsum(ad.square(gru_step(a, b, params))), [x, h])
-        assert err < 1e-4
+        x = ad.Tensor(rng.standard_normal((2, 3, 3)))
+
+        def loss(f, *weights):
+            return ad.tsum(ad.square(fuse(f, neutral_trace(3, 1.0), 1.0, params)))
+
+        assert ad.grad_check(loss, [x] + params.tensors()) < 1e-4
 
     def test_rows_update_independently(self):
         rng = np.random.default_rng(10)
         params = GruParams.init(3, 4, rng, scale=0.5)
-        x = rng.standard_normal((5, 3))
-        h = rng.standard_normal((5, 4))
-        batched = gru_step(ad.Tensor(x), ad.Tensor(h), params).values
+        x = rng.standard_normal((6, 5, 3))
+        batched = gru_states(params, x)
         for b in range(5):
-            single = gru_step(ad.Tensor(x[b]), ad.Tensor(h[b]), params).values
-            np.testing.assert_allclose(batched[b], single, rtol=1e-13, atol=1e-13)
+            single = gru_states(params, x[:, b:b + 1])
+            np.testing.assert_allclose(batched[:, b:b + 1], single, rtol=1e-13, atol=1e-13)
 
     def test_shape_validation(self):
         params = zero_gru(3, 4)
-        with pytest.raises(ad.ShapeError):
-            gru_step(ad.Tensor(np.zeros(5)), ad.Tensor(np.zeros(4)), params)
-        with pytest.raises(ad.ShapeError):
-            gru_step(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 4))), params)
+        with pytest.raises(ad.ShapeError, match="width 5"):
+            fuse(ad.Tensor(np.zeros((2, 3, 5))), neutral_trace(3, 1.0), 1.0, params)
+        with pytest.raises(ad.ShapeError, match=r"\(B, T, d\)"):
+            fuse(ad.Tensor(np.zeros((3, 3))), neutral_trace(3, 1.0), 1.0, params)
 
 
 class TestEmbeddingTableLoader:

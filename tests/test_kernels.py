@@ -1,17 +1,25 @@
-"""The fused kernels compute exactly what their primitive compositions
+"""The sequence kernels compute exactly what their primitive compositions
 (``unfused.py``) compute: the same output bits and the same bits in every
-input gradient, including a state that other ops read as well."""
+input gradient, including the features both kernels read."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+import pgmatch.attention as attention
 import pgmatch.autodiff as ad
 import unfused
-from pgmatch.attention import PolicyParams, RolloutNoise, _sample_head, draw_noise, policy_rollout
+from pgmatch.attention import (
+    PolicyParams,
+    RolloutNoise,
+    draw_noise,
+    fuse,
+    neutral_trace,
+    policy_rollout,
+)
 from pgmatch.distributions import ActionSpace
-from pgmatch.encoders import GruParams, gru_step
+from pgmatch.encoders import GruParams, time_blocks
 
 
 @pytest.fixture(autouse=True)
@@ -37,96 +45,179 @@ def assert_same_bits(fused, reference):
         assert np.array_equal(a, b), f"entry {i}: max |diff| {np.max(np.abs(a - b)):.3g}"
 
 
-class TestGruKernel:
-    @pytest.mark.parametrize("lead", [(), (4,)], ids=["vector", "batch"])
-    def test_two_steps_match_primitive_graph(self, lead):
-        rng = np.random.default_rng(3)
-        params = GruParams.init(5, 4, rng, scale=0.5)
-        xs = [ad.Tensor(rng.standard_normal(lead + (5,)), requires_grad=True) for _ in range(2)]
-        h0 = ad.Tensor(0.5 * rng.standard_normal(lead + (4,)), requires_grad=True)
-        w_out = ad.constant(rng.standard_normal(lead + (4,)))
-        w_mid = ad.constant(rng.standard_normal(lead + (4,)))
-        leaves = xs + [h0] + params.tensors()
-
-        def run(step):
-            h1 = step(xs[0], h0, params)
-            h2 = step(xs[1], h1, params)
-            # h1 feeds the second step and the loss directly, so its
-            # adjoint sums parts from outside the kernel too
-            loss = ad.add(ad.tsum(ad.mul(h2, w_out)), ad.tsum(ad.mul(ad.tanh(h1), w_mid)))
-            return [h1.values.copy(), h2.values.copy()] + gradients(loss, leaves)
-
-        assert_same_bits(run(gru_step), run(unfused.gru_step))
-
-    def test_one_record_per_step(self):
-        rng = np.random.default_rng(4)
-        params = GruParams.init(3, 3, rng)
-        gru_step(ad.Tensor(rng.standard_normal((2, 3))), ad.constant(np.zeros((2, 3))), params)
-        assert [r[3] for r in ad.active_tape().records] == ["gru_step"]
-
-
 MODES = ("stochastic", "deterministic")
 ACTION_MODES = ("compound", "discrete", "continuous")
+# one block; three blocks of 2, 2 and 1 steps (128 // 48 = 2); a single row
+SHAPES = [(3, 3), (48, 5), (1, 4)]
 
 
-def head_inputs(rng, batch=3, hidden=4, labels=6):
-    h = ad.Tensor(rng.standard_normal((batch, hidden)), requires_grad=True)
-    w_mu = ad.Tensor(0.7 * rng.standard_normal((hidden, labels)), requires_grad=True)
-    w_std = ad.Tensor(0.7 * rng.standard_normal((hidden, 1)), requires_grad=True)
-    return h, w_mu, w_std
+def setup(batch, length, heads, action_mode, seed=8):
+    rng = np.random.default_rng(seed)
+    space = ActionSpace(n=5, temperature=0.8)
+    params = PolicyParams.init(4, 5, space, rng, heads=heads, scale=0.6)
+    features = ad.Tensor(rng.standard_normal((batch, length, 4)), requires_grad=True)
+    noise = draw_noise(np.random.default_rng(seed + 1), batch, [length], heads,
+                       space.num_labels, action_mode)[0]
+    return rng, space, params, features, noise
 
 
-class TestHeadKernel:
-    @pytest.mark.parametrize("action_mode,inputs", [("compound", 4), ("discrete", 2),
-                                                     ("continuous", 4)])
-    def test_one_record_with_one_input_per_use(self, action_mode, inputs):
-        rng = np.random.default_rng(7)
-        h, w_mu, w_std = head_inputs(rng)
-        _sample_head(h, w_mu, w_std, ActionSpace(n=5), None, 0, 0, "deterministic",
-                     action_mode, False)
-        (record,) = ad.active_tape().records
-        assert record[3] == "sample_head" and len(record[1]) == inputs
-
-    def test_zero_probability_draw_rejected(self, monkeypatch):
-        import pgmatch.attention as attention
-        monkeypatch.setattr(attention, "categorical_sample", lambda p, uniforms: np.array([1]))
-        noise = RolloutNoise(gumbel=np.zeros((1, 1, 1, 3)), uniform=np.full((1, 1, 1), 0.5),
-                             normal=None)
-        with pytest.raises(ad.DomainError, match="zero probability"):
-            _sample_head(ad.Tensor(np.ones((1, 1))), ad.Tensor(np.array([[0.0, -1e4, 0.0]])),
-                         ad.Tensor(np.zeros((1, 1))), ActionSpace(n=2), noise, 0, 0,
-                         "stochastic", "discrete", False)
+def logprob_loss(loss, dsum, csum, adv):
+    for lp in (dsum, csum):
+        if ad.active_tape().is_tracked(lp):
+            loss = ad.add(loss, ad.tsum(ad.mul(lp, adv)))
+    return loss
 
 
 class TestRolloutKernels:
     @pytest.mark.parametrize("mode,action_mode,st_soft_forward,heads",
                              list(itertools.product(MODES, ACTION_MODES, (False, True), (1, 2))))
     def test_rollout_matches_primitive_graph(self, mode, action_mode, st_soft_forward, heads):
-        rng = np.random.default_rng(8)
-        space = ActionSpace(n=5, temperature=0.8)
-        params = PolicyParams.init(4, 5, space, rng, heads=heads, scale=0.6)
-        feats = [ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3)]
-        noise = draw_noise(np.random.default_rng(9), 3, [3], heads, space.num_labels,
-                           action_mode)[0]
-        w_att = ad.constant(rng.standard_normal((3, 1)))
+        rng, space, params, features, noise = setup(3, 3, heads, action_mode)
+        w_att = rng.standard_normal((3, 3))
         adv = ad.constant(rng.standard_normal(3))
-        leaves = feats + params.tensors()
+        leaves = [features] + params.tensors()
 
-        def run(rollout):
-            trace = rollout(feats, params, space, noise, mode, action_mode,
-                            st_soft_forward=st_soft_forward)
-            loss = ad.tsum(ad.mul(trace.atts[0], w_att))
-            for att in trace.atts[1:]:
-                loss = ad.add(loss, ad.tsum(ad.mul(att, w_att)))
-            for lp in (trace.discrete_logprob_sum, trace.continuous_logprob_sum):
-                if ad.active_tape().is_tracked(lp):
-                    loss = ad.add(loss, ad.tsum(ad.mul(lp, adv)))
-            values = [a.values.copy() for a in trace.atts]
-            values += [trace.discrete_logprob_sum.values.copy(),
-                       trace.continuous_logprob_sum.values.copy()]
-            return values + gradients(loss, leaves)
+        trace = policy_rollout(features, params, space, noise, mode, action_mode,
+                               st_soft_forward=st_soft_forward)
+        weighted = ad.mul(trace.weights, ad.constant(np.pad(w_att, ((0, 0), (0, 2)))))
+        fused = [trace.attention.copy(), trace.discrete_logprob_sum.values.copy(),
+                 trace.continuous_logprob_sum.values.copy()]
+        fused += gradients(logprob_loss(ad.tsum(weighted), trace.discrete_logprob_sum,
+                                        trace.continuous_logprob_sum, adv), leaves)
 
-        assert_same_bits(run(policy_rollout), run(unfused.policy_rollout))
+        atts, dsum, csum = unfused.policy_rollout(unfused.steps(features), params, space, noise,
+                                                  mode, action_mode, st_soft_forward)
+        loss = ad.tsum(ad.mul(atts[0], ad.constant(w_att[:, :1])))
+        for t, att in enumerate(atts[1:], start=1):
+            loss = ad.add(loss, ad.tsum(ad.mul(att, ad.constant(w_att[:, t:t + 1]))))
+        reference = [np.concatenate([a.values for a in atts], axis=1), dsum.values.copy(),
+                     csum.values.copy()]
+        reference += gradients(logprob_loss(loss, dsum, csum, adv), leaves)
+        assert_same_bits(fused, reference)
+
+    def test_unsampled_stage_sums_are_constant_zeros(self):
+        _, space, params, features, noise = setup(3, 3, 1, "continuous")
+        trace = policy_rollout(features, params, space, noise, action_mode="continuous")
+        assert not ad.active_tape().is_tracked(trace.discrete_logprob_sum)
+        assert np.array_equal(trace.discrete_logprob_sum.values, np.zeros(3))
+
+    def test_one_record_with_the_features_once_per_gate(self):
+        _, space, params, features, noise = setup(2, 3, 2, "compound")
+        trace = policy_rollout(features, params, space, noise)
+        records = ad.active_tape().records
+        assert [r[3] for r in records] == ["policy_rollout", "pick", "reshape", "pick", "reshape"]
+        assert records[0][1][:4] == (features,) * 3 + (params.gru.w_xz,)
+        assert trace.weights.shape == (2, 3 + 2)
+
+    def test_zero_probability_draw_rejected(self, monkeypatch):
+        monkeypatch.setattr(attention, "categorical_sample", lambda p, uniforms: np.array([1]))
+
+        def const(value, *shape):
+            return ad.constant(np.full(shape, value))
+
+        # a saturated update gate and b_c = 20 hold the state at exactly 1.0,
+        # so the logits are w_mu and label 1 has probability 0
+        gru = GruParams(w_xz=const(0, 1, 1), w_hz=const(0, 1, 1), b_z=const(40.0, 1),
+                        w_xr=const(0, 1, 1), w_hr=const(0, 1, 1), b_r=const(0, 1),
+                        w_xc=const(0, 1, 1), w_hc=const(0, 1, 1), b_c=const(20.0, 1))
+        params = PolicyParams(gru=gru, w_mu=[ad.Tensor(np.array([[0.0, -1e4, 0.0]]))],
+                              w_std=[ad.Tensor(np.zeros((1, 1)))], fusion_gru=gru)
+        noise = RolloutNoise(gumbel=np.zeros((1, 1, 1, 3)), uniform=np.full((1, 1, 1), 0.5),
+                             normal=None)
+        with pytest.raises(ad.DomainError, match="zero probability"):
+            policy_rollout(ad.constant(np.zeros((1, 1, 1))), params, ActionSpace(n=2), noise,
+                           action_mode="discrete")
+
+
+class TestFuseKernel:
+    @pytest.mark.parametrize("batch,length", SHAPES)
+    @pytest.mark.parametrize("mode,action_mode", [("stochastic", a) for a in ACTION_MODES]
+                             + [("deterministic", "compound")])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_rollout_and_fuse_match_primitive_graph(self, batch, length, mode, action_mode,
+                                                    heads):
+        rng, space, params, features, noise = setup(batch, length, heads, action_mode)
+        w_out = ad.constant(rng.standard_normal((batch, 4)))
+        adv = ad.constant(rng.standard_normal(batch))
+        leaves = [features] + params.tensors()
+
+        trace = policy_rollout(features, params, space, noise, mode, action_mode)
+        out = fuse(features, trace, 3.0, params.fusion_gru)
+        fused = [out.values.copy(), trace.attention.copy(),
+                 trace.discrete_logprob_sum.values.copy(),
+                 trace.continuous_logprob_sum.values.copy()]
+        fused += gradients(logprob_loss(ad.tsum(ad.mul(out, w_out)), trace.discrete_logprob_sum,
+                                        trace.continuous_logprob_sum, adv), leaves)
+
+        steps = unfused.steps(features)
+        atts, dsum, csum = unfused.policy_rollout(steps, params, space, noise, mode, action_mode)
+        out = unfused.fuse(steps, atts, 3.0, params.fusion_gru)
+        reference = [out.values.copy(), np.concatenate([a.values for a in atts], axis=1),
+                     dsum.values.copy(), csum.values.copy()]
+        reference += gradients(logprob_loss(ad.tsum(ad.mul(out, w_out)), dsum, csum, adv),
+                               leaves)
+        assert_same_bits(fused, reference)
+
+    @pytest.mark.parametrize("batch,length", SHAPES)
+    def test_neutral_trace_matches_primitive_graph(self, batch, length):
+        rng = np.random.default_rng(12)
+        gru = GruParams.init(4, 4, rng, scale=0.6)
+        features = ad.Tensor(rng.standard_normal((batch, length, 4)), requires_grad=True)
+        w_out = ad.constant(rng.standard_normal((batch, 4)))
+        leaves = [features] + gru.tensors()
+
+        out = fuse(features, neutral_trace(length, 20.0), 20.0, gru)
+        fused = [out.values.copy()] + gradients(ad.tsum(ad.mul(out, w_out)), leaves)
+        att = ad.constant(np.full((1, 1), 1.0 / 20.0))
+        out = unfused.fuse(unfused.steps(features), [att] * length, 20.0, gru)
+        reference = [out.values.copy()] + gradients(ad.tsum(ad.mul(out, w_out)), leaves)
+        assert_same_bits(fused, reference)
+
+    def test_one_record(self):
+        _, space, params, features, noise = setup(2, 3, 1, "compound")
+        trace = policy_rollout(features, params, space, noise)
+        before = len(ad.active_tape().records)
+        fuse(features, trace, 2.0, params.fusion_gru)
+        records = ad.active_tape().records[before:]
+        assert [r[3] for r in records] == ["fuse"]
+        assert records[0][1][:2] == (features, trace.weights)
+
+
+class TestRecordingOff:
+    def test_same_values_and_no_backward_state(self, monkeypatch):
+        keeps = []
+
+        class Spy(attention.GruSequence):
+            def __init__(self, *args):
+                super().__init__(*args)
+                keeps.append(self.keep)
+
+        monkeypatch.setattr(attention, "GruSequence", Spy)
+        _, space, params, features, noise = setup(48, 5, 2, "compound")
+
+        def run():
+            trace = policy_rollout(features, params, space, noise)
+            out = fuse(features, trace, 3.0, params.fusion_gru)
+            return [trace.weights.values.copy(), out.values.copy()]
+
+        recorded = run()
+        tape = ad.active_tape()
+        ad.clear_tape()
+        tape.recording = False
+        try:
+            unrecorded = run()
+        finally:
+            tape.recording = True
+        assert tape.records == []
+        assert keeps == [True, True, False, False]
+        assert_same_bits(unrecorded, recorded)
+
+
+def test_time_blocks_stack_at_most_128_rows():
+    assert time_blocks(5, 48) == [(0, 2), (2, 4), (4, 5)]
+    assert time_blocks(8, 16) == [(0, 8)]
+    assert time_blocks(3, 200) == [(0, 1), (1, 2), (2, 3)]
+    assert time_blocks(4, 1) == [(0, 4)]
 
 
 class TestSigmoid:
@@ -161,3 +252,18 @@ class TestFlatAdam:
             for p, e in zip(params, expect):
                 assert np.array_equal(p.values, e)
                 assert p.grad is None
+
+    def test_non_finite_gradient_changes_nothing(self):
+        params = [ad.Tensor(np.ones((2, 2)), requires_grad=True),
+                  ad.Tensor(np.ones(3), requires_grad=True)]
+        opt = ad.Adam(params, lr=0.01)
+        params[0].grad = np.ones((2, 2))
+        params[1].grad = np.array([1.0, np.inf, 0.0])
+        with pytest.raises(ad.NonFiniteGradient) as err:
+            opt.step()
+        assert err.value.tensor is params[1]
+        for p in params:
+            assert np.array_equal(p.values, np.ones(p.shape))
+        params[1].grad = np.zeros(3)
+        opt.step()  # the first update after the refused one is step 1
+        assert opt._t == 1 and np.all(params[0].values < 1.0)

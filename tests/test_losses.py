@@ -25,7 +25,8 @@ def fresh_tape():
 
 
 def make_trace(dsum, csum):
-    return AttentionTrace(atts=[], discrete_logprob_sum=dsum, continuous_logprob_sum=csum)
+    return AttentionTrace(weights=ad.constant(np.zeros((1, 0))), length=0,
+                          discrete_logprob_sum=dsum, continuous_logprob_sum=csum)
 
 
 def sums(*values):

@@ -47,8 +47,7 @@ class TestParameters:
         model = tiny_model(gcn_layers=3)
         assert "w_gcn.2" in model.named_parameters()
         rng = np.random.default_rng(0)
-        steps = model.encode_image(rng.standard_normal((4, 6)))
-        assert len(steps) == 4 and steps[0].shape == (1, 6)
+        assert model.encode_image(rng.standard_normal((4, 6))).shape == (1, 4, 6)
 
     def test_state_roundtrip(self):
         model = tiny_model(seed=1)
@@ -97,7 +96,8 @@ class TestForward:
         model = tiny_model(pg_mode="off")
         rng = np.random.default_rng(4)
         emb, trace = model.embed_image(rng.standard_normal((3, 6)), None)
-        assert all(att.item() == 1 / model.config.lam for att in trace.atts)
+        assert np.all(trace.attention == 1 / model.config.lam)
+        assert trace.attention.shape == (1, 3)
         assert trace.discrete_logprob_sum.item() == 0.0
 
     def test_pretrained_word_embedding_hook(self, tmp_path):

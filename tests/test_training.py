@@ -96,6 +96,36 @@ class TestTrain:
         assert err.value.epoch == 1
         assert err.value.step == 1  # one successful step before the bad batch
         assert not np.isfinite(err.value.components["total"])
+        assert err.value.parameter is None
+
+    def test_nonfinite_gradient_aborts_naming_the_parameter(self, monkeypatch):
+        import pgmatch.training as train_mod
+
+        real = train_mod.backward
+        seen = []
+
+        def poisoned(loss):
+            real(loss)
+            seen.append(loss)
+            if len(seen) == 2:
+                # the first trainable parameter in optimizer order with a NaN
+                for t in (model_params["txt.w_mu.0"], model_params["decoder.out_w"]):
+                    t.grad[0, 0] = np.nan
+
+        model_params = {}
+        real_init = train_mod.MatchingModel.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            model_params.update(self.named_parameters())
+
+        monkeypatch.setattr(train_mod, "backward", poisoned)
+        monkeypatch.setattr(train_mod.MatchingModel, "__init__", init)
+        with pytest.raises(TrainingDiverged, match="gradient of txt.w_mu.0") as err:
+            train(ModelConfig(**{**TINY, "epochs": 1}), tiny_dataset())
+        assert (err.value.epoch, err.value.step) == (1, 1)
+        assert err.value.parameter == "txt.w_mu.0"
+        assert np.isfinite(err.value.components["total"])
 
     def test_best_checkpoint_tracks_best_validation(self):
         ds = tiny_dataset()
@@ -135,24 +165,22 @@ class TestBatchMajor:
     @pytest.mark.parametrize("pg_mode", ["compound", "discrete", "continuous", "off"])
     @pytest.mark.parametrize("heads", [1, 2])
     def test_tape_records_per_step_formula(self, pg_mode, heads):
-        """Each timestep of either branch records the feature's timestep
-        slice and the fusion step (scaled feature, GRU kernel, running
-        sum): 4 records. With attention on, it adds the attention scaling,
-        the policy GRU kernel and, per head, the head kernel, one pick per
-        column it reads and one add per log-prob sum (2 + 2 per sampled
-        stage); two heads add their average (2). The encoders, projections
-        and losses are a fixed 101 records plus 4 per sampled stage."""
+        """The sequence kernels make the count independent of the regions,
+        the tokens and the heads: each branch's fusion is one record, and
+        with attention on its rollout is one more. The encoders,
+        projections and losses are a fixed 99 records, and each sampled
+        stage adds, per branch, the pick and reshape of its log-prob sum
+        and its PG surrogate (3)."""
         stages = {"off": 0, "discrete": 1, "continuous": 1, "compound": 2}[pg_mode]
-        per_step = 4 if stages == 0 else 6 + heads * (2 + 2 * stages) + 2 * (heads == 2)
-        for regions, tokens in ((3, 4), (5, 6)):
+        expect = 99 + 2 * (1 + (stages > 0)) + 2 * 3 * stages
+        for regions, tokens in ((3, 4), (5, 6), (9, 2)):
             ds = generate_dataset(classes=8, regions=regions, tokens=tokens, dim=6,
                                   noise_scale=0.15, seed=0)
             config = ModelConfig(**{**TINY, "pg_mode": pg_mode, "heads": heads})
             model = MatchingModel(config, ds.vocab_size, 8, np.random.default_rng(0))
             ad.clear_tape()
             _batch_losses(model, ds.split("train")[:4], list(range(4)), np.random.default_rng(1))
-            assert len(ad.active_tape().records) == (101 + 4 * stages
-                                                     + (regions + tokens) * per_step)
+            assert len(ad.active_tape().records) == expect
         ad.clear_tape()
 
     def test_evaluate_records_nothing(self):

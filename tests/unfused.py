@@ -1,6 +1,7 @@
-"""The GRU cell and the compound-action head written out in primitive tape
-ops: the reference the fused kernels (``encoders.gru_step``,
-``attention._sample_head``) are checked against, bit for bit, in
+"""The GRU cell, the compound-action head, the rollout and the fusion
+written out in primitive tape ops, one record per step or smaller: the
+reference the sequence kernels (``attention.policy_rollout``,
+``attention.fuse``) are checked against, bit for bit, in
 ``test_kernels.py``. These are the compositions the package ran before
 the kernels replaced them, with the sampling helpers they were built
 from; nothing in ``src/`` uses them.
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 import pgmatch.autodiff as ad
-from pgmatch.attention import SIGMA_FLOOR, AttentionTrace
+from pgmatch.attention import SIGMA_FLOOR
 from pgmatch.distributions import categorical_sample, gumbel_from_uniform
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -92,6 +93,18 @@ def normal_logprob(x, mu, sigma):
     return ad.sub(ad.sub(ad.constant(np.asarray(-0.5 * LOG_2PI)), ad.log(sigma)), quad)
 
 
+def timestep(a, t):
+    """Step ``t`` of a (B, T, ...) sequence, as a (B, ...) tensor."""
+    shape = a.shape
+
+    def bw(g):
+        acc = np.zeros(shape)
+        acc[:, t] = g
+        return (acc,)
+
+    return ad.record_op("timestep", (a,), a.values[:, t], bw)
+
+
 _ONE = ad.constant(np.asarray(1.0))
 _ZERO = ad.constant(np.asarray(0.0))
 
@@ -136,15 +149,21 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_f
     return ad.sigmoid(mu), dlp, normal_logprob(mu, mu, sigma)
 
 
-def policy_rollout(features, params, space, noise=None, mode="stochastic",
+def steps(features):
+    """A (B, T, d) sequence as T (B, d) step tensors."""
+    return [timestep(features, t) for t in range(features.shape[1])]
+
+
+def policy_rollout(steps, params, space, noise=None, mode="stochastic",
                    action_mode="compound", st_soft_forward=False):
-    """``attention.policy_rollout`` over the primitive GRU and head."""
-    features = list(features)
-    batch = features[0].shape[0]
+    """``attention.policy_rollout`` over the primitive GRU and head, on a
+    list of (B, d) step tensors: the per-step attention columns (B, 1) and
+    the (B,) log-prob sums."""
+    batch = steps[0].shape[0]
     h = ad.constant(np.zeros((batch, params.gru.hidden_size)))
     dsum = csum = ad.constant(np.zeros((batch, 1)))
     atts = []
-    for t, f in enumerate(features):
+    for t, f in enumerate(steps):
         h = gru_step(f, h, params.gru)
         head_atts = []
         for k, (w_mu, w_std) in enumerate(zip(params.w_mu, params.w_std)):
@@ -157,5 +176,17 @@ def policy_rollout(features, params, space, noise=None, mode="stochastic",
         if len(head_atts) == 2:
             combined = ad.scalar_mul(ad.add(head_atts[0], head_atts[1]), 0.5)
         atts.append(combined)
-    return AttentionTrace(atts=atts, discrete_logprob_sum=ad.reshape(dsum, (batch,)),
-                          continuous_logprob_sum=ad.reshape(csum, (batch,)))
+    return atts, ad.reshape(dsum, (batch,)), ad.reshape(csum, (batch,))
+
+
+def fuse(steps, atts, lam, gru):
+    """``attention.fuse`` on (B, d) step tensors and per-step attention
+    columns (or (1, 1) constants)."""
+    adjusted = [ad.mul(f, ad.scalar_mul(att, lam)) for f, att in zip(steps, atts)]
+    h = ad.constant(np.zeros(adjusted[0].shape[:-1] + (gru.hidden_size,)))
+    for a in adjusted:
+        h = gru_step(a, h, gru)
+    acc = adjusted[0]
+    for a in adjusted[1:]:
+        acc = ad.add(acc, a)
+    return ad.add(h, ad.scalar_mul(acc, 1.0 / len(adjusted)))
