@@ -363,11 +363,19 @@ def shift(a: Tensor, k: int) -> Tensor:
     return _TAPE.record("shift", (a,), out, bw)
 
 
-def _sigmoid(x):
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, never
-    # exponentiating a positive number
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x, out=None, work=None):
+    # exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + e^-x) for x >= 0 and
+    # e^x / (1 + e^x) below, never exponentiating a positive number. The
+    # result goes to ``out`` (which may be ``x``) and the denominator to
+    # ``work`` (shaped like ``x``); given both, nothing is allocated.
+    out = np.empty(np.shape(x)) if out is None else out
+    den = np.abs(x, out=np.empty(np.shape(x)) if work is None else work)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.minimum(x, 0.0, out=out)
+    np.exp(num, out=num)
+    return np.divide(num, den, out=num)
 
 
 def sigmoid(a: Tensor) -> Tensor:

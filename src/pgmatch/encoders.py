@@ -119,6 +119,17 @@ class GruSequence:
     same way, and each weight's per-step gradients are summed from the
     last step to the first.
 
+    A step allocates nothing: the workspaces are allocated once per
+    sequence, and every product and elementwise op writes into them with
+    ``out=``. The z and r gates share one (2, B, q) block, whose two
+    contiguous (B, q) halves take the two state products (one GEMM per
+    weight: a GEMM over the concatenated weights changes the last bit at
+    some widths), so the bias add and the sigmoid run once over the block.
+    With ``keep`` on, the gates, ``r * h``, the candidate and the states
+    are written straight into the per-step storage ``backward_block``
+    reads; with it off, one slot of each is reused, and so is the block of
+    states ``forward`` returns.
+
     A stacked matmul computes each (B, .) slice exactly as a 2-D product
     does, so every value is the same numpy expression on the same
     operands as one GRU step per tape record gave, and every adjoint is
@@ -130,40 +141,67 @@ class GruSequence:
 
     def __init__(self, params: GruParams, batch: int, length: int, keep: bool):
         self.weights = [t.values for t in params.tensors()]
+        self.b_zr = np.stack((params.b_z.values, params.b_r.values))[:, None]
         q = params.hidden_size
         self.h = np.zeros((batch, q))
-        self.keep = keep
+        self.keep, self.length = keep, length
+        # a block's input products (z and r stacked), and the sigmoid's
+        # denominator and (1 - z) h of one step; the backward pass needs none
+        rows = time_blocks(length, batch)[0][1]
+        self.scratch = (np.empty((rows, 2, batch, q)), np.empty((rows, batch, q)),
+                        np.empty((2, batch, q)), np.empty((batch, q)))
+        # per step when kept (states[t] is the state before step t), else one slot
+        slots = length if keep else 1
+        self.zr = np.empty((slots, 2, batch, q))
+        self.rh, self.cand = np.empty((slots, batch, q)), np.empty((slots, batch, q))
         if keep:
-            # states[t] is the state before step t; the gates are per step
             self.states = np.zeros((length + 1, batch, q))
-            self.z, self.r, self.rh, self.cand = (np.empty((length, batch, q)) for _ in range(4))
             self.inputs = []
             self.grads = [None] * 9
             self.carry = None
+        else:
+            self.states = np.empty((rows, batch, q))
 
     def forward(self, x: np.ndarray, t0: int) -> np.ndarray:
         """Run the block ``x`` (n, B, p) of steps t0..t0+n-1; returns the
-        states after each of its steps, (n, B, q)."""
-        w_xz, w_hz, b_z, w_xr, w_hr, b_r, w_xc, w_hc, b_c = self.weights
+        states after each of its steps, (n, B, q). With ``keep`` off the
+        next call overwrites them."""
+        w_xz, w_hz, _, w_xr, w_hr, _, w_xc, w_hc, b_c = self.weights
         n = x.shape[0]
-        xz, xr, xc = np.matmul(x, w_xz), np.matmul(x, w_xr), np.matmul(x, w_xc)
+        x_zr, x_c, work, omz_h = self.scratch
+        x_zr, x_c = x_zr[:n], x_c[:n]
+        np.matmul(x, w_xz, out=x_zr[:, 0])
+        np.matmul(x, w_xr, out=x_zr[:, 1])
+        np.matmul(x, w_xc, out=x_c)
         if self.keep:
             self.inputs.append(x)
             out = self.states[t0 + 1:t0 + 1 + n]
         else:
-            out = np.empty((n,) + self.h.shape)
+            out = self.states[:n]
         h = self.h
         for i in range(n):
-            z = _sigmoid(xz[i] + h @ w_hz + b_z)
-            r = _sigmoid(xr[i] + h @ w_hr + b_r)
-            rh = r * h
-            cand = np.tanh(xc[i] + rh @ w_hc + b_c)
-            h = (1.0 - z) * h + z * cand
-            out[i] = h
-            if self.keep:
-                t = t0 + i
-                self.z[t], self.r[t], self.rh[t], self.cand[t] = z, r, rh, cand
+            s = t0 + i if self.keep else 0
+            zr, rh, cand = self.zr[s], self.rh[s], self.cand[s]
+            z, r = zr
+            np.matmul(h, w_hz, out=z)
+            np.matmul(h, w_hr, out=r)
+            zr += x_zr[i]
+            zr += self.b_zr
+            _sigmoid(zr, out=zr, work=work)
+            np.multiply(r, h, out=rh)
+            np.matmul(rh, w_hc, out=cand)
+            cand += x_c[i]
+            cand += b_c
+            np.tanh(cand, out=cand)
+            np.subtract(1.0, z, out=omz_h)
+            omz_h *= h
+            # h is read for the last time above: with one slot of states
+            # the new state overwrites it
+            h = np.multiply(z, cand, out=out[i])
+            h += omz_h
         self.h = h
+        if t0 + n == self.length:
+            self.scratch = None  # kept sequences live on until their backward pass
         return out
 
     def backward_block(self, parts=(), g_end=None) -> tuple:
@@ -179,7 +217,8 @@ class GruSequence:
         t0 = sum(len(b) for b in self.inputs)
         g_az, g_ar, g_ac = (np.empty((n,) + self.h.shape) for _ in range(3))
         steps = slice(t0, t0 + n)
-        hp, z, r, cand = self.states[steps], self.z[steps], self.r[steps], self.cand[steps]
+        hp, cand = self.states[steps], self.cand[steps]
+        z, r = self.zr[steps, 0], self.zr[steps, 1]
         # the factors that do not depend on the adjoint, for the whole block
         omz, omr, dcand = 1.0 - z, 1.0 - r, 1.0 - cand * cand
         w_hz_t, w_hr_t, w_hc_t = w_hz.T, w_hr.T, w_hc.T
@@ -244,24 +283,3 @@ def embed_words(ids, table: Tensor) -> Tensor:
         raise IndexError(f"token id out of vocabulary range [0, {table.shape[0]})")
     return gather_rows(table, ids)
 
-
-def load_embedding_table(path, vocab_size: int, dim: int,
-                         base: np.ndarray | None = None) -> np.ndarray:
-    """Read a pretrained embedding table: one row per token, first column
-    the token id, then ``dim`` space-separated decimals. Rows present in
-    the file override ``base`` (zeros when not given)."""
-    table = np.zeros((vocab_size, dim)) if base is None else np.array(base, dtype=np.float64)
-    if table.shape != (vocab_size, dim):
-        raise ValueError(f"base table shape {table.shape} != ({vocab_size}, {dim})")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected id + {dim} values, got {len(parts)} fields")
-            tok = int(parts[0])
-            if not 0 <= tok < vocab_size:
-                raise ValueError(f"{path}:{lineno}: token id {tok} outside [0, {vocab_size})")
-            table[tok] = [float(v) for v in parts[1:]]
-    return table

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .autodiff import Tensor, constant, l2_normalize, matmul, parameter
 from .config import ModelConfig
 from .data import DatasetError, read_matrix, write_matrix
 from .distributions import ActionSpace
-from .encoders import embed_words, gcn_reason, load_embedding_table, region_affinity, region_batch
+from .encoders import embed_words, gcn_reason, region_affinity, region_batch
 from .losses import DecoderParams
 
 
@@ -122,13 +123,6 @@ class MatchingModel:
             t.values = arr.copy()
             t.grad = None
 
-    def load_word_embeddings(self, path):
-        """Seed the word table from a pretrained plain-text embedding file
-        (rows present in the file override the random init)."""
-        self.word_table.values = load_embedding_table(
-            path, self.vocab_size, self.config.word_dim, base=self.word_table.values)
-        self.word_table.grad = None
-
     # -- forward ------------------------------------------------------------
     #
     # Inputs are batch-major: (B, T, d) regions and (B, N) token ids, one
@@ -180,7 +174,26 @@ class MatchingModel:
     # -- checkpoints ----------------------------------------------------------
 
     def save_checkpoint(self, outdir):
-        os.makedirs(outdir, exist_ok=True)
+        """Write the checkpoint into a temp directory next to ``outdir``,
+        then swap it in with ``os.replace``: a previous checkpoint stays in
+        place until the new one is complete, and a save that fails part-way
+        leaves no temp directory behind."""
+        outdir = os.path.abspath(outdir)
+        tmp, old = f"{outdir}.tmp-{os.getpid()}", f"{outdir}.old-{os.getpid()}"
+        shutil.rmtree(tmp, ignore_errors=True)  # left by a killed save
+        os.makedirs(tmp)
+        try:
+            self._write_checkpoint(tmp)
+            if os.path.exists(outdir):
+                os.replace(outdir, old)
+            os.replace(tmp, outdir)
+        finally:
+            if os.path.exists(old) and not os.path.exists(outdir):
+                os.replace(old, outdir)  # the swap failed: put the previous one back
+            shutil.rmtree(tmp, ignore_errors=True)
+            shutil.rmtree(old, ignore_errors=True)
+
+    def _write_checkpoint(self, outdir):
         arrays = self.state_arrays()
         manifest = {
             "format": "pgmatch-checkpoint-v1",

@@ -1,6 +1,6 @@
 """Print bit-identity digests of whole training runs.
 
-    PYTHONPATH=src python tests/recipe_digests.py
+    PYTHONPATH=src python tests/recipe_digests.py [RECIPE ...] [--expect FILE]
 
 For each recipe it trains once and prints two sha256 digests: one of the
 metric log (``canonical_records`` as newline-joined ``record_line``s, so
@@ -10,10 +10,15 @@ print the same lines as its parent. The recipes are the two benchmark
 recipes (``perfbench/workloads.py``: dataset seed 7, training seed 0) and
 the criterion-9 config of ``test_acceptance.py`` with its heads-2,
 ``pg_mode`` and PG-losses-only variants.
+
+``--expect FILE`` compares each line with the same recipe's line in FILE
+(a saved run of this script) and exits 1 at the first recipe whose
+digests differ, naming it.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 
@@ -59,13 +64,36 @@ def digests(dataset_args: dict, config: ModelConfig) -> tuple[str, str]:
     return hashlib.sha256(records.encode()).hexdigest(), params.hexdigest()
 
 
+def parse_lines(lines) -> dict:
+    """{recipe: fields} for the non-blank lines of a saved run."""
+    return {fields[0]: fields for fields in map(str.split, lines) if fields}
+
+
+def differs(line: str, expected: dict) -> bool:
+    """Whether ``line`` is not its recipe's line in ``expected`` (spacing
+    aside); a recipe missing from ``expected`` differs."""
+    fields = line.split()
+    return expected.get(fields[0]) != fields
+
+
 def main(argv=None) -> int:
-    wanted = set(argv if argv is not None else sys.argv[1:])
+    parser = argparse.ArgumentParser(description="Print bit-identity digests of training runs.")
+    parser.add_argument("recipes", nargs="*", help="recipes to run (default: all)")
+    parser.add_argument("--expect", metavar="FILE", help="a saved run to compare with")
+    args = parser.parse_args(argv)
+    expected = None
+    if args.expect is not None:
+        with open(args.expect, encoding="utf-8") as fh:
+            expected = parse_lines(fh)
     for name, dataset_args, config in recipes():
-        if wanted and name not in wanted:
+        if args.recipes and name not in args.recipes:
             continue
         records, params = digests(dataset_args, config)
-        print(f"{name:22s} records {records} params {params}", flush=True)
+        line = f"{name:22s} records {records} params {params}"
+        print(line, flush=True)
+        if expected is not None and differs(line, expected):
+            print(f"{name}: digests differ from {args.expect}", file=sys.stderr)
+            return 1
     return 0
 
 

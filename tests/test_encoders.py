@@ -8,7 +8,6 @@ from pgmatch.encoders import (
     GruSequence,
     embed_words,
     gcn_reason,
-    load_embedding_table,
     region_affinity,
     region_batch,
 )
@@ -218,27 +217,3 @@ class TestGruStep:
         with pytest.raises(ad.ShapeError, match=r"\(B, T, d\)"):
             fuse(ad.Tensor(np.zeros((3, 3))), neutral_trace(3, 1.0), 1.0, params)
 
-
-class TestEmbeddingTableLoader:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("0 1.0 2.0\n2 -0.5 0.25\n")
-        table = load_embedding_table(path, vocab_size=3, dim=2)
-        np.testing.assert_array_equal(table, [[1.0, 2.0], [0.0, 0.0], [-0.5, 0.25]])
-
-    def test_overrides_base(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("1 9.0 9.0\n")
-        base = np.ones((2, 2))
-        table = load_embedding_table(path, vocab_size=2, dim=2, base=base)
-        np.testing.assert_array_equal(table, [[1.0, 1.0], [9.0, 9.0]])
-        np.testing.assert_array_equal(base, np.ones((2, 2)))  # base untouched
-
-    def test_malformed_rows(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("0 1.0\n")
-        with pytest.raises(ValueError, match="expected id"):
-            load_embedding_table(path, vocab_size=2, dim=2)
-        path.write_text("7 1.0 2.0\n")
-        with pytest.raises(ValueError, match="outside"):
-            load_embedding_table(path, vocab_size=2, dim=2)

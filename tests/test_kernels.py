@@ -19,7 +19,7 @@ from pgmatch.attention import (
     policy_rollout,
 )
 from pgmatch.distributions import ActionSpace
-from pgmatch.encoders import GruParams, time_blocks
+from pgmatch.encoders import GruParams, GruSequence, time_blocks
 
 
 @pytest.fixture(autouse=True)
@@ -47,8 +47,9 @@ def assert_same_bits(fused, reference):
 
 MODES = ("stochastic", "deterministic")
 ACTION_MODES = ("compound", "discrete", "continuous")
-# one block; three blocks of 2, 2 and 1 steps (128 // 48 = 2); a single row
-SHAPES = [(3, 3), (48, 5), (1, 4)]
+# one block; three blocks of 2, 2 and 1 steps (128 // 48 = 2); a single row;
+# the gallery batch, one step per block, so the workspaces serve every block
+SHAPES = [(3, 3), (48, 5), (1, 4), (128, 3)]
 
 
 def setup(batch, length, heads, action_mode, seed=8):
@@ -184,7 +185,8 @@ class TestFuseKernel:
 
 
 class TestRecordingOff:
-    def test_same_values_and_no_backward_state(self, monkeypatch):
+    @pytest.mark.parametrize("batch,length", [(48, 5), (128, 3)])
+    def test_same_values_and_no_backward_state(self, monkeypatch, batch, length):
         keeps = []
 
         class Spy(attention.GruSequence):
@@ -193,7 +195,7 @@ class TestRecordingOff:
                 keeps.append(self.keep)
 
         monkeypatch.setattr(attention, "GruSequence", Spy)
-        _, space, params, features, noise = setup(48, 5, 2, "compound")
+        _, space, params, features, noise = setup(batch, length, 2, "compound")
 
         def run():
             trace = policy_rollout(features, params, space, noise)
@@ -221,13 +223,69 @@ def test_time_blocks_stack_at_most_128_rows():
 
 
 class TestSigmoid:
-    def test_bitwise_equal_to_nine_op_form(self):
+    SPECIALS = np.array([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 745.0, -745.0, 37.0,
+                         np.inf, -np.inf])
+
+    def inputs(self):
         rng = np.random.default_rng(10)
-        specials = np.array([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 745.0, -745.0, 37.0])
-        for x in (specials, rng.standard_normal(10_000) * 20, rng.standard_normal((7, 9))):
+        return (self.SPECIALS, rng.standard_normal(10_000) * 20, rng.standard_normal((7, 9)))
+
+    def test_bitwise_equal_to_nine_op_form(self):
+        for x in self.inputs():
             got, want = ad._sigmoid(x), unfused.sigmoid_nine_ops(x)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_out_path_writes_the_same_bits_in_place(self):
+        for x in self.inputs():
+            want = unfused.sigmoid_nine_ops(x)
+            out, work = np.full(x.shape, np.nan), np.empty(x.shape)
+            assert ad._sigmoid(x, out=out, work=work) is out
+            assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+            inplace = x.copy()
+            assert ad._sigmoid(inplace, out=inplace, work=work) is inplace
+            assert np.array_equal(inplace.view(np.uint64), want.view(np.uint64))
+
+
+class TestGruSequence:
+    """``GruSequence`` on its own against a chain of ``unfused.gru_step``
+    records, with input and hidden widths that differ either way (the text
+    policy GRU reads 32-wide words into a 64-wide state)."""
+
+    @pytest.mark.parametrize("batch,length", [(1, 4), (5, 3), (48, 5), (128, 3)])
+    @pytest.mark.parametrize("width,hidden", [(3, 7), (7, 3)])
+    def test_states_and_gradients_match_per_step_records(self, batch, length, width, hidden):
+        rng = np.random.default_rng(13)
+        gru = GruParams.init(width, hidden, rng, scale=0.6)
+        x = rng.standard_normal((length, batch, width))
+        w_out = rng.standard_normal((length, batch, hidden))
+
+        blocks = time_blocks(length, batch)
+        kept = GruSequence(gru, batch, length, keep=True)
+        unkept = GruSequence(gru, batch, length, keep=False)
+        states, unkept_states = [], []
+        for t0, t1 in blocks:
+            states.append(kept.forward(x[t0:t1], t0).copy())
+            unkept_states.append(unkept.forward(x[t0:t1], t0).copy())
+        g_x = np.empty(x.shape)
+        for t0, t1 in reversed(blocks):
+            g_xc, g_xr, g_xz = kept.backward_block((w_out[t0:t1],))
+            g_x[t0:t1] = (g_xc + g_xr) + g_xz
+        fused = [np.concatenate(states), np.concatenate(unkept_states), g_x] + kept.grads
+
+        # each state's loss term is recorded before the next step reads the
+        # state, as a rollout's heads are
+        steps = [ad.Tensor(x[t], requires_grad=True) for t in range(length)]
+        h, loss, values = ad.constant(np.zeros((batch, hidden))), None, []
+        for t, step in enumerate(steps):
+            h = unfused.gru_step(step, h, gru)
+            term = ad.tsum(ad.mul(h, ad.constant(w_out[t])))
+            loss = term if loss is None else ad.add(loss, term)
+            values.append(h.values)
+        values = np.stack(values)
+        grads = gradients(loss, steps + gru.tensors())
+        reference = [values, values, np.stack(grads[:length])] + grads[length:]
+        assert_same_bits(fused, reference)
 
 
 class TestFlatAdam:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
+import pgmatch.model as model_module
 from pgmatch.config import ModelConfig
 from pgmatch.model import MatchingModel
 
@@ -100,15 +101,6 @@ class TestForward:
         assert trace.attention.shape == (1, 3)
         assert trace.discrete_logprob_sum.item() == 0.0
 
-    def test_pretrained_word_embedding_hook(self, tmp_path):
-        model = tiny_model()
-        before = model.word_table.values.copy()
-        path = tmp_path / "emb.txt"
-        path.write_text("2 " + " ".join(["1.5"] * 5) + "\n")
-        model.load_word_embeddings(path)
-        np.testing.assert_array_equal(model.word_table.values[2], np.full(5, 1.5))
-        np.testing.assert_array_equal(model.word_table.values[0], before[0])
-
     def test_deterministic_mode_no_rng_needed(self):
         model = tiny_model()
         rng = np.random.default_rng(5)
@@ -139,3 +131,56 @@ class TestCheckpoint:
         ad.clear_tape()
         b, _ = loaded.embed_image(regions, None, mode="deterministic")
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_overwrite_replaces_the_previous_checkpoint(self, tmp_path):
+        tiny_model(seed=1).save_checkpoint(tmp_path / "ckpt")
+        model = tiny_model(seed=2)
+        model.save_checkpoint(tmp_path / "ckpt")
+        loaded = MatchingModel.load_checkpoint(tmp_path / "ckpt")
+        for name, t in model.named_parameters().items():
+            assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        previous = tiny_model(seed=3)
+        previous.save_checkpoint(tmp_path / "ckpt")
+        written = []
+
+        def failing_write(path, arr):
+            if len(written) == 2:
+                raise OSError(28, "No space left on device")
+            written.append(path)
+            real_write(path, arr)
+
+        real_write = model_module.write_matrix
+        monkeypatch.setattr(model_module, "write_matrix", failing_write)
+        with pytest.raises(OSError, match="No space"):
+            tiny_model(seed=4).save_checkpoint(tmp_path / "ckpt")
+        with pytest.raises(OSError):
+            tiny_model(seed=4).save_checkpoint(tmp_path / "fresh")
+        assert len(written) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        loaded = MatchingModel.load_checkpoint(tmp_path / "ckpt")
+        for name, t in previous.named_parameters().items():
+            assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
+
+    def test_failed_swap_puts_the_previous_checkpoint_back(self, tmp_path, monkeypatch):
+        previous = tiny_model(seed=5)
+        previous.save_checkpoint(tmp_path / "ckpt")
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(src)
+            if len(calls) == 2:  # the new checkpoint into place
+                raise OSError(16, "Device or resource busy")
+            real_replace(src, dst)
+
+        real_replace = model_module.os.replace
+        monkeypatch.setattr(model_module.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="busy"):
+            tiny_model(seed=6).save_checkpoint(tmp_path / "ckpt")
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        loaded = MatchingModel.load_checkpoint(tmp_path / "ckpt")
+        for name, t in previous.named_parameters().items():
+            assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
