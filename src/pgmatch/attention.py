@@ -31,7 +31,7 @@ from .autodiff import (
     reshape,
     will_record,
 )
-from .distributions import ActionSpace, categorical_sample, gumbel_from_uniform
+from .distributions import ActionSpace, categorical_sample, greedy_label, gumbel_from_uniform
 from .encoders import GruParams, GruSequence, add_in_order, time_blocks
 
 SIGMA_FLOOR = 1e-3
@@ -86,9 +86,11 @@ class AttentionTrace:
     """Record of one batch of sampling episodes. ``weights`` holds each
     step's attention weight, combined over heads, in its first ``length``
     columns: the (B, T + 2) output of ``policy_rollout`` (whose last two
-    columns are the episode log-prob sums), or a (1, T) constant with
-    attention off. The log-prob sums the PG losses read are (B,) tensors,
-    one entry per instance."""
+    columns are the episode log-prob sums, 0 for a stage the rollout does
+    not sample), or a (1, T) constant with attention off. The log-prob
+    sums the PG losses read are (B,) tensors, one entry per instance: a
+    pick of the packed column for a sampled stage, a zero constant for an
+    unsampled one and for every stage of a deterministic rollout."""
 
     weights: Tensor
     length: int
@@ -150,25 +152,30 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forwa
     """One head's compound action for a block of policy states ``hs``
     (n, B, hidden), steps t0..t0+n-1: the attention weight, the discrete
     log-prob and the continuous log-prob, each (n, B, 1) (a stage the
-    action mode does not sample reads 0), and with ``keep`` the backward
+    rollout does not sample reads 0), and with ``keep`` the backward
     function of the block.
 
     The action is drawn in two stages. The discrete stage takes the
     logits ``l = h W_mu``, perturbs them with the pre-drawn Gumbel noise
     and relaxes them to ``soft = softmax((l + g) / temperature)``; the
-    category ``k`` is drawn from ``soft`` with the pre-drawn uniform
-    (deterministic mode: ``soft = softmax(l)`` and ``k`` its argmax), and
+    category ``k`` is drawn from ``soft`` with the pre-drawn uniform, and
     the discrete log-prob is ``log soft[k]``. The Normal mean is
     ``mu = sigmoid(k / n)``, whose gradient goes straight through to the
     relaxed mean ``sum_i (i / n) soft[i]`` (``st_soft_forward`` uses that
     relaxed mean in the forward pass as well, so the graph is
     finite-difference checkable). The continuous stage draws
     ``raw = mu + sigma * eps`` with ``sigma = softplus(h W_std) + SIGMA_FLOOR``
-    and the pre-drawn eps, and the attention is ``sigmoid(raw)``
-    (deterministic mode: ``sigmoid(mu)``, with the log-prob taken at
-    ``raw = mu``). The ``discrete`` action mode stops at ``mu`` and uses
-    it as the attention; the ``continuous`` one has no categorical draw
-    and takes ``mu`` from the relaxed mean of ``softmax(l)``.
+    and the pre-drawn eps, and the attention is ``sigmoid(raw)``. The
+    ``discrete`` action mode stops at ``mu`` and uses it as the attention;
+    the ``continuous`` one has no categorical draw and takes ``mu`` from
+    the relaxed mean of ``softmax(l)``.
+
+    Deterministic mode samples nothing, so it has no log-probs and never
+    evaluates the sigma head: ``k`` is ``greedy_label(l)``, the argmax of
+    ``softmax(l)``, and the attention is ``sigmoid(mu)``. ``soft =
+    softmax(l)`` is computed only where it is read: by the
+    straight-through backward of a kept block, by ``st_soft_forward``
+    and by the ``continuous`` action mode's relaxed mean.
 
     Every value is the numpy expression the stages written out in
     primitive tape ops evaluate, per (B, .) step slice, and the backward
@@ -176,7 +183,7 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forwa
     ops would. It takes the adjoints of the three outputs and returns the
     state-gradient parts in the order the engine added them (the sigma
     projection's, then the logits'), and the per-step gradients of
-    ``w_mu`` and ``w_std``.
+    ``w_mu`` and ``w_std`` (``None`` for an unread ``w_std``).
 
     This reproduces ROADMAP item 1's defect in the continuous-stage score
     function on purpose: the log-prob is taken at ``raw`` itself, not at
@@ -200,10 +207,6 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forwa
         uniforms = noise.uniform[:, steps, k].T
         hard = categorical_sample(soft.reshape(-1, soft.shape[-1]),
                                   uniforms=uniforms.reshape(-1)).reshape(uniforms.shape)
-    else:
-        soft = _softmax(logits)
-        hard = np.argmax(soft, axis=-1)
-    if discrete:
         idx = hard[..., None]
         picked = np.take_along_axis(soft, idx, axis=-1)
         if np.any(picked <= 0.0):
@@ -211,52 +214,51 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forwa
         dlp = np.log(picked)
     else:
         dlp = zeros
+        soft = _softmax(logits) if keep or st_soft_forward or not discrete else None
+        if discrete and not st_soft_forward:
+            hard = greedy_label(logits)
     if discrete and not st_soft_forward:
         mu_in = np.asarray(hard, dtype=np.float64)[..., None] / space.n
     else:
         mu_in = (soft * labels).sum(axis=-1, keepdims=True)
     mu = _sigmoid(mu_in)
 
-    if continuous:
+    if continuous and stochastic:
         wstd = w_std.values
         pre = np.matmul(hs, wstd)
         sigma = np.where(pre > 30.0, pre, np.log1p(np.exp(np.minimum(pre, 30.0)))) + SIGMA_FLOOR
-        if stochastic:
-            eps = noise.normal[:, steps, k].T[..., None]
-            x = mu + sigma * eps
-        else:
-            x = mu
+        eps = noise.normal[:, steps, k].T[..., None]
+        x = mu + sigma * eps
         att = _sigmoid(x)
         d = x - mu
         d2 = d * d
         two_var = 2.0 * (sigma * sigma)
         clp = (-0.5 * LOG_2PI - np.log(sigma)) - d2 / two_var
     else:
-        att, clp = mu, zeros
+        att = _sigmoid(mu) if continuous else mu
+        clp = zeros
     if not keep:
         return att, dlp, clp, None
 
     def backward(g_att, g_dlp, g_clp):
         hs_t = hs.transpose(0, 2, 1)
-        if continuous:
+        if continuous and stochastic:
             g_quad = -g_clp
             g_sigma = -g_clp / sigma
             g_d = 2.0 * d * (g_quad / two_var)
             g_sigma = g_sigma + 2.0 * sigma * (2.0 * (-g_quad * d2 / (two_var * two_var)))
-            if stochastic:
-                g_x = g_d  # ROADMAP item 1: with a detached raw this term is dropped
-                g_x = g_x + g_att * att * (1.0 - att)
-                g_mu = -g_d + g_x
-                g_sigma = g_sigma + g_x * eps
-            else:  # the log-prob is taken at mu itself: both parts cancel
-                g_mu = g_d + -g_d + g_att * att * (1.0 - att)
+            g_x = g_d  # ROADMAP item 1: with a detached raw this term is dropped
+            g_x = g_x + g_att * att * (1.0 - att)
+            g_mu = -g_d + g_x
+            g_sigma = g_sigma + g_x * eps
             g_pre = g_sigma * _sigmoid(pre)
             h_parts = [np.matmul(g_pre, wstd.T)]
             g_wstd = np.matmul(hs_t, g_pre)
         else:
-            g_mu, h_parts, g_wstd = g_att, [], None
+            g_mu = g_att * att * (1.0 - att) if continuous else g_att
+            h_parts, g_wstd = [], None
         g_soft = g_mu * mu * (1.0 - mu) * labels
-        if discrete:
+        if discrete and stochastic:
             g_pick = np.zeros_like(soft)
             np.put_along_axis(g_pick, idx, g_dlp / picked, axis=-1)
             g_soft = g_soft + g_pick
@@ -288,8 +290,10 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
     ``features`` is a (B, T, d) tensor; the GRU state is (B, hidden). In
     stochastic mode every step samples the compound distribution row-wise
     from ``noise`` (see ``draw_noise``); in deterministic mode the argmax
-    category is taken and the attention is the squashed mean (log-prob
-    sums are still recorded). ``st_soft_forward`` replaces the hard
+    category is taken and the attention is the squashed mean. A
+    deterministic action has probability one, so that mode's log-prob
+    sums are zero constants, as an unsampled stage's are, and its packed
+    sum columns read 0. ``st_soft_forward`` replaces the hard
     straight-through forward value with the relaxed expectation so the
     whole graph is finite-difference checkable; never used in training.
 
@@ -308,12 +312,13 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
         raise ValueError(f"unknown rollout mode {mode!r}")
     if action_mode not in ACTION_MODES:
         raise ValueError(f"unknown action mode {action_mode!r}")
-    if mode == "stochastic" and noise is None:
+    stochastic = mode == "stochastic"
+    if stochastic and noise is None:
         raise ValueError("stochastic rollout needs noise pre-drawn from the rollout rng")
     _check_sequence("policy_rollout", features, params.gru)
     batch, length = features.shape[:2]
-    discrete = action_mode != "continuous"
-    continuous = action_mode != "discrete"
+    sampled_discrete = stochastic and action_mode != "continuous"
+    sampled_continuous = stochastic and action_mode != "discrete"
     heads = list(zip(params.w_mu, params.w_std))
     inputs = ((features,) * 3 + tuple(params.gru.tensors()) + tuple(params.w_mu)
               + tuple(params.w_std))
@@ -331,11 +336,12 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
             for k, (w_mu, w_std) in enumerate(heads)))
         combined = atts[0] if len(atts) == 1 else 0.5 * (atts[0] + atts[1])
         out[:, t0:t1] = combined[..., 0].T
-        # the sums add step by step, each head in turn
-        dsum = add_in_order(dsum, np.stack(dlps, axis=1).reshape((-1, batch, 1)))
-        csum = add_in_order(csum, np.stack(clps, axis=1).reshape((-1, batch, 1)))
+        if stochastic:  # the sums add step by step, each head in turn
+            dsum = add_in_order(dsum, np.stack(dlps, axis=1).reshape((-1, batch, 1)))
+            csum = add_in_order(csum, np.stack(clps, axis=1).reshape((-1, batch, 1)))
         backwards.append(bws)
-    out[:, length:] = np.concatenate([dsum, csum], axis=-1)
+    if stochastic:
+        out[:, length:] = np.concatenate([dsum, csum], axis=-1)
 
     def backward(g):
         g_att, g_dlp, g_clp = g[:, :length], g[:, length:length + 1], g[:, length + 1:]
@@ -361,9 +367,9 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
     return AttentionTrace(
         weights=packed, length=length,
         discrete_logprob_sum=(reshape(pick(packed, np.full((batch, 1), length)), (batch,))
-                              if discrete else zero),
+                              if sampled_discrete else zero),
         continuous_logprob_sum=(reshape(pick(packed, np.full((batch, 1), length + 1)), (batch,))
-                                if continuous else zero))
+                                if sampled_continuous else zero))
 
 
 _ZERO = constant(np.asarray(0.0))

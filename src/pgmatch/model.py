@@ -25,6 +25,36 @@ class CheckpointError(ValueError):
     its manifest describes."""
 
 
+def _save_leftovers(outdir, kind):
+    """The ``<outdir>.<kind>-<pid>`` siblings that ``save_checkpoint`` makes
+    (``kind`` "tmp" or "old") and a killed save leaves behind."""
+    parent, prefix = os.path.dirname(outdir), f"{os.path.basename(outdir)}.{kind}-"
+    try:
+        names = os.listdir(parent)
+    except OSError:
+        return []
+    return [os.path.join(parent, name) for name in names
+            if name.startswith(prefix) and name[len(prefix):].isdigit()]
+
+
+def _interrupted_save(path):
+    """For a missing checkpoint directory: the newest ``<path>.old-<pid>``
+    sibling, where a save killed between its two renames left the previous
+    checkpoint, or None."""
+    path = os.path.abspath(path)
+    if os.path.exists(path):
+        return None
+    olds = _save_leftovers(path, "old")
+    return max(olds, key=os.path.getmtime) if olds else None
+
+
+def missing_checkpoint_note(path) -> str:
+    """The tail of the error for a missing checkpoint directory: where a
+    killed save left the previous checkpoint, or nothing."""
+    old = _interrupted_save(path)
+    return "" if old is None else f"; a killed save left the previous checkpoint in {old}"
+
+
 class MatchingModel:
     def __init__(self, config: ModelConfig, vocab_size: int, num_instances: int,
                  rng: np.random.Generator):
@@ -177,10 +207,21 @@ class MatchingModel:
         """Write the checkpoint into a temp directory next to ``outdir``,
         then swap it in with ``os.replace``: a previous checkpoint stays in
         place until the new one is complete, and a save that fails part-way
-        leaves no temp directory behind."""
+        leaves no temp directory behind.
+
+        A killed save can leave ``<outdir>.tmp-<pid>`` (killed while
+        writing) or, killed between the two renames, no ``outdir`` and the
+        previous checkpoint in ``<outdir>.old-<pid>``. A save first moves
+        the newest such ``.old-`` directory back into place if ``outdir``
+        is missing, then deletes every other ``.tmp-`` and ``.old-``
+        sibling, whichever process left it."""
         outdir = os.path.abspath(outdir)
+        previous = _interrupted_save(outdir)
+        if previous is not None:
+            os.replace(previous, outdir)
+        for leftover in _save_leftovers(outdir, "tmp") + _save_leftovers(outdir, "old"):
+            shutil.rmtree(leftover, ignore_errors=True)
         tmp, old = f"{outdir}.tmp-{os.getpid()}", f"{outdir}.old-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)  # left by a killed save
         os.makedirs(tmp)
         try:
             self._write_checkpoint(tmp)
@@ -214,7 +255,8 @@ class MatchingModel:
     def load_checkpoint(cls, path) -> "MatchingModel":
         """Rebuild a model from ``save_checkpoint`` output. A missing or
         malformed file raises ``CheckpointError`` naming the file and the
-        field."""
+        field; for a missing directory it also names the previous
+        checkpoint a killed save left behind, if there is one."""
         manifest_file = os.path.join(path, "checkpoint.json")
 
         def fail(message):
@@ -224,7 +266,7 @@ class MatchingModel:
             with open(manifest_file, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
         except OSError as exc:
-            fail(f"cannot read ({exc.strerror})")
+            fail(f"cannot read ({exc.strerror}){missing_checkpoint_note(path)}")
         except ValueError as exc:
             fail(f"not valid JSON ({exc})")
         if not isinstance(manifest, dict):

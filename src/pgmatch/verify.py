@@ -155,7 +155,9 @@ def _rollout_loss(action_mode, mode, rng):
     """A weighted sum of the attention weights and both log-prob sums of
     a three-step rollout over two rows, with frozen noise and the relaxed
     straight-through forward (``st_soft_forward``), as a function of the
-    features, the policy GRU's weights and both head weights."""
+    features, the policy GRU's weights and both head weights. A
+    deterministic rollout's sums are zero constants, so there only the
+    attention carries weight and ``w_std`` has no gradient."""
     space = ActionSpace(n=4)
     params = PolicyParams.init(3, 3, space, rng, scale=0.5)
     noise = draw_noise(np.random.default_rng(11), 2, [3], 1, space.num_labels, action_mode)[0]

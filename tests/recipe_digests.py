@@ -2,11 +2,14 @@
 
     PYTHONPATH=src python tests/recipe_digests.py [RECIPE ...] [--expect FILE]
 
-For each recipe it trains once and prints two sha256 digests: one of the
-metric log (``canonical_records`` as newline-joined ``record_line``s, so
-wall time is stripped) and one of the final parameters (their raw bytes,
-in name order). A change that claims to keep training bit-identical must
-print the same lines as its parent. The recipes are the two benchmark
+For each recipe it trains once and prints three sha256 digests: one of
+the metric log (``canonical_records`` as newline-joined ``record_line``s,
+so wall time is stripped), one of the final parameters (their raw bytes,
+in name order) and one of the read path: the final model's test-split
+image embeddings then text embeddings (raw bytes), from the forward pass
+``training.evaluate`` runs (one batch, deterministic rollouts, tape
+recording off). A change that claims to keep training and the read path
+bit-identical must print the same lines as its parent. The recipes are the two benchmark
 recipes (``perfbench/workloads.py``: dataset seed 7, training seed 0) and
 the criterion-9 config of ``test_acceptance.py`` with its heads-2,
 ``pg_mode`` and PG-losses-only variants.
@@ -22,6 +25,9 @@ import argparse
 import hashlib
 import sys
 
+import numpy as np
+
+from pgmatch.autodiff import active_tape, clear_tape
 from pgmatch.config import ModelConfig
 from pgmatch.data import generate_dataset
 from pgmatch.training import canonical_records, record_line, train
@@ -55,13 +61,31 @@ def recipes():
         loss_triplet=False, loss_instance=False, loss_decode=False)
 
 
-def digests(dataset_args: dict, config: ModelConfig) -> tuple[str, str]:
-    result = train(config, generate_dataset(**dataset_args))
+def embeddings_digest(model, instances) -> str:
+    """sha256 of the image then the text embeddings of ``instances``,
+    embedded as ``training.evaluate`` embeds a split."""
+    regions = np.stack([inst.regions for inst in instances])
+    tokens = np.stack([inst.tokens for inst in instances])
+    clear_tape()
+    tape = active_tape()
+    tape.recording = False
+    try:
+        img = model.embed_image(regions, None, mode="deterministic")[0].values
+        txt = model.embed_text(tokens, None, mode="deterministic")[0].values
+    finally:
+        tape.recording = True
+    return hashlib.sha256(img.tobytes() + txt.tobytes()).hexdigest()
+
+
+def digests(dataset_args: dict, config: ModelConfig) -> tuple[str, str, str]:
+    dataset = generate_dataset(**dataset_args)
+    result = train(config, dataset)
     records = "\n".join(record_line(r) for r in canonical_records(result.records))
     params = hashlib.sha256()
     for name in sorted(result.final_params):
         params.update(result.final_params[name].tobytes())
-    return hashlib.sha256(records.encode()).hexdigest(), params.hexdigest()
+    embeddings = embeddings_digest(result.rebuild(best=False), dataset.split("test"))
+    return hashlib.sha256(records.encode()).hexdigest(), params.hexdigest(), embeddings
 
 
 def parse_lines(lines) -> dict:
@@ -88,8 +112,8 @@ def main(argv=None) -> int:
     for name, dataset_args, config in recipes():
         if args.recipes and name not in args.recipes:
             continue
-        records, params = digests(dataset_args, config)
-        line = f"{name:22s} records {records} params {params}"
+        records, params, embeddings = digests(dataset_args, config)
+        line = f"{name:22s} records {records} params {params} embeddings {embeddings}"
         print(line, flush=True)
         if expected is not None and differs(line, expected):
             print(f"{name}: digests differ from {args.expect}", file=sys.stderr)

@@ -136,6 +136,15 @@ class TestEval:
                      "--data", str(dataset_dir)]) == 1
         assert "does not exist" in capsys.readouterr().err
 
+    def test_missing_checkpoint_names_what_a_killed_save_left(self, dataset_dir, tmp_path,
+                                                              capsys):
+        (tmp_path / "ckpt.old-99999").mkdir()
+        assert main(["eval", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--data", str(dataset_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "does not exist" in err and str(tmp_path / "ckpt.old-99999") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.old-99999", "data"]
+
     def test_dimension_mismatch(self, run_dir, tmp_path, capsys):
         other = tmp_path / "other"
         assert main(["gen", "--out", str(other), "--classes", "6", "--regions", "3",

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import pgmatch.autodiff as ad
-from pgmatch.distributions import ActionSpace, categorical_sample
+from pgmatch.distributions import ActionSpace, categorical_sample, greedy_label
 from unfused import (
     action_to_mu,
     discrete_logprob,
@@ -112,6 +115,113 @@ class TestCategoricalSample:
             categorical_sample(np.array([[0.4, 0.4]]), u)
         with pytest.raises(ValueError, match="matrix"):
             categorical_sample(np.array([0.5, 0.5]), u)
+
+
+def softmax_argmax(logits):
+    with np.errstate(all="ignore"):
+        return np.argmax(ad._softmax(logits), axis=-1)
+
+
+@st.composite
+def near_tie_rows(draw):
+    """(rows, C) logits a few ulps apart around one magnitude."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 101))
+    base = np.float64(draw(st.floats(0.0, 1e6)))
+    steps = draw(arrays(np.int64, (rows, width), elements=st.integers(0, 4)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return sign * (base.view(np.int64) + steps).view(np.float64)
+
+
+class TestGreedyLabel:
+    """``greedy_label`` is exactly the argmax of ``autodiff._softmax`` on
+    (n, B, 101) blocks of logits, the shape a rollout's head reads."""
+
+    def logits(self, seed, scale=1.0):
+        return scale * np.random.default_rng(seed).standard_normal((3, 16, 101))
+
+    def pair(self, seed, logits):
+        """Two indices per row, the first below 50 and the second above."""
+        rng = np.random.default_rng(seed)
+        shape = logits.shape[:-1] + (1,)
+        return rng.integers(0, 50, shape), rng.integers(51, 101, shape)
+
+    def check(self, logits):
+        with np.errstate(all="ignore"):
+            got = greedy_label(logits)
+        assert got.shape == logits.shape[:-1]
+        assert np.array_equal(got, softmax_argmax(logits))
+        return got
+
+    def set_top_pair(self, logits, i, j, later):
+        top = 2.0 * np.abs(logits).max(axis=-1, keepdims=True)  # above the row, same magnitude
+        np.put_along_axis(logits, i, top, axis=-1)
+        np.put_along_axis(logits, j, later(top), axis=-1)
+
+    def test_exact_ties_take_the_first_index(self):
+        logits = self.logits(0)
+        i, j = self.pair(1, logits)
+        self.set_top_pair(logits, i, j, lambda top: top)
+        assert np.array_equal(self.check(logits), i[..., 0])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1.0, 1e6])
+    def test_one_ulp_gaps_with_the_larger_logit_later(self, scale):
+        logits = self.logits(2, scale)
+        i, j = self.pair(3, logits)
+        self.set_top_pair(logits, i, j, lambda top: np.nextafter(top, np.inf))
+        self.check(logits)
+
+    def test_one_ulp_gaps_defeat_the_plain_logit_argmax(self):
+        # the near-tie fallback is needed: the rounded softmax ties the pair
+        # and takes the first index, the logits take the later one
+        logits = self.logits(4, 1e-3)
+        i, j = self.pair(5, logits)
+        self.set_top_pair(logits, i, j, lambda top: np.nextafter(top, np.inf))
+        assert np.any(np.argmax(logits, axis=-1) != softmax_argmax(logits))
+        self.check(logits)
+
+    def test_gaps_of_1e_12(self):
+        logits = self.logits(6)
+        i, j = self.pair(7, logits)
+        self.set_top_pair(logits, i, j, lambda top: top + 1e-12)
+        self.check(logits)
+        self.set_top_pair(logits, i, j, lambda top: top - 1e-12)
+        self.check(logits)
+
+    def test_rows_with_infinities_and_nan(self):
+        logits = self.logits(8)
+        logits[0, 0, 3] = np.inf
+        logits[0, 1, [4, 90]] = np.inf
+        logits[0, 2, 5] = -np.inf
+        logits[0, 3] = -np.inf
+        logits[0, 4, 60] = np.nan
+        logits[0, 5, [1, 2]] = [np.inf, np.nan]
+        logits[0, 6, [7, 8]] = [-np.inf, np.inf]
+        logits[0, 7] = np.nan
+        got = self.check(logits)
+        assert got[0, 2] == np.argmax(logits[0, 2])  # a -inf below a finite max is safe
+
+    def test_one_row(self):
+        row = np.array([0.25, 0.5, np.nextafter(0.5, 1.0), -1.0])
+        assert greedy_label(row) == softmax_argmax(row) == 1  # the logits say 2
+        row[2] = 0.5  # an exact tie: the first index
+        assert greedy_label(row) == softmax_argmax(row) == 1
+
+    @pytest.mark.parametrize("exponent", range(-3, 7))
+    def test_magnitudes(self, exponent):
+        logits = self.logits(9 + exponent, 10.0 ** exponent)
+        self.check(logits)
+        self.check(logits + 10.0 ** exponent)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 101)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_any_float64_rows(self, logits):
+        self.check(logits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_tie_rows())
+    def test_near_tie_rows(self, logits):
+        self.check(logits)
 
 
 class TestDiscreteLogprob:

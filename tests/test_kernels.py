@@ -214,6 +214,36 @@ class TestRecordingOff:
         assert keeps == [True, True, False, False]
         assert_same_bits(unrecorded, recorded)
 
+    @pytest.mark.parametrize("batch,length", SHAPES)
+    @pytest.mark.parametrize("action_mode", ACTION_MODES)
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_deterministic_read_path(self, batch, length, action_mode, heads):
+        """The read path ``evaluate`` runs: one record when recording, the
+        same bits without it, and zero-constant log-prob sums either way."""
+        _, space, params, features, _ = setup(batch, length, heads, action_mode)
+        tape = ad.active_tape()
+
+        def run():
+            trace = policy_rollout(features, params, space, None, "deterministic", action_mode)
+            names = [r[3] for r in tape.records]
+            out = fuse(features, trace, 3.0, params.fusion_gru)
+            for lp in (trace.discrete_logprob_sum, trace.continuous_logprob_sum):
+                assert not tape.is_tracked(lp)
+                assert np.array_equal(lp.values, np.zeros(batch))
+            assert not np.any(trace.weights.values[:, length:])
+            return names, [trace.weights.values.copy(), out.values.copy()]
+
+        names, recorded = run()
+        assert names == ["policy_rollout"]
+        ad.clear_tape()
+        tape.recording = False
+        try:
+            names, unrecorded = run()
+        finally:
+            tape.recording = True
+        assert names == [] and tape.records == []
+        assert_same_bits(unrecorded, recorded)
+
 
 def test_time_blocks_stack_at_most_128_rows():
     assert time_blocks(5, 48) == [(0, 2), (2, 4), (4, 5)]

@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
 import pgmatch.model as model_module
 from pgmatch.config import ModelConfig
-from pgmatch.model import MatchingModel
+from pgmatch.model import CheckpointError, MatchingModel
 
 
 TINY = dict(feature_dim=6, word_dim=5, hidden=6, embed_dim=6, decoder_dim=4,
@@ -184,3 +186,57 @@ class TestCheckpoint:
         loaded = MatchingModel.load_checkpoint(tmp_path / "ckpt")
         for name, t in previous.named_parameters().items():
             assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
+
+
+class TestKilledSave:
+    """What a save by pid 99999 leaves when killed between its two
+    renames: no checkpoint, the previous one in ``.old-99999`` and the new
+    one in ``.tmp-99999``; an older ``.old-`` directory from an earlier
+    killed save, and a user's directory that only looks like a leftover."""
+
+    def layout(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        tiny_model(seed=10).save_checkpoint(tmp_path / "ckpt.old-99998")
+        os.utime(tmp_path / "ckpt.old-99998", (1_000_000, 1_000_000))
+        previous = tiny_model(seed=11)
+        previous.save_checkpoint(tmp_path / "ckpt.old-99999")
+        (tmp_path / "ckpt.tmp-99999").mkdir()
+        (tmp_path / "ckpt.tmp-99999" / "checkpoint.json").write_text("{")
+        (tmp_path / "ckpt.old-mine").mkdir()
+        return ckpt, previous
+
+    def listing(self, tmp_path):
+        return sorted(p.name for p in tmp_path.iterdir())
+
+    def assert_holds(self, ckpt, model):
+        loaded = MatchingModel.load_checkpoint(ckpt)
+        for name, t in model.named_parameters().items():
+            assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
+
+    def test_load_names_the_previous_checkpoint_and_changes_nothing(self, tmp_path):
+        ckpt, _ = self.layout(tmp_path)
+        before = self.listing(tmp_path)
+        with pytest.raises(CheckpointError, match="ckpt.old-99999") as err:
+            MatchingModel.load_checkpoint(ckpt)
+        assert "checkpoint.json: cannot read" in str(err.value)
+        assert self.listing(tmp_path) == before
+
+    def test_next_save_restores_the_newest_and_clears_the_rest(self, tmp_path):
+        ckpt, previous = self.layout(tmp_path)
+        model = tiny_model(seed=12)
+        model.save_checkpoint(ckpt)
+        assert self.listing(tmp_path) == ["ckpt", "ckpt.old-mine"]
+        self.assert_holds(ckpt, model)
+
+    def test_next_save_failing_leaves_the_restored_checkpoint(self, tmp_path, monkeypatch):
+        ckpt, previous = self.layout(tmp_path)
+
+        def failing_write(path, arr):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(model_module, "write_matrix", failing_write)
+        with pytest.raises(OSError, match="No space"):
+            tiny_model(seed=12).save_checkpoint(ckpt)
+        monkeypatch.undo()
+        assert self.listing(tmp_path) == ["ckpt", "ckpt.old-mine"]
+        self.assert_holds(ckpt, previous)

@@ -6,8 +6,8 @@ import pytest
 import recipe_digests
 
 SAVED = """\
-reference              records aaa params bbb
-stress                 records ccc params ddd
+reference              records aaa params bbb embeddings eee
+stress                 records ccc params ddd embeddings fff
 
 """
 
@@ -15,11 +15,19 @@ stress                 records ccc params ddd
 def test_parse_and_compare_lines():
     expected = recipe_digests.parse_lines(SAVED.splitlines())
     assert sorted(expected) == ["reference", "stress"]
-    assert not recipe_digests.differs("reference records aaa params bbb", expected)
-    assert not recipe_digests.differs("stress    records ccc  params ddd", expected)
-    assert recipe_digests.differs("stress                 records ccc params dde", expected)
-    assert recipe_digests.differs("reference              records aab params bbb", expected)
-    assert recipe_digests.differs("criterion9             records aaa params bbb", expected)
+    assert not recipe_digests.differs("reference records aaa params bbb embeddings eee",
+                                      expected)
+    assert not recipe_digests.differs("stress    records ccc  params ddd embeddings fff",
+                                      expected)
+    assert recipe_digests.differs("stress                 records ccc params dde embeddings fff",
+                                  expected)
+    assert recipe_digests.differs("reference              records aab params bbb embeddings eee",
+                                  expected)
+    assert recipe_digests.differs("reference              records aaa params bbb embeddings eef",
+                                  expected)
+    assert recipe_digests.differs("reference              records aaa params bbb", expected)
+    assert recipe_digests.differs("criterion9             records aaa params bbb embeddings eee",
+                                  expected)
 
 
 @pytest.fixture
@@ -27,7 +35,7 @@ def saved(tmp_path, monkeypatch):
     # stand-in recipes whose "training" returns fixed digests: reference
     # matches the saved run, stress differs in its parameter digest
     monkeypatch.setattr(recipe_digests, "recipes", lambda: iter(
-        [("reference", ("aaa", "bbb"), None), ("stress", ("ccc", "dde"), None)]))
+        [("reference", ("aaa", "bbb", "eee"), None), ("stress", ("ccc", "dde", "fff"), None)]))
     monkeypatch.setattr(recipe_digests, "digests", lambda fake, config: fake)
     path = tmp_path / "saved.txt"
     path.write_text(SAVED)
@@ -37,12 +45,13 @@ def saved(tmp_path, monkeypatch):
 def test_expect_names_the_first_recipe_that_differs(saved, capsys):
     assert recipe_digests.main(["--expect", str(saved)]) == 1
     out, err = capsys.readouterr()
-    assert out.split() == "reference records aaa params bbb stress records ccc params dde".split()
+    assert out.split() == ("reference records aaa params bbb embeddings eee "
+                           "stress records ccc params dde embeddings fff").split()
     assert err == f"stress: digests differ from {saved}\n"
 
 
 def test_expect_passes_when_every_line_matches(saved, capsys):
     assert recipe_digests.main(["reference", "--expect", str(saved)]) == 0
     out, err = capsys.readouterr()
-    assert out.split() == "reference records aaa params bbb".split()
+    assert out.split() == "reference records aaa params bbb embeddings eee".split()
     assert err == ""

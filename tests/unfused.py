@@ -120,7 +120,9 @@ def gru_step(x, h, params):
 
 def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_forward):
     """One head's (att, discrete log-prob, continuous log-prob), each a
-    (B, 1) column or the constant 0 for a stage the mode does not sample."""
+    (B, 1) column or the constant 0 for a stage the rollout does not
+    sample. Deterministic mode samples nothing: it takes the argmax of the
+    softmax and never reads the sigma head."""
     logits = ad.matmul(h, w_mu)
     stochastic = mode == "stochastic"
     if action_mode == "continuous":
@@ -133,7 +135,7 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_f
         else:
             soft = ad.softmax(logits, axis=-1)
             hard = np.argmax(soft.values, axis=-1)
-        dlp = discrete_logprob(soft, hard)
+        dlp = discrete_logprob(soft, hard) if stochastic else _ZERO
         if st_soft_forward:
             mu_in = soft_action_value(soft, space.n)
         else:
@@ -142,11 +144,11 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_f
 
     if action_mode == "discrete":
         return mu, dlp, _ZERO
+    if not stochastic:
+        return ad.sigmoid(mu), dlp, _ZERO
     sigma = ad.add(softplus(ad.matmul(h, w_std)), ad.constant(np.asarray(SIGMA_FLOOR)))
-    if stochastic:
-        raw = normal_sample_reparam(mu, sigma, None, eps=noise.normal[:, t, k, None])
-        return ad.sigmoid(raw), dlp, normal_logprob(raw, mu, sigma)
-    return ad.sigmoid(mu), dlp, normal_logprob(mu, mu, sigma)
+    raw = normal_sample_reparam(mu, sigma, None, eps=noise.normal[:, t, k, None])
+    return ad.sigmoid(raw), dlp, normal_logprob(raw, mu, sigma)
 
 
 def steps(features):
