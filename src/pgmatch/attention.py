@@ -18,6 +18,7 @@ import numpy as np
 
 from .autodiff import (
     DomainError,
+    ParamSource,
     ShapeError,
     Tensor,
     _sigmoid,
@@ -25,7 +26,6 @@ from .autodiff import (
     _softmax_grad,
     active_tape,
     constant,
-    parameter,
     pick,
     record_op,
     reshape,
@@ -68,12 +68,15 @@ class PolicyParams:
 
     @classmethod
     def init(cls, feature_dim: int, hidden: int, space: ActionSpace,
-             rng: np.random.Generator, heads: int = 1, scale: float = 0.1) -> "PolicyParams":
+             rng: np.random.Generator | ParamSource, heads: int = 1,
+             scale: float = 0.1) -> "PolicyParams":
+        src = ParamSource.of(rng)
         return cls(
-            gru=GruParams.init(feature_dim, hidden, rng, scale),
-            w_mu=[parameter((hidden, space.num_labels), rng, scale) for _ in range(heads)],
-            w_std=[parameter((hidden, 1), rng, scale) for _ in range(heads)],
-            fusion_gru=GruParams.init(feature_dim, feature_dim, rng, scale),
+            gru=GruParams.init(feature_dim, hidden, src.scope("gru"), scale),
+            w_mu=[src.weight(f"w_mu.{h}", (hidden, space.num_labels), scale)
+                  for h in range(heads)],
+            w_std=[src.weight(f"w_std.{h}", (hidden, 1), scale) for h in range(heads)],
+            fusion_gru=GruParams.init(feature_dim, feature_dim, src.scope("fusion_gru"), scale),
         )
 
     def tensors(self):

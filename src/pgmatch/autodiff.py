@@ -9,6 +9,8 @@ optimizer step consumes the grads.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 
@@ -73,14 +75,58 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def parameter(values, rng: np.random.Generator | None = None, scale: float = 0.1) -> Tensor:
-    """Trainable leaf. ``values`` may be a shape tuple, in which case the
-    entries are drawn from ``scale * N(0, 1)`` using ``rng``."""
-    if isinstance(values, tuple):
-        if rng is None:
-            raise ValueError("parameter(shape) needs an rng for initialization")
-        values = scale * rng.standard_normal(values)
-    return Tensor(values, requires_grad=True)
+class ParamSource:
+    """Where a model's trainable leaves get their values, one named
+    parameter at a time.
+
+    From an rng, each weight is ``scale * N(0, 1)`` drawn in the order the
+    parameters are created, and each bias is zero. From ``stored`` arrays
+    (name -> float64 array), each parameter is its stored array itself: no
+    draw, no copy. A missing name or a different shape raises
+    ``ValueError``; ``unused`` lists the stored names nothing took.
+
+    ``scope`` prefixes the names of what it creates (``img.gru.w_xz``).
+    ``named`` holds every parameter created so far, under any scope, in
+    creation order."""
+
+    def __init__(self, rng: np.random.Generator | None = None, stored: dict | None = None):
+        self.rng = rng
+        self.stored = stored
+        self.prefix = ""
+        self.named = {}
+
+    @classmethod
+    def of(cls, source) -> "ParamSource":
+        """``source`` itself, or a new source drawing from the rng ``source``."""
+        return source if isinstance(source, ParamSource) else cls(rng=source)
+
+    def scope(self, name: str) -> "ParamSource":
+        child = copy.copy(self)  # shares rng, stored and named
+        child.prefix = f"{self.prefix}{name}."
+        return child
+
+    def weight(self, name: str, shape: tuple, scale: float) -> Tensor:
+        return self._create(name, shape, lambda: scale * self.rng.standard_normal(shape))
+
+    def bias(self, name: str, size: int) -> Tensor:
+        return self._create(name, (size,), lambda: np.zeros(size))
+
+    def _create(self, name, shape, draw) -> Tensor:
+        name = self.prefix + name
+        if self.stored is None:
+            values = draw()
+        elif name not in self.stored:
+            raise ValueError(f"missing parameter {name!r}")
+        else:
+            values = self.stored[name]
+            if values.shape != shape:
+                raise ValueError(f"parameter {name}: shape {values.shape} != expected {shape}")
+        t = Tensor(values, requires_grad=True)
+        self.named[name] = t
+        return t
+
+    def unused(self) -> list:
+        return sorted(set(self.stored or ()) - set(self.named))
 
 
 class Tape:

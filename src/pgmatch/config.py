@@ -89,12 +89,11 @@ class ModelConfig:
     def set(self, key: str, value):
         """Assign one field, coercing from string form; unknown keys list
         the valid ones."""
-        fields = {f.name: f for f in dataclasses.fields(self)}
-        if key not in fields:
-            raise KeyError(f"unknown config key {key!r}; valid keys: {', '.join(sorted(fields))}")
-        ftype = fields[key].type
+        if key not in _FIELD_TYPES:
+            raise KeyError(f"unknown config key {key!r}; "
+                           f"valid keys: {', '.join(sorted(_FIELD_TYPES))}")
         if isinstance(value, str):
-            value = _coerce(key, value, ftype)
+            value = _coerce(key, value, _FIELD_TYPES[key])
         setattr(self, key, value)
         return self
 
@@ -103,6 +102,9 @@ class ModelConfig:
         for key, value in overrides.items():
             cfg.set(key, value)
         return cfg.validate()
+
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 
 
 def _coerce(key: str, text: str, ftype: str):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,17 +112,23 @@ def write_matrix(path, arr: np.ndarray):
 
 
 def read_matrix(path) -> np.ndarray:
+    """The matrix in ``path`` as a new, writable float64 array. The file
+    size is checked against the header before anything is allocated, so
+    a header claiming more values than the file holds raises
+    ``DatasetError``, whatever its size."""
     with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(8), dtype="<u4")
-        if header.size != 2:
+        header = fh.read(8)
+        if len(header) != 8:
             raise DatasetError(f"{path}: truncated header")
-        rows, cols = int(header[0]), int(header[1])
-        payload = fh.read(rows * cols * 8)
-        size = len(payload) + len(fh.read())
-    if size != rows * cols * 8:
-        raise DatasetError(f"{path}: header ({rows} x {cols}) expected {rows * cols * 8} bytes "
-                           f"of float64 values, got {size}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        rows, cols = struct.unpack("<2I", header)
+        size = os.fstat(fh.fileno()).st_size - 8
+        if size != rows * cols * 8:
+            raise DatasetError(f"{path}: header ({rows} x {cols}) expected {rows * cols * 8} "
+                               f"bytes of float64 values, got {size}")
+        out = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(out) != size:
+            raise DatasetError(f"{path}: file changed while it was read")
+    return out.astype(np.float64, copy=False)
 
 
 def export_dataset(ds: SyntheticDataset, outdir, force: bool = False):
@@ -217,8 +224,9 @@ def _load_split(path, split, info, ds: SyntheticDataset) -> list:
         raise DatasetError(f"{tokens_file}: token id {tokens[row, col]} at row {row}, "
                            f"column {col} outside vocab_size [0, {ds.vocab_size})")
     tokens = tokens.astype(np.int64)
-    return [Instance(class_id=int(class_id), regions=regions[i * t:(i + 1) * t].copy(),
-                     tokens=tokens[i].copy())
+    # views: batches stack copies of them and nothing writes to them
+    return [Instance(class_id=int(class_id), regions=regions[i * t:(i + 1) * t],
+                     tokens=tokens[i])
             for i, class_id in enumerate(info["class_ids"])]
 
 

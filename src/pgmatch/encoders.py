@@ -8,13 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    ParamSource,
     ShapeError,
     Tensor,
     _sigmoid,
     add,
     gather_rows,
     matmul,
-    parameter,
     relu,
     softmax,
     transpose,
@@ -56,18 +56,17 @@ class GruParams:
         return self.w_xz.shape[1]
 
     @classmethod
-    def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator,
+    def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator | ParamSource,
              scale: float = 0.1) -> "GruParams":
-        def w(*shape):
-            return parameter(shape, rng, scale)
-
+        src = ParamSource.of(rng)
+        p, q = input_size, hidden_size
         return cls(
-            w_xz=w(input_size, hidden_size), w_hz=w(hidden_size, hidden_size),
-            b_z=parameter(np.zeros(hidden_size)),
-            w_xr=w(input_size, hidden_size), w_hr=w(hidden_size, hidden_size),
-            b_r=parameter(np.zeros(hidden_size)),
-            w_xc=w(input_size, hidden_size), w_hc=w(hidden_size, hidden_size),
-            b_c=parameter(np.zeros(hidden_size)),
+            w_xz=src.weight("w_xz", (p, q), scale), w_hz=src.weight("w_hz", (q, q), scale),
+            b_z=src.bias("b_z", q),
+            w_xr=src.weight("w_xr", (p, q), scale), w_hr=src.weight("w_hr", (q, q), scale),
+            b_r=src.bias("b_r", q),
+            w_xc=src.weight("w_xc", (p, q), scale), w_hc=src.weight("w_hc", (q, q), scale),
+            b_c=src.bias("b_c", q),
         )
 
     def tensors(self):

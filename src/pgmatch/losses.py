@@ -10,6 +10,7 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .autodiff import (
+    ParamSource,
     Tensor,
     add,
     concat,
@@ -17,7 +18,6 @@ from .autodiff import (
     gather_rows,
     log_softmax,
     matmul,
-    parameter,
     pick,
     relu,
     reshape,
@@ -151,17 +151,19 @@ class DecoderParams:
 
     @classmethod
     def init(cls, vocab_size: int, embed_dim: int, channels: int,
-             rng: np.random.Generator, scale: float = 0.1) -> "DecoderParams":
-        def w(*shape):
-            return parameter(shape, rng, scale)
+             rng: np.random.Generator | ParamSource, scale: float = 0.1) -> "DecoderParams":
+        src = ParamSource.of(rng)
+
+        def w(name, *shape):
+            return src.weight(name, shape, scale)
 
         return cls(
-            tok_table=w(vocab_size, channels),
-            start=w(channels,),
-            cond=w(embed_dim, channels),
-            conv1_w=w(3 * channels, channels), conv1_b=parameter(np.zeros(channels)),
-            conv2_w=w(3 * channels, channels), conv2_b=parameter(np.zeros(channels)),
-            out_w=w(channels, vocab_size), out_b=parameter(np.zeros(vocab_size)),
+            tok_table=w("tok_table", vocab_size, channels),
+            start=w("start", channels),
+            cond=w("cond", embed_dim, channels),
+            conv1_w=w("conv1_w", 3 * channels, channels), conv1_b=src.bias("conv1_b", channels),
+            conv2_w=w("conv2_w", 3 * channels, channels), conv2_b=src.bias("conv2_b", channels),
+            out_w=w("out_w", channels, vocab_size), out_b=src.bias("out_b", vocab_size),
         )
 
     def tensors(self):

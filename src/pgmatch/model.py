@@ -6,13 +6,14 @@ classifier and the shared text decoder. Also owns the checkpoint format
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 
 import numpy as np
 
 from .attention import PolicyParams, draw_noise, fuse, neutral_trace, policy_rollout
-from .autodiff import Tensor, constant, l2_normalize, matmul, parameter
+from .autodiff import ParamSource, Tensor, constant, l2_normalize, matmul
 from .config import ModelConfig
 from .data import DatasetError, read_matrix, write_matrix
 from .distributions import ActionSpace
@@ -57,57 +58,46 @@ def missing_checkpoint_note(path) -> str:
 
 class MatchingModel:
     def __init__(self, config: ModelConfig, vocab_size: int, num_instances: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | ParamSource):
+        """``rng`` draws a new model's parameters, always in the same order;
+        a ``ParamSource`` of stored arrays builds a saved model from them
+        (``load_checkpoint``, ``TrainResult.rebuild``), which must hold
+        exactly this model's parameter names (``ValueError`` otherwise)."""
         config.validate()
         self.config = config
         self.vocab_size = vocab_size
         self.num_instances = num_instances
         self.space = ActionSpace(n=config.n_actions, temperature=config.temperature)
         c, s = config, config.init_scale
+        src = ParamSource.of(rng)
+        square = (c.feature_dim, c.feature_dim)
 
-        self.w_aff_a = parameter((c.feature_dim, c.feature_dim), rng, s)
-        self.w_aff_b = self.w_aff_a if c.tied_affinity else parameter(
-            (c.feature_dim, c.feature_dim), rng, s)
-        self.w_gcn = [parameter((c.feature_dim, c.feature_dim), rng, s)
-                      for _ in range(c.gcn_layers)]
-        self.word_table = parameter((vocab_size, c.word_dim), rng, s)
-        self.img_policy = PolicyParams.init(c.feature_dim, c.hidden, self.space, rng,
-                                            heads=c.heads, scale=s)
-        self.txt_policy = PolicyParams.init(c.word_dim, c.hidden, self.space, rng,
-                                            heads=c.heads, scale=s)
-        self.proj_img = parameter((c.feature_dim, c.embed_dim), rng, s)
-        self.proj_txt = parameter((c.word_dim, c.embed_dim), rng, s)
-        self.classifier = parameter((c.embed_dim, num_instances), rng, s)
-        self.decoder = DecoderParams.init(vocab_size, c.embed_dim, c.decoder_dim, rng,
-                                          scale=c.decoder_init_scale)
+        self.w_aff_a = src.weight("w_aff_a", square, s)
+        self.w_aff_b = self.w_aff_a if c.tied_affinity else src.weight("w_aff_b", square, s)
+        self.w_gcn = [src.weight(f"w_gcn.{i}", square, s) for i in range(c.gcn_layers)]
+        self.word_table = src.weight("word_table", (vocab_size, c.word_dim), s)
+        self.img_policy = PolicyParams.init(c.feature_dim, c.hidden, self.space,
+                                            src.scope("img"), heads=c.heads, scale=s)
+        self.txt_policy = PolicyParams.init(c.word_dim, c.hidden, self.space,
+                                            src.scope("txt"), heads=c.heads, scale=s)
+        self.proj_img = src.weight("proj_img", (c.feature_dim, c.embed_dim), s)
+        self.proj_txt = src.weight("proj_txt", (c.word_dim, c.embed_dim), s)
+        self.classifier = src.weight("classifier", (c.embed_dim, num_instances), s)
+        self.decoder = DecoderParams.init(vocab_size, c.embed_dim, c.decoder_dim,
+                                          src.scope("decoder"), scale=c.decoder_init_scale)
+        if extra := src.unused():
+            raise ValueError(f"unknown parameters {extra}")
+        self._named = src.named
 
     # -- parameters ---------------------------------------------------------
 
     def named_parameters(self) -> dict:
-        out = {"w_aff_a": self.w_aff_a}
-        if self.w_aff_b is not self.w_aff_a:
-            out["w_aff_b"] = self.w_aff_b
-        for i, w in enumerate(self.w_gcn):
-            out[f"w_gcn.{i}"] = w
-        out["word_table"] = self.word_table
-        for branch, policy in (("img", self.img_policy), ("txt", self.txt_policy)):
-            for name, t in zip(_GRU_FIELDS, policy.gru.tensors()):
-                out[f"{branch}.gru.{name}"] = t
-            for h, w in enumerate(policy.w_mu):
-                out[f"{branch}.w_mu.{h}"] = w
-            for h, w in enumerate(policy.w_std):
-                out[f"{branch}.w_std.{h}"] = w
-            for name, t in zip(_GRU_FIELDS, policy.fusion_gru.tensors()):
-                out[f"{branch}.fusion_gru.{name}"] = t
-        out["proj_img"] = self.proj_img
-        out["proj_txt"] = self.proj_txt
-        out["classifier"] = self.classifier
-        for name, t in zip(_DECODER_FIELDS, self.decoder.tensors()):
-            out[f"decoder.{name}"] = t
-        return out
+        """Every parameter by name (``img.gru.w_xz``), in creation order;
+        a tied ``w_aff_b`` is ``w_aff_a`` and not listed again."""
+        return dict(self._named)
 
     def parameters(self) -> list:
-        return list(self.named_parameters().values())
+        return list(self._named.values())
 
     def trainable_parameters(self) -> list:
         """Parameters reached by the configured loss graph. The optimizer
@@ -139,19 +129,6 @@ class MatchingModel:
 
     def state_arrays(self) -> dict:
         return {name: t.values.copy() for name, t in self.named_parameters().items()}
-
-    def load_state_arrays(self, arrays: dict):
-        params = self.named_parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise ValueError(f"parameter name mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, t in params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.shape:
-                raise ValueError(f"parameter {name}: shape {arr.shape} != expected {t.shape}")
-            t.values = arr.copy()
-            t.grad = None
 
     # -- forward ------------------------------------------------------------
     #
@@ -280,33 +257,44 @@ class MatchingModel:
             fail("field 'params' is not an object")
         try:
             config = ModelConfig.from_dict(manifest["config"])
-            model = cls(config, int(manifest["vocab_size"]), int(manifest["num_instances"]),
-                        np.random.default_rng(0))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            fail(f"field 'config'/'vocab_size'/'num_instances': {exc}")
+            fail(f"field 'config': {exc}")
+        for key in ("vocab_size", "num_instances"):
+            if not _is_count(manifest[key]) or manifest[key] < 1:
+                fail(f"field {key!r} is {manifest[key]!r}, expected a positive integer")
         arrays = {}
         for name, info in manifest["params"].items():
-            try:
-                bin_file = os.path.join(path, info["file"])
-                shape = tuple(int(n) for n in info["shape"])
-            except (KeyError, TypeError, ValueError) as exc:
-                fail(f"field 'params.{name}' needs a file name and a shape ({exc})")
+            bin_file, shape = _param_entry(path, name, info, fail)
             try:
                 flat = read_matrix(bin_file)
             except (OSError, DatasetError) as exc:
                 reason = exc.strerror if isinstance(exc, OSError) else exc
                 raise CheckpointError(f"{bin_file}: cannot read params.{name} ({reason})") from None
-            if flat.size != int(np.prod(shape)):
+            if flat.size != math.prod(shape):
                 raise CheckpointError(f"{bin_file}: {flat.size} values do not fill "
                                       f"params.{name}.shape {list(shape)}")
             arrays[name] = flat.reshape(shape)
         try:
-            model.load_state_arrays(arrays)
+            return cls(config, manifest["vocab_size"], manifest["num_instances"],
+                       ParamSource(stored=arrays))
         except ValueError as exc:
             fail(f"field 'params': {exc}")
-        return model
 
 
-_GRU_FIELDS = ("w_xz", "w_hz", "b_z", "w_xr", "w_hr", "b_r", "w_xc", "w_hc", "b_c")
-_DECODER_FIELDS = ("tok_table", "start", "cond", "conv1_w", "conv1_b",
-                   "conv2_w", "conv2_b", "out_w", "out_b")
+def _param_entry(path, name, info, fail) -> tuple:
+    """The file and the shape one ``params`` entry of a manifest names:
+    a plain file name inside the checkpoint directory and a list of
+    non-negative integers, or ``fail`` naming the field."""
+    if not isinstance(info, dict) or "file" not in info or "shape" not in info:
+        fail(f"field 'params.{name}' needs a file name and a shape")
+    fname, shape = info["file"], info["shape"]
+    if not isinstance(fname, str) or fname in ("", ".", "..") or os.path.basename(fname) != fname:
+        fail(f"field 'params.{name}.file' is {fname!r}, expected a file name inside {path}")
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        fail(f"field 'params.{name}.shape' is {shape!r}, expected a list of non-negative integers")
+    return os.path.join(path, fname), tuple(shape)
+
+
+def _is_count(value) -> bool:
+    """Whether a JSON value is a non-negative integer."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0

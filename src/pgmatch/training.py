@@ -18,6 +18,7 @@ import numpy as np
 from .autodiff import (
     Adam,
     NonFiniteGradient,
+    ParamSource,
     active_tape,
     backward,
     clear_tape,
@@ -64,10 +65,11 @@ class TrainResult:
     num_instances: int
 
     def rebuild(self, best: bool = True) -> MatchingModel:
-        model = MatchingModel(self.config, self.vocab_size, self.num_instances,
-                              np.random.default_rng(0))
-        model.load_state_arrays(self.best_params if best else self.final_params)
-        return model
+        """A model holding a copy of the best (or final) parameters."""
+        params = self.best_params if best else self.final_params
+        stored = {name: values.copy() for name, values in params.items()}
+        return MatchingModel(self.config, self.vocab_size, self.num_instances,
+                             ParamSource(stored=stored))
 
 
 def canonical_records(records) -> list:

@@ -2,14 +2,17 @@
 
     PYTHONPATH=src python tests/recipe_digests.py [RECIPE ...] [--expect FILE]
 
-For each recipe it trains once and prints three sha256 digests: one of
+For each recipe it trains once and prints four sha256 digests: one of
 the metric log (``canonical_records`` as newline-joined ``record_line``s,
 so wall time is stripped), one of the final parameters (their raw bytes,
-in name order) and one of the read path: the final model's test-split
+in name order), one of the read path: the final model's test-split
 image embeddings then text embeddings (raw bytes), from the forward pass
 ``training.evaluate`` runs (one batch, deterministic rollouts, tape
-recording off). A change that claims to keep training and the read path
-bit-identical must print the same lines as its parent. The recipes are the two benchmark
+recording off), and one of a reload: the final model saved with
+``save_checkpoint`` and read back with ``load_checkpoint``, digested as
+its parameters then its read-path embeddings. A change that claims to
+keep training, the read path and checkpoints bit-identical must print
+the same lines as its parent. The recipes are the two benchmark
 recipes (``perfbench/workloads.py``: dataset seed 7, training seed 0) and
 the criterion-9 config of ``test_acceptance.py`` with its heads-2,
 ``pg_mode`` and PG-losses-only variants.
@@ -23,13 +26,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
+import tempfile
 
 import numpy as np
 
 from pgmatch.autodiff import active_tape, clear_tape
 from pgmatch.config import ModelConfig
 from pgmatch.data import generate_dataset
+from pgmatch.model import MatchingModel
 from pgmatch.training import canonical_records, record_line, train
 
 # The criterion-6 recipe the benchmark workloads train, with each
@@ -61,9 +67,9 @@ def recipes():
         loss_triplet=False, loss_instance=False, loss_decode=False)
 
 
-def embeddings_digest(model, instances) -> str:
-    """sha256 of the image then the text embeddings of ``instances``,
-    embedded as ``training.evaluate`` embeds a split."""
+def read_path_bytes(model, instances) -> bytes:
+    """The raw bytes of the image then the text embeddings of
+    ``instances``, embedded as ``training.evaluate`` embeds a split."""
     regions = np.stack([inst.regions for inst in instances])
     tokens = np.stack([inst.tokens for inst in instances])
     clear_tape()
@@ -74,18 +80,38 @@ def embeddings_digest(model, instances) -> str:
         txt = model.embed_text(tokens, None, mode="deterministic")[0].values
     finally:
         tape.recording = True
-    return hashlib.sha256(img.tobytes() + txt.tobytes()).hexdigest()
+    return img.tobytes() + txt.tobytes()
 
 
-def digests(dataset_args: dict, config: ModelConfig) -> tuple[str, str, str]:
+def params_digest(params: dict):
+    """sha256 over the raw bytes of ``params`` (name -> array), in name order."""
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(params[name].tobytes())
+    return digest
+
+
+def reload_digest(model, instances) -> str:
+    """sha256 of ``model`` saved and loaded back: the loaded parameters,
+    then the loaded model's read-path embeddings of ``instances``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model.save_checkpoint(os.path.join(tmp, "checkpoint"))
+        loaded = MatchingModel.load_checkpoint(os.path.join(tmp, "checkpoint"))
+    digest = params_digest({name: t.values for name, t in loaded.named_parameters().items()})
+    digest.update(read_path_bytes(loaded, instances))
+    return digest.hexdigest()
+
+
+def digests(dataset_args: dict, config: ModelConfig) -> tuple[str, str, str, str]:
     dataset = generate_dataset(**dataset_args)
     result = train(config, dataset)
     records = "\n".join(record_line(r) for r in canonical_records(result.records))
-    params = hashlib.sha256()
-    for name in sorted(result.final_params):
-        params.update(result.final_params[name].tobytes())
-    embeddings = embeddings_digest(result.rebuild(best=False), dataset.split("test"))
-    return hashlib.sha256(records.encode()).hexdigest(), params.hexdigest(), embeddings
+    final = result.rebuild(best=False)
+    test = dataset.split("test")
+    return (hashlib.sha256(records.encode()).hexdigest(),
+            params_digest(result.final_params).hexdigest(),
+            hashlib.sha256(read_path_bytes(final, test)).hexdigest(),
+            reload_digest(final, test))
 
 
 def parse_lines(lines) -> dict:
@@ -112,8 +138,9 @@ def main(argv=None) -> int:
     for name, dataset_args, config in recipes():
         if args.recipes and name not in args.recipes:
             continue
-        records, params, embeddings = digests(dataset_args, config)
-        line = f"{name:22s} records {records} params {params} embeddings {embeddings}"
+        records, params, embeddings, reload = digests(dataset_args, config)
+        line = (f"{name:22s} records {records} params {params} embeddings {embeddings} "
+                f"reload {reload}")
         print(line, flush=True)
         if expected is not None and differs(line, expected):
             print(f"{name}: digests differ from {args.expect}", file=sys.stderr)

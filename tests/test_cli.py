@@ -319,6 +319,24 @@ class TestMalformedCheckpoint:
         err = self.eval_error(trained, ckpt, capsys)
         assert "proj_img.bin" in err and "params.proj_img.shape" in err
 
+    def test_negative_shape_entries(self, trained, ckpt, capsys):
+        # [-64, -64] has the file's value count as its product
+        shape = [-n for n in json.loads((ckpt / "checkpoint.json").read_text())
+                 ["params"]["proj_img"]["shape"]]
+        self.edit_manifest(ckpt, lambda m: m["params"]["proj_img"].update(shape=shape))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "params.proj_img.shape" in err
+
+    @pytest.mark.parametrize("name", ["../classifier.bin", "ABSOLUTE", "sub/classifier.bin"])
+    def test_file_outside_the_checkpoint(self, trained, ckpt, capsys, name):
+        outside = ckpt.parent / "classifier.bin"
+        outside.write_bytes((ckpt / "classifier.bin").read_bytes())
+        if name == "ABSOLUTE":
+            name = str(outside)
+        self.edit_manifest(ckpt, lambda m: m["params"]["classifier"].update(file=name))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "params.classifier.file" in err
+
     def test_missing_manifest(self, trained, ckpt, capsys):
         (ckpt / "checkpoint.json").unlink()
         assert "checkpoint.json" in self.eval_error(trained, ckpt, capsys)
@@ -332,6 +350,12 @@ class TestMalformedCheckpoint:
         self.edit_manifest(ckpt, lambda m: m.pop("vocab_size"))
         err = self.eval_error(trained, ckpt, capsys)
         assert "checkpoint.json" in err and "vocab_size" in err
+
+    @pytest.mark.parametrize("field", ["vocab_size", "num_instances"])
+    def test_count_not_positive(self, trained, ckpt, capsys, field):
+        self.edit_manifest(ckpt, lambda m: m.update({field: -m[field]}))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and f"'{field}'" in err
 
     def test_truncated_parameter_file(self, trained, ckpt, capsys):
         truncate(ckpt / "classifier.bin", 3)

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pgmatch.data import (
     DatasetError,
@@ -107,6 +110,51 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(DatasetError, match="expected 32 bytes"):
             read_matrix(path)
+
+
+def _header(rows, cols) -> bytes:
+    return np.array([rows, cols], dtype="<u4").tobytes()
+
+
+@st.composite
+def matrix_files(draw):
+    """Bytes of a matrix file: a truncated header, or a header with a
+    payload that fits it, falls short of it or runs past it. Dimensions
+    range up to 2**32 - 1, so rows x cols x 8 can exceed any file (and
+    any memory) by far."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=7))
+    dim = st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1))
+    rows, cols = draw(dim), draw(dim)
+    need = rows * cols * 8
+    if need <= 512 and draw(st.booleans()):
+        length = need + draw(st.integers(-min(need, 16), 16))
+    else:
+        length = draw(st.integers(0, 512))
+    return _header(rows, cols) + draw(st.binary(min_size=length, max_size=length))
+
+
+class TestReadMatrixFuzz:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(matrix_files())
+    @example(b"")
+    @example(b"\x02\x00\x00")
+    @example(_header(2**32 - 1, 2**32 - 1))
+    @example(_header(2**32 - 1, 2**32 - 1) + b"\0" * 64)
+    @example(_header(2**31, 2) + b"\0" * 16)
+    @example(_header(1, 2**29) + b"\0" * 8)
+    def test_reads_exactly_or_raises_naming_the_file(self, tmp_path, content):
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(content)
+        rows, cols = np.frombuffer(content[:8], dtype="<u4") if len(content) >= 8 else (0, 0)
+        if len(content) >= 8 and len(content) - 8 == int(rows) * int(cols) * 8:
+            arr = read_matrix(path)
+            assert arr.shape == (rows, cols) and arr.flags.writeable
+            assert arr.tobytes() == content[8:]
+        else:
+            with pytest.raises(DatasetError, match=re.escape(str(path))):
+                read_matrix(path)
 
 
 class TestExportImport:

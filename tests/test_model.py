@@ -5,8 +5,10 @@ import pytest
 
 import pgmatch.autodiff as ad
 import pgmatch.model as model_module
+from pgmatch.autodiff import Adam, ParamSource
 from pgmatch.config import ModelConfig
 from pgmatch.model import CheckpointError, MatchingModel
+from pgmatch.training import TrainResult
 
 
 TINY = dict(feature_dim=6, word_dim=5, hidden=6, embed_dim=6, decoder_dim=4,
@@ -54,8 +56,8 @@ class TestParameters:
 
     def test_state_roundtrip(self):
         model = tiny_model(seed=1)
-        other = tiny_model(seed=2)
-        other.load_state_arrays(model.state_arrays())
+        other = MatchingModel(model.config, 9, 4, ParamSource(stored=model.state_arrays()))
+        assert list(other.named_parameters()) == list(model.named_parameters())
         for name, t in model.named_parameters().items():
             np.testing.assert_array_equal(t.values, other.named_parameters()[name].values)
 
@@ -64,7 +66,13 @@ class TestParameters:
         state = model.state_arrays()
         state.pop("classifier")
         with pytest.raises(ValueError, match="classifier"):
-            model.load_state_arrays(state)
+            MatchingModel(model.config, 9, 4, ParamSource(stored=state))
+        state = dict(model.state_arrays(), stray=np.zeros(3))
+        with pytest.raises(ValueError, match="stray"):
+            MatchingModel(model.config, 9, 4, ParamSource(stored=state))
+        state = dict(model.state_arrays(), proj_img=np.zeros((6, 5)))
+        with pytest.raises(ValueError, match="proj_img"):
+            MatchingModel(model.config, 9, 4, ParamSource(stored=state))
 
 
 class TestForward:
@@ -186,6 +194,57 @@ class TestCheckpoint:
         loaded = MatchingModel.load_checkpoint(tmp_path / "ckpt")
         for name, t in previous.named_parameters().items():
             assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
+
+
+class TestLoading:
+    """``load_checkpoint`` and ``TrainResult.rebuild`` build the model from
+    the arrays they hold: nothing is drawn, and each parameter gets its own
+    writable array, equal bit for bit to the saved one."""
+
+    @pytest.fixture(params=["load_checkpoint", "rebuild"])
+    def loaded(self, request, tmp_path, monkeypatch):
+        """(saved model, model loaded the way ``request.param`` names,
+        arrays it was loaded from), with every rng construction failing."""
+        model = tiny_model(seed=13, heads=2)
+        model.save_checkpoint(tmp_path / "ckpt")
+        state = model.state_arrays()
+        result = TrainResult(records=[], final_params=state, best_params=state, best_epoch=0,
+                             best_metric=0.0, config=model.config, vocab_size=9, num_instances=4)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("loading drew from an rng")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        if request.param == "load_checkpoint":
+            return model, MatchingModel.load_checkpoint(tmp_path / "ckpt"), []
+        return model, result.rebuild(), list(result.best_params.values())
+
+    def test_parameters_are_the_saved_bits_in_owned_arrays(self, loaded):
+        model, other, sources = loaded
+        params = other.named_parameters()
+        assert list(params) == list(model.named_parameters())
+        arrays = [t.values for t in params.values()]
+        for name, t in model.named_parameters().items():
+            assert params[name].values.dtype == np.float64
+            assert params[name].values.tobytes() == t.values.tobytes()
+            assert params[name].values.flags.writeable
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:] + sources:
+                assert not np.shares_memory(a, b)
+
+    def test_adam_step_updates_in_place(self, loaded):
+        _, other, sources = loaded
+        params = other.trainable_parameters()
+        before = [(t.values, t.values.copy()) for t in params]
+        kept = [a.copy() for a in sources]
+        for t in params:
+            t.grad = np.ones(t.shape)
+        Adam(params, lr=0.1).step()
+        for t, (array, old) in zip(params, before):
+            assert t.values is array
+            assert not np.array_equal(array, old)
+        for a, old in zip(sources, kept):
+            assert a.tobytes() == old.tobytes()
 
 
 class TestKilledSave:

@@ -6,8 +6,8 @@ import pytest
 import recipe_digests
 
 SAVED = """\
-reference              records aaa params bbb embeddings eee
-stress                 records ccc params ddd embeddings fff
+reference              records aaa params bbb embeddings eee reload rrr
+stress                 records ccc params ddd embeddings fff reload sss
 
 """
 
@@ -15,19 +15,22 @@ stress                 records ccc params ddd embeddings fff
 def test_parse_and_compare_lines():
     expected = recipe_digests.parse_lines(SAVED.splitlines())
     assert sorted(expected) == ["reference", "stress"]
-    assert not recipe_digests.differs("reference records aaa params bbb embeddings eee",
-                                      expected)
-    assert not recipe_digests.differs("stress    records ccc  params ddd embeddings fff",
-                                      expected)
-    assert recipe_digests.differs("stress                 records ccc params dde embeddings fff",
-                                  expected)
-    assert recipe_digests.differs("reference              records aab params bbb embeddings eee",
-                                  expected)
-    assert recipe_digests.differs("reference              records aaa params bbb embeddings eef",
-                                  expected)
-    assert recipe_digests.differs("reference              records aaa params bbb", expected)
-    assert recipe_digests.differs("criterion9             records aaa params bbb embeddings eee",
-                                  expected)
+    assert not recipe_digests.differs(
+        "reference records aaa params bbb embeddings eee reload rrr", expected)
+    assert not recipe_digests.differs(
+        "stress    records ccc  params ddd embeddings fff reload sss", expected)
+    assert recipe_digests.differs(
+        "stress                 records ccc params dde embeddings fff reload sss", expected)
+    assert recipe_digests.differs(
+        "reference              records aab params bbb embeddings eee reload rrr", expected)
+    assert recipe_digests.differs(
+        "reference              records aaa params bbb embeddings eef reload rrr", expected)
+    assert recipe_digests.differs(
+        "reference              records aaa params bbb embeddings eee reload rrs", expected)
+    assert recipe_digests.differs(
+        "reference              records aaa params bbb embeddings eee", expected)
+    assert recipe_digests.differs(
+        "criterion9             records aaa params bbb embeddings eee reload rrr", expected)
 
 
 @pytest.fixture
@@ -35,7 +38,8 @@ def saved(tmp_path, monkeypatch):
     # stand-in recipes whose "training" returns fixed digests: reference
     # matches the saved run, stress differs in its parameter digest
     monkeypatch.setattr(recipe_digests, "recipes", lambda: iter(
-        [("reference", ("aaa", "bbb", "eee"), None), ("stress", ("ccc", "dde", "fff"), None)]))
+        [("reference", ("aaa", "bbb", "eee", "rrr"), None),
+         ("stress", ("ccc", "dde", "fff", "sss"), None)]))
     monkeypatch.setattr(recipe_digests, "digests", lambda fake, config: fake)
     path = tmp_path / "saved.txt"
     path.write_text(SAVED)
@@ -45,13 +49,13 @@ def saved(tmp_path, monkeypatch):
 def test_expect_names_the_first_recipe_that_differs(saved, capsys):
     assert recipe_digests.main(["--expect", str(saved)]) == 1
     out, err = capsys.readouterr()
-    assert out.split() == ("reference records aaa params bbb embeddings eee "
-                           "stress records ccc params dde embeddings fff").split()
+    assert out.split() == ("reference records aaa params bbb embeddings eee reload rrr "
+                           "stress records ccc params dde embeddings fff reload sss").split()
     assert err == f"stress: digests differ from {saved}\n"
 
 
 def test_expect_passes_when_every_line_matches(saved, capsys):
     assert recipe_digests.main(["reference", "--expect", str(saved)]) == 0
     out, err = capsys.readouterr()
-    assert out.split() == "reference records aaa params bbb embeddings eee".split()
+    assert out.split() == "reference records aaa params bbb embeddings eee reload rrr".split()
     assert err == ""
