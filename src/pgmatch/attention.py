@@ -62,10 +62,6 @@ class PolicyParams:
             if w.shape != (hidden, 1):
                 raise ShapeError(f"w_std shape {w.shape} != ({hidden}, 1)")
 
-    @property
-    def head_count(self) -> int:
-        return len(self.w_mu)
-
     @classmethod
     def init(cls, feature_dim: int, hidden: int, space: ActionSpace,
              rng: np.random.Generator | ParamSource, heads: int = 1,
@@ -151,7 +147,7 @@ def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
             for u, z in zip(uniforms, normals)]
 
 
-def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forward, keep):
+def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, keep):
     """One head's compound action for a block of policy states ``hs``
     (n, B, hidden), steps t0..t0+n-1: the attention weight, the discrete
     log-prob and the continuous log-prob, each (n, B, 1) (a stage the
@@ -164,8 +160,8 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forwa
     category ``k`` is drawn from ``soft`` with the pre-drawn uniform, and
     the discrete log-prob is ``log soft[k]``. The Normal mean is
     ``mu = sigmoid(k / n)``, whose gradient goes straight through to the
-    relaxed mean ``sum_i (i / n) soft[i]`` (``st_soft_forward`` uses that
-    relaxed mean in the forward pass as well, so the graph is
+    relaxed mean ``sum_i (i / n) soft[i]`` (``space.st_soft_forward`` uses
+    that relaxed mean in the forward pass as well, so the graph is
     finite-difference checkable). The continuous stage draws
     ``raw = mu + sigma * eps`` with ``sigma = softplus(h W_std) + SIGMA_FLOOR``
     and the pre-drawn eps, and the attention is ``sigmoid(raw)``. The
@@ -217,10 +213,10 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forwa
         dlp = np.log(picked)
     else:
         dlp = zeros
-        soft = _softmax(logits) if keep or st_soft_forward or not discrete else None
-        if discrete and not st_soft_forward:
+        soft = _softmax(logits) if keep or space.st_soft_forward or not discrete else None
+        if discrete and not space.st_soft_forward:
             hard = greedy_label(logits)
-    if discrete and not st_soft_forward:
+    if discrete and not space.st_soft_forward:
         mu_in = np.asarray(hard, dtype=np.float64)[..., None] / space.n
     else:
         mu_in = (soft * labels).sum(axis=-1, keepdims=True)
@@ -287,7 +283,7 @@ def _check_sequence(name, features, gru: GruParams, length=None):
 
 def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
                    noise: RolloutNoise | None = None, mode: str = "stochastic",
-                   action_mode: str = "compound", st_soft_forward: bool = False) -> AttentionTrace:
+                   action_mode: str = "compound") -> AttentionTrace:
     """Run the attention policy over a batch of feature sequences.
 
     ``features`` is a (B, T, d) tensor; the GRU state is (B, hidden). In
@@ -296,9 +292,7 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
     category is taken and the attention is the squashed mean. A
     deterministic action has probability one, so that mode's log-prob
     sums are zero constants, as an unsampled stage's are, and its packed
-    sum columns read 0. ``st_soft_forward`` replaces the hard
-    straight-through forward value with the relaxed expectation so the
-    whole graph is finite-difference checkable; never used in training.
+    sum columns read 0.
 
     The whole rollout is one tape record: the policy GRU over all T steps
     (``GruSequence``), every head's sample (``_head``, one block of steps
@@ -335,7 +329,7 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
     for t0, t1 in blocks:
         hs = gru.forward(xs[t0:t1], t0)
         atts, dlps, clps, bws = zip(*(
-            _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, st_soft_forward, keep)
+            _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, keep)
             for k, (w_mu, w_std) in enumerate(heads)))
         combined = atts[0] if len(atts) == 1 else 0.5 * (atts[0] + atts[1])
         out[:, t0:t1] = combined[..., 0].T

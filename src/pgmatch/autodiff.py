@@ -19,7 +19,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input outside the mathematical domain of the op (log/div/sqrt)."""
+    """Input outside the mathematical domain of the op (div/sqrt)."""
 
 
 class TapeError(RuntimeError):
@@ -282,17 +282,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _TAPE.record("sub", (a, b), out, lambda g: (_reduce_to(g, sa), _reduce_to(-g, sb)))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with broadcasting."""
-    out = _broadcast("mul", np.multiply, a, b)
-    av, bv = a.values, b.values
-
-    def bw(g):
-        return _reduce_to(g * bv, av.shape), _reduce_to(g * av, bv.shape)
-
-    return _TAPE.record("mul", (a, b), out, bw)
-
-
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _TAPE.record("scalar_mul", (a,), c * a.values, lambda g: (c * g,))
@@ -424,16 +413,6 @@ def _sigmoid(x, out=None, work=None):
     return np.divide(num, den, out=num)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.values)
-    return _TAPE.record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.values)
-    return _TAPE.record("tanh", (a,), t, lambda g: (g * (1.0 - t * t),))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0
     return _TAPE.record("relu", (a,), np.where(mask, a.values, 0.0), lambda g: (g * mask,))
@@ -471,18 +450,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (g - s * g.sum(axis=axis, keepdims=True),)
 
     return _TAPE.record("log_softmax", (a,), out, bw)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.values <= 0.0):
-        raise DomainError("log: non-positive input")
-    v = a.values
-    return _TAPE.record("log", (a,), np.log(v), lambda g: (g / v,))
-
-
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.values)
-    return _TAPE.record("exp", (a,), e, lambda g: (g * e,))
 
 
 def square(a: Tensor) -> Tensor:

@@ -254,14 +254,19 @@ def _load_grid(source: str):
         raise UserError(f"{source}: expected a JSON list of objects with a 'name' field "
                         f"({type(exc).__name__}: {exc})") from exc
     # every run would fail on these, one error per seed: refuse the grid up front
-    keys = ModelConfig().to_dict()
+    probe = ModelConfig()
+    keys = probe.to_dict()
     for name, overrides in grid:
         if not isinstance(overrides, dict):
             raise UserError(f"{source}: entry {name!r}: 'overrides' must be an object")
-        for key in overrides:
+        for key, value in overrides.items():
             if key not in keys:
                 raise UserError(f"{source}: entry {name!r}: unknown config key {key!r} in "
                                 f"'overrides'; valid keys: {', '.join(sorted(keys))}")
+            try:
+                probe.set(key, value)
+            except ValueError as exc:
+                raise UserError(f"{source}: entry {name!r}: {exc}") from exc
     return grid
 
 

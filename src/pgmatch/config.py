@@ -4,6 +4,7 @@ ablation switch, serializable to/from plain ``key = value`` text."""
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 PG_MODES = ("off", "discrete", "continuous", "compound")
@@ -88,12 +89,17 @@ class ModelConfig:
 
     def set(self, key: str, value):
         """Assign one field, coercing from string form; unknown keys list
-        the valid ones."""
+        the valid ones. Any other value must already fit the field (an int
+        field takes an int, a float field an int or a float, never a bool);
+        otherwise ``ValueError`` names the key."""
         if key not in _FIELD_TYPES:
             raise KeyError(f"unknown config key {key!r}; "
                            f"valid keys: {', '.join(sorted(_FIELD_TYPES))}")
+        ftype = _FIELD_TYPES[key]
         if isinstance(value, str):
-            value = _coerce(key, value, _FIELD_TYPES[key])
+            value = _coerce(key, value, ftype)
+        elif not _FITS[ftype][0](value):
+            raise ValueError(f"config key {key!r}: expected {_FITS[ftype][1]}, got {value!r}")
         setattr(self, key, value)
         return self
 
@@ -105,6 +111,13 @@ class ModelConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+# field type -> (whether a non-string value fits it, what fits it)
+_FITS = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: False, "a string"),
+}
 
 
 def _coerce(key: str, text: str, ftype: str):
@@ -116,10 +129,11 @@ def _coerce(key: str, text: str, ftype: str):
         if low in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"config key {key!r}: cannot parse {text!r} as bool")
-    if ftype == "int":
-        return int(text)
-    if ftype == "float":
-        return float(text)
+    if ftype in ("int", "float"):
+        try:
+            return int(text) if ftype == "int" else float(text)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: cannot parse {text!r} as {ftype}") from None
     return text
 
 

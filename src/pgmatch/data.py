@@ -164,6 +164,25 @@ def export_dataset(ds: SyntheticDataset, outdir, force: bool = False):
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# every manifest field load_dataset reads: (the test a value passes, what it must be)
+_POSITIVE = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_NON_NEGATIVE = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_MANIFEST_FIELDS = {
+    "classes": _POSITIVE,
+    "regions_per_instance": _POSITIVE,
+    "tokens_per_instance": _POSITIVE,
+    "feature_dim": _POSITIVE,
+    "noise_scale": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "seed": (_is_int, "an integer"),
+    "distractors": _NON_NEGATIVE,
+    "splits": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
 def load_dataset(path) -> SyntheticDataset:
     """Read a dataset directory; a malformed file raises ``DatasetError``
     naming the file and the field."""
@@ -179,20 +198,15 @@ def load_dataset(path) -> SyntheticDataset:
         raise DatasetError(f"{manifest_file}: expected a JSON object")
     if manifest.get("format") != DATASET_FORMAT:
         raise DatasetError(f"{path}: unknown dataset format {manifest.get('format')!r}")
-    try:
-        ds = SyntheticDataset(
-            classes=manifest["classes"],
-            regions_per_instance=manifest["regions_per_instance"],
-            tokens_per_instance=manifest["tokens_per_instance"],
-            feature_dim=manifest["feature_dim"],
-            noise_scale=manifest["noise_scale"],
-            seed=manifest["seed"],
-            distractors=manifest["distractors"],
-        )
-        for split, info in manifest["splits"].items():
-            ds.splits[split] = _load_split(path, split, info, ds)
-    except KeyError as exc:
-        raise DatasetError(f"{manifest_file}: missing field {exc.args[0]!r}") from None
+    for key, (valid, what) in _MANIFEST_FIELDS.items():
+        if key not in manifest:
+            raise DatasetError(f"{manifest_file}: missing field {key!r}")
+        if not valid(manifest[key]):
+            raise DatasetError(f"{manifest_file}: field {key!r} is {manifest[key]!r}, "
+                               f"expected {what}")
+    ds = SyntheticDataset(**{key: manifest[key] for key in _MANIFEST_FIELDS if key != "splits"})
+    for split, info in manifest["splits"].items():
+        ds.splits[split] = _load_split(path, split, info, ds)
     return ds
 
 
@@ -200,15 +214,26 @@ def _load_split(path, split, info, ds: SyntheticDataset) -> list:
     """Read one split's matrices and check them against the manifest:
     batches are stacked from these arrays, so this is where they must be
     rectangular, finite and in range."""
+    field = f"{os.path.join(path, 'manifest.json')}: field 'splits.{split}"
+    if os.path.basename(split) != split or "\0" in split:
+        raise DatasetError(f"{field}' names a split that is not a plain file name prefix")
+    if not isinstance(info, dict):
+        raise DatasetError(f"{field}' is {info!r}, expected an object")
+    count, class_ids = info.get("count"), info.get("class_ids")
+    if not (_is_int(count) and count >= 0):
+        raise DatasetError(f"{field}.count' is {count!r}, expected a non-negative integer")
+    if not isinstance(class_ids, list) or not all(_is_int(c) for c in class_ids):
+        raise DatasetError(f"{field}.class_ids' is {class_ids!r}, expected a list of integers")
     t, n = ds.regions_per_instance, ds.tokens_per_instance
-    count = info["count"]
     regions_file = os.path.join(path, f"{split}_regions.bin")
     tokens_file = os.path.join(path, f"{split}_tokens.bin")
-    regions = read_matrix(regions_file)
-    tokens = read_matrix(tokens_file)
-    if len(info["class_ids"]) != count:
-        raise DatasetError(f"{path}: {split} has {len(info['class_ids'])} class_ids "
-                           f"for count {count}")
+    try:
+        regions = read_matrix(regions_file)
+        tokens = read_matrix(tokens_file)
+    except OSError as exc:
+        raise DatasetError(f"{exc.filename}: cannot read ({exc.strerror})") from None
+    if len(class_ids) != count:
+        raise DatasetError(f"{path}: {split} has {len(class_ids)} class_ids for count {count}")
     if regions.shape != (count * t, ds.feature_dim):
         raise DatasetError(f"{regions_file}: shape {regions.shape} inconsistent with count "
                            f"{count} x regions_per_instance {t}, feature_dim {ds.feature_dim}")
@@ -225,9 +250,8 @@ def _load_split(path, split, info, ds: SyntheticDataset) -> list:
                            f"column {col} outside vocab_size [0, {ds.vocab_size})")
     tokens = tokens.astype(np.int64)
     # views: batches stack copies of them and nothing writes to them
-    return [Instance(class_id=int(class_id), regions=regions[i * t:(i + 1) * t],
-                     tokens=tokens[i])
-            for i, class_id in enumerate(info["class_ids"])]
+    return [Instance(class_id=class_id, regions=regions[i * t:(i + 1) * t], tokens=tokens[i])
+            for i, class_id in enumerate(class_ids)]
 
 
 def dataset_fingerprint(path) -> str:

@@ -157,24 +157,20 @@ class MatchingModel:
         return draw_noise(rng, batch, lengths, self.config.heads, self.space.num_labels,
                           self.config.pg_mode)
 
-    def _rollout(self, features, policy: PolicyParams, noise, mode: str,
-                 st_soft_forward: bool = False):
+    def _rollout(self, features, policy: PolicyParams, noise, mode: str):
         if self.config.pg_mode == "off":
             return neutral_trace(features.shape[1], self.config.lam)
-        return policy_rollout(features, policy, self.space, noise, mode, self.config.pg_mode,
-                              st_soft_forward=st_soft_forward)
+        return policy_rollout(features, policy, self.space, noise, mode, self.config.pg_mode)
 
-    def embed_image(self, regions: np.ndarray, noise, mode: str = "stochastic",
-                    st_soft_forward: bool = False):
+    def embed_image(self, regions: np.ndarray, noise, mode: str = "stochastic"):
         features = self.encode_image(regions)
-        trace = self._rollout(features, self.img_policy, noise, mode, st_soft_forward)
+        trace = self._rollout(features, self.img_policy, noise, mode)
         fused = fuse(features, trace, self.config.lam, self.img_policy.fusion_gru)
         return l2_normalize(matmul(fused, self.proj_img)), trace
 
-    def embed_text(self, tokens, noise, mode: str = "stochastic",
-                   st_soft_forward: bool = False):
+    def embed_text(self, tokens, noise, mode: str = "stochastic"):
         features = self.encode_text(tokens)
-        trace = self._rollout(features, self.txt_policy, noise, mode, st_soft_forward)
+        trace = self._rollout(features, self.txt_policy, noise, mode)
         fused = fuse(features, trace, self.config.lam, self.txt_policy.fusion_gru)
         return l2_normalize(matmul(fused, self.proj_txt)), trace
 
@@ -288,7 +284,8 @@ def _param_entry(path, name, info, fail) -> tuple:
     if not isinstance(info, dict) or "file" not in info or "shape" not in info:
         fail(f"field 'params.{name}' needs a file name and a shape")
     fname, shape = info["file"], info["shape"]
-    if not isinstance(fname, str) or fname in ("", ".", "..") or os.path.basename(fname) != fname:
+    if (not isinstance(fname, str) or fname in ("", ".", "..") or "\0" in fname
+            or os.path.basename(fname) != fname):
         fail(f"field 'params.{name}.file' is {fname!r}, expected a file name inside {path}")
     if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
         fail(f"field 'params.{name}.shape' is {shape!r}, expected a list of non-negative integers")

@@ -81,17 +81,14 @@ def record_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _batch_losses(model: MatchingModel, instances, labels, rollout_rng,
-                  st_soft_forward: bool = False):
+def _batch_losses(model: MatchingModel, instances, labels, rollout_rng):
     cfg = model.config
     regions = np.stack([inst.regions for inst in instances])
     tokens = np.stack([inst.tokens for inst in instances])
     img_noise, txt_noise = model.draw_noise(rollout_rng, len(instances),
                                             (regions.shape[1], tokens.shape[1]))
-    img, img_trace = model.embed_image(regions, img_noise, mode="stochastic",
-                                       st_soft_forward=st_soft_forward)
-    txt, txt_trace = model.embed_text(tokens, txt_noise, mode="stochastic",
-                                      st_soft_forward=st_soft_forward)
+    img, img_trace = model.embed_image(regions, img_noise, mode="stochastic")
+    txt, txt_trace = model.embed_text(tokens, txt_noise, mode="stochastic")
 
     sim = matmul(img, transpose(txt))
     rewards = instance_rewards(sim.values, cfg.reward_mode)

@@ -1,12 +1,11 @@
 """Write the numbers that ``test_equivalence.py`` compares against.
 
 For a tiny model (d=8, B=4, 3 regions, 4 tokens) and every combination of
-pg_mode, head count and ``st_soft_forward``, it stores every loss
-component, the mean reward and every parameter gradient of one
+pg_mode, head count and ``ActionSpace.st_soft_forward``, it stores every
+loss component, the mean reward and every parameter gradient of one
 ``training._batch_losses`` call with a seeded rollout stream, plus the
-deterministic ``embed_image`` / ``embed_text`` output of each instance.
-Only public entry points that both the per-instance and the batch-major
-code provide are used, so the same script runs against either::
+deterministic ``embed_image`` / ``embed_text`` output of each instance,
+with the relaxed forward switched off again. Run it as::
 
     PYTHONPATH=src python tests/make_equivalence_fixture.py tests/data/equivalence.npz
 """
@@ -68,9 +67,9 @@ def run_case(name) -> dict:
     insts = instances()
     out = {}
     ad.clear_tape()
+    model.space.st_soft_forward = st_soft
     bundle, mean_reward = _batch_losses(model, insts, list(range(BATCH)),
-                                        np.random.default_rng(ROLLOUT_SEED),
-                                        st_soft_forward=st_soft)
+                                        np.random.default_rng(ROLLOUT_SEED))
     for component, value in bundle.as_floats().items():
         out[f"{name}/loss/{component}"] = np.asarray(value)
     out[f"{name}/reward_mean"] = np.asarray(mean_reward)
@@ -79,6 +78,7 @@ def run_case(name) -> dict:
         grad = np.zeros_like(tensor.values) if tensor.grad is None else tensor.grad
         out[f"{name}/grad/{pname}"] = np.array(grad)
     ad.clear_tape()
+    model.space.st_soft_forward = False
     out[f"{name}/embed_image"] = np.stack([
         model.embed_image(inst.regions, None, mode="deterministic")[0].values.reshape(-1)
         for inst in insts])

@@ -49,7 +49,7 @@ def random_features(rng, count, dim, batch=1):
 
 def noise_for(rng, feats, params, space, action_mode="compound"):
     batch, length = feats.shape[:2]
-    return draw_noise(rng, batch, [length], params.head_count, space.num_labels,
+    return draw_noise(rng, batch, [length], len(params.w_mu), space.num_labels,
                       action_mode)[0]
 
 

@@ -267,6 +267,18 @@ class TestMalformedUserFiles:
         assert not out.exists()  # refused before any run started
 
 
+    def test_grid_override_of_the_wrong_type(self, dataset_dir, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"name": "base"},
+                                    {"name": "two", "overrides": {"heads": 2.0}}]))
+        out = tmp_path / "a"
+        assert main(["ablate", "--data", str(dataset_dir), "--out", str(out),
+                     "--grid", str(grid), "--seeds", "2"] + FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert "grid.json" in err and "'two'" in err and "'heads'" in err
+        assert not out.exists()
+
+
 class TestMalformedCheckpoint:
     """A broken checkpoint is a user error (exit 1) naming the file and
     the field, never an internal error."""
@@ -327,7 +339,8 @@ class TestMalformedCheckpoint:
         err = self.eval_error(trained, ckpt, capsys)
         assert "checkpoint.json" in err and "params.proj_img.shape" in err
 
-    @pytest.mark.parametrize("name", ["../classifier.bin", "ABSOLUTE", "sub/classifier.bin"])
+    @pytest.mark.parametrize("name", ["../classifier.bin", "ABSOLUTE", "sub/classifier.bin",
+                                      "classifier.bin\0"])
     def test_file_outside_the_checkpoint(self, trained, ckpt, capsys, name):
         outside = ckpt.parent / "classifier.bin"
         outside.write_bytes((ckpt / "classifier.bin").read_bytes())
@@ -356,6 +369,13 @@ class TestMalformedCheckpoint:
         self.edit_manifest(ckpt, lambda m: m.update({field: -m[field]}))
         err = self.eval_error(trained, ckpt, capsys)
         assert "checkpoint.json" in err and f"'{field}'" in err
+
+    @pytest.mark.parametrize("key,value", [("heads", 1.0), ("gcn_layers", 1.0), ("hidden", 64.0),
+                                           ("tied_affinity", 0), ("pg_mode", None)])
+    def test_config_value_of_the_wrong_type(self, trained, ckpt, capsys, key, value):
+        self.edit_manifest(ckpt, lambda m: m["config"].update({key: value}))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "'config'" in err and f"'{key}'" in err
 
     def test_truncated_parameter_file(self, trained, ckpt, capsys):
         truncate(ckpt / "classifier.bin", 3)

@@ -35,6 +35,26 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="bool"):
             cfg.set("loss_triplet", "maybe")
 
+    @pytest.mark.parametrize("key,value", [
+        ("heads", 1.0), ("gcn_layers", 1.0), ("hidden", 64.0), ("hidden", True), ("seed", None),
+        ("lam", True), ("lam", [20.0]), ("tied_affinity", 1), ("pg_mode", 3), ("pg_mode", None)])
+    def test_non_string_value_must_fit_the_field(self, key, value):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            ModelConfig().set(key, value)
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            ModelConfig.from_dict({key: value})
+
+    def test_fitting_values_are_kept(self):
+        cfg = ModelConfig().set("lam", 10).set("beta", 0.25).set("hidden", 32)
+        cfg.set("tied_affinity", True).set("pg_mode", "off")
+        assert (cfg.lam, cfg.beta, cfg.hidden) == (10, 0.25, 32)
+        assert cfg.tied_affinity is True and cfg.pg_mode == "off"
+
+    @pytest.mark.parametrize("key,text", [("heads", "two"), ("lam", "1,5")])
+    def test_unparsable_number_names_the_key(self, key, text):
+        with pytest.raises(ValueError, match=f"config key '{key}'.*{text}"):
+            ModelConfig().set(key, text)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="pg_mode"):
             ModelConfig(pg_mode="sometimes").validate()

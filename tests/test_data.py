@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from manifest_fuzz import mutated
 from pgmatch.data import (
     DatasetError,
     dataset_fingerprint,
@@ -256,9 +257,56 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="train_regions.bin.*regions_per_instance"):
             load_dataset(ds_dir)
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda m: m.update(splits=[]), "field 'splits' is"),
+        (lambda m: m.update(classes="4"), "field 'classes' is"),
+        (lambda m: m.update(feature_dim=5.0), "field 'feature_dim' is"),
+        (lambda m: m.update(noise_scale=None), "field 'noise_scale' is"),
+        (lambda m: m["splits"]["val"].update(class_ids=None), "field 'splits.val.class_ids'"),
+        (lambda m: m["splits"]["val"].update(class_ids=[0, 1, "2"]),
+         "field 'splits.val.class_ids'"),
+        (lambda m: m["splits"].update(test=[3, [0, 1, 2]]), "field 'splits.test' is"),
+        (lambda m: m["splits"]["train"].update(count=3.0), "field 'splits.train.count'"),
+        (lambda m: m["splits"].update({"../train": m["splits"]["train"]}),
+         "field 'splits.../train'"),
+        (lambda m: m["splits"].update({"train\0": m["splits"]["train"]}), "field 'splits.train\0'"),
+    ])
+    def test_manifest_field_of_the_wrong_type(self, ds_dir, edit, field):
+        manifest = json.loads((ds_dir / "manifest.json").read_text())
+        edit(manifest)
+        (ds_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match=re.escape(f"manifest.json: {field}")):
+            load_dataset(ds_dir)
+
+    def test_missing_matrix_file(self, ds_dir):
+        (ds_dir / "val_tokens.bin").unlink()
+        with pytest.raises(DatasetError, match="val_tokens.bin: cannot read"):
+            load_dataset(ds_dir)
+
     def test_missing_manifest_field(self, ds_dir):
         manifest = json.loads((ds_dir / "manifest.json").read_text())
         del manifest["feature_dim"]
         (ds_dir / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="manifest.json.*feature_dim"):
             load_dataset(ds_dir)
+
+
+class TestManifestFuzz:
+    """A damaged dataset manifest loads or raises ``DatasetError`` naming
+    the dataset; no other exception gets out."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz") / "ds"
+        export_dataset(generate_dataset(classes=3, regions=2, tokens=4, dim=5, seed=11), out)
+        return out, json.loads((out / "manifest.json").read_text())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_raises_dataset_error(self, dataset, data):
+        path, manifest = dataset
+        (path / "manifest.json").write_text(json.dumps(data.draw(mutated(manifest))))
+        try:
+            load_dataset(path)
+        except DatasetError as exc:
+            assert str(path) in str(exc)

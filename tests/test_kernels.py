@@ -65,7 +65,7 @@ def setup(batch, length, heads, action_mode, seed=8):
 def logprob_loss(loss, dsum, csum, adv):
     for lp in (dsum, csum):
         if ad.active_tape().is_tracked(lp):
-            loss = ad.add(loss, ad.tsum(ad.mul(lp, adv)))
+            loss = ad.add(loss, ad.tsum(unfused.mul(lp, adv)))
     return loss
 
 
@@ -74,23 +74,23 @@ class TestRolloutKernels:
                              list(itertools.product(MODES, ACTION_MODES, (False, True), (1, 2))))
     def test_rollout_matches_primitive_graph(self, mode, action_mode, st_soft_forward, heads):
         rng, space, params, features, noise = setup(3, 3, heads, action_mode)
+        space.st_soft_forward = st_soft_forward
         w_att = rng.standard_normal((3, 3))
         adv = ad.constant(rng.standard_normal(3))
         leaves = [features] + params.tensors()
 
-        trace = policy_rollout(features, params, space, noise, mode, action_mode,
-                               st_soft_forward=st_soft_forward)
-        weighted = ad.mul(trace.weights, ad.constant(np.pad(w_att, ((0, 0), (0, 2)))))
+        trace = policy_rollout(features, params, space, noise, mode, action_mode)
+        weighted = unfused.mul(trace.weights, ad.constant(np.pad(w_att, ((0, 0), (0, 2)))))
         fused = [trace.attention.copy(), trace.discrete_logprob_sum.values.copy(),
                  trace.continuous_logprob_sum.values.copy()]
         fused += gradients(logprob_loss(ad.tsum(weighted), trace.discrete_logprob_sum,
                                         trace.continuous_logprob_sum, adv), leaves)
 
         atts, dsum, csum = unfused.policy_rollout(unfused.steps(features), params, space, noise,
-                                                  mode, action_mode, st_soft_forward)
-        loss = ad.tsum(ad.mul(atts[0], ad.constant(w_att[:, :1])))
+                                                  mode, action_mode)
+        loss = ad.tsum(unfused.mul(atts[0], ad.constant(w_att[:, :1])))
         for t, att in enumerate(atts[1:], start=1):
-            loss = ad.add(loss, ad.tsum(ad.mul(att, ad.constant(w_att[:, t:t + 1]))))
+            loss = ad.add(loss, ad.tsum(unfused.mul(att, ad.constant(w_att[:, t:t + 1]))))
         reference = [np.concatenate([a.values for a in atts], axis=1), dsum.values.copy(),
                      csum.values.copy()]
         reference += gradients(logprob_loss(loss, dsum, csum, adv), leaves)
@@ -147,7 +147,8 @@ class TestFuseKernel:
         fused = [out.values.copy(), trace.attention.copy(),
                  trace.discrete_logprob_sum.values.copy(),
                  trace.continuous_logprob_sum.values.copy()]
-        fused += gradients(logprob_loss(ad.tsum(ad.mul(out, w_out)), trace.discrete_logprob_sum,
+        fused += gradients(logprob_loss(ad.tsum(unfused.mul(out, w_out)),
+                                        trace.discrete_logprob_sum,
                                         trace.continuous_logprob_sum, adv), leaves)
 
         steps = unfused.steps(features)
@@ -155,7 +156,7 @@ class TestFuseKernel:
         out = unfused.fuse(steps, atts, 3.0, params.fusion_gru)
         reference = [out.values.copy(), np.concatenate([a.values for a in atts], axis=1),
                      dsum.values.copy(), csum.values.copy()]
-        reference += gradients(logprob_loss(ad.tsum(ad.mul(out, w_out)), dsum, csum, adv),
+        reference += gradients(logprob_loss(ad.tsum(unfused.mul(out, w_out)), dsum, csum, adv),
                                leaves)
         assert_same_bits(fused, reference)
 
@@ -168,10 +169,10 @@ class TestFuseKernel:
         leaves = [features] + gru.tensors()
 
         out = fuse(features, neutral_trace(length, 20.0), 20.0, gru)
-        fused = [out.values.copy()] + gradients(ad.tsum(ad.mul(out, w_out)), leaves)
+        fused = [out.values.copy()] + gradients(ad.tsum(unfused.mul(out, w_out)), leaves)
         att = ad.constant(np.full((1, 1), 1.0 / 20.0))
         out = unfused.fuse(unfused.steps(features), [att] * length, 20.0, gru)
-        reference = [out.values.copy()] + gradients(ad.tsum(ad.mul(out, w_out)), leaves)
+        reference = [out.values.copy()] + gradients(ad.tsum(unfused.mul(out, w_out)), leaves)
         assert_same_bits(fused, reference)
 
     def test_one_record(self):
@@ -309,7 +310,7 @@ class TestGruSequence:
         h, loss, values = ad.constant(np.zeros((batch, hidden))), None, []
         for t, step in enumerate(steps):
             h = unfused.gru_step(step, h, gru)
-            term = ad.tsum(ad.mul(h, ad.constant(w_out[t])))
+            term = ad.tsum(unfused.mul(h, ad.constant(w_out[t])))
             loss = term if loss is None else ad.add(loss, term)
             values.append(h.values)
         values = np.stack(values)

@@ -14,7 +14,7 @@ from pgmatch.losses import (
     total_loss,
     triplet_loss,
 )
-from unfused import discrete_logprob, normal_logprob
+from unfused import discrete_logprob, mul, normal_logprob
 
 
 @pytest.fixture(autouse=True)
@@ -36,7 +36,7 @@ def sums(*values):
 def logprob_trace(logits_tensor, indices):
     """One episode per index: the log-prob of drawing it from softmax(logits)."""
     n = len(indices)
-    probs = ad.mul(ad.softmax(logits_tensor, axis=-1), ad.constant(np.ones((n, 1))))
+    probs = mul(ad.softmax(logits_tensor, axis=-1), ad.constant(np.ones((n, 1))))
     lp = ad.reshape(discrete_logprob(probs, np.array(indices)), (n,))
     return make_trace(lp, ad.constant(np.zeros(n)))
 

@@ -1,7 +1,10 @@
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pgmatch.autodiff as ad
 import pgmatch.model as model_module
@@ -9,6 +12,7 @@ from pgmatch.autodiff import Adam, ParamSource
 from pgmatch.config import ModelConfig
 from pgmatch.model import CheckpointError, MatchingModel
 from pgmatch.training import TrainResult
+from manifest_fuzz import mutated, near
 
 
 TINY = dict(feature_dim=6, word_dim=5, hidden=6, embed_dim=6, decoder_dim=4,
@@ -245,6 +249,41 @@ class TestLoading:
             assert not np.array_equal(array, old)
         for a, old in zip(sources, kept):
             assert a.tobytes() == old.tobytes()
+
+
+class TestCheckpointFuzz:
+    """A damaged checkpoint manifest, its ``config`` values included,
+    loads or raises ``CheckpointError`` naming the checkpoint; no other
+    exception gets out."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "ckpt"
+        tiny_model(heads=2).save_checkpoint(path)
+        return path, json.loads((path / "checkpoint.json").read_text())
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_loads_or_raises_checkpoint_error(self, saved, data):
+        path, manifest = saved
+        start = data.draw(st.sampled_from([(), ("config",)]))
+        (path / "checkpoint.json").write_text(json.dumps(data.draw(mutated(manifest, start))))
+        try:
+            MatchingModel.load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
+
+    def test_every_near_edit_of_each_config_value(self, saved):
+        path, manifest = saved
+        for key, value in manifest["config"].items():
+            for edit in near(value):
+                damaged = {**manifest, "config": {**manifest["config"], key: edit}}
+                (path / "checkpoint.json").write_text(json.dumps(damaged))
+                try:
+                    MatchingModel.load_checkpoint(path)
+                except CheckpointError as exc:
+                    assert str(path) in str(exc)
 
 
 class TestKilledSave:

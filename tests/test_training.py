@@ -1,8 +1,11 @@
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
-from pgmatch.config import ModelConfig
+from pgmatch.config import PG_MODES, ModelConfig
 from pgmatch.data import generate_dataset
 from pgmatch.model import MatchingModel
 from pgmatch.rewards import diagonal_ranks
@@ -83,8 +86,8 @@ class TestTrain:
         real = train_mod._batch_losses
         calls = []
 
-        def poisoned(model, instances, labels, rng, st_soft_forward=False):
-            bundle, reward = real(model, instances, labels, rng, st_soft_forward)
+        def poisoned(model, instances, labels, rng):
+            bundle, reward = real(model, instances, labels, rng)
             calls.append(1)
             if len(calls) == 2:
                 bundle.total.values = np.asarray(np.nan)
@@ -284,3 +287,31 @@ class TestAblation:
         serial_runs, _ = run_ablation(base, grid, ds, seeds=(0,), jobs=1)
         parallel_runs, _ = run_ablation(base, grid, ds, seeds=(0,), jobs=2)
         assert serial_runs == parallel_runs
+
+
+# public functions of ``pgmatch.autodiff`` that are not ops recording under
+# their own name, and the record name of each op whose name differs
+NOT_RECORDING_OPS = {"constant", "record_op", "will_record", "backward", "grad_check",
+                     "active_tape", "clear_tape", "l2_normalize"}
+RECORD_NAMES = {"tsum": "sum"}
+
+
+class TestOpSet:
+    def test_every_engine_op_is_recorded_by_a_train_step(self):
+        """The engine keeps only the ops the model records: one train step
+        in each pg_mode, with one head and with two, records every op."""
+        ds = tiny_dataset()
+        split = ds.split("train")
+        recorded = set()
+        for pg_mode, heads in itertools.product(PG_MODES, (1, 2)):
+            config = ModelConfig(**{**TINY, "pg_mode": pg_mode, "heads": heads})
+            model = MatchingModel(config, ds.vocab_size, len(split), np.random.default_rng(0))
+            ad.clear_tape()
+            bundle, _ = _batch_losses(model, split[:4], [0, 1, 2, 3], np.random.default_rng(1))
+            ad.backward(bundle.total)
+            recorded |= {record[3] for record in ad.active_tape().records}
+        ad.clear_tape()
+        ops = {RECORD_NAMES.get(name, name) for name, fn in vars(ad).items()
+               if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+               and not name.startswith("_") and name not in NOT_RECORDING_OPS}
+        assert ops - recorded == set()

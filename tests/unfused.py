@@ -4,7 +4,9 @@ reference the sequence kernels (``attention.policy_rollout``,
 ``attention.fuse``) are checked against, bit for bit, in
 ``test_kernels.py``. These are the compositions the package ran before
 the kernels replaced them, with the sampling helpers they were built
-from; nothing in ``src/`` uses them.
+from; nothing in ``src/`` uses them. The elementwise ops only these
+compositions record (``mul``, ``sigmoid``, ``tanh``, ``log``) live here
+too, as custom records on the engine's tape.
 """
 
 from __future__ import annotations
@@ -25,6 +27,34 @@ def sigmoid_nine_ops(x):
     seven-op form: the same branches, two more numpy ops."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def mul(a, b):
+    """Elementwise product with broadcasting."""
+    out = ad._broadcast("mul", np.multiply, a, b)
+    av, bv = a.values, b.values
+
+    def bw(g):
+        return ad._reduce_to(g * bv, av.shape), ad._reduce_to(g * av, bv.shape)
+
+    return ad.record_op("mul", (a, b), out, bw)
+
+
+def sigmoid(a):
+    s = ad._sigmoid(a.values)
+    return ad.record_op("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
+
+
+def tanh(a):
+    t = np.tanh(a.values)
+    return ad.record_op("tanh", (a,), t, lambda g: (g * (1.0 - t * t),))
+
+
+def log(a):
+    if np.any(a.values <= 0.0):
+        raise ad.DomainError("log: non-positive input")
+    v = a.values
+    return ad.record_op("log", (a,), np.log(v), lambda g: (g / v,))
 
 
 def softplus(a):
@@ -49,7 +79,7 @@ def discrete_logprob(probs, index):
     idx = np.asarray(index, dtype=np.intp)[..., None]
     if np.any(np.take_along_axis(probs.values, idx, axis=-1) <= 0.0):
         raise ad.DomainError(f"discrete_logprob: zero probability at index {index}")
-    return ad.log(ad.pick(probs, idx))
+    return log(ad.pick(probs, idx))
 
 
 def action_to_mu(index, n):
@@ -70,7 +100,7 @@ def straight_through(hard_index, soft_probs, n):
 def soft_action_value(soft_probs, n):
     """sum_i (i / n) * probs[i] per row, as a (..., 1) column."""
     labels = np.arange(soft_probs.shape[-1], dtype=np.float64) / n
-    return ad.tsum(ad.mul(soft_probs, ad.constant(labels)), axis=-1, keepdims=True)
+    return ad.tsum(mul(soft_probs, ad.constant(labels)), axis=-1, keepdims=True)
 
 
 def normal_sample_reparam(mu, sigma, rng, eps=None):
@@ -79,7 +109,7 @@ def normal_sample_reparam(mu, sigma, rng, eps=None):
         raise ad.DomainError(f"normal_sample_reparam: sigma must be positive, got {sigma.values}")
     if eps is None:
         eps = rng.standard_normal() if sigma.values.ndim == 0 else rng.standard_normal(sigma.shape)
-    return ad.add(mu, ad.mul(sigma, ad.constant(eps)))
+    return ad.add(mu, mul(sigma, ad.constant(eps)))
 
 
 def normal_logprob(x, mu, sigma):
@@ -90,7 +120,7 @@ def normal_logprob(x, mu, sigma):
     if np.any(sigma.values <= 0.0):
         raise ad.DomainError(f"normal_logprob: sigma must be positive, got {sigma.values}")
     quad = ad.div(ad.square(ad.sub(x, mu)), ad.scalar_mul(ad.square(sigma), 2.0))
-    return ad.sub(ad.sub(ad.constant(np.asarray(-0.5 * LOG_2PI)), ad.log(sigma)), quad)
+    return ad.sub(ad.sub(ad.constant(np.asarray(-0.5 * LOG_2PI)), log(sigma)), quad)
 
 
 def timestep(a, t):
@@ -112,13 +142,13 @@ _ZERO = ad.constant(np.asarray(0.0))
 def gru_step(x, h, params):
     """h' = (1 - z) * h + z * candidate, in 20 primitive records."""
     p = params
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xz), ad.matmul(h, p.w_hz)), p.b_z))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xr), ad.matmul(h, p.w_hr)), p.b_r))
-    cand = ad.tanh(ad.add(ad.add(ad.matmul(x, p.w_xc), ad.matmul(ad.mul(r, h), p.w_hc)), p.b_c))
-    return ad.add(ad.mul(ad.sub(_ONE, z), h), ad.mul(z, cand))
+    z = sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xz), ad.matmul(h, p.w_hz)), p.b_z))
+    r = sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xr), ad.matmul(h, p.w_hr)), p.b_r))
+    cand = tanh(ad.add(ad.add(ad.matmul(x, p.w_xc), ad.matmul(mul(r, h), p.w_hc)), p.b_c))
+    return ad.add(mul(ad.sub(_ONE, z), h), mul(z, cand))
 
 
-def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_forward):
+def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode):
     """One head's (att, discrete log-prob, continuous log-prob), each a
     (B, 1) column or the constant 0 for a stage the rollout does not
     sample. Deterministic mode samples nothing: it takes the argmax of the
@@ -126,7 +156,7 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_f
     logits = ad.matmul(h, w_mu)
     stochastic = mode == "stochastic"
     if action_mode == "continuous":
-        mu = ad.sigmoid(soft_action_value(ad.softmax(logits, axis=-1), space.n))
+        mu = sigmoid(soft_action_value(ad.softmax(logits, axis=-1), space.n))
         dlp = _ZERO
     else:
         if stochastic:
@@ -136,19 +166,19 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode, st_soft_f
             soft = ad.softmax(logits, axis=-1)
             hard = np.argmax(soft.values, axis=-1)
         dlp = discrete_logprob(soft, hard) if stochastic else _ZERO
-        if st_soft_forward:
+        if space.st_soft_forward:
             mu_in = soft_action_value(soft, space.n)
         else:
             mu_in = straight_through(hard, soft, space.n)
-        mu = ad.sigmoid(mu_in)
+        mu = sigmoid(mu_in)
 
     if action_mode == "discrete":
         return mu, dlp, _ZERO
     if not stochastic:
-        return ad.sigmoid(mu), dlp, _ZERO
+        return sigmoid(mu), dlp, _ZERO
     sigma = ad.add(softplus(ad.matmul(h, w_std)), ad.constant(np.asarray(SIGMA_FLOOR)))
     raw = normal_sample_reparam(mu, sigma, None, eps=noise.normal[:, t, k, None])
-    return ad.sigmoid(raw), dlp, normal_logprob(raw, mu, sigma)
+    return sigmoid(raw), dlp, normal_logprob(raw, mu, sigma)
 
 
 def steps(features):
@@ -157,7 +187,7 @@ def steps(features):
 
 
 def policy_rollout(steps, params, space, noise=None, mode="stochastic",
-                   action_mode="compound", st_soft_forward=False):
+                   action_mode="compound"):
     """``attention.policy_rollout`` over the primitive GRU and head, on a
     list of (B, d) step tensors: the per-step attention columns (B, 1) and
     the (B,) log-prob sums."""
@@ -169,8 +199,7 @@ def policy_rollout(steps, params, space, noise=None, mode="stochastic",
         h = gru_step(f, h, params.gru)
         head_atts = []
         for k, (w_mu, w_std) in enumerate(zip(params.w_mu, params.w_std)):
-            att, dlp, clp = sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode,
-                                        st_soft_forward)
+            att, dlp, clp = sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode)
             head_atts.append(att)
             dsum = ad.add(dsum, dlp)
             csum = ad.add(csum, clp)
@@ -184,7 +213,7 @@ def policy_rollout(steps, params, space, noise=None, mode="stochastic",
 def fuse(steps, atts, lam, gru):
     """``attention.fuse`` on (B, d) step tensors and per-step attention
     columns (or (1, 1) constants)."""
-    adjusted = [ad.mul(f, ad.scalar_mul(att, lam)) for f, att in zip(steps, atts)]
+    adjusted = [mul(f, ad.scalar_mul(att, lam)) for f, att in zip(steps, atts)]
     h = ad.constant(np.zeros(adjusted[0].shape[:-1] + (gru.hidden_size,)))
     for a in adjusted:
         h = gru_step(a, h, gru)
