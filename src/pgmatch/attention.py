@@ -133,12 +133,14 @@ def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
     normals = [np.empty((batch, n, heads)) if normal else None for n in lengths]
     for b in range(batch):
         for u, z, n in zip(uniforms, normals, lengths):
+            u_b = None if u is None else u[b]
             for t in range(n):
                 for k in range(heads):
                     if discrete:
                         # the Gumbel vector and the categorical uniform are
-                        # consecutive draws from the same double stream
-                        u[b, t, k] = rng.random(num_labels + 1)
+                        # consecutive draws from the same double stream,
+                        # written straight into place
+                        rng.random(out=u_b[t, k])
                     if normal:
                         z[b, t, k] = rng.standard_normal()
     return [RolloutNoise(gumbel=None if u is None else gumbel_from_uniform(u[..., :-1]),

@@ -381,23 +381,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
                         lambda g: tuple(np.split(g, bounds, axis=axis)))
 
 
-def shift(a: Tensor, k: int) -> Tensor:
-    """Delay a (B, T, ...) sequence by ``k`` >= 1 steps: step t reads step
-    t - k, and the first k steps read zeros."""
-    v = a.values
-    if v.ndim < 2 or k < 1:
-        raise ShapeError(f"shift: needs a (B, T, ...) tensor and k >= 1, got {a.shape}, k={k}")
-    out = np.zeros_like(v)
-    out[:, k:] = v[:, :v.shape[1] - k]
-
-    def bw(g):
-        acc = np.zeros_like(g)
-        acc[:, :g.shape[1] - k] = g[:, k:]
-        return (acc,)
-
-    return _TAPE.record("shift", (a,), out, bw)
-
-
 def _sigmoid(x, out=None, work=None):
     # exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + e^-x) for x >= 0 and
     # e^x / (1 + e^x) below, never exponentiating a positive number. The

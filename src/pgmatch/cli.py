@@ -144,6 +144,26 @@ def _match_dataset(config: ModelConfig, dataset):
             f"config feature_dim {config.feature_dim} != dataset feature dim {dataset.feature_dim}")
 
 
+def _split(data_dir, dataset, name: str, minimum: int, purpose: str) -> list:
+    """Split ``name`` of a loaded dataset, which ``purpose`` needs to hold
+    at least ``minimum`` instances; a user error naming the manifest and
+    the split otherwise."""
+    manifest = os.path.join(data_dir, "manifest.json")
+    if name not in dataset.splits:
+        raise UserError(f"{manifest}: no split {name!r} for {purpose} "
+                        f"(have {sorted(dataset.splits)})")
+    split = dataset.splits[name]
+    if len(split) < minimum:
+        raise UserError(f"{manifest}: split {name!r} has {len(split)} instances; "
+                        f"{purpose} needs at least {minimum}")
+    return split
+
+
+def _check_training_splits(data_dir, dataset):
+    _split(data_dir, dataset, "train", 2, "training")
+    _split(data_dir, dataset, "val", 1, "validation")
+
+
 def cmd_gen(args) -> int:
     out = _data_dir(args.out)
     try:
@@ -165,6 +185,7 @@ def cmd_train(args) -> int:
     data_dir = _data_dir(args.data)
     dataset = load_dataset(data_dir)
     _match_dataset(config, dataset)
+    _check_training_splits(data_dir, dataset)
     os.makedirs(args.out, exist_ok=True)
 
     manifest = {
@@ -213,7 +234,7 @@ def cmd_eval(args) -> int:
                         f"dataset feature dim {dataset.feature_dim}")
     if model.vocab_size != dataset.vocab_size:
         raise UserError(f"checkpoint vocab {model.vocab_size} != dataset vocab {dataset.vocab_size}")
-    split = dataset.split(args.split)
+    split = _split(data_dir, dataset, args.split, 1, "evaluation")
     metrics = evaluate(model, split, ks=_eval_ks(len(split)))
     print(f"{'direction':<12}" + "".join(f"R@{k:<8}" for k in (1, 5, 10) if f"r{k}_i2t" in metrics))
     for direction in ("i2t", "t2i"):
@@ -275,6 +296,8 @@ def cmd_ablate(args) -> int:
     data_dir = _data_dir(args.data)
     dataset = load_dataset(data_dir)
     _match_dataset(config, dataset)
+    _check_training_splits(data_dir, dataset)
+    _split(data_dir, dataset, "test", 1, "the ablation's test evaluation")
     grid = _load_grid(args.grid)
     seeds = list(range(args.seeds))
     runs, rows = run_ablation(config, grid, dataset, seeds=seeds, jobs=args.jobs)

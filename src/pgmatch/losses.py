@@ -12,17 +12,17 @@ import numpy as np
 from .autodiff import (
     ParamSource,
     Tensor,
+    _matmul_grads,
+    _matmul_values,
+    _reduce_to,
     add,
-    concat,
     constant,
-    gather_rows,
     log_softmax,
     matmul,
     pick,
+    record_op,
     relu,
-    reshape,
     scalar_mul,
-    shift,
     sub,
     transpose,
     tsum,
@@ -171,19 +171,52 @@ class DecoderParams:
                 self.conv2_w, self.conv2_b, self.out_w, self.out_b]
 
 
-def _causal_conv(x, w, b):
-    """Kernel-3 causal convolution over a (B, N, C) sequence: each step sees
-    itself and the two before it (zeros before the start)."""
-    window = concat([shift(x, 2), shift(x, 1), x], axis=-1)
-    return relu(add(matmul(window, w), b))
+def _window(x):
+    """The kernel-3 causal window of a (B, N, C) sequence, (B, N, 3C): each
+    step sees the step two before, the step before (zeros before the
+    start) and itself."""
+    length, channels = x.shape[1:]
+    window = np.zeros(x.shape[:2] + (3 * channels,))
+    window[:, 2:, :channels] = x[:, :length - 2]
+    window[:, 1:, channels:2 * channels] = x[:, :length - 1]
+    window[..., 2 * channels:] = x
+    return window
+
+
+def _delayed_grad(g, k):
+    """The adjoint of a sequence delayed by ``k`` steps, moved back onto
+    the sequence: step t takes the part of step t + k, the last k zeros."""
+    acc = np.zeros_like(g)
+    acc[:, :g.shape[1] - k] = g[:, k:]
+    return acc
+
+
+def _window_grad(g, channels):
+    """The adjoint of the sequence a window was built from: its own part,
+    plus the delayed-by-1 part, plus the delayed-by-2 part. The delayed
+    parts are added as whole zero-tailed arrays, as the primitive shift
+    records returned them: adding 0.0 turns a -0.0 into +0.0."""
+    own = g[..., 2 * channels:] + _delayed_grad(g[..., channels:2 * channels], 1)
+    return own + _delayed_grad(g[..., :channels], 2)
 
 
 def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> Tensor:
     """Teacher-forced next-token cross-entropy, averaged over positions and
     then over the batch. Row b of the (B, embed_dim) embeddings conditions
     the decoding of row b of the (B, N) targets; each position sees the
-    conditioning embedding plus a causal convolution over the previous
-    target tokens, and position i predicts target[i]."""
+    conditioning embedding plus two kernel-3 causal convolutions (ReLU)
+    over the previous target tokens, and position i predicts target[i].
+    Position 0 reads the start vector, stored as one extra table row.
+
+    One tape record with a hand-written backward pass. Every value is the
+    numpy expression the decoder written out in primitive tape ops
+    evaluates (``tests/unfused.py``), and every adjoint is added in the
+    order the engine added those ops' parts: a convolution's input takes
+    its own window part, then the delayed-by-1 part, then the
+    delayed-by-2 part; the broadcast biases and the conditioning are
+    summed with the engine's ``_reduce_to``; the token lookup adds into
+    the ``[tok_table; start]`` table with ``np.add.at`` before the table
+    is split. Results match the primitive graph bit for bit."""
     ids = np.asarray(targets, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] < 1:
         raise ValueError(f"text_decoding_loss: empty target (shape {ids.shape})")
@@ -191,17 +224,46 @@ def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> T
         raise ValueError(f"{embeddings.shape[0]} embeddings vs {ids.shape[0]} targets")
     if ids.min() < 0 or ids.max() >= decoder.vocab_size:
         raise ValueError(f"target token outside vocabulary [0, {decoder.vocab_size})")
-    batch, length = ids.shape
-    channels = decoder.channels
+    batch = ids.shape[0]
+    vocab, channels = decoder.vocab_size, decoder.channels
+    emb, w_cond = embeddings.values, decoder.cond.values
+    convs = [(decoder.conv1_w.values, decoder.conv1_b.values),
+             (decoder.conv2_w.values, decoder.conv2_b.values)]
+    out_w = decoder.out_w.values
 
-    # position 0 reads the start vector, stored as one extra table row
-    table = concat([decoder.tok_table, reshape(decoder.start, (1, channels))], axis=0)
-    inputs = np.concatenate([np.full((batch, 1), decoder.vocab_size), ids[:, :-1]], axis=1)
-    cond = reshape(matmul(embeddings, decoder.cond), (batch, 1, channels))
-    x = add(gather_rows(table, inputs), cond)
+    table = np.concatenate([decoder.tok_table.values, decoder.start.values.reshape(1, channels)])
+    inputs = np.concatenate([np.full((batch, 1), vocab), ids[:, :-1]], axis=1).astype(np.intp)
+    cond = _matmul_values(emb, w_cond)
+    hidden = np.add(table[inputs], cond.reshape(batch, 1, channels))
+    windows, masks = [], []
+    for w, b in convs:
+        windows.append(_window(hidden))
+        pre = np.add(_matmul_values(windows[-1], w), b)
+        masks.append(pre > 0)
+        hidden = np.where(masks[-1], pre, 0.0)
+    logits = np.add(_matmul_values(hidden, out_w), decoder.out_b.values)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    idx = ids.astype(np.intp)[..., None]
+    scale = float(-1.0 / ids.size)
+    loss = scale * np.asarray(np.take_along_axis(lsm, idx, axis=-1).sum())
 
-    hidden = _causal_conv(x, decoder.conv1_w, decoder.conv1_b)
-    hidden = _causal_conv(hidden, decoder.conv2_w, decoder.conv2_b)
+    def backward(g):
+        g_lsm = np.zeros_like(lsm)
+        np.put_along_axis(g_lsm, idx, scale * g, axis=-1)
+        g_logits = g_lsm - np.exp(lsm) * g_lsm.sum(axis=-1, keepdims=True)
+        g_hidden, g_out_w = _matmul_grads(g_logits, hidden, out_w)
+        conv_grads = []
+        for (w, b), window, mask in zip(reversed(convs), reversed(windows), reversed(masks)):
+            g_pre = g_hidden * mask
+            g_window, g_w = _matmul_grads(g_pre, window, w)
+            conv_grads = [g_w, _reduce_to(g_pre, b.shape)] + conv_grads
+            g_hidden = _window_grad(g_window, channels)
+        g_table = np.zeros_like(table)
+        np.add.at(g_table, inputs, g_hidden)
+        g_cond = _reduce_to(g_hidden, (batch, 1, channels)).reshape(batch, channels)
+        g_emb, g_w_cond = _matmul_grads(g_cond, emb, w_cond)
+        return [g_emb, g_table[:vocab], g_table[vocab:].reshape(channels), g_w_cond,
+                *conv_grads, g_out_w, _reduce_to(g_logits, decoder.out_b.shape)]
 
-    lsm = log_softmax(add(matmul(hidden, decoder.out_w), decoder.out_b), axis=-1)
-    return scalar_mul(tsum(pick(lsm, ids[..., None])), -1.0 / ids.size)
+    return record_op("text_decode", [embeddings] + decoder.tensors(), loss, backward)

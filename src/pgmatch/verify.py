@@ -26,7 +26,7 @@ from .config import ModelConfig
 from .data import Instance
 from .distributions import ActionSpace, categorical_sample
 from .encoders import GruParams, gcn_reason, region_affinity
-from .losses import discrete_pg_loss
+from .losses import DecoderParams, discrete_pg_loss, text_decoding_loss
 from .model import MatchingModel
 from .rewards import diagonal_ranks, pg_baseline
 from .training import _batch_losses
@@ -131,7 +131,7 @@ def _structural_cases(rng):
          (seq, ad.Tensor(rng.standard_normal((2, 4, 2))))),
         ("concat_rows", concat_rows_loss, (mat, ad.Tensor(rng.standard_normal(3)))),
         ("reshape", lambda t: _weighted(ad.reshape(t, (4, 6)), np.arange(24.)), (seq,)),
-        ("shift", lambda t: _weighted(ad.shift(t, 1), np.arange(24.)), (seq,)),
+        ("text_decode", *_decode_loss()),
         ("sum_axis", lambda t: ad.tsum(ad.square(ad.tsum(t, axis=1))), (seq,)),
         ("gather_rows", lambda t: ad.tsum(ad.square(ad.gather_rows(t, [0, 2, 2, 4]))), (table,)),
         ("gather_rows_batched", lambda t: ad.tsum(ad.square(ad.gather_rows(t, [[0, 2], [2, 4]]))),
@@ -140,6 +140,20 @@ def _structural_cases(rng):
         ("pick_index_vector", lambda t: ad.tsum(ad.square(ad.pick(t, [[2], [0], [1], [2]]))),
          (mat,)),
     ]
+
+
+def _decode_loss():
+    """The text-decoding loss of two rows of three target tokens (with
+    repeats) as a function of the embeddings and every decoder weight.
+    It draws from its own rng, so no other case's draws move."""
+    rng = np.random.default_rng(13)
+    decoder = DecoderParams.init(5, 4, 3, rng, scale=0.5)
+    targets = np.array([[1, 4, 1], [0, 2, 2]])
+
+    def loss(embeddings, *tensors):
+        return text_decoding_loss(embeddings, targets, decoder)
+
+    return loss, (ad.Tensor(rng.standard_normal((2, 4))),) + tuple(decoder.tensors())
 
 
 def _rollout_loss(action_mode, mode, rng):

@@ -3,7 +3,7 @@ import pytest
 
 import pgmatch.autodiff as ad
 from pgmatch.verify import GRAD_EPS, GRAD_TOL
-from unfused import log, mul, sigmoid, tanh
+from unfused import log, mul, shift, sigmoid, tanh
 
 
 @pytest.fixture(autouse=True)
@@ -190,10 +190,10 @@ class TestBatchOps:
     def test_shift_and_concat(self):
         seq = np.arange(12.0).reshape(1, 4, 3)
         x = ad.Tensor(seq)
-        shifted = ad.shift(x, 1).values
+        shifted = shift(x, 1).values
         np.testing.assert_array_equal(shifted[:, 0], 0.0)
         np.testing.assert_array_equal(shifted[:, 1:], seq[:, :3])
-        window = ad.concat([ad.shift(x, 1), x], axis=-1)
+        window = ad.concat([shift(x, 1), x], axis=-1)
         assert window.shape == (1, 4, 6)
         with pytest.raises(ad.ShapeError, match="concat"):
             ad.concat([x, ad.Tensor(np.zeros((1, 3, 3)))], axis=-1)
@@ -213,6 +213,8 @@ def oracle_op_cases():
     b = ad.Tensor(rng.standard_normal((3, 4)))
     row = ad.Tensor(rng.standard_normal(4))
     col = ad.Tensor(rng.standard_normal((3, 1)))
+    seq = ad.Tensor(rng.standard_normal((2, 4, 3)))
+    seq_weights = ad.constant(np.arange(24.0).reshape(2, 4, 3))
     return {
         "sigmoid": (lambda t: ad.tsum(sigmoid(t)), (x,)),
         "tanh": (lambda t: ad.tsum(tanh(t)), (x,)),
@@ -221,13 +223,15 @@ def oracle_op_cases():
         "mul_scalar_operand": (lambda p, q: ad.tsum(mul(p, q)), (a, ad.Tensor(np.asarray(0.7)))),
         "mul_broadcast_row": (lambda p, q: ad.tsum(mul(ad.square(p), q)), (a, row)),
         "mul_broadcast_column": (lambda p, q: ad.tsum(mul(ad.square(p), q)), (a, col)),
+        "shift": (lambda t: ad.tsum(mul(shift(t, 1), seq_weights)), (seq,)),
+        "shift_by_two": (lambda t: ad.tsum(mul(shift(t, 2), seq_weights)), (seq,)),
     }
 
 
 class TestOracleOps:
-    """Finite-difference checks of the elementwise ops the primitive-op
-    oracle (``unfused.py``) records itself, at the gradcheck suite's
-    ``GRAD_EPS`` and ``GRAD_TOL``."""
+    """Finite-difference checks of the ops the primitive-op oracle
+    (``unfused.py``) records itself, at the gradcheck suite's ``GRAD_EPS``
+    and ``GRAD_TOL``."""
 
     @pytest.mark.parametrize("name", list(oracle_op_cases()))
     def test_matches_finite_differences(self, name):

@@ -213,6 +213,66 @@ class TestMalformedDataset:
         assert "test_tokens.bin" in capsys.readouterr().err
 
 
+def keep_instances(data_dir, split, count):
+    """Cut ``split`` down to its first ``count`` instances, or drop it from
+    the manifest with ``count`` None."""
+    from pgmatch.data import read_matrix, write_matrix
+    manifest_file = data_dir / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    if count is None:
+        del manifest["splits"][split]
+    else:
+        info = manifest["splits"][split]
+        info["count"], info["class_ids"] = count, info["class_ids"][:count]
+        rows = {"regions": count * manifest["regions_per_instance"], "tokens": count}
+        for kind, n in rows.items():
+            path = data_dir / f"{split}_{kind}.bin"
+            write_matrix(path, read_matrix(path)[:n])
+    manifest_file.write_text(json.dumps(manifest))
+
+
+class TestTooFewInstances:
+    """A dataset that loads but lacks the instances a command needs is a
+    user error (exit 1) naming the manifest and the split, reported
+    before anything is written."""
+
+    def refused(self, dataset_dir, tmp_path, capsys, command="train"):
+        assert main([command, "--data", str(dataset_dir), "--out", str(tmp_path / "r")]
+                    + FAST_TRAIN) == 1
+        assert not (tmp_path / "r").exists()
+        err = capsys.readouterr().err
+        assert str(dataset_dir / "manifest.json") in err and "internal error" not in err
+        return err
+
+    def test_train_split_of_one_instance(self, dataset_dir, tmp_path, capsys):
+        keep_instances(dataset_dir, "train", 1)
+        err = self.refused(dataset_dir, tmp_path, capsys)
+        assert "split 'train' has 1 instances; training needs at least 2" in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_no_val_split(self, dataset_dir, tmp_path, capsys, command):
+        keep_instances(dataset_dir, "val", None)
+        err = self.refused(dataset_dir, tmp_path, capsys, command)
+        assert "no split 'val' for validation" in err
+
+    def test_empty_val_split(self, dataset_dir, tmp_path, capsys):
+        keep_instances(dataset_dir, "val", 0)
+        err = self.refused(dataset_dir, tmp_path, capsys)
+        assert "split 'val' has 0 instances; validation needs at least 1" in err
+
+    def test_eval_on_a_split_the_dataset_lacks(self, dataset_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run),
+                     "--epochs", "1"] + FAST_TRAIN[:-2]) == 0
+        keep_instances(dataset_dir, "test", None)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint-best"),
+                     "--data", str(dataset_dir), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert str(dataset_dir / "manifest.json") in err
+        assert "no split 'test' for evaluation" in err
+
+
 class TestMalformedUserFiles:
     """A missing or malformed config, grid or dataset manifest is a user
     error (exit 1) naming the file, never an internal error."""

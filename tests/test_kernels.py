@@ -1,6 +1,6 @@
-"""The sequence kernels compute exactly what their primitive compositions
+"""The kernels compute exactly what their primitive compositions
 (``unfused.py``) compute: the same output bits and the same bits in every
-input gradient, including the features both kernels read."""
+input gradient, including the features both sequence kernels read."""
 
 import itertools
 
@@ -20,6 +20,7 @@ from pgmatch.attention import (
 )
 from pgmatch.distributions import ActionSpace
 from pgmatch.encoders import GruParams, GruSequence, time_blocks
+from pgmatch.losses import DecoderParams, text_decoding_loss
 
 
 @pytest.fixture(autouse=True)
@@ -244,6 +245,62 @@ class TestRecordingOff:
             tape.recording = True
         assert names == [] and tape.records == []
         assert_same_bits(unrecorded, recorded)
+
+
+class TestDecoderKernel:
+    """``losses.text_decoding_loss`` (one record) against the 24 primitive
+    records of ``unfused.text_decoding_loss``: the loss and the gradients
+    of the embeddings and of all nine decoder weights."""
+
+    def setup(self, batch, length):
+        rng = np.random.default_rng(14)
+        decoder = DecoderParams.init(7, 5, 4, rng, scale=0.6)
+        # a vocabulary of 7 over up to 96 targets: ids repeat within and
+        # across rows, so several adjoints add into one table row
+        targets = rng.integers(0, 7, (batch, length))
+        targets[:, -1] = targets[:, 0]
+        return rng, decoder, targets
+
+    def both(self, loss_fn, leaves):
+        loss = loss_fn()
+        return [loss.values.copy()] + gradients(loss, leaves)
+
+    @pytest.mark.parametrize("batch,length", [(1, 1), (1, 2), (3, 6), (16, 6)])
+    def test_matches_primitive_graph(self, batch, length):
+        rng, decoder, targets = self.setup(batch, length)
+        emb = ad.Tensor(rng.standard_normal((batch, 5)), requires_grad=True)
+        leaves = [emb] + decoder.tensors()
+        fused = self.both(lambda: text_decoding_loss(emb, targets, decoder), leaves)
+        reference = self.both(lambda: unfused.text_decoding_loss(emb, targets, decoder), leaves)
+        assert len(fused) == 11
+        assert_same_bits(fused, reference)
+
+    @pytest.mark.parametrize("batch,length", [(3, 6), (16, 6)])
+    def test_two_branches_share_the_decoder_on_one_tape(self, batch, length):
+        """As in a train step: the image branch's record, then the text
+        branch's, summed, so each decoder weight adds two adjoints."""
+        rng, decoder, targets = self.setup(batch, length)
+        img = ad.Tensor(rng.standard_normal((batch, 5)), requires_grad=True)
+        txt = ad.Tensor(rng.standard_normal((batch, 5)), requires_grad=True)
+        leaves = [img, txt] + decoder.tensors()
+
+        def pair(decode):
+            return lambda: ad.add(decode(img, targets, decoder), decode(txt, targets, decoder))
+
+        fused = self.both(pair(text_decoding_loss), leaves)
+        reference = self.both(pair(unfused.text_decoding_loss), leaves)
+        assert_same_bits(fused, reference)
+
+    def test_one_record(self):
+        rng, decoder, targets = self.setup(3, 6)
+        emb = ad.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        text_decoding_loss(emb, targets, decoder)
+        records = ad.active_tape().records
+        assert [r[3] for r in records] == ["text_decode"]
+        assert records[0][1] == (emb, *decoder.tensors())
+        ad.clear_tape()
+        unfused.text_decoding_loss(emb, targets, decoder)
+        assert len(ad.active_tape().records) == 24
 
 
 def test_time_blocks_stack_at_most_128_rows():

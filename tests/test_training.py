@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
+import recipe_digests
 from pgmatch.config import PG_MODES, ModelConfig
 from pgmatch.data import generate_dataset
 from pgmatch.model import MatchingModel
@@ -171,11 +172,11 @@ class TestBatchMajor:
         """The sequence kernels make the count independent of the regions,
         the tokens and the heads: each branch's fusion is one record, and
         with attention on its rollout is one more. The encoders,
-        projections and losses are a fixed 99 records, and each sampled
-        stage adds, per branch, the pick and reshape of its log-prob sum
-        and its PG surrogate (3)."""
+        projections and losses are a fixed 53 records (each text decode
+        is one), and each sampled stage adds, per branch, the pick and
+        reshape of its log-prob sum and its PG surrogate (3)."""
         stages = {"off": 0, "discrete": 1, "continuous": 1, "compound": 2}[pg_mode]
-        expect = 99 + 2 * (1 + (stages > 0)) + 2 * 3 * stages
+        expect = 53 + 2 * (1 + (stages > 0)) + 2 * 3 * stages
         for regions, tokens in ((3, 4), (5, 6), (9, 2)):
             ds = generate_dataset(classes=8, regions=regions, tokens=tokens, dim=6,
                                   noise_scale=0.15, seed=0)
@@ -315,3 +316,22 @@ class TestOpSet:
                if inspect.isfunction(fn) and fn.__module__ == ad.__name__
                and not name.startswith("_") and name not in NOT_RECORDING_OPS}
         assert ops - recorded == set()
+
+
+class TestRecordCount:
+    @pytest.mark.parametrize("workload", ["reference", "stress"])
+    def test_a_benchmark_train_step_records_69_entries(self, workload):
+        """One train step of a benchmark recipe: the kernels keep the tape
+        at 69 records whatever the batch size and sequence lengths, one
+        of them per text decode."""
+        _, data_args, config = next(r for r in recipe_digests.recipes() if r[0] == workload)
+        ds = generate_dataset(**data_args)
+        split = ds.split("train")
+        model = MatchingModel(config, ds.vocab_size, len(split), np.random.default_rng(0))
+        batch = split[:config.batch_size]
+        ad.clear_tape()
+        _batch_losses(model, batch, list(range(len(batch))), np.random.default_rng(1))
+        names = [record[3] for record in ad.active_tape().records]
+        ad.clear_tape()
+        assert len(names) == 69
+        assert names.count("text_decode") == 2

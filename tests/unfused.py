@@ -1,12 +1,12 @@
-"""The GRU cell, the compound-action head, the rollout and the fusion
-written out in primitive tape ops, one record per step or smaller: the
-reference the sequence kernels (``attention.policy_rollout``,
-``attention.fuse``) are checked against, bit for bit, in
-``test_kernels.py``. These are the compositions the package ran before
-the kernels replaced them, with the sampling helpers they were built
-from; nothing in ``src/`` uses them. The elementwise ops only these
-compositions record (``mul``, ``sigmoid``, ``tanh``, ``log``) live here
-too, as custom records on the engine's tape.
+"""The GRU cell, the compound-action head, the rollout, the fusion and
+the text decoder written out in primitive tape ops, one record per step
+or smaller: the reference the kernels (``attention.policy_rollout``,
+``attention.fuse``, ``losses.text_decoding_loss``) are checked against,
+bit for bit, in ``test_kernels.py``. These are the compositions the
+package ran before the kernels replaced them, with the sampling helpers
+they were built from; nothing in ``src/`` uses them. The ops only these
+compositions record (``mul``, ``sigmoid``, ``tanh``, ``log``, ``shift``)
+live here too, as custom records on the engine's tape.
 """
 
 from __future__ import annotations
@@ -55,6 +55,23 @@ def log(a):
         raise ad.DomainError("log: non-positive input")
     v = a.values
     return ad.record_op("log", (a,), np.log(v), lambda g: (g / v,))
+
+
+def shift(a, k):
+    """Delay a (B, T, ...) sequence by ``k`` >= 1 steps: step t reads step
+    t - k, and the first k steps read zeros."""
+    v = a.values
+    if v.ndim < 2 or k < 1:
+        raise ad.ShapeError(f"shift: needs a (B, T, ...) tensor and k >= 1, got {a.shape}, k={k}")
+    out = np.zeros_like(v)
+    out[:, k:] = v[:, :v.shape[1] - k]
+
+    def bw(g):
+        acc = np.zeros_like(g)
+        acc[:, :g.shape[1] - k] = g[:, k:]
+        return (acc,)
+
+    return ad.record_op("shift", (a,), out, bw)
 
 
 def softplus(a):
@@ -221,3 +238,26 @@ def fuse(steps, atts, lam, gru):
     for a in adjusted[1:]:
         acc = ad.add(acc, a)
     return ad.add(h, ad.scalar_mul(acc, 1.0 / len(adjusted)))
+
+
+def _causal_conv(x, w, b):
+    """Kernel-3 causal convolution over a (B, N, C) sequence: each step sees
+    itself and the two before it (zeros before the start)."""
+    window = ad.concat([shift(x, 2), shift(x, 1), x], axis=-1)
+    return ad.relu(ad.add(ad.matmul(window, w), b))
+
+
+def text_decoding_loss(embeddings, targets, decoder):
+    """``losses.text_decoding_loss`` in 24 primitive records."""
+    ids = np.asarray(targets, dtype=np.int64)
+    batch, channels = ids.shape[0], decoder.channels
+    table = ad.concat([decoder.tok_table, ad.reshape(decoder.start, (1, channels))], axis=0)
+    inputs = np.concatenate([np.full((batch, 1), decoder.vocab_size), ids[:, :-1]], axis=1)
+    cond = ad.reshape(ad.matmul(embeddings, decoder.cond), (batch, 1, channels))
+    x = ad.add(ad.gather_rows(table, inputs), cond)
+
+    hidden = _causal_conv(x, decoder.conv1_w, decoder.conv1_b)
+    hidden = _causal_conv(hidden, decoder.conv2_w, decoder.conv2_b)
+
+    lsm = ad.log_softmax(ad.add(ad.matmul(hidden, decoder.out_w), decoder.out_b), axis=-1)
+    return ad.scalar_mul(ad.tsum(ad.pick(lsm, ids[..., None])), -1.0 / ids.size)
