@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ModelConfig, parse_config_file, resolve_config
 from .data import DatasetError, dataset_fingerprint, export_dataset, generate_dataset, load_dataset
-from .model import CheckpointError, MatchingModel, missing_checkpoint_note
+from .model import CheckpointError, MatchingModel
 from .training import (
     TrainingDiverged,
     evaluate,
@@ -224,8 +224,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if not os.path.isdir(args.checkpoint):
-        raise UserError(f"checkpoint directory {args.checkpoint} does not exist"
-                        f"{missing_checkpoint_note(args.checkpoint)}")
+        raise UserError(f"checkpoint directory {args.checkpoint} does not exist")
     data_dir = _data_dir(args.data)
     dataset = load_dataset(data_dir)
     model = MatchingModel.load_checkpoint(args.checkpoint)

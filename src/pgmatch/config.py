@@ -75,6 +75,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0 or self.lr_after_drop <= 0:
             raise ValueError("learning rates must be positive")
+        if self.pg_mode == "off" and not (self.loss_triplet or self.loss_instance
+                                          or self.loss_decode):
+            raise ValueError("no loss term is enabled; nothing to train")
         return self
 
     def to_dict(self) -> dict:

@@ -1,21 +1,22 @@
 """Full matching model: both modality encoders, one attention policy per
 branch, projections into the common embedding space, the shared instance
 classifier and the shared text decoder. Also owns the checkpoint format
-(same raw-matrix layout as datasets, one file per parameter)."""
+(same raw-matrix layout as datasets, one file per parameter, committed
+by replacing ``checkpoint.json``)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
-import shutil
 
 import numpy as np
 
 from .attention import PolicyParams, draw_noise, fuse, neutral_trace, policy_rollout
 from .autodiff import ParamSource, Tensor, constant, l2_normalize, matmul
 from .config import ModelConfig
-from .data import DatasetError, read_matrix, write_matrix
+from .data import DatasetError, _is_int, read_matrix, write_matrix
 from .distributions import ActionSpace
 from .encoders import embed_words, gcn_reason, region_affinity, region_batch
 from .losses import DecoderParams
@@ -24,36 +25,6 @@ from .losses import DecoderParams
 class CheckpointError(ValueError):
     """A checkpoint directory is missing a file or does not match the model
     its manifest describes."""
-
-
-def _save_leftovers(outdir, kind):
-    """The ``<outdir>.<kind>-<pid>`` siblings that ``save_checkpoint`` makes
-    (``kind`` "tmp" or "old") and a killed save leaves behind."""
-    parent, prefix = os.path.dirname(outdir), f"{os.path.basename(outdir)}.{kind}-"
-    try:
-        names = os.listdir(parent)
-    except OSError:
-        return []
-    return [os.path.join(parent, name) for name in names
-            if name.startswith(prefix) and name[len(prefix):].isdigit()]
-
-
-def _interrupted_save(path):
-    """For a missing checkpoint directory: the newest ``<path>.old-<pid>``
-    sibling, where a save killed between its two renames left the previous
-    checkpoint, or None."""
-    path = os.path.abspath(path)
-    if os.path.exists(path):
-        return None
-    olds = _save_leftovers(path, "old")
-    return max(olds, key=os.path.getmtime) if olds else None
-
-
-def missing_checkpoint_note(path) -> str:
-    """The tail of the error for a missing checkpoint directory: where a
-    killed save left the previous checkpoint, or nothing."""
-    old = _interrupted_save(path)
-    return "" if old is None else f"; a killed save left the previous checkpoint in {old}"
 
 
 class MatchingModel:
@@ -123,8 +94,6 @@ class MatchingModel:
         if not task_losses:
             # only the PG losses remain; they stop at the policy inputs
             drop(lambda n: ".fusion_gru." in n or n.startswith("proj_"))
-            if cfg.pg_mode == "off":
-                raise ValueError("no loss term is enabled; nothing to train")
         return list(named.values())
 
     def state_arrays(self) -> dict:
@@ -177,38 +146,18 @@ class MatchingModel:
     # -- checkpoints ----------------------------------------------------------
 
     def save_checkpoint(self, outdir):
-        """Write the checkpoint into a temp directory next to ``outdir``,
-        then swap it in with ``os.replace``: a previous checkpoint stays in
-        place until the new one is complete, and a save that fails part-way
-        leaves no temp directory behind.
+        """Write the checkpoint into ``outdir``; replacing its
+        ``checkpoint.json`` commits it. Each parameter goes to
+        ``<name>-<hash>.bin``, the hash being the first 16 hex digits of
+        the sha256 of its values, so a file that the manifest on disk names
+        is never rewritten with other bytes. Every file is written to a
+        ``.tmp`` file and moved into place with ``os.replace``.
 
-        A killed save can leave ``<outdir>.tmp-<pid>`` (killed while
-        writing) or, killed between the two renames, no ``outdir`` and the
-        previous checkpoint in ``<outdir>.old-<pid>``. A save first moves
-        the newest such ``.old-`` directory back into place if ``outdir``
-        is missing, then deletes every other ``.tmp-`` and ``.old-``
-        sibling, whichever process left it."""
-        outdir = os.path.abspath(outdir)
-        previous = _interrupted_save(outdir)
-        if previous is not None:
-            os.replace(previous, outdir)
-        for leftover in _save_leftovers(outdir, "tmp") + _save_leftovers(outdir, "old"):
-            shutil.rmtree(leftover, ignore_errors=True)
-        tmp, old = f"{outdir}.tmp-{os.getpid()}", f"{outdir}.old-{os.getpid()}"
-        os.makedirs(tmp)
-        try:
-            self._write_checkpoint(tmp)
-            if os.path.exists(outdir):
-                os.replace(outdir, old)
-            os.replace(tmp, outdir)
-        finally:
-            if os.path.exists(old) and not os.path.exists(outdir):
-                os.replace(old, outdir)  # the swap failed: put the previous one back
-            shutil.rmtree(tmp, ignore_errors=True)
-            shutil.rmtree(old, ignore_errors=True)
-
-    def _write_checkpoint(self, outdir):
-        arrays = self.state_arrays()
+        After the commit, or after a save that fails part-way, one prune
+        deletes every ``.bin`` and ``.tmp`` file that the manifest on disk
+        does not name, and ``outdir`` itself if this save created it and
+        nothing was committed. A killed save leaves the previous checkpoint
+        loadable, plus files that the next save's prune deletes."""
         manifest = {
             "format": "pgmatch-checkpoint-v1",
             "config": self.config.to_dict(),
@@ -216,20 +165,29 @@ class MatchingModel:
             "num_instances": self.num_instances,
             "params": {},
         }
-        for name, arr in arrays.items():
-            fname = name.replace(".", "_") + ".bin"
-            write_matrix(os.path.join(outdir, fname), arr.reshape(1, -1))
-            manifest["params"][name] = {"file": fname, "shape": list(arr.shape)}
-        with open(os.path.join(outdir, "checkpoint.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        created = not os.path.isdir(outdir)
+        os.makedirs(outdir, exist_ok=True)
+        try:
+            for name, t in self.named_parameters().items():
+                arr = np.ascontiguousarray(t.values)
+                fname = f"{name.replace('.', '_')}-{hashlib.sha256(arr).hexdigest()[:16]}.bin"
+                tmp = os.path.join(outdir, fname + ".tmp")
+                write_matrix(tmp, arr.reshape(1, -1))
+                os.replace(tmp, os.path.join(outdir, fname))
+                manifest["params"][name] = {"file": fname, "shape": list(arr.shape)}
+            tmp = os.path.join(outdir, "checkpoint.json.tmp")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+            os.replace(tmp, os.path.join(outdir, "checkpoint.json"))
+        finally:
+            _prune(outdir, created)
 
     @classmethod
     def load_checkpoint(cls, path) -> "MatchingModel":
         """Rebuild a model from ``save_checkpoint`` output. A missing or
         malformed file raises ``CheckpointError`` naming the file and the
-        field; for a missing directory it also names the previous
-        checkpoint a killed save left behind, if there is one."""
+        field."""
         manifest_file = os.path.join(path, "checkpoint.json")
 
         def fail(message):
@@ -239,7 +197,7 @@ class MatchingModel:
             with open(manifest_file, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
         except OSError as exc:
-            fail(f"cannot read ({exc.strerror}){missing_checkpoint_note(path)}")
+            fail(f"cannot read ({exc.strerror})")
         except ValueError as exc:
             fail(f"not valid JSON ({exc})")
         if not isinstance(manifest, dict):
@@ -256,7 +214,7 @@ class MatchingModel:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             fail(f"field 'config': {exc}")
         for key in ("vocab_size", "num_instances"):
-            if not _is_count(manifest[key]) or manifest[key] < 1:
+            if not _is_int(manifest[key]) or manifest[key] < 1:
                 fail(f"field {key!r} is {manifest[key]!r}, expected a positive integer")
         arrays = {}
         for name, info in manifest["params"].items():
@@ -287,11 +245,24 @@ def _param_entry(path, name, info, fail) -> tuple:
     if (not isinstance(fname, str) or fname in ("", ".", "..") or "\0" in fname
             or os.path.basename(fname) != fname):
         fail(f"field 'params.{name}.file' is {fname!r}, expected a file name inside {path}")
-    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+    if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
         fail(f"field 'params.{name}.shape' is {shape!r}, expected a list of non-negative integers")
     return os.path.join(path, fname), tuple(shape)
 
 
-def _is_count(value) -> bool:
-    """Whether a JSON value is a non-negative integer."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+def _prune(outdir, created):
+    """Delete every ``.bin`` and ``.tmp`` file in ``outdir`` that its
+    ``checkpoint.json`` does not name (all of them if it names none), and
+    ``outdir`` if ``created`` and it holds no ``checkpoint.json``."""
+    manifest_file = os.path.join(outdir, "checkpoint.json")
+    try:
+        with open(manifest_file, "r", encoding="utf-8") as fh:
+            keep = {info["file"] for info in json.load(fh)["params"].values()}
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        keep = set()
+    for name in os.listdir(outdir):
+        if name.endswith((".bin", ".tmp")) and name not in keep:
+            os.remove(os.path.join(outdir, name))
+    if created and not os.path.exists(manifest_file):
+        os.rmdir(outdir)

@@ -104,6 +104,14 @@ class TestTrain:
                      "--set", "feature_dim=99"]) == 1
         assert "feature_dim" in capsys.readouterr().err
 
+    def test_no_loss_term_is_user_error(self, dataset_dir, tmp_path, capsys):
+        run = tmp_path / "r"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run), "--pg", "off",
+                     "--set", "loss_triplet=false", "--set", "loss_instance=false",
+                     "--set", "loss_decode=false"] + FAST_TRAIN) == 1
+        assert "no loss term is enabled" in capsys.readouterr().err
+        assert not run.exists()
+
 
 class TestEval:
     @pytest.fixture()
@@ -135,15 +143,6 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "nope"),
                      "--data", str(dataset_dir)]) == 1
         assert "does not exist" in capsys.readouterr().err
-
-    def test_missing_checkpoint_names_what_a_killed_save_left(self, dataset_dir, tmp_path,
-                                                              capsys):
-        (tmp_path / "ckpt.old-99999").mkdir()
-        assert main(["eval", "--checkpoint", str(tmp_path / "ckpt"),
-                     "--data", str(dataset_dir)]) == 1
-        err = capsys.readouterr().err
-        assert "does not exist" in err and str(tmp_path / "ckpt.old-99999") in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.old-99999", "data"]
 
     def test_dimension_mismatch(self, run_dir, tmp_path, capsys):
         other = tmp_path / "other"
@@ -369,6 +368,11 @@ class TestMalformedCheckpoint:
         edit(manifest)
         path.write_text(json.dumps(manifest))
 
+    @staticmethod
+    def param_file(ckpt, name):
+        """The file the manifest of ``ckpt`` names for parameter ``name``."""
+        return json.loads((ckpt / "checkpoint.json").read_text())["params"][name]["file"]
+
     def test_missing_parameter(self, trained, ckpt, capsys):
         self.edit_manifest(ckpt, lambda m: m["params"].pop("classifier"))
         err = self.eval_error(trained, ckpt, capsys)
@@ -376,7 +380,7 @@ class TestMalformedCheckpoint:
 
     def test_extra_parameter(self, trained, ckpt, capsys):
         self.edit_manifest(ckpt, lambda m: m["params"].update(
-            stray={"file": "classifier.bin", "shape": m["params"]["classifier"]["shape"]}))
+            stray=dict(m["params"]["classifier"])))
         err = self.eval_error(trained, ckpt, capsys)
         assert "checkpoint.json" in err and "'params'" in err and "stray" in err
 
@@ -387,9 +391,10 @@ class TestMalformedCheckpoint:
         assert "checkpoint.json" in err and "word_table" in err and "shape" in err
 
     def test_shape_not_filled_by_file(self, trained, ckpt, capsys):
+        fname = self.param_file(ckpt, "proj_img")
         self.edit_manifest(ckpt, lambda m: m["params"]["proj_img"].update(shape=[2, 2]))
         err = self.eval_error(trained, ckpt, capsys)
-        assert "proj_img.bin" in err and "params.proj_img.shape" in err
+        assert fname in err and "params.proj_img.shape" in err
 
     def test_negative_shape_entries(self, trained, ckpt, capsys):
         # [-64, -64] has the file's value count as its product
@@ -403,7 +408,7 @@ class TestMalformedCheckpoint:
                                       "classifier.bin\0"])
     def test_file_outside_the_checkpoint(self, trained, ckpt, capsys, name):
         outside = ckpt.parent / "classifier.bin"
-        outside.write_bytes((ckpt / "classifier.bin").read_bytes())
+        outside.write_bytes((ckpt / self.param_file(ckpt, "classifier")).read_bytes())
         if name == "ABSOLUTE":
             name = str(outside)
         self.edit_manifest(ckpt, lambda m: m["params"]["classifier"].update(file=name))
@@ -438,14 +443,16 @@ class TestMalformedCheckpoint:
         assert "checkpoint.json" in err and "'config'" in err and f"'{key}'" in err
 
     def test_truncated_parameter_file(self, trained, ckpt, capsys):
-        truncate(ckpt / "classifier.bin", 3)
+        fname = self.param_file(ckpt, "classifier")
+        truncate(ckpt / fname, 3)
         err = self.eval_error(trained, ckpt, capsys)
-        assert "classifier.bin" in err and "params.classifier" in err
+        assert fname in err and "params.classifier" in err
 
     def test_missing_parameter_file(self, trained, ckpt, capsys):
-        (ckpt / "w_aff_a.bin").unlink()
+        fname = self.param_file(ckpt, "w_aff_a")
+        (ckpt / fname).unlink()
         err = self.eval_error(trained, ckpt, capsys)
-        assert "w_aff_a.bin" in err and "params.w_aff_a" in err
+        assert fname in err and "params.w_aff_a" in err
 
 
 class TestVerify:

@@ -64,6 +64,10 @@ class TestModelConfig:
             ModelConfig(batch_size=1).validate()
         with pytest.raises(ValueError, match="lam"):
             ModelConfig(lam=0.0).validate()
+        no_task_losses = dict(loss_triplet=False, loss_instance=False, loss_decode=False)
+        with pytest.raises(ValueError, match="no loss term"):
+            ModelConfig(pg_mode="off", **no_task_losses).validate()
+        ModelConfig(pg_mode="discrete", **no_task_losses).validate()
 
     def test_replaced_does_not_mutate(self):
         base = ModelConfig()

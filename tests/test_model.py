@@ -185,7 +185,7 @@ class TestCheckpoint:
 
         def failing_replace(src, dst):
             calls.append(src)
-            if len(calls) == 2:  # the new checkpoint into place
+            if len(calls) == 2:  # the second parameter file into place
                 raise OSError(16, "Device or resource busy")
             real_replace(src, dst)
 
@@ -198,6 +198,93 @@ class TestCheckpoint:
         loaded = MatchingModel.load_checkpoint(tmp_path / "ckpt")
         for name, t in previous.named_parameters().items():
             assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
+
+    @staticmethod
+    def files(path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+    @staticmethod
+    def assert_holds(path, model):
+        """``path`` loads as ``model`` bit for bit and holds only
+        ``checkpoint.json`` and the files it names."""
+        manifest = json.loads((path / "checkpoint.json").read_text())
+        named = {info["file"] for info in manifest["params"].values()}
+        assert sorted(p.name for p in path.iterdir()) == sorted(named | {"checkpoint.json"})
+        loaded = MatchingModel.load_checkpoint(path)
+        for name, t in model.named_parameters().items():
+            assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
+
+    def test_every_failure_point_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """The k-th ``write_matrix`` or ``os.replace`` of a save raises, for
+        every k up to the commit: the previous checkpoint stays whole, and a
+        save into a new directory leaves nothing."""
+        previous = tiny_model(seed=14)
+        previous.save_checkpoint(tmp_path / "ckpt")
+        model = tiny_model(seed=15)
+        calls = []
+        real_write, real_replace = model_module.write_matrix, os.replace
+
+        def counted(real):
+            def call(*args):
+                calls.append(real)
+                if len(calls) == fail_at:
+                    raise OSError(28, "No space left on device")
+                real(*args)
+            return call
+
+        monkeypatch.setattr(model_module, "write_matrix", counted(real_write))
+        monkeypatch.setattr(os, "replace", counted(real_replace))
+        fail_at = 0
+        model.save_checkpoint(tmp_path / "counted")
+        total = len(calls)
+        assert total == 2 * len(model.named_parameters()) + 1
+        for fail_at in range(1, total + 1):
+            for target in ("ckpt", "fresh"):
+                calls.clear()
+                with pytest.raises(OSError, match="No space"):
+                    model.save_checkpoint(tmp_path / target)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "counted"]
+            self.assert_holds(tmp_path / "ckpt", previous)
+        monkeypatch.undo()
+        self.assert_holds(tmp_path / "counted", model)
+
+    def test_same_model_saves_byte_identical_directories(self, tmp_path):
+        model = tiny_model(seed=16, heads=2)
+        model.save_checkpoint(tmp_path / "a")
+        model.save_checkpoint(tmp_path / "b")
+        first = self.files(tmp_path / "a")
+        model.save_checkpoint(tmp_path / "a")
+        assert self.files(tmp_path / "a") == first == self.files(tmp_path / "b")
+        self.assert_holds(tmp_path / "a", model)
+
+    def test_overwrites_a_checkpoint_with_plain_file_names(self, tmp_path):
+        """A checkpoint whose files are ``<name>.bin``, as older saves
+        wrote them, is replaced by a new save and leaves no file behind."""
+        ckpt = tmp_path / "ckpt"
+        tiny_model(seed=17).save_checkpoint(ckpt)
+        manifest = json.loads((ckpt / "checkpoint.json").read_text())
+        for info in manifest["params"].values():
+            plain = info["file"].rsplit("-", 1)[0] + ".bin"
+            (ckpt / info["file"]).rename(ckpt / plain)
+            info["file"] = plain
+        (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
+        MatchingModel.load_checkpoint(ckpt)
+        model = tiny_model(seed=18)
+        model.save_checkpoint(ckpt)
+        self.assert_holds(ckpt, model)
+
+    def test_unchanged_parameters_keep_their_files(self, tmp_path):
+        model = tiny_model(seed=19)
+        model.save_checkpoint(tmp_path / "ckpt")
+        before = self.files(tmp_path / "ckpt")
+        model.classifier.values += 1.0
+        model.save_checkpoint(tmp_path / "ckpt")
+        after = self.files(tmp_path / "ckpt")
+        changed = sorted(set(before) ^ set(after))
+        assert [n.rsplit("-", 1)[0] for n in changed] == ["classifier", "classifier"]
+        assert all(before[n] == after[n] for n in set(before) & set(after)
+                   if n != "checkpoint.json")
+        self.assert_holds(tmp_path / "ckpt", model)
 
 
 class TestLoading:
@@ -284,57 +371,3 @@ class TestCheckpointFuzz:
                     MatchingModel.load_checkpoint(path)
                 except CheckpointError as exc:
                     assert str(path) in str(exc)
-
-
-class TestKilledSave:
-    """What a save by pid 99999 leaves when killed between its two
-    renames: no checkpoint, the previous one in ``.old-99999`` and the new
-    one in ``.tmp-99999``; an older ``.old-`` directory from an earlier
-    killed save, and a user's directory that only looks like a leftover."""
-
-    def layout(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        tiny_model(seed=10).save_checkpoint(tmp_path / "ckpt.old-99998")
-        os.utime(tmp_path / "ckpt.old-99998", (1_000_000, 1_000_000))
-        previous = tiny_model(seed=11)
-        previous.save_checkpoint(tmp_path / "ckpt.old-99999")
-        (tmp_path / "ckpt.tmp-99999").mkdir()
-        (tmp_path / "ckpt.tmp-99999" / "checkpoint.json").write_text("{")
-        (tmp_path / "ckpt.old-mine").mkdir()
-        return ckpt, previous
-
-    def listing(self, tmp_path):
-        return sorted(p.name for p in tmp_path.iterdir())
-
-    def assert_holds(self, ckpt, model):
-        loaded = MatchingModel.load_checkpoint(ckpt)
-        for name, t in model.named_parameters().items():
-            assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
-
-    def test_load_names_the_previous_checkpoint_and_changes_nothing(self, tmp_path):
-        ckpt, _ = self.layout(tmp_path)
-        before = self.listing(tmp_path)
-        with pytest.raises(CheckpointError, match="ckpt.old-99999") as err:
-            MatchingModel.load_checkpoint(ckpt)
-        assert "checkpoint.json: cannot read" in str(err.value)
-        assert self.listing(tmp_path) == before
-
-    def test_next_save_restores_the_newest_and_clears_the_rest(self, tmp_path):
-        ckpt, previous = self.layout(tmp_path)
-        model = tiny_model(seed=12)
-        model.save_checkpoint(ckpt)
-        assert self.listing(tmp_path) == ["ckpt", "ckpt.old-mine"]
-        self.assert_holds(ckpt, model)
-
-    def test_next_save_failing_leaves_the_restored_checkpoint(self, tmp_path, monkeypatch):
-        ckpt, previous = self.layout(tmp_path)
-
-        def failing_write(path, arr):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(model_module, "write_matrix", failing_write)
-        with pytest.raises(OSError, match="No space"):
-            tiny_model(seed=12).save_checkpoint(ckpt)
-        monkeypatch.undo()
-        assert self.listing(tmp_path) == ["ckpt", "ckpt.old-mine"]
-        self.assert_holds(ckpt, previous)

@@ -1,9 +1,15 @@
 """``recipe_digests.py --expect``: the comparison with a saved run, on
-hand-written lines and stand-in recipes (no training)."""
+hand-written lines and stand-in recipes (no training), and every recipe
+against the digests saved in ``data/recipe_digests.txt``."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import recipe_digests
+
+SAVED_DIGESTS = Path(__file__).parent / "data" / "recipe_digests.txt"
 
 SAVED = """\
 reference              records aaa params bbb embeddings eee reload rrr
@@ -59,3 +65,11 @@ def test_expect_passes_when_every_line_matches(saved, capsys):
     out, err = capsys.readouterr()
     assert out.split() == "reference records aaa params bbb embeddings eee reload rrr".split()
     assert err == ""
+
+
+def test_every_recipe_matches_the_saved_digests(capsys):
+    """Training, the read path and a checkpoint round trip stay bit for bit
+    what they were when the saved digests were made (with numpy 2.4.6)."""
+    code = recipe_digests.main(["--expect", str(SAVED_DIGESTS)])
+    err = capsys.readouterr().err.strip()
+    assert code == 0, f"{err} (numpy {np.__version__})"
