@@ -17,8 +17,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .config import ModelConfig, parse_config_file, resolve_config
-from .data import DatasetError, dataset_fingerprint, export_dataset, generate_dataset, load_dataset
+from .config import PG_MODES, REWARD_MODES, ModelConfig, parse_config_file
+from .data import (DatasetError, dataset_fingerprint, export_dataset, generate_dataset,
+                   load_dataset, read_json)
 from .model import CheckpointError, MatchingModel
 from .training import (
     TrainingDiverged,
@@ -97,10 +98,9 @@ def build_parser() -> _Parser:
 
 
 def _config_flags(cmd):
-    cmd.add_argument("--pg", dest="pg_mode", default=None,
-                     choices=["off", "discrete", "continuous", "compound"])
-    cmd.add_argument("--reward", dest="reward_mode", default=None,
-                     choices=["r1", "ap", "r1+ap"])
+    """Flags whose ``dest`` is a config field (all but ``--set``)."""
+    cmd.add_argument("--pg", dest="pg_mode", default=None, choices=PG_MODES)
+    cmd.add_argument("--reward", dest="reward_mode", default=None, choices=REWARD_MODES)
     cmd.add_argument("--lambda", dest="lam", type=float, default=None)
     cmd.add_argument("--beta", type=float, default=None)
     cmd.add_argument("--heads", type=int, default=None)
@@ -114,13 +114,9 @@ def _config_flags(cmd):
 
 
 def _flag_overrides(args) -> dict:
-    overrides = {}
-    for key in ("pg_mode", "reward_mode", "lam", "beta", "heads", "margin",
-                "epochs", "batch_size", "lr", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for item in getattr(args, "extra", []):
+    fields = ModelConfig.__dataclass_fields__
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    for item in args.extra:
         if "=" not in item:
             raise UserError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
@@ -129,13 +125,20 @@ def _flag_overrides(args) -> dict:
 
 
 def _resolve(args) -> ModelConfig:
+    """The config of flags over the ``--config`` file over the defaults."""
     try:
-        file_values = parse_config_file(args.config) if args.config else None
-        return resolve_config(file_values, _flag_overrides(args))
+        file_values = parse_config_file(args.config) if args.config else {}
     except OSError as exc:
         raise UserError(f"{args.config}: cannot read config file ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise UserError(exc.args[0]) from exc
+    flags = _flag_overrides(args)
+    try:
+        return ModelConfig.from_dict({**file_values, **flags})
     except (KeyError, ValueError) as exc:
-        raise UserError(str(exc)) from exc
+        # each file line was checked alone; name the file if its values take part
+        source = f"{args.config}{' and the flags' if flags else ''}: " if file_values else ""
+        raise UserError(source + exc.args[0]) from exc
 
 
 def _match_dataset(config: ModelConfig, dataset):
@@ -258,35 +261,27 @@ DEFAULT_GRID = [
 ]
 
 
-def _load_grid(source: str):
+def _load_grid(source: str, base: ModelConfig):
+    """(name, overrides) pairs, each of which must give a valid config on
+    top of ``base``: every run would fail on one that does not, one error
+    per seed, so the grid is refused up front."""
     if source == "default":
-        return DEFAULT_GRID
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise UserError(f"{source}: cannot read grid file ({exc.strerror})") from exc
-    except ValueError as exc:
-        raise UserError(f"{source}: not valid JSON ({exc})") from exc
-    try:
-        grid = [(entry["name"], entry.get("overrides", {})) for entry in raw]
-    except (KeyError, TypeError) as exc:
-        raise UserError(f"{source}: expected a JSON list of objects with a 'name' field "
-                        f"({type(exc).__name__}: {exc})") from exc
-    # every run would fail on these, one error per seed: refuse the grid up front
-    probe = ModelConfig()
-    keys = probe.to_dict()
+        grid = DEFAULT_GRID
+    else:
+        raw = read_json(source, UserError)
+        try:
+            grid = [(entry["name"], entry.get("overrides", {})) for entry in raw]
+        except (KeyError, TypeError) as exc:
+            raise UserError(f"{source}: expected a JSON list of objects with a 'name' field "
+                            f"({type(exc).__name__}: {exc})") from exc
     for name, overrides in grid:
-        if not isinstance(overrides, dict):
-            raise UserError(f"{source}: entry {name!r}: 'overrides' must be an object")
-        for key, value in overrides.items():
-            if key not in keys:
-                raise UserError(f"{source}: entry {name!r}: unknown config key {key!r} in "
-                                f"'overrides'; valid keys: {', '.join(sorted(keys))}")
-            try:
-                probe.set(key, value)
-            except ValueError as exc:
-                raise UserError(f"{source}: entry {name!r}: {exc}") from exc
+        try:
+            if not isinstance(name, str) or not isinstance(overrides, dict):
+                raise ValueError("'name' must be a string and 'overrides' an object")
+            base.replaced(**overrides)
+        except (KeyError, ValueError) as exc:
+            where = "the default grid" if source == "default" else source
+            raise UserError(f"{where}: entry {name!r}: {exc.args[0]}") from exc
     return grid
 
 
@@ -297,7 +292,7 @@ def cmd_ablate(args) -> int:
     _match_dataset(config, dataset)
     _check_training_splits(data_dir, dataset)
     _split(data_dir, dataset, "test", 1, "the ablation's test evaluation")
-    grid = _load_grid(args.grid)
+    grid = _load_grid(args.grid, config)
     seeds = list(range(args.seeds))
     runs, rows = run_ablation(config, grid, dataset, seeds=seeds, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)

@@ -50,6 +50,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
+        # the float rules are written so that NaN breaks them too
         if self.pg_mode not in PG_MODES:
             raise ValueError(f"pg_mode must be one of {PG_MODES}, got {self.pg_mode!r}")
         if self.reward_mode not in REWARD_MODES:
@@ -58,13 +59,13 @@ class ModelConfig:
             raise ValueError(f"heads must be 1 or 2, got {self.heads}")
         if self.n_actions < 2:
             raise ValueError(f"n_actions must be >= 2, got {self.n_actions}")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.margin <= 0:
+        if not self.margin > 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
@@ -73,7 +74,7 @@ class ModelConfig:
         for name in ("feature_dim", "word_dim", "hidden", "embed_dim", "decoder_dim", "gcn_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0 or self.lr_after_drop <= 0:
+        if not (self.lr > 0 and self.lr_after_drop > 0):
             raise ValueError("learning rates must be positive")
         if self.pg_mode == "off" and not (self.loss_triplet or self.loss_instance
                                           or self.loss_decode):
@@ -106,11 +107,8 @@ class ModelConfig:
         setattr(self, key, value)
         return self
 
-    def replaced(self, **overrides) -> "ModelConfig":
-        cfg = dataclasses.replace(self)
-        for key, value in overrides.items():
-            cfg.set(key, value)
-        return cfg.validate()
+    def replaced(self, /, **overrides) -> "ModelConfig":
+        return ModelConfig.from_dict({**self.to_dict(), **overrides})
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
@@ -141,25 +139,25 @@ def _coerce(key: str, text: str, ftype: str):
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment, blanks ignored."""
+    """Read ``key = value`` lines; '#' starts a comment, blanks ignored.
+    Each line's key and value must give a valid config when set on the
+    defaults; ``ValueError`` names the file and the line otherwise."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            ModelConfig().set(key, value).validate()
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
+        out[key] = value
     return out
-
-
-def resolve_config(file_values: dict | None = None, flag_values: dict | None = None) -> ModelConfig:
-    """Build a config with precedence: command-line flag > config file >
-    default."""
-    cfg = ModelConfig()
-    for source in (file_values or {}, flag_values or {}):
-        for key, value in source.items():
-            cfg.set(key, value)
-    return cfg.validate()

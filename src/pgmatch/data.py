@@ -164,6 +164,18 @@ def export_dataset(ds: SyntheticDataset, outdir, force: bool = False):
         fh.write("\n")
 
 
+def read_json(path, error):
+    """The JSON value in ``path``; a file that cannot be read or parsed
+    raises ``error`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from None
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"{path}: not valid JSON ({exc})") from None
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -187,13 +199,7 @@ def load_dataset(path) -> SyntheticDataset:
     """Read a dataset directory; a malformed file raises ``DatasetError``
     naming the file and the field."""
     manifest_file = os.path.join(path, "manifest.json")
-    try:
-        with open(manifest_file, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DatasetError(f"{manifest_file}: cannot read ({exc.strerror})") from None
-    except ValueError as exc:
-        raise DatasetError(f"{manifest_file}: not valid JSON ({exc})") from None
+    manifest = read_json(manifest_file, DatasetError)
     if not isinstance(manifest, dict):
         raise DatasetError(f"{manifest_file}: expected a JSON object")
     if manifest.get("format") != DATASET_FORMAT:

@@ -16,7 +16,7 @@ import numpy as np
 from .attention import PolicyParams, draw_noise, fuse, neutral_trace, policy_rollout
 from .autodiff import ParamSource, Tensor, constant, l2_normalize, matmul
 from .config import ModelConfig
-from .data import DatasetError, _is_int, read_matrix, write_matrix
+from .data import DatasetError, _is_int, read_json, read_matrix, write_matrix
 from .distributions import ActionSpace
 from .encoders import embed_words, gcn_reason, region_affinity, region_batch
 from .losses import DecoderParams
@@ -193,13 +193,7 @@ class MatchingModel:
         def fail(message):
             raise CheckpointError(f"{manifest_file}: {message}") from None
 
-        try:
-            with open(manifest_file, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except OSError as exc:
-            fail(f"cannot read ({exc.strerror})")
-        except ValueError as exc:
-            fail(f"not valid JSON ({exc})")
+        manifest = read_json(manifest_file, CheckpointError)
         if not isinstance(manifest, dict):
             fail("expected a JSON object")
         if manifest.get("format") != "pgmatch-checkpoint-v1":
@@ -212,7 +206,7 @@ class MatchingModel:
         try:
             config = ModelConfig.from_dict(manifest["config"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            fail(f"field 'config': {exc}")
+            fail(f"field 'config': {exc.args[0]}")
         for key in ("vocab_size", "num_instances"):
             if not _is_int(manifest[key]) or manifest[key] < 1:
                 fail(f"field {key!r} is {manifest[key]!r}, expected a positive integer")
@@ -248,7 +242,6 @@ def _param_entry(path, name, info, fail) -> tuple:
     if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
         fail(f"field 'params.{name}.shape' is {shape!r}, expected a list of non-negative integers")
     return os.path.join(path, fname), tuple(shape)
-
 
 
 def _prune(outdir, created):

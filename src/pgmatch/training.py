@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -224,7 +226,7 @@ def evaluate(model: MatchingModel, instances, ks=(1, 5, 10)) -> dict:
 
 def _run_cell(args):
     base_dict, name, overrides, seed, dataset = args
-    config = ModelConfig.from_dict(base_dict).replaced(**overrides).replaced(seed=seed)
+    config = ModelConfig.from_dict({**base_dict, **overrides, "seed": seed})
     result = train(config, dataset)
     model = result.rebuild(best=True)
     metrics = evaluate(model, dataset.split("test"), ks=_eval_ks(len(dataset.split("test"))))
@@ -239,29 +241,20 @@ def run_ablation(base_config: ModelConfig, grid, dataset: SyntheticDataset,
     cells = [(base_config.to_dict(), name, overrides, int(seed), dataset)
              for name, overrides in grid for seed in seeds]
     runs = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_cell, cell) for cell in cells]
-            for cell, fut in zip(cells, futures):
-                try:
-                    runs.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - cell errors must not kill the grid
-                    runs.append({"cell": cell[1], "seed": cell[3], "error": str(exc)})
-    else:
-        for cell in cells:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # every cell is submitted before the first result is awaited
+        calls = [pool.submit(_run_cell, cell).result if pool else partial(_run_cell, cell)
+                 for cell in cells]
+        for cell, call in zip(cells, calls):
             try:
-                runs.append(_run_cell(cell))
-            except Exception as exc:  # noqa: BLE001
+                runs.append(call())
+            except Exception as exc:  # noqa: BLE001 - cell errors must not kill the grid
                 runs.append({"cell": cell[1], "seed": cell[3], "error": str(exc)})
 
-    order = []
-    for name, _ in grid:
-        if name not in order:
-            order.append(name)
     rows = []
     metric_names = sorted({k for run in runs for k in run
                            if k.startswith("r") and "_" in k})
-    for name in order:
+    for name in dict.fromkeys(name for name, _ in grid):
         ok = [r for r in runs if r["cell"] == name and "error" not in r]
         failed = [r for r in runs if r["cell"] == name and "error" in r]
         row = {"cell": name, "runs": len(ok), "failures": len(failed)}

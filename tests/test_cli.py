@@ -1,15 +1,18 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from pgmatch.cli import main
+from pgmatch.cli import _config_flags, main
+from pgmatch.config import ModelConfig
 from pgmatch.verify import CheckResult
 
 FAST_TRAIN = ["--set", "feature_dim=6", "--set", "word_dim=5", "--set", "hidden=6",
               "--set", "embed_dim=6", "--set", "decoder_dim=4", "--set", "n_actions=8",
               "--batch-size", "4", "--epochs", "2"]
+VALID_KEYS = ", ".join(sorted(ModelConfig().to_dict()))
 
 
 def gen_args(out, classes=6, seed=3):
@@ -284,6 +287,34 @@ class TestMalformedUserFiles:
         err = capsys.readouterr().err
         assert "run.cfg:2" in err and "key = value" in err
 
+    @pytest.mark.parametrize("text,line,message", [
+        ("headz = 2\n", 1, f"unknown config key 'headz'; valid keys: {VALID_KEYS}"),
+        ("epochs = 1\nheads = abc\n", 2, "config key 'heads': cannot parse 'abc' as int"),
+        ("# three\n\nheads = 3\n", 3, "heads must be 1 or 2, got 3"),
+        ("lam = nan\n", 1, "lam must be positive, got nan")])
+    def test_config_error_names_the_file_and_the_line(self, dataset_dir, tmp_path, capsys,
+                                                       text, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        run = tmp_path / "r"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+        assert not run.exists()
+
+    def test_undecodable_config_file(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xffheads = 1\n")
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text (")
+
+    def test_unknown_set_key_has_no_stray_quotes(self, dataset_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"),
+                     "--set", "nope=1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unknown config key 'nope'; valid keys: {VALID_KEYS}\n"
+
     def test_missing_config_file(self, dataset_dir, tmp_path, capsys):
         assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r"),
                      "--config", str(tmp_path / "absent.cfg")]) == 1
@@ -294,7 +325,8 @@ class TestMalformedUserFiles:
                      "--data", str(tmp_path / "nodata")]) == 1
         assert "nodata" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]",
+                                      pytest.param("[" * 100_000, id="nested too deep")])
     def test_malformed_dataset_manifest(self, dataset_dir, tmp_path, capsys, text):
         (dataset_dir / "manifest.json").write_text(text)
         assert main(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "r")]
@@ -335,6 +367,29 @@ class TestMalformedUserFiles:
                      "--grid", str(grid), "--seeds", "2"] + FAST_TRAIN) == 1
         err = capsys.readouterr().err
         assert "grid.json" in err and "'two'" in err and "'heads'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first,message", [("three_heads", "heads must be 1 or 2, got 3"),
+                                               ("neg_lam", "lam must be positive, got -1")])
+    def test_grid_override_that_breaks_a_config_rule(self, dataset_dir, tmp_path, capsys,
+                                                     first, message):
+        entries = {"three_heads": {"heads": 3}, "neg_lam": {"lam": -1}}
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"name": name, "overrides": entries[name]}
+                                    for name in sorted(entries, key=lambda n: n != first)]))
+        out = tmp_path / "a"
+        assert main(["ablate", "--data", str(dataset_dir), "--out", str(out),
+                     "--grid", str(grid), "--seeds", "2"] + FAST_TRAIN) == 1
+        assert capsys.readouterr().err == f"error: {grid}: entry {first!r}: {message}\n"
+        assert not out.exists()
+
+    def test_default_grid_is_checked_against_the_flags(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert main(["ablate", "--data", str(dataset_dir), "--out", str(out), "--pg", "discrete",
+                     "--set", "loss_triplet=false", "--set", "loss_instance=false",
+                     "--set", "loss_decode=false"] + FAST_TRAIN) == 1
+        assert capsys.readouterr().err == ("error: the default grid: entry 'triplet_only': "
+                                           "no loss term is enabled; nothing to train\n")
         assert not out.exists()
 
 
@@ -475,6 +530,13 @@ class TestVerify:
 
 
 class TestParser:
+    def test_config_flags_set_config_fields(self):
+        # the CLI passes on every parsed value whose dest is a config field
+        parser = argparse.ArgumentParser()
+        _config_flags(parser)
+        dests = {action.dest for action in parser._actions} - {"help", "extra"}
+        assert len(dests) == 10 and dests <= set(ModelConfig().to_dict())
+
     def test_bad_flag_is_user_error(self, capsys):
         assert main(["train", "--no-such-flag"]) == 1
 

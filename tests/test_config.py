@@ -1,6 +1,17 @@
-import pytest
+import contextlib
+import dataclasses
+import io
+import json
 
-from pgmatch.config import ModelConfig, parse_config_file, resolve_config
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from manifest_fuzz import near
+
+from pgmatch.cli import _load_grid, _resolve, build_parser, main
+from pgmatch.config import PG_MODES, REWARD_MODES, ModelConfig, parse_config_file
+
+DEFAULTS = ModelConfig().to_dict()
 
 
 class TestModelConfig:
@@ -69,6 +80,12 @@ class TestModelConfig:
             ModelConfig(pg_mode="off", **no_task_losses).validate()
         ModelConfig(pg_mode="discrete", **no_task_losses).validate()
 
+    @pytest.mark.parametrize("key", ["lam", "temperature", "margin", "beta", "lr",
+                                     "lr_after_drop"])
+    def test_nan_breaks_the_float_rules(self, key):
+        with pytest.raises(ValueError):
+            ModelConfig().replaced(**{key: float("nan")})
+
     def test_replaced_does_not_mutate(self):
         base = ModelConfig()
         other = base.replaced(lam=5.0, seed=3)
@@ -91,7 +108,86 @@ class TestConfigFile:
     def test_precedence_flag_over_file_over_default(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("lam = 12.0\nheads = 2\n")
-        cfg = resolve_config(parse_config_file(path), {"lam": 30.0})
+        cfg = _resolve(build_parser().parse_args(
+            ["train", "--out", str(tmp_path / "run"), "--config", str(path), "--lambda", "30.0"]))
         assert cfg.lam == 30.0      # flag wins
         assert cfg.heads == 2       # file beats default
         assert cfg.margin == 0.2    # default
+
+
+@st.composite
+def damaged_config(draw) -> bytes:
+    """Config text as hand edits leave it: field names and junk keys, each
+    field's value or a near one, lines without '=', and raw bytes."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("field", "junk key", "no equals", "raw")))
+        if kind == "raw":
+            lines.append(draw(st.binary(max_size=12)))
+            continue
+        key = draw(st.sampled_from(sorted(DEFAULTS)))
+        value = draw(st.sampled_from([DEFAULTS[key]] + near(DEFAULTS[key])))
+        if kind == "junk key":
+            key = draw(st.sampled_from([key.upper(), key + "x", key[:-1], f"{key}.{key}"])
+                       | st.text(max_size=8))
+        line = f"{key} {value}" if kind == "no equals" else f"{key} = {value}"
+        lines.append(line.encode("utf-8", "surrogatepass"))
+    return b"\n".join(lines)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=damaged_config())
+    def test_train_exits_1_and_names_the_config_file(self, tmp_path, text):
+        # cmd_train resolves the config before it reads the (missing) dataset
+        cfg, data, out = tmp_path / "run.cfg", tmp_path / "nodata", tmp_path / "out"
+        cfg.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["train", "--data", str(data), "--out", str(out), "--config", str(cfg)])
+        err = err.getvalue()
+        assert code == 1 and "internal error" not in err and not out.exists()
+        if str(cfg) not in err:
+            assert str(data) in err
+            ModelConfig.from_dict(parse_config_file(cfg))
+
+
+def _valid_configs():
+    by_type = {"int": st.integers(1, 10**6), "float": st.floats(1e-9, 1e9),
+               "bool": st.booleans()}
+    special = {"heads": st.sampled_from((1, 2)), "n_actions": st.integers(2, 10**6),
+               "batch_size": st.integers(2, 10**6), "seed": st.integers(-2**63, 2**63),
+               "lr_drop_epoch": st.integers(-10, 10**6), "beta": st.floats(0, 1e9),
+               "pg_mode": st.sampled_from(PG_MODES), "reward_mode": st.sampled_from(REWARD_MODES)}
+    fields = {**{f.name: by_type.get(f.type) for f in dataclasses.fields(ModelConfig)}, **special}
+
+    def valid(values):
+        try:
+            ModelConfig(**values).validate()
+        except ValueError:
+            return False
+        return True
+
+    return st.fixed_dictionaries(fields).filter(valid).map(lambda v: ModelConfig(**v))
+
+
+class TestConfigRoundTrip:
+    """Any valid config comes back unchanged from each outside form."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=_valid_configs())
+    def test_config_file_set_items_and_grid_entry(self, tmp_path, cfg):
+        values = cfg.to_dict()
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        train = ["train", "--out", str(tmp_path / "run")]
+        from_file = _resolve(build_parser().parse_args(train + ["--config", str(path)]))
+        assert from_file.to_dict() == values
+        sets = [arg for k, v in values.items() for arg in ("--set", f"{k}={v}")]
+        assert _resolve(build_parser().parse_args(train + sets)).to_dict() == values
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"name": "cell", "overrides": values}]))
+        [(name, overrides)] = _load_grid(str(grid), ModelConfig())
+        assert ModelConfig().replaced(**overrides).to_dict() == values
