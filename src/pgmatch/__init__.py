@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from ._heap import keep_freed_pages
 from .autodiff import Adam, Tensor, backward, clear_tape, grad_check
 from .config import ModelConfig
 from .data import SyntheticDataset, generate_dataset, load_dataset
@@ -25,3 +26,5 @@ __all__ = [
     "train",
     "__version__",
 ]
+
+keep_freed_pages()

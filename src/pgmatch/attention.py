@@ -32,7 +32,7 @@ from .autodiff import (
     will_record,
 )
 from .distributions import ActionSpace, categorical_sample, greedy_label, gumbel_from_uniform
-from .encoders import GruParams, GruSequence, add_in_order, time_blocks
+from .encoders import GruParams, GruSequence, add_in_order
 
 SIGMA_FLOOR = 1e-3
 LOG_2PI = math.log(2.0 * math.pi)
@@ -149,12 +149,12 @@ def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
             for u, z in zip(uniforms, normals)]
 
 
-def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, keep):
-    """One head's compound action for a block of policy states ``hs``
-    (n, B, hidden), steps t0..t0+n-1: the attention weight, the discrete
-    log-prob and the continuous log-prob, each (n, B, 1) (a stage the
-    rollout does not sample reads 0), and with ``keep`` the backward
-    function of the block.
+def _head(hs, w_mu, w_std, space, noise, k, mode, action_mode, keep):
+    """Head ``k``'s compound action for every policy state ``hs`` (T, B,
+    hidden), drawn with the first T timesteps of ``noise``: the attention
+    weight, the discrete log-prob and the continuous log-prob, each (T, B,
+    1) (a stage the rollout does not sample reads 0), and with ``keep`` the
+    backward function.
 
     The action is drawn in two stages. The discrete stage takes the
     logits ``l = h W_mu``, perturbs them with the pre-drawn Gumbel noise
@@ -175,7 +175,7 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, keep):
     evaluates the sigma head: ``k`` is ``greedy_label(l)``, the argmax of
     ``softmax(l)``, and the attention is ``sigmoid(mu)``. ``soft =
     softmax(l)`` is computed only where it is read: by the
-    straight-through backward of a kept block, by ``st_soft_forward``
+    straight-through backward of a kept rollout, by ``st_soft_forward``
     and by the ``continuous`` action mode's relaxed mean.
 
     Every value is the numpy expression the stages written out in
@@ -195,8 +195,7 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, keep):
     stochastic = mode == "stochastic"
     discrete = action_mode != "continuous"
     continuous = action_mode != "discrete"
-    n = hs.shape[0]
-    steps = slice(t0, t0 + n)
+    length = hs.shape[0]
     wmu = w_mu.values
     labels = np.arange(space.num_labels, dtype=np.float64) / space.n
     zeros = np.zeros(hs.shape[:-1] + (1,))
@@ -204,8 +203,8 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, keep):
     logits = np.matmul(hs, wmu)
     if discrete and stochastic:
         inv_temp = float(1.0 / space.temperature)
-        soft = _softmax(inv_temp * (logits + noise.gumbel[:, steps, k].transpose(1, 0, 2)))
-        uniforms = noise.uniform[:, steps, k].T
+        soft = _softmax(inv_temp * (logits + noise.gumbel[:, :length, k].transpose(1, 0, 2)))
+        uniforms = noise.uniform[:, :length, k].T
         hard = categorical_sample(soft.reshape(-1, soft.shape[-1]),
                                   uniforms=uniforms.reshape(-1)).reshape(uniforms.shape)
         idx = hard[..., None]
@@ -228,7 +227,7 @@ def _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, keep):
         wstd = w_std.values
         pre = np.matmul(hs, wstd)
         sigma = np.where(pre > 30.0, pre, np.log1p(np.exp(np.minimum(pre, 30.0)))) + SIGMA_FLOOR
-        eps = noise.normal[:, steps, k].T[..., None]
+        eps = noise.normal[:, :length, k].T[..., None]
         x = mu + sigma * eps
         att = _sigmoid(x)
         d = x - mu
@@ -297,15 +296,15 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
     sum columns read 0.
 
     The whole rollout is one tape record: the policy GRU over all T steps
-    (``GruSequence``), every head's sample (``_head``, one block of steps
-    at a time), the attention averaged over the heads and the episode
-    log-prob sums, packed into one (B, T + 2) output. The features are
-    listed as an input three times, once per GRU gate product, so their
-    gradient parts reach the engine in the order per-step records sent
-    them. Within the backward pass each state's adjoint adds the next
-    step's GRU parts first, then each head's parts, last head first, and
-    the log-prob sums add the steps (each head in turn) in time order, as
-    a chain of per-step records did: results match that chain bit for bit.
+    (``GruSequence``), every head's sample over all T states (``_head``),
+    the attention averaged over the heads and the episode log-prob sums,
+    packed into one (B, T + 2) output. The features are listed as an input
+    three times, once per GRU gate product, so their gradient parts reach
+    the engine in the order per-step records sent them. Within the
+    backward pass each state's adjoint adds the next step's GRU parts
+    first, then each head's parts, last head first, and the log-prob sums
+    add the steps (each head in turn) in time order, as a chain of
+    per-step records did: results match that chain bit for bit.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -325,41 +324,33 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
     xs = features.values.transpose(1, 0, 2)
     gru = GruSequence(params.gru, batch, length, keep)
     out = np.zeros((batch, length + 2))
-    dsum = csum = np.zeros((batch, 1))
-    blocks = time_blocks(length, batch)
-    backwards = []
-    for t0, t1 in blocks:
-        hs = gru.forward(xs[t0:t1], t0)
-        atts, dlps, clps, bws = zip(*(
-            _head(hs, w_mu, w_std, space, noise, t0, k, mode, action_mode, keep)
-            for k, (w_mu, w_std) in enumerate(heads)))
-        combined = atts[0] if len(atts) == 1 else 0.5 * (atts[0] + atts[1])
-        out[:, t0:t1] = combined[..., 0].T
-        if stochastic:  # the sums add step by step, each head in turn
-            dsum = add_in_order(dsum, np.stack(dlps, axis=1).reshape((-1, batch, 1)))
-            csum = add_in_order(csum, np.stack(clps, axis=1).reshape((-1, batch, 1)))
-        backwards.append(bws)
+    hs = gru.forward(xs)
+    atts, dlps, clps, bws = zip(*(
+        _head(hs, w_mu, w_std, space, noise, k, mode, action_mode, keep)
+        for k, (w_mu, w_std) in enumerate(heads)))
+    combined = atts[0] if len(atts) == 1 else 0.5 * (atts[0] + atts[1])
+    out[:, :length] = combined[..., 0].T
     if stochastic:
-        out[:, length:] = np.concatenate([dsum, csum], axis=-1)
+        # the sums add step by step, each head in turn; no log-prob is -0.0,
+        # so starting from the first term gives the bits a zero start gives
+        sums = [add_in_order(np.stack(lps, axis=1).reshape((-1, batch, 1))) for lps in (dlps, clps)]
+        out[:, length:] = np.concatenate(sums, axis=-1)
 
     def backward(g):
         g_att, g_dlp, g_clp = g[:, :length], g[:, length:length + 1], g[:, length + 1:]
-        g_x = [np.empty(xs.shape) for _ in range(3)]
+        g_head = g_att.T[..., None]
+        if len(heads) == 2:
+            g_head = 0.5 * g_head
+        parts = []
         g_w_mu, g_w_std = [None] * len(heads), [None] * len(heads)
-        for (t0, t1), bws in zip(reversed(blocks), reversed(backwards)):
-            g_head = g_att[:, t0:t1].T[..., None]
-            if len(heads) == 2:
-                g_head = 0.5 * g_head
-            parts = []
-            for k in reversed(range(len(heads))):
-                h_parts, g_wmu, g_wstd = bws[k](g_head, g_dlp, g_clp)
-                parts += h_parts
-                g_w_mu[k] = add_in_order(g_w_mu[k], g_wmu[::-1])
-                if g_wstd is not None:
-                    g_w_std[k] = add_in_order(g_w_std[k], g_wstd[::-1])
-            for buf, part in zip(g_x, gru.backward_block(parts)):
-                buf[t0:t1] = part
-        return ([buf.transpose(1, 0, 2) for buf in g_x] + gru.grads + g_w_mu + g_w_std)
+        for k in reversed(range(len(heads))):
+            h_parts, g_wmu, g_wstd = bws[k](g_head, g_dlp, g_clp)
+            parts += h_parts
+            g_w_mu[k] = add_in_order(g_wmu[::-1])
+            if g_wstd is not None:
+                g_w_std[k] = add_in_order(g_wstd[::-1])
+        g_x = gru.backward(parts)
+        return [g.transpose(1, 0, 2) for g in g_x] + gru.grads + g_w_mu + g_w_std
 
     packed = record_op("policy_rollout", inputs, out, backward)
     zero = constant(np.zeros(batch))
@@ -389,8 +380,8 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     computation.
 
     One tape record, sharing ``GruSequence`` with the rollout. The scaled
-    features of a block of steps are one array; their running sum adds
-    them step by step in time order, and in the backward pass each scaled
+    features of all steps are one array; their running sum adds them step
+    by step in time order, and in the backward pass each scaled
     feature's adjoint is the mean's part plus the GRU's three input
     parts, in that order, as per-step records added them."""
     _check_sequence("fuse", features, gru, trace.length)
@@ -404,27 +395,22 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     xs = features.values.transpose(1, 0, 2)
     scale = lam * trace.attention
     run = GruSequence(gru, batch, length, keep)
-    blocks = time_blocks(length, batch)
-    acc = None
-    for t0, t1 in blocks:
-        adjusted = xs[t0:t1] * scale[:, t0:t1].T[..., None]
-        run.forward(adjusted, t0)
-        for a in adjusted:
-            acc = a if acc is None else acc + a
+    s = scale.T[..., None]
+    adjusted = xs * s
+    hs = run.forward(adjusted)
+    acc = adjusted[0]
+    for a in adjusted[1:]:
+        acc = acc + a
     c = float(1.0 / length)
-    out = run.h + c * acc
+    out = hs[-1] + c * acc
 
     def backward(g):
-        g_acc = c * g
-        g_f = np.empty(xs.shape)
-        g_att = np.zeros(weights.shape) if weights_tracked else None
-        for t0, t1 in reversed(blocks):
-            g_xc, g_xr, g_xz = run.backward_block(g_end=g)
-            g_adj = ((g_acc + g_xc) + g_xr) + g_xz
-            s = scale[:, t0:t1].T[..., None]
-            g_f[t0:t1] = g_adj * s
-            if g_att is not None:
-                g_att[:, t0:t1] = (lam * (g_adj * xs[t0:t1]).sum(axis=-1)).T
-        return [g_f.transpose(1, 0, 2), g_att] + run.grads
+        g_xc, g_xr, g_xz = run.backward(g_end=g)
+        g_adj = ((c * g + g_xc) + g_xr) + g_xz
+        g_att = None
+        if weights_tracked:
+            g_att = np.zeros(weights.shape)
+            g_att[:, :length] = (lam * (g_adj * xs).sum(axis=-1)).T
+        return [(g_adj * s).transpose(1, 0, 2), g_att] + run.grads
 
     return record_op("fuse", inputs, out, backward)

@@ -4,6 +4,7 @@ ablation switch, serializable to/from plain ``key = value`` text."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -76,6 +77,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (self.lr > 0 and self.lr_after_drop > 0):
             raise ValueError("learning rates must be positive")
+        for name, ftype in _FIELD_TYPES.items():
+            if ftype == "float" and not abs(getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pg_mode == "off" and not (self.loss_triplet or self.loss_instance
                                           or self.loss_decode):
             raise ValueError("no loss term is enabled; nothing to train")

@@ -74,29 +74,12 @@ class GruParams:
                 self.w_xc, self.w_hc, self.b_c]
 
 
-BLOCK_ROWS = 128
-
-
-def time_blocks(length: int, batch: int) -> list:
-    """Consecutive [t0, t1) ranges of ``max(1, BLOCK_ROWS // batch)``
-    timesteps covering ``length``. The sequence kernels run every product
-    that does not feed a recurrence once per block, as one stacked
-    ``np.matmul``: a block stacks at most 128 rows (or one step of a larger
-    batch), so its temporaries stay small enough for the allocator to
-    reuse instead of mapping fresh pages on every call."""
-    size = max(1, BLOCK_ROWS // batch)
-    return [(t0, min(t0 + size, length)) for t0 in range(0, length, size)]
-
-
-def add_in_order(total, parts):
-    """``total + parts[0] + parts[1] + ...``, one addition at a time in
-    that order (``total`` None: start from ``parts[0]``), which is how the
-    engine sums the gradient parts of a chain of records. ``np.add.reduce``
-    over the leading axis adds in order while a part has several entries;
-    single entries it sums pairwise, so those go through the sequential
-    ``np.add.accumulate``."""
-    if total is not None:
-        parts = np.concatenate((total[None], parts))
+def add_in_order(parts):
+    """``parts[0] + parts[1] + ...``, one addition at a time in that order,
+    which is how the engine sums the gradient parts of a chain of records.
+    ``np.add.reduce`` over the leading axis adds in order while a part has
+    several entries; single entries it sums pairwise, so those go through
+    the sequential ``np.add.accumulate``."""
     if parts[0].size == 1:
         return np.add.accumulate(parts, axis=0)[-1]
     return np.add.reduce(parts, axis=0)
@@ -104,19 +87,18 @@ def add_in_order(total, parts):
 
 class GruSequence:
     """The GRU cell rolled over a time-major (T, B, p) input from a zero
-    (B, q) state, one block of timesteps (``time_blocks``) at a time:
+    (B, q) state:
 
         z = sigmoid(x W_xz + h W_hz + b_z)
         r = sigmoid(x W_xr + h W_hr + b_r)
         c = tanh(x W_xc + (r * h) W_hc + b_c)
         h' = (1 - z) * h + z * c
 
-    The input products ``x W_x*`` of a block are one stacked matmul each;
-    only the state products run step by step. ``backward_block`` walks the
-    blocks from last to first: the recurrence runs step by step, then the
-    block's input-gradient and weight-gradient products are stacked the
-    same way, and each weight's per-step gradients are summed from the
-    last step to the first.
+    The input products ``x W_x*`` of the whole sequence are one stacked
+    matmul each; only the state products run step by step. ``backward``
+    runs the recurrence from the last step to the first, then stacks the
+    input-gradient and weight-gradient products the same way, and sums
+    each weight's per-step gradients from the last step to the first.
 
     A step allocates nothing: the workspaces are allocated once per
     sequence, and every product and elementwise op writes into them with
@@ -124,10 +106,9 @@ class GruSequence:
     contiguous (B, q) halves take the two state products (one GEMM per
     weight: a GEMM over the concatenated weights changes the last bit at
     some widths), so the bias add and the sigmoid run once over the block.
-    With ``keep`` on, the gates, ``r * h``, the candidate and the states
-    are written straight into the per-step storage ``backward_block``
-    reads; with it off, one slot of each is reused, and so is the block of
-    states ``forward`` returns.
+    With ``keep`` on, the gates, ``r * h`` and the candidate are written
+    straight into the per-step storage ``backward`` reads; with it off,
+    one slot of each is reused.
 
     A stacked matmul computes each (B, .) slice exactly as a 2-D product
     does, so every value is the same numpy expression on the same
@@ -136,92 +117,73 @@ class GruSequence:
     ``g (1 - z)``, ``g_rh r``, then the reset- and update-gate products).
     Results match a chain of per-step records bit for bit. With ``keep``
     off (no tape record will be kept) the forward pass saves nothing for
-    the backward pass."""
+    the backward pass.
+
+    The whole-sequence temporaries run to megabytes on large batches; the
+    heap keeps their pages from call to call (``_heap.keep_freed_pages``)."""
 
     def __init__(self, params: GruParams, batch: int, length: int, keep: bool):
         self.weights = [t.values for t in params.tensors()]
         self.b_zr = np.stack((params.b_z.values, params.b_r.values))[:, None]
         q = params.hidden_size
-        self.h = np.zeros((batch, q))
-        self.keep, self.length = keep, length
-        # a block's input products (z and r stacked), and the sigmoid's
-        # denominator and (1 - z) h of one step; the backward pass needs none
-        rows = time_blocks(length, batch)[0][1]
-        self.scratch = (np.empty((rows, 2, batch, q)), np.empty((rows, batch, q)),
-                        np.empty((2, batch, q)), np.empty((batch, q)))
-        # per step when kept (states[t] is the state before step t), else one slot
+        self.keep = keep
+        # the sigmoid's denominator and (1 - z) h of one step
+        self.work = np.empty((2, batch, q)), np.empty((batch, q))
+        # per step when kept, else one slot; states[t] is the state before step t
         slots = length if keep else 1
         self.zr = np.empty((slots, 2, batch, q))
         self.rh, self.cand = np.empty((slots, batch, q)), np.empty((slots, batch, q))
-        if keep:
-            self.states = np.zeros((length + 1, batch, q))
-            self.inputs = []
-            self.grads = [None] * 9
-            self.carry = None
-        else:
-            self.states = np.empty((rows, batch, q))
+        self.states = np.zeros((length + 1, batch, q))
 
-    def forward(self, x: np.ndarray, t0: int) -> np.ndarray:
-        """Run the block ``x`` (n, B, p) of steps t0..t0+n-1; returns the
-        states after each of its steps, (n, B, q). With ``keep`` off the
-        next call overwrites them."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the (T, B, p) input ``x``; returns the state after each
+        step, (T, B, q)."""
         w_xz, w_hz, _, w_xr, w_hr, _, w_xc, w_hc, b_c = self.weights
-        n = x.shape[0]
-        x_zr, x_c, work, omz_h = self.scratch
-        x_zr, x_c = x_zr[:n], x_c[:n]
+        work, omz_h = self.work
+        x_zr = np.empty((len(x), 2) + omz_h.shape)
         np.matmul(x, w_xz, out=x_zr[:, 0])
         np.matmul(x, w_xr, out=x_zr[:, 1])
-        np.matmul(x, w_xc, out=x_c)
+        x_c = np.matmul(x, w_xc)
         if self.keep:
-            self.inputs.append(x)
-            out = self.states[t0 + 1:t0 + 1 + n]
-        else:
-            out = self.states[:n]
-        h = self.h
-        for i in range(n):
-            s = t0 + i if self.keep else 0
+            self.x = x
+        states = self.states
+        for t in range(len(x)):
+            s = t if self.keep else 0
             zr, rh, cand = self.zr[s], self.rh[s], self.cand[s]
             z, r = zr
+            h = states[t]
             np.matmul(h, w_hz, out=z)
             np.matmul(h, w_hr, out=r)
-            zr += x_zr[i]
+            zr += x_zr[t]
             zr += self.b_zr
             _sigmoid(zr, out=zr, work=work)
             np.multiply(r, h, out=rh)
             np.matmul(rh, w_hc, out=cand)
-            cand += x_c[i]
+            cand += x_c[t]
             cand += b_c
             np.tanh(cand, out=cand)
             np.subtract(1.0, z, out=omz_h)
             omz_h *= h
-            # h is read for the last time above: with one slot of states
-            # the new state overwrites it
-            h = np.multiply(z, cand, out=out[i])
+            h = np.multiply(z, cand, out=states[t + 1])
             h += omz_h
-        self.h = h
-        if t0 + n == self.length:
-            self.scratch = None  # kept sequences live on until their backward pass
-        return out
+        return states[1:]
 
-    def backward_block(self, parts=(), g_end=None) -> tuple:
-        """Backward over the latest block not yet processed. Each step's
-        state adjoint is the part the next step's backward left (or, at
-        the last step, ``g_end``), plus each entry of ``parts`` ((n, B, q)
-        arrays, per step) in order. Returns the block's input gradients
-        ``(g_xc, g_xr, g_xz)``, each (n, B, p), and adds its weight
-        gradients to ``grads``."""
-        w_xz, w_hz, b_z, w_xr, w_hr, b_r, w_xc, w_hc, b_c = self.weights
-        x = self.inputs.pop()
-        n = x.shape[0]
-        t0 = sum(len(b) for b in self.inputs)
-        g_az, g_ar, g_ac = (np.empty((n,) + self.h.shape) for _ in range(3))
-        steps = slice(t0, t0 + n)
-        hp, cand = self.states[steps], self.cand[steps]
-        z, r = self.zr[steps, 0], self.zr[steps, 1]
-        # the factors that do not depend on the adjoint, for the whole block
+    def backward(self, parts=(), g_end=None) -> tuple:
+        """Backward over the sequence ``forward`` ran. Each step's state
+        adjoint is the part the next step's backward left (or, at the last
+        step, ``g_end``), plus each entry of ``parts`` ((T, B, q) arrays,
+        per step) in order. Returns the input gradients ``(g_xc, g_xr,
+        g_xz)``, each (T, B, p), and sets the weight gradients ``grads``."""
+        w_xz, w_hz, _, w_xr, w_hr, _, w_xc, w_hc, _ = self.weights
+        x = self.x
+        n = len(x)
+        g_az, g_ar, g_ac = (np.empty(self.cand.shape) for _ in range(3))
+        hp, cand = self.states[:-1], self.cand
+        z, r = self.zr[:, 0], self.zr[:, 1]
+        # the factors that do not depend on the adjoint, for every step
         omz, omr, dcand = 1.0 - z, 1.0 - r, 1.0 - cand * cand
         w_hz_t, w_hr_t, w_hc_t = w_hz.T, w_hr.T, w_hc.T
-        g_next = self.carry if self.carry is not None else g_end
+        g_next = g_end
         for i in range(n - 1, -1, -1):
             g = g_next
             for part in parts:
@@ -232,16 +194,15 @@ class GruSequence:
             g_ar[i] = g_rh * hp[i] * r[i] * omr[i]
             g_hr = g_ar[i] @ w_hr_t
             g_az[i] = g_z * z[i] * omz[i]
-            if t0 + i > 0:  # the zero initial state takes no gradient
+            if i > 0:  # the zero initial state takes no gradient
                 g_next = ((g * omz[i] + g_rh * r[i]) + g_hr) + g_az[i] @ w_hz_t
-        self.carry = g_next
         # one weight's per-step products at a time, each summed last step first
         x_t, h_t = x.transpose(0, 2, 1), hp.transpose(0, 2, 1)
-        rh_t = self.rh[steps].transpose(0, 2, 1)
+        rh_t = self.rh.transpose(0, 2, 1)
         parts = (g.sum(axis=1) if a is None else np.matmul(a, g)
                  for a, g in ((x_t, g_az), (h_t, g_az), (None, g_az), (x_t, g_ar), (h_t, g_ar),
                               (None, g_ar), (x_t, g_ac), (rh_t, g_ac), (None, g_ac)))
-        self.grads = [add_in_order(total, part[::-1]) for total, part in zip(self.grads, parts)]
+        self.grads = [add_in_order(part[::-1]) for part in parts]
         return np.matmul(g_ac, w_xc.T), np.matmul(g_ar, w_xr.T), np.matmul(g_az, w_xz.T)
 
 

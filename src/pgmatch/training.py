@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from ._heap import release_freed_pages
 from .autodiff import (
     Adam,
     NonFiniteGradient,
@@ -183,6 +185,7 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
             best_params = model.state_arrays()
 
     clear_tape()
+    release_freed_pages()  # the heap kept the steps' pages; nothing reuses them now
     return TrainResult(records=records, final_params=model.state_arrays(),
                        best_params=best_params, best_epoch=best_epoch,
                        best_metric=best_metric, config=config,
@@ -247,7 +250,14 @@ def run_ablation(base_config: ModelConfig, grid, dataset: SyntheticDataset,
                  for cell in cells]
         for cell, call in zip(cells, calls):
             try:
-                runs.append(call())
+                try:
+                    runs.append(call())
+                except BrokenProcessPool:
+                    # a dying worker fails every pending cell: rerun this one
+                    # alone (it is seeded), so only the cell that kills its
+                    # worker records an error
+                    with ProcessPoolExecutor(max_workers=1) as alone:
+                        runs.append(alone.submit(_run_cell, cell).result())
             except Exception as exc:  # noqa: BLE001 - cell errors must not kill the grid
                 runs.append({"cell": cell[1], "seed": cell[3], "error": str(exc)})
 

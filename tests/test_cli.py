@@ -115,6 +115,15 @@ class TestTrain:
         assert "no loss term is enabled" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("item", ["lam=inf", "lr=inf", "beta=inf", "init_scale=nan",
+                                      "decoder_init_scale=-inf"])
+    def test_non_finite_float_is_user_error(self, dataset_dir, tmp_path, capsys, item):
+        run = tmp_path / "r"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run),
+                     "--set", item] + FAST_TRAIN) == 1
+        assert f"{item.split('=')[0]} must be finite" in capsys.readouterr().err
+        assert not run.exists()
+
 
 class TestEval:
     @pytest.fixture()

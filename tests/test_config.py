@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -81,10 +82,11 @@ class TestModelConfig:
         ModelConfig(pg_mode="discrete", **no_task_losses).validate()
 
     @pytest.mark.parametrize("key", ["lam", "temperature", "margin", "beta", "lr",
-                                     "lr_after_drop"])
+                                     "lr_after_drop", "init_scale", "decoder_init_scale"])
     def test_nan_breaks_the_float_rules(self, key):
-        with pytest.raises(ValueError):
-            ModelConfig().replaced(**{key: float("nan")})
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{key}|learning rates"):
+                ModelConfig().replaced(**{key: value})
 
     def test_replaced_does_not_mutate(self):
         base = ModelConfig()

@@ -161,7 +161,7 @@ class TestEmbedWords:
 def gru_states(params, x):
     """The states of a GRU run over the (T, B, p) input x from a zero state."""
     run = GruSequence(params, x.shape[1], x.shape[0], keep=False)
-    return run.forward(x, 0)
+    return run.forward(x)
 
 
 class TestGruStep:

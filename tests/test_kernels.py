@@ -19,7 +19,7 @@ from pgmatch.attention import (
     policy_rollout,
 )
 from pgmatch.distributions import ActionSpace
-from pgmatch.encoders import GruParams, GruSequence, time_blocks
+from pgmatch.encoders import GruParams, GruSequence
 from pgmatch.losses import DecoderParams, text_decoding_loss
 
 
@@ -303,13 +303,6 @@ class TestDecoderKernel:
         assert len(ad.active_tape().records) == 24
 
 
-def test_time_blocks_stack_at_most_128_rows():
-    assert time_blocks(5, 48) == [(0, 2), (2, 4), (4, 5)]
-    assert time_blocks(8, 16) == [(0, 8)]
-    assert time_blocks(3, 200) == [(0, 1), (1, 2), (2, 3)]
-    assert time_blocks(4, 1) == [(0, 4)]
-
-
 class TestSigmoid:
     SPECIALS = np.array([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 745.0, -745.0, 37.0,
                          np.inf, -np.inf])
@@ -340,7 +333,7 @@ class TestGruSequence:
     records, with input and hidden widths that differ either way (the text
     policy GRU reads 32-wide words into a 64-wide state)."""
 
-    @pytest.mark.parametrize("batch,length", [(1, 4), (5, 3), (48, 5), (128, 3)])
+    @pytest.mark.parametrize("batch,length", [(1, 4), (5, 3), (2, 40), (48, 5), (128, 3)])
     @pytest.mark.parametrize("width,hidden", [(3, 7), (7, 3)])
     def test_states_and_gradients_match_per_step_records(self, batch, length, width, hidden):
         rng = np.random.default_rng(13)
@@ -348,18 +341,12 @@ class TestGruSequence:
         x = rng.standard_normal((length, batch, width))
         w_out = rng.standard_normal((length, batch, hidden))
 
-        blocks = time_blocks(length, batch)
         kept = GruSequence(gru, batch, length, keep=True)
         unkept = GruSequence(gru, batch, length, keep=False)
-        states, unkept_states = [], []
-        for t0, t1 in blocks:
-            states.append(kept.forward(x[t0:t1], t0).copy())
-            unkept_states.append(unkept.forward(x[t0:t1], t0).copy())
-        g_x = np.empty(x.shape)
-        for t0, t1 in reversed(blocks):
-            g_xc, g_xr, g_xz = kept.backward_block((w_out[t0:t1],))
-            g_x[t0:t1] = (g_xc + g_xr) + g_xz
-        fused = [np.concatenate(states), np.concatenate(unkept_states), g_x] + kept.grads
+        states = kept.forward(x).copy()
+        unkept_states = unkept.forward(x).copy()
+        g_xc, g_xr, g_xz = kept.backward((w_out,))
+        fused = [states, unkept_states, (g_xc + g_xr) + g_xz] + kept.grads
 
         # each state's loss term is recorded before the next step reads the
         # state, as a rollout's heads are

@@ -1,10 +1,12 @@
 import inspect
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
+import pgmatch.training as training
 import recipe_digests
 from pgmatch.config import PG_MODES, ModelConfig
 from pgmatch.data import generate_dataset
@@ -22,6 +24,17 @@ from pgmatch.training import (
 
 TINY = dict(feature_dim=6, word_dim=5, hidden=6, embed_dim=6, decoder_dim=4,
             n_actions=8, batch_size=4, epochs=2)
+
+
+_RUN_CELL = training._run_cell
+
+
+def _run_cell_or_die(cell):
+    """``training._run_cell``, except that the cell named "dies" kills its
+    worker process."""
+    if cell[1] == "dies":
+        os._exit(3)
+    return _RUN_CELL(cell)
 
 
 def tiny_dataset(classes=8, seed=0):
@@ -288,6 +301,17 @@ class TestAblation:
         serial_runs, _ = run_ablation(base, grid, ds, seeds=(0,), jobs=1)
         parallel_runs, _ = run_ablation(base, grid, ds, seeds=(0,), jobs=2)
         assert serial_runs == parallel_runs
+
+    def test_dying_worker_fails_only_its_own_cell(self, monkeypatch):
+        ds = tiny_dataset()
+        base = ModelConfig(**{**TINY, "epochs": 1})
+        serial_runs, _ = run_ablation(base, [("healthy", {"pg_mode": "off"})], ds, seeds=(0,))
+        monkeypatch.setattr(training, "_run_cell", _run_cell_or_die)
+        grid = [("dies", {}), ("healthy", {"pg_mode": "off"})]
+        runs, rows = run_ablation(base, grid, ds, seeds=(0,), jobs=2)
+        assert runs[0]["cell"] == "dies" and "error" in runs[0]
+        assert runs[1:] == serial_runs
+        assert [(row["runs"], row["failures"]) for row in rows] == [(0, 1), (1, 0)]
 
 
 # public functions of ``pgmatch.autodiff`` that are not ops recording under
