@@ -228,7 +228,7 @@ def _load_split(path, split, info, ds: SyntheticDataset) -> list:
     count, class_ids = info.get("count"), info.get("class_ids")
     if not (_is_int(count) and count >= 0):
         raise DatasetError(f"{field}.count' is {count!r}, expected a non-negative integer")
-    if not isinstance(class_ids, list) or not all(_is_int(c) for c in class_ids):
+    if not isinstance(class_ids, list) or not all(type(c) is int for c in class_ids):
         raise DatasetError(f"{field}.class_ids' is {class_ids!r}, expected a list of integers")
     t, n = ds.regions_per_instance, ds.tokens_per_instance
     regions_file = os.path.join(path, f"{split}_regions.bin")
@@ -254,18 +254,20 @@ def _load_split(path, split, info, ds: SyntheticDataset) -> list:
         row, col = np.argwhere(bad)[0]
         raise DatasetError(f"{tokens_file}: token id {tokens[row, col]} at row {row}, "
                            f"column {col} outside vocab_size [0, {ds.vocab_size})")
-    tokens = tokens.astype(np.int64)
     # views: batches stack copies of them and nothing writes to them
-    return [Instance(class_id=class_id, regions=regions[i * t:(i + 1) * t], tokens=tokens[i])
-            for i, class_id in enumerate(class_ids)]
+    return list(map(Instance, class_ids, regions.reshape(count, t, ds.feature_dim),
+                    tokens.astype(np.int64)))
 
 
 def dataset_fingerprint(path) -> str:
-    """sha256 over the manifest and every matrix file, name-sorted."""
+    """sha256 over ``manifest.json`` and the two matrix files of each split
+    it names, name-sorted; other files in ``path`` do not count."""
+    splits = read_json(os.path.join(path, "manifest.json"), DatasetError)["splits"]
+    names = {"manifest.json"} | {f"{split}_{kind}.bin" for split in splits
+                                 for kind in ("regions", "tokens")}
     digest = hashlib.sha256()
-    for name in sorted(os.listdir(path)):
-        if name == "manifest.json" or name.endswith(".bin"):
-            digest.update(name.encode())
-            with open(os.path.join(path, name), "rb") as fh:
-                digest.update(fh.read())
+    for name in sorted(names):
+        digest.update(name.encode())
+        with open(os.path.join(path, name), "rb") as fh:
+            digest.update(fh.read())
     return digest.hexdigest()

@@ -1,12 +1,13 @@
 """Full matching model: both modality encoders, one attention policy per
 branch, projections into the common embedding space, the shared instance
 classifier and the shared text decoder. Also owns the checkpoint format
-(same raw-matrix layout as datasets, one file per parameter, committed
-by replacing ``checkpoint.json``)."""
+(same raw-matrix layout as datasets, one file holding every parameter,
+committed by replacing ``checkpoint.json``)."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -147,34 +148,29 @@ class MatchingModel:
 
     def save_checkpoint(self, outdir):
         """Write the checkpoint into ``outdir``; replacing its
-        ``checkpoint.json`` commits it. Each parameter goes to
-        ``<name>-<hash>.bin``, the hash being the first 16 hex digits of
-        the sha256 of its values, so a file that the manifest on disk names
-        is never rewritten with other bytes. Every file is written to a
-        ``.tmp`` file and moved into place with ``os.replace``.
+        ``checkpoint.json`` commits it. Every parameter goes, in
+        ``named_parameters`` order, into one (1, total) matrix file named
+        ``params-<first 16 hex digits of the sha256 of its values>.bin``, so
+        the file the manifest on disk names is never rewritten with other
+        bytes. Both files go through a ``.tmp`` file and ``os.replace``.
 
         After the commit, or after a save that fails part-way, one prune
-        deletes every ``.bin`` and ``.tmp`` file that the manifest on disk
-        does not name, and ``outdir`` itself if this save created it and
-        nothing was committed. A killed save leaves the previous checkpoint
+        deletes every ``.bin`` and ``.tmp`` file but the one the manifest on
+        disk names, and ``outdir`` itself if this save created it and
+        committed nothing. A killed save leaves the previous checkpoint
         loadable, plus files that the next save's prune deletes."""
-        manifest = {
-            "format": "pgmatch-checkpoint-v1",
-            "config": self.config.to_dict(),
-            "vocab_size": self.vocab_size,
-            "num_instances": self.num_instances,
-            "params": {},
-        }
+        named = self.named_parameters()
+        flat = np.concatenate([t.values.ravel() for t in named.values()]).reshape(1, -1)
+        fname = f"params-{hashlib.sha256(flat).hexdigest()[:16]}.bin"
+        manifest = {"format": "pgmatch-checkpoint-v2", "config": self.config.to_dict(),
+                    "vocab_size": self.vocab_size, "num_instances": self.num_instances,
+                    "file": fname, "params": [[n, list(t.shape)] for n, t in named.items()]}
         created = not os.path.isdir(outdir)
         os.makedirs(outdir, exist_ok=True)
         try:
-            for name, t in self.named_parameters().items():
-                arr = np.ascontiguousarray(t.values)
-                fname = f"{name.replace('.', '_')}-{hashlib.sha256(arr).hexdigest()[:16]}.bin"
-                tmp = os.path.join(outdir, fname + ".tmp")
-                write_matrix(tmp, arr.reshape(1, -1))
-                os.replace(tmp, os.path.join(outdir, fname))
-                manifest["params"][name] = {"file": fname, "shape": list(arr.shape)}
+            tmp = os.path.join(outdir, fname + ".tmp")
+            write_matrix(tmp, flat)
+            os.replace(tmp, os.path.join(outdir, fname))
             tmp = os.path.join(outdir, "checkpoint.json.tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -185,24 +181,23 @@ class MatchingModel:
 
     @classmethod
     def load_checkpoint(cls, path) -> "MatchingModel":
-        """Rebuild a model from ``save_checkpoint`` output. A missing or
-        malformed file raises ``CheckpointError`` naming the file and the
-        field."""
+        """Rebuild a model from ``save_checkpoint`` output: each parameter
+        is a view of the one array its ``file`` is read into, in ``params``
+        order. A missing or malformed file raises ``CheckpointError``
+        naming the file and the field."""
         manifest_file = os.path.join(path, "checkpoint.json")
 
-        def fail(message):
-            raise CheckpointError(f"{manifest_file}: {message}") from None
+        def fail(message, file=manifest_file):
+            raise CheckpointError(f"{file}: {message}") from None
 
         manifest = read_json(manifest_file, CheckpointError)
         if not isinstance(manifest, dict):
             fail("expected a JSON object")
-        if manifest.get("format") != "pgmatch-checkpoint-v1":
-            fail(f"field 'format' is {manifest.get('format')!r}, expected 'pgmatch-checkpoint-v1'")
-        for key in ("config", "vocab_size", "num_instances", "params"):
+        if manifest.get("format") != "pgmatch-checkpoint-v2":
+            fail(f"field 'format' is {manifest.get('format')!r}, expected 'pgmatch-checkpoint-v2'")
+        for key in ("config", "vocab_size", "num_instances", "file", "params"):
             if key not in manifest:
                 fail(f"missing field {key!r}")
-        if not isinstance(manifest["params"], dict):
-            fail("field 'params' is not an object")
         try:
             config = ModelConfig.from_dict(manifest["config"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -210,52 +205,53 @@ class MatchingModel:
         for key in ("vocab_size", "num_instances"):
             if not _is_int(manifest[key]) or manifest[key] < 1:
                 fail(f"field {key!r} is {manifest[key]!r}, expected a positive integer")
-        arrays = {}
-        for name, info in manifest["params"].items():
-            bin_file, shape = _param_entry(path, name, info, fail)
-            try:
-                flat = read_matrix(bin_file)
-            except (OSError, DatasetError) as exc:
-                reason = exc.strerror if isinstance(exc, OSError) else exc
-                raise CheckpointError(f"{bin_file}: cannot read params.{name} ({reason})") from None
-            if flat.size != math.prod(shape):
-                raise CheckpointError(f"{bin_file}: {flat.size} values do not fill "
-                                      f"params.{name}.shape {list(shape)}")
-            arrays[name] = flat.reshape(shape)
+        fname = manifest["file"]
+        if (not isinstance(fname, str) or fname in ("", ".", "..") or "\0" in fname
+                or os.path.basename(fname) != fname):
+            fail(f"field 'file' is {fname!r}, expected a file name inside {path}")
+        if not isinstance(manifest["params"], list):
+            fail("field 'params' is not a list")
+        shapes = {}
+        for i, entry in enumerate(manifest["params"]):
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                    and isinstance(entry[1], list)
+                    and all(_is_int(n) and n >= 0 for n in entry[1])):
+                fail(f"field 'params[{i}]' is {entry!r}, expected a [name, shape] pair "
+                     f"whose shape is a list of non-negative integers")
+            if entry[0] in shapes:
+                fail(f"field 'params' names {entry[0]!r} twice")
+            shapes[entry[0]] = tuple(entry[1])
+        bin_file = os.path.join(path, fname)
         try:
+            flat = read_matrix(bin_file).reshape(-1)
+        except (OSError, DatasetError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            fail(f"cannot read the file that field 'file' names ({reason})", bin_file)
+        ends = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
+        if flat.size != ends[-1]:
+            fail(f"{flat.size} values, but the shapes in field 'params' hold {ends[-1]}",
+                 bin_file)
+        try:
+            arrays = {name: flat[lo:hi].reshape(shape)
+                      for (name, shape), lo, hi in zip(shapes.items(), ends, ends[1:])}
             return cls(config, manifest["vocab_size"], manifest["num_instances"],
                        ParamSource(stored=arrays))
         except ValueError as exc:
             fail(f"field 'params': {exc}")
 
 
-def _param_entry(path, name, info, fail) -> tuple:
-    """The file and the shape one ``params`` entry of a manifest names:
-    a plain file name inside the checkpoint directory and a list of
-    non-negative integers, or ``fail`` naming the field."""
-    if not isinstance(info, dict) or "file" not in info or "shape" not in info:
-        fail(f"field 'params.{name}' needs a file name and a shape")
-    fname, shape = info["file"], info["shape"]
-    if (not isinstance(fname, str) or fname in ("", ".", "..") or "\0" in fname
-            or os.path.basename(fname) != fname):
-        fail(f"field 'params.{name}.file' is {fname!r}, expected a file name inside {path}")
-    if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
-        fail(f"field 'params.{name}.shape' is {shape!r}, expected a list of non-negative integers")
-    return os.path.join(path, fname), tuple(shape)
-
-
 def _prune(outdir, created):
-    """Delete every ``.bin`` and ``.tmp`` file in ``outdir`` that its
-    ``checkpoint.json`` does not name (all of them if it names none), and
-    ``outdir`` if ``created`` and it holds no ``checkpoint.json``."""
+    """Delete every ``.bin`` and ``.tmp`` file in ``outdir`` but the
+    ``file`` its ``checkpoint.json`` names, and ``outdir`` if ``created``
+    and it holds no ``checkpoint.json``."""
     manifest_file = os.path.join(outdir, "checkpoint.json")
     try:
         with open(manifest_file, "r", encoding="utf-8") as fh:
-            keep = {info["file"] for info in json.load(fh)["params"].values()}
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
-        keep = set()
+            keep = json.load(fh)["file"]
+    except (OSError, ValueError, LookupError, TypeError):
+        keep = None
     for name in os.listdir(outdir):
-        if name.endswith((".bin", ".tmp")) and name not in keep:
+        if name.endswith((".bin", ".tmp")) and name != keep:
             os.remove(os.path.join(outdir, name))
     if created and not os.path.exists(manifest_file):
         os.rmdir(outdir)

@@ -7,6 +7,8 @@ import pytest
 
 from pgmatch.cli import _config_flags, main
 from pgmatch.config import ModelConfig
+from pgmatch.data import read_matrix, write_matrix
+from pgmatch.model import MatchingModel
 from pgmatch.verify import CheckResult
 
 FAST_TRAIN = ["--set", "feature_dim=6", "--set", "word_dim=5", "--set", "hidden=6",
@@ -433,51 +435,95 @@ class TestMalformedCheckpoint:
         path.write_text(json.dumps(manifest))
 
     @staticmethod
-    def param_file(ckpt, name):
-        """The file the manifest of ``ckpt`` names for parameter ``name``."""
-        return json.loads((ckpt / "checkpoint.json").read_text())["params"][name]["file"]
+    def data_file(ckpt):
+        """The parameter file the manifest of ``ckpt`` names."""
+        return json.loads((ckpt / "checkpoint.json").read_text())["file"]
+
+    @staticmethod
+    def entry(manifest, name):
+        """The ``[name, shape]`` entry of ``name`` in ``manifest["params"]``."""
+        return next(e for e in manifest["params"] if e[0] == name)
+
+    def rewrite_params(self, ckpt, edit):
+        """Apply ``edit`` to the checkpoint's parameters (name -> array, in
+        order), then write a params file and a manifest that agree."""
+        params = {n: t.values for n, t in
+                  MatchingModel.load_checkpoint(ckpt).named_parameters().items()}
+        edit(params)
+        write_matrix(ckpt / self.data_file(ckpt),
+                     np.concatenate([a.ravel() for a in params.values()]).reshape(1, -1))
+        self.edit_manifest(ckpt, lambda m: m.update(
+            params=[[n, list(a.shape)] for n, a in params.items()]))
 
     def test_missing_parameter(self, trained, ckpt, capsys):
-        self.edit_manifest(ckpt, lambda m: m["params"].pop("classifier"))
+        self.rewrite_params(ckpt, lambda p: p.pop("classifier"))
         err = self.eval_error(trained, ckpt, capsys)
         assert "checkpoint.json" in err and "'params'" in err and "classifier" in err
 
     def test_extra_parameter(self, trained, ckpt, capsys):
-        self.edit_manifest(ckpt, lambda m: m["params"].update(
-            stray=dict(m["params"]["classifier"])))
+        self.rewrite_params(ckpt, lambda p: p.update(stray=p["classifier"].copy()))
         err = self.eval_error(trained, ckpt, capsys)
         assert "checkpoint.json" in err and "'params'" in err and "stray" in err
 
     def test_shape_mismatch(self, trained, ckpt, capsys):
-        self.edit_manifest(ckpt, lambda m: m["params"]["word_table"].update(
-            shape=m["params"]["word_table"]["shape"][::-1]))
+        # the reversed shape holds as many values, so only the config can refuse it
+        self.edit_manifest(ckpt, lambda m: self.entry(m, "word_table")[1].reverse())
         err = self.eval_error(trained, ckpt, capsys)
         assert "checkpoint.json" in err and "word_table" in err and "shape" in err
 
     def test_shape_not_filled_by_file(self, trained, ckpt, capsys):
-        fname = self.param_file(ckpt, "proj_img")
-        self.edit_manifest(ckpt, lambda m: m["params"]["proj_img"].update(shape=[2, 2]))
+        self.edit_manifest(ckpt, lambda m: self.entry(m, "proj_img").__setitem__(1, [2, 2]))
         err = self.eval_error(trained, ckpt, capsys)
-        assert fname in err and "params.proj_img.shape" in err
+        assert self.data_file(ckpt) in err and "'params'" in err and "values" in err
+
+    def test_value_count_not_the_sum_of_the_shapes(self, trained, ckpt, capsys):
+        path = ckpt / self.data_file(ckpt)
+        values = read_matrix(path)
+        write_matrix(path, np.concatenate([values, [[0.5]]], axis=1))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert self.data_file(ckpt) in err and f"{values.size + 1} values" in err
 
     def test_negative_shape_entries(self, trained, ckpt, capsys):
-        # [-64, -64] has the file's value count as its product
-        shape = [-n for n in json.loads((ckpt / "checkpoint.json").read_text())
-                 ["params"]["proj_img"]["shape"]]
-        self.edit_manifest(ckpt, lambda m: m["params"]["proj_img"].update(shape=shape))
+        # [-64, -64] has as many values as [64, 64]
+        def negate(m):
+            entry = self.entry(m, "proj_img")
+            entry[1] = [-n for n in entry[1]]
+        self.edit_manifest(ckpt, negate)
         err = self.eval_error(trained, ckpt, capsys)
-        assert "checkpoint.json" in err and "params.proj_img.shape" in err
+        assert "checkpoint.json" in err and "'params[" in err and "proj_img" in err
 
-    @pytest.mark.parametrize("name", ["../classifier.bin", "ABSOLUTE", "sub/classifier.bin",
-                                      "classifier.bin\0"])
+    def test_duplicate_parameter(self, trained, ckpt, capsys):
+        self.edit_manifest(ckpt, lambda m: m["params"].append(list(self.entry(m, "proj_img"))))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "'params'" in err and "'proj_img' twice" in err
+
+    @pytest.mark.parametrize("bad", [{"classifier": [4, 4]}, ["classifier"],
+                                     ["classifier", [4], "x"], [7, [4]], "classifier"])
+    def test_entry_not_a_name_shape_pair(self, trained, ckpt, capsys, bad):
+        self.edit_manifest(ckpt, lambda m: m["params"].__setitem__(3, bad))
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "'params[3]'" in err and "[name, shape]" in err
+
+    def test_v1_manifest(self, trained, ckpt, capsys):
+        """A ``pgmatch-checkpoint-v1`` directory is not read."""
+        def to_v1(m):
+            m["format"] = "pgmatch-checkpoint-v1"
+            m["params"] = {n: {"file": f"{n}.bin", "shape": s} for n, s in m.pop("params")}
+            del m["file"]
+        self.edit_manifest(ckpt, to_v1)
+        err = self.eval_error(trained, ckpt, capsys)
+        assert "checkpoint.json" in err and "'format'" in err and "v1" in err
+
+    @pytest.mark.parametrize("name", ["../params.bin", "ABSOLUTE", "sub/params.bin",
+                                      "params.bin\0"])
     def test_file_outside_the_checkpoint(self, trained, ckpt, capsys, name):
-        outside = ckpt.parent / "classifier.bin"
-        outside.write_bytes((ckpt / self.param_file(ckpt, "classifier")).read_bytes())
+        outside = ckpt.parent / "params.bin"
+        outside.write_bytes((ckpt / self.data_file(ckpt)).read_bytes())
         if name == "ABSOLUTE":
             name = str(outside)
-        self.edit_manifest(ckpt, lambda m: m["params"]["classifier"].update(file=name))
+        self.edit_manifest(ckpt, lambda m: m.update(file=name))
         err = self.eval_error(trained, ckpt, capsys)
-        assert "checkpoint.json" in err and "params.classifier.file" in err
+        assert "checkpoint.json" in err and "field 'file'" in err
 
     def test_missing_manifest(self, trained, ckpt, capsys):
         (ckpt / "checkpoint.json").unlink()
@@ -507,16 +553,16 @@ class TestMalformedCheckpoint:
         assert "checkpoint.json" in err and "'config'" in err and f"'{key}'" in err
 
     def test_truncated_parameter_file(self, trained, ckpt, capsys):
-        fname = self.param_file(ckpt, "classifier")
+        fname = self.data_file(ckpt)
         truncate(ckpt / fname, 3)
         err = self.eval_error(trained, ckpt, capsys)
-        assert fname in err and "params.classifier" in err
+        assert fname in err and "field 'file'" in err
 
     def test_missing_parameter_file(self, trained, ckpt, capsys):
-        fname = self.param_file(ckpt, "w_aff_a")
+        fname = self.data_file(ckpt)
         (ckpt / fname).unlink()
         err = self.eval_error(trained, ckpt, capsys)
-        assert fname in err and "params.w_aff_a" in err
+        assert fname in err and "field 'file'" in err
 
 
 class TestVerify:

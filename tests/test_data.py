@@ -172,6 +172,15 @@ class TestExportImport:
                 np.testing.assert_array_equal(a.tokens, b.tokens)
                 assert a.class_id == b.class_id
 
+    def test_instances_are_views_of_their_split_matrices(self, tmp_path):
+        export_dataset(generate_dataset(classes=3, regions=2, tokens=4, dim=5, seed=11),
+                       tmp_path / "ds")
+        for instances in load_dataset(tmp_path / "ds").splits.values():
+            for kind in ("regions", "tokens"):
+                bases = {id(getattr(inst, kind).base) for inst in instances}
+                assert len(bases) == 1 and getattr(instances[0], kind).base is not None
+            assert all(type(inst.class_id) is int for inst in instances)
+
     def test_same_seed_byte_identical(self, tmp_path):
         for name in ("a", "b"):
             export_dataset(generate_dataset(classes=3, regions=2, tokens=3, dim=4, seed=5),
@@ -206,6 +215,18 @@ class TestExportImport:
                        tmp_path / "c")
         assert dataset_fingerprint(tmp_path / "a") == dataset_fingerprint(tmp_path / "b")
         assert dataset_fingerprint(tmp_path / "a") != dataset_fingerprint(tmp_path / "c")
+
+    def test_fingerprint_ignores_files_the_manifest_does_not_name(self, tmp_path):
+        """A forced export over a dataset with one more split leaves that
+        split's matrix files behind; they are not part of the dataset."""
+        ds = generate_dataset(classes=2, regions=2, tokens=2, dim=3, seed=0)
+        ds.splits["extra"] = ds.split("val")
+        export_dataset(ds, tmp_path / "a")
+        del ds.splits["extra"]
+        export_dataset(ds, tmp_path / "a", force=True)
+        export_dataset(ds, tmp_path / "b")
+        assert (tmp_path / "a" / "extra_regions.bin").exists()
+        assert dataset_fingerprint(tmp_path / "a") == dataset_fingerprint(tmp_path / "b")
 
 
 class TestLoadValidation:
@@ -264,6 +285,8 @@ class TestLoadValidation:
         (lambda m: m.update(noise_scale=None), "field 'noise_scale' is"),
         (lambda m: m["splits"]["val"].update(class_ids=None), "field 'splits.val.class_ids'"),
         (lambda m: m["splits"]["val"].update(class_ids=[0, 1, "2"]),
+         "field 'splits.val.class_ids'"),
+        (lambda m: m["splits"]["val"].update(class_ids=[0, True, 1]),
          "field 'splits.val.class_ids'"),
         (lambda m: m["splits"].update(test=[3, [0, 1, 2]]), "field 'splits.test' is"),
         (lambda m: m["splits"]["train"].update(count=3.0), "field 'splits.train.count'"),

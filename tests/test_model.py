@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pgmatch.autodiff as ad
 import pgmatch.model as model_module
 from pgmatch.autodiff import Adam, ParamSource
 from pgmatch.config import ModelConfig
+from pgmatch.data import write_matrix
 from pgmatch.model import CheckpointError, MatchingModel
 from pgmatch.training import TrainResult
 from manifest_fuzz import mutated, near
@@ -161,12 +163,9 @@ class TestCheckpoint:
         written = []
 
         def failing_write(path, arr):
-            if len(written) == 2:
-                raise OSError(28, "No space left on device")
             written.append(path)
-            real_write(path, arr)
+            raise OSError(28, "No space left on device")
 
-        real_write = model_module.write_matrix
         monkeypatch.setattr(model_module, "write_matrix", failing_write)
         with pytest.raises(OSError, match="No space"):
             tiny_model(seed=4).save_checkpoint(tmp_path / "ckpt")
@@ -185,7 +184,7 @@ class TestCheckpoint:
 
         def failing_replace(src, dst):
             calls.append(src)
-            if len(calls) == 2:  # the second parameter file into place
+            if len(calls) == 2:  # the manifest into place: the commit
                 raise OSError(16, "Device or resource busy")
             real_replace(src, dst)
 
@@ -208,8 +207,8 @@ class TestCheckpoint:
         """``path`` loads as ``model`` bit for bit and holds only
         ``checkpoint.json`` and the files it names."""
         manifest = json.loads((path / "checkpoint.json").read_text())
-        named = {info["file"] for info in manifest["params"].values()}
-        assert sorted(p.name for p in path.iterdir()) == sorted(named | {"checkpoint.json"})
+        assert re.fullmatch(r"params-[0-9a-f]{16}\.bin", manifest["file"])
+        assert sorted(p.name for p in path.iterdir()) == ["checkpoint.json", manifest["file"]]
         loaded = MatchingModel.load_checkpoint(path)
         for name, t in model.named_parameters().items():
             assert loaded.named_parameters()[name].values.tobytes() == t.values.tobytes()
@@ -237,7 +236,7 @@ class TestCheckpoint:
         fail_at = 0
         model.save_checkpoint(tmp_path / "counted")
         total = len(calls)
-        assert total == 2 * len(model.named_parameters()) + 1
+        assert total == 3
         for fail_at in range(1, total + 1):
             for target in ("ckpt", "fresh"):
                 calls.clear()
@@ -257,40 +256,62 @@ class TestCheckpoint:
         assert self.files(tmp_path / "a") == first == self.files(tmp_path / "b")
         self.assert_holds(tmp_path / "a", model)
 
-    def test_overwrites_a_checkpoint_with_plain_file_names(self, tmp_path):
-        """A checkpoint whose files are ``<name>.bin``, as older saves
-        wrote them, is replaced by a new save and leaves no file behind."""
+    def test_save_over_a_v1_checkpoint_replaces_it(self, tmp_path):
+        """A ``pgmatch-checkpoint-v1`` directory (one file per parameter)
+        does not load; a save over it leaves only ``checkpoint.json`` and
+        one params file."""
         ckpt = tmp_path / "ckpt"
-        tiny_model(seed=17).save_checkpoint(ckpt)
-        manifest = json.loads((ckpt / "checkpoint.json").read_text())
-        for info in manifest["params"].values():
-            plain = info["file"].rsplit("-", 1)[0] + ".bin"
-            (ckpt / info["file"]).rename(ckpt / plain)
-            info["file"] = plain
-        (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
-        MatchingModel.load_checkpoint(ckpt)
+        ckpt.mkdir()
+        v1, params = tiny_model(seed=17), {}
+        for name, t in v1.named_parameters().items():
+            params[name] = {"file": f"{name.replace('.', '_')}.bin", "shape": list(t.shape)}
+            write_matrix(ckpt / params[name]["file"], t.values.reshape(1, -1))
+        (ckpt / "checkpoint.json").write_text(json.dumps({
+            "format": "pgmatch-checkpoint-v1", "config": v1.config.to_dict(), "vocab_size": 9,
+            "num_instances": 4, "params": params}))
+        with pytest.raises(CheckpointError, match="field 'format'"):
+            MatchingModel.load_checkpoint(ckpt)
         model = tiny_model(seed=18)
         model.save_checkpoint(ckpt)
         self.assert_holds(ckpt, model)
 
-    def test_unchanged_parameters_keep_their_files(self, tmp_path):
-        model = tiny_model(seed=19)
+    def test_manifest_lists_the_parameters_in_order(self, tmp_path):
+        model = tiny_model(seed=19, heads=2)
         model.save_checkpoint(tmp_path / "ckpt")
-        before = self.files(tmp_path / "ckpt")
-        model.classifier.values += 1.0
+        manifest = json.loads((tmp_path / "ckpt" / "checkpoint.json").read_text())
+        assert manifest["format"] == "pgmatch-checkpoint-v2"
+        assert manifest["params"] == [[name, list(t.shape)]
+                                      for name, t in model.named_parameters().items()]
+
+    def test_loaded_parameters_are_consecutive_views_of_one_buffer(self, tmp_path):
+        model = tiny_model(seed=20, heads=2)
         model.save_checkpoint(tmp_path / "ckpt")
-        after = self.files(tmp_path / "ckpt")
-        changed = sorted(set(before) ^ set(after))
-        assert [n.rsplit("-", 1)[0] for n in changed] == ["classifier", "classifier"]
-        assert all(before[n] == after[n] for n in set(before) & set(after)
-                   if n != "checkpoint.json")
-        self.assert_holds(tmp_path / "ckpt", model)
+        params = list(MatchingModel.load_checkpoint(tmp_path / "ckpt").named_parameters().values())
+        buffer = params[0].values.base
+        assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
+        assert buffer.size == sum(t.size for t in model.named_parameters().values())
+        start = buffer.__array_interface__["data"][0]
+        for t in params:
+            assert t.values.base is buffer and t.values.flags.c_contiguous
+            assert t.values.__array_interface__["data"][0] == start
+            start += t.values.nbytes
+
+    def test_a_load_reads_the_manifest_and_one_matrix(self, tmp_path, monkeypatch):
+        tiny_model(seed=21, heads=2).save_checkpoint(tmp_path / "ckpt")
+        calls = []
+        for name in ("read_json", "read_matrix"):
+            def counted(*args, real=getattr(model_module, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(model_module, name, counted)
+        MatchingModel.load_checkpoint(tmp_path / "ckpt")
+        assert sorted(calls) == ["read_json", "read_matrix"]
 
 
 class TestLoading:
     """``load_checkpoint`` and ``TrainResult.rebuild`` build the model from
     the arrays they hold: nothing is drawn, and each parameter gets its own
-    writable array, equal bit for bit to the saved one."""
+    writable memory, equal bit for bit to the saved values."""
 
     @pytest.fixture(params=["load_checkpoint", "rebuild"])
     def loaded(self, request, tmp_path, monkeypatch):
