@@ -123,30 +123,33 @@ def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
     then per timestep and per head: Gumbel ``random(num_labels)``, the
     categorical ``random()``, the Normal ``standard_normal()``, each only in
     the action modes that use it. Training trajectories depend on this
-    order, so the batched sampler reproduces it exactly."""
+    order, so the batched sampler reproduces it exactly. A mode with one
+    stage draws consecutively, so its whole batch is one generator call."""
     if action_mode not in ACTION_MODES:
         raise ValueError(f"unknown action mode {action_mode!r}")
     discrete = action_mode != "continuous"
-    normal = action_mode != "discrete"
-    uniforms = [np.empty((batch, n, heads, num_labels + 1)) if discrete else None
-                for n in lengths]
-    normals = [np.empty((batch, n, heads)) if normal else None for n in lengths]
-    for b in range(batch):
-        for u, z, n in zip(uniforms, normals, lengths):
-            u_b = None if u is None else u[b]
-            for t in range(n):
-                for k in range(heads):
-                    if discrete:
-                        # the Gumbel vector and the categorical uniform are
-                        # consecutive draws from the same double stream,
-                        # written straight into place
-                        rng.random(out=u_b[t, k])
-                    if normal:
-                        z[b, t, k] = rng.standard_normal()
-    return [RolloutNoise(gumbel=None if u is None else gumbel_from_uniform(u[..., :-1]),
-                         uniform=None if u is None else u[..., -1],
-                         normal=z)
-            for u, z in zip(uniforms, normals)]
+    # a row's columns are its branches' (timestep, head) pairs in draw order
+    cols = np.cumsum([0] + [n * heads for n in lengths])
+    u = np.empty((batch, cols[-1], num_labels + 1)) if discrete else None
+    z = None if discrete else rng.standard_normal((batch, cols[-1]))
+    if action_mode == "compound":
+        # each Gumbel vector and categorical uniform (consecutive draws from
+        # the same double stream, written straight into place) is followed
+        # by its Normal
+        random, standard_normal = rng.random, rng.standard_normal
+        drawn = []
+        for row in u.reshape(-1, num_labels + 1):
+            random(out=row)
+            drawn.append(standard_normal())
+        z = np.array(drawn).reshape(batch, cols[-1])
+    elif discrete:
+        rng.random(out=u)
+    return [RolloutNoise(
+        gumbel=(None if u is None else
+                gumbel_from_uniform(u[:, lo:hi, :-1]).reshape(batch, n, heads, num_labels)),
+        uniform=None if u is None else u[:, lo:hi, -1].reshape(batch, n, heads),
+        normal=None if z is None else z[:, lo:hi].reshape(batch, n, heads))
+        for n, lo, hi in zip(lengths, cols[:-1], cols[1:])]
 
 
 def _head(hs, w_mu, w_std, space, noise, k, mode, action_mode, keep):

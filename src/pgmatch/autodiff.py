@@ -2,9 +2,10 @@
 
 All arithmetic is float64. The graph is rebuilt each training step
 (define-by-run): ops append records to the active tape, ``backward``
-walks the records in reverse and accumulates adjoints into ``.grad``.
-Gradient accumulation across several losses is additive until an
-optimizer step consumes the grads.
+pops the records in reverse and accumulates adjoints into ``.grad``.
+Gradient accumulation across several losses, each recorded after the
+previous one's backward, is additive until an optimizer step consumes
+the grads.
 """
 
 from __future__ import annotations
@@ -133,10 +134,11 @@ class Tape:
     """Ordered record of op applications for one forward pass.
 
     Records are (out_id, inputs, backward_fn, op_name) tuples in
-    construction order, which is topological by immutability. ``clear``
-    advances the generation; node ids from older generations go stale.
-    While ``recording`` is off, ops compute their values and record
-    nothing (``training.evaluate`` runs its forward pass that way).
+    construction order, which is topological by immutability. ``backward``
+    consumes them. ``clear`` advances the generation; node ids from older
+    generations go stale. While ``recording`` is off, ops compute their
+    values and record nothing (``training.evaluate`` runs its forward pass
+    that way).
     """
 
     def __init__(self):
@@ -145,12 +147,10 @@ class Tape:
         self.generation = 0
         self._next_id = 0
         self._tensors = {}
-        self._backwarded = set()
 
     def clear(self):
         self.records.clear()
         self._tensors.clear()
-        self._backwarded.clear()
         self._next_id = 0
         self.generation += 1
 
@@ -207,9 +207,13 @@ def will_record(inputs) -> bool:
 
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf (tensor
-    created with ``requires_grad``) the loss depends on. May be called once
-    per loss node per tape; calling it again on the same loss without
-    re-recording raises."""
+    created with ``requires_grad``) the loss depends on.
+
+    One backward per recorded graph: it consumes the tape, popping each
+    record (and its output's registry entry) as it goes, so what a record's
+    backward function saved is freed once its adjoints are out. A later
+    backward whose adjoint reaches a consumed record raises ``TapeError``
+    before any gradient is written; record the graph again instead."""
     t = _TAPE
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -217,13 +221,13 @@ def backward(loss: Tensor):
         raise TapeError("backward on a tensor not recorded on the active tape (stale tape?)")
     if loss._tape_gen != t.generation:  # a leaf used as the loss itself
         t._register(loss)
-    if loss._node_id in t._backwarded:
-        raise TapeError("backward called twice on the same loss without re-recording")
-    t._backwarded.add(loss._node_id)
 
     gen = t.generation
+    records, tensors = t.records, t._tensors
     adjoints = {loss._node_id: np.ones_like(loss.values)}
-    for out_id, inputs, backward_fn, _name in reversed(t.records):
+    while records:
+        out_id, inputs, backward_fn, _name = records.pop()
+        del tensors[out_id]
         # an op's output is consumed only by later records, so its adjoint
         # is complete here; what remains at the end belongs to leaves
         g = adjoints.pop(out_id, None)
@@ -235,8 +239,11 @@ def backward(loss: Tensor):
             nid = inp._node_id
             prev = adjoints.get(nid)
             adjoints[nid] = ig if prev is None else prev + ig
+    if not adjoints.keys() <= tensors.keys():
+        raise TapeError("backward twice over one recorded graph: it reaches a record "
+                        "an earlier backward consumed")
     for nid, adj in adjoints.items():
-        tensor = t._tensors[nid]
+        tensor = tensors[nid]
         tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
 
 
@@ -549,10 +556,14 @@ def grad_check(f, inputs, eps: float = 1e-5) -> float:
 
 class Adam:
     """Standard Adam with bias correction. The moments of all parameters
-    live in two flat vectors, so one step is a handful of vectorized
-    updates into preallocated buffers; every operation is elementwise and
-    in the textbook order, so the result is the same as updating each
-    parameter on its own."""
+    live in two flat vectors and the gradients are gathered into a third,
+    all three allocated at the first ``step``. One step updates them in
+    cache-sized blocks with one block-sized scratch, writing each block's
+    step over its gradient; every operation is elementwise and in the
+    textbook order, so the result is the same as updating each parameter
+    on its own."""
+
+    BLOCK = 16_384
 
     def __init__(self, params, lr: float = 4e-4, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = list(params)
@@ -560,12 +571,7 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self._bounds = np.cumsum([0] + [p.size for p in self.params])
-        size = int(self._bounds[-1])
-        self._m = np.zeros(size)
-        self._v = np.zeros(size)
-        self._g = np.empty(size)
-        self._tmp = np.empty(size)
-        self._step = np.empty(size)
+        self._m = self._v = self._g = None
         self._t = 0
 
     def step(self):
@@ -575,26 +581,34 @@ class Adam:
         for p in self.params:
             if p.grad is None:
                 raise ValueError("adam step with missing grad; call backward first")
-        m, v, g, tmp, step = self._m, self._v, self._g, self._tmp, self._step
+        if self._g is None:
+            size = int(self._bounds[-1])
+            self._m, self._v, self._g = np.zeros(size), np.zeros(size), np.empty(size)
+        g = self._g
         np.concatenate([p.grad.reshape(-1) for p in self.params], out=g)
         if not np.isfinite(g).all():
             raise NonFiniteGradient(next(p for p in self.params if not np.isfinite(p.grad).all()))
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t
         b2t = 1.0 - self.beta2 ** self._t
-        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=tmp)
-        v += np.multiply(tmp, g, out=tmp)
-        # step = (lr (m / b1t)) / (sqrt(v / b2t) + eps)
-        np.divide(m, b1t, out=step)
-        step *= self.lr
-        np.divide(v, b2t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        step /= tmp
+        scratch = np.empty(min(self.BLOCK, g.size))
+        for lo in range(0, g.size, self.BLOCK):
+            block = slice(lo, lo + self.BLOCK)
+            m, v, gb = self._m[block], self._v[block], g[block]
+            tmp = scratch[:gb.size]
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+            m *= self.beta1
+            m += np.multiply(gb, 1.0 - self.beta1, out=tmp)
+            v *= self.beta2
+            np.multiply(gb, 1.0 - self.beta2, out=tmp)
+            v += np.multiply(tmp, gb, out=tmp)
+            # step = (lr (m / b1t)) / (sqrt(v / b2t) + eps), over the gradient
+            np.divide(m, b1t, out=gb)
+            gb *= self.lr
+            np.divide(v, b2t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            gb /= tmp
         for p, lo, hi in zip(self.params, self._bounds[:-1], self._bounds[1:]):
-            p.values -= step[lo:hi].reshape(p.shape)
+            p.values -= g[lo:hi].reshape(p.shape)
             p.grad = None

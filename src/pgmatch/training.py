@@ -148,9 +148,10 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
             log_fh.write(record_line(record) + "\n")
             log_fh.flush()
 
+    # epoch 1's R@1 sum is >= 0, so it always replaces this
     best_metric = -1.0
     best_epoch = 0
-    best_params = model.state_arrays()
+    best_params = None
     step = 0
     eval_ks = _eval_ks(len(val_split))
 

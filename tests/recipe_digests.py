@@ -1,6 +1,6 @@
 """Print bit-identity digests of whole training runs.
 
-    PYTHONPATH=src python tests/recipe_digests.py [RECIPE ...] [--expect FILE]
+    PYTHONPATH=src python tests/recipe_digests.py [RECIPE ...] [--kernel NAME] [--expect FILE]
 
 For each recipe it trains once and prints four sha256 digests: one of
 the metric log (``canonical_records`` as newline-joined ``record_line``s,
@@ -17,26 +17,42 @@ recipes (``perfbench/workloads.py``: dataset seed 7, training seed 0) and
 the criterion-9 config of ``test_acceptance.py`` with its heads-2,
 ``pg_mode`` and PG-losses-only variants.
 
-``--expect FILE`` compares each line with the same recipe's line in FILE
-(a saved run of this script) and exits 1 at the first recipe whose
-digests differ, naming it.
+Each OpenBLAS kernel sums a GEMM's products in its own order, so the
+digests depend on the kernel. By default the recipes run in a child
+process with ``OPENBLAS_CORETYPE`` pinned to ``PINNED_KERNEL``, which
+every x86-64 CPU runs; ``--kernel native`` runs them in this process on
+the kernel OpenBLAS picked for the CPU. The first line printed names the
+kernel OpenBLAS reports and the OpenBLAS and numpy versions.
+
+``--expect FILE`` compares each line with the same recipe's line in
+FILE (saved runs of this script, one line set per kernel) under the
+kernel in use, and exits 1 at the first recipe whose digests differ,
+naming it, or 3 if FILE has no line set for that kernel.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
+import pgmatch
 from pgmatch.autodiff import active_tape, clear_tape
 from pgmatch.config import ModelConfig
 from pgmatch.data import generate_dataset
 from pgmatch.model import MatchingModel
 from pgmatch.training import canonical_records, record_line, train
+
+# The oldest x86-64 kernel of a DYNAMIC_ARCH OpenBLAS (SSE3). OpenBLAS
+# 0.3.31 reports it under the first of its aliases, "Katmai".
+PINNED_KERNEL = "Prescott"
+NO_LINE_SET = 3
 
 # The criterion-6 recipe the benchmark workloads train, with each
 # workload's batch size, epochs and dataset shape.
@@ -114,27 +130,81 @@ def digests(dataset_args: dict, config: ModelConfig) -> tuple[str, str, str, str
             reload_digest(final, test))
 
 
+def blas_kernel() -> tuple:
+    """The name OpenBLAS gives the kernel it runs in this process and the
+    OpenBLAS version, or ``(None, None)`` if numpy's BLAS is not an
+    OpenBLAS this can query."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            corename = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+            config = getattr(lib, f"{prefix}_get_config{suffix}", None)
+            if corename is not None and config is not None:
+                corename.argtypes = config.argtypes = ()
+                corename.restype = config.restype = ctypes.c_char_p
+                return corename().decode(), config().decode().split()[1]
+    return None, None
+
+
 def parse_lines(lines) -> dict:
-    """{recipe: fields} for the non-blank lines of a saved run."""
-    return {fields[0]: fields for fields in map(str.split, lines) if fields}
+    """{kernel: {recipe: fields}} for the non-blank lines of saved runs:
+    a ``kernel NAME ...`` line opens the line set of the lines below it,
+    and lines above the first one belong to no line set."""
+    sets, current = {}, {}
+    for fields in map(str.split, lines):
+        if fields and fields[0] == "kernel":
+            current = sets.setdefault(fields[1], {})
+        elif fields:
+            current[fields[0]] = fields
+    return sets
 
 
 def differs(line: str, expected: dict) -> bool:
-    """Whether ``line`` is not its recipe's line in ``expected`` (spacing
-    aside); a recipe missing from ``expected`` differs."""
+    """Whether ``line`` is not its recipe's line in ``expected`` (one line
+    set; spacing aside); a recipe missing from ``expected`` differs."""
     fields = line.split()
     return expected.get(fields[0]) != fields
+
+
+def run_pinned(argv: list, kernel: str) -> int:
+    """Run this script with ``argv`` in a child process whose OpenBLAS
+    runs ``kernel``, and relay its output."""
+    path = os.path.dirname(os.path.dirname(os.path.abspath(pgmatch.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [path, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=pythonpath)
+    command = [sys.executable, os.path.abspath(__file__), *argv, "--kernel", "native"]
+    child = subprocess.run(command, env=env, capture_output=True, text=True, check=False)
+    sys.stdout.write(child.stdout)
+    sys.stderr.write(child.stderr)
+    return child.returncode
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Print bit-identity digests of training runs.")
     parser.add_argument("recipes", nargs="*", help="recipes to run (default: all)")
-    parser.add_argument("--expect", metavar="FILE", help="a saved run to compare with")
+    parser.add_argument("--kernel", default=PINNED_KERNEL,
+                        help="the OPENBLAS_CORETYPE of a child process that runs the recipes "
+                             "(default %(default)s), or 'native' for this process's kernel")
+    parser.add_argument("--expect", metavar="FILE", help="saved runs to compare with")
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if args.kernel != "native":
+        return run_pinned(argv, args.kernel)
+    kernel, version = blas_kernel()
+    print(f"kernel {kernel} openblas {version} numpy {np.__version__}", flush=True)
     expected = None
     if args.expect is not None:
         with open(args.expect, encoding="utf-8") as fh:
-            expected = parse_lines(fh)
+            expected = parse_lines(fh).get(kernel)
+        if expected is None:
+            print(f"{args.expect} has no line set for kernel {kernel}", file=sys.stderr)
+            return NO_LINE_SET
     for name, dataset_args, config in recipes():
         if args.recipes and name not in args.recipes:
             continue
@@ -143,7 +213,8 @@ def main(argv=None) -> int:
                 f"reload {reload}")
         print(line, flush=True)
         if expected is not None and differs(line, expected):
-            print(f"{name}: digests differ from {args.expect}", file=sys.stderr)
+            print(f"{name}: digests differ from {args.expect} (kernel {kernel})",
+                  file=sys.stderr)
             return 1
     return 0
 

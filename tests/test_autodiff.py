@@ -116,6 +116,25 @@ class TestBackward:
         with pytest.raises(ad.TapeError, match="twice"):
             ad.backward(loss)
 
+    def test_backward_consumes_the_tape(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        ad.backward(ad.tsum(sigmoid(ad.square(x))))
+        tape = ad.active_tape()
+        assert tape.records == []
+        assert list(tape._tensors.values()) == [x]  # only the leaf stays registered
+
+    def test_backward_reaching_a_consumed_record_raises(self):
+        """A graph built on an output of a consumed record cannot send its
+        gradient through that record, so backward raises before writing
+        any gradient."""
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.square(x)
+        ad.backward(ad.tsum(y))
+        grad = x.grad.copy()
+        with pytest.raises(ad.TapeError, match="consumed"):
+            ad.backward(ad.tsum(ad.scalar_mul(y, 2.0)))
+        np.testing.assert_array_equal(x.grad, grad)
+
     def test_repeated_seeded_run_bit_identical(self):
         def run():
             ad.clear_tape()

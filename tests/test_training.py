@@ -1,10 +1,13 @@
 import inspect
 import itertools
 import os
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import pgmatch.attention as attention
 import pgmatch.autodiff as ad
 import pgmatch.training as training
 import recipe_digests
@@ -333,8 +336,8 @@ class TestOpSet:
             model = MatchingModel(config, ds.vocab_size, len(split), np.random.default_rng(0))
             ad.clear_tape()
             bundle, _ = _batch_losses(model, split[:4], [0, 1, 2, 3], np.random.default_rng(1))
-            ad.backward(bundle.total)
             recorded |= {record[3] for record in ad.active_tape().records}
+            ad.backward(bundle.total)
         ad.clear_tape()
         ops = {RECORD_NAMES.get(name, name) for name, fn in vars(ad).items()
                if inspect.isfunction(fn) and fn.__module__ == ad.__name__
@@ -359,3 +362,70 @@ class TestRecordCount:
         ad.clear_tape()
         assert len(names) == 69
         assert names.count("text_decode") == 2
+
+
+def _benchmark_model(workload):
+    _, data_args, config = next(r for r in recipe_digests.recipes() if r[0] == workload)
+    ds = generate_dataset(**data_args)
+    split = ds.split("train")
+    model = MatchingModel(config, ds.vocab_size, len(split), np.random.default_rng(0))
+    return model, split[:config.batch_size]
+
+
+class TestStepMemory:
+    """What a train step holds, counted by ``tracemalloc`` (numpy reports
+    its buffers to it), not timed."""
+
+    def test_backward_frees_the_kernels_saved_state(self, monkeypatch):
+        sequences = []
+
+        class Watched(attention.GruSequence):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sequences.append(weakref.ref(self))
+
+        monkeypatch.setattr(attention, "GruSequence", Watched)
+        model, batch = _benchmark_model("reference")
+        ad.clear_tape()
+        bundle, _ = _batch_losses(model, batch, list(range(len(batch))), np.random.default_rng(1))
+        assert len(sequences) == 4 and all(ref() is not None for ref in sequences)
+        ad.backward(bundle.total)
+        assert ad.active_tape().records == []
+        assert [ref() for ref in sequences] == [None] * 4
+
+    def test_building_adam_allocates_no_parameter_sized_buffer(self):
+        model, _ = _benchmark_model("reference")
+        params = model.trainable_parameters()
+        smallest_vector = 8 * sum(p.size for p in params)
+        tracemalloc.start()
+        try:
+            ad.Adam(params, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < smallest_vector
+
+    def test_a_warm_reference_step_peaks_under_4_2_mb(self):
+        """One train step after two warm-up steps (Adam's buffers exist).
+        Measured with numpy 2.4: 4.98 MB when backward kept the tape and
+        Adam held five parameter-sized vectors, 3.40 MB now."""
+        model, batch = _benchmark_model("reference")
+        opt = ad.Adam(model.trainable_parameters(), lr=1e-3)
+        rng = np.random.default_rng(1)
+
+        def step():
+            ad.clear_tape()
+            bundle, _ = _batch_losses(model, batch, list(range(len(batch))), rng)
+            ad.backward(bundle.total)
+            opt.step()
+
+        step()
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            ad.clear_tape()
+        assert peak < 4_200_000
