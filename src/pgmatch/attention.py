@@ -165,9 +165,7 @@ def _head(hs, w_mu, w_std, space, noise, k, mode, action_mode, keep):
     category ``k`` is drawn from ``soft`` with the pre-drawn uniform, and
     the discrete log-prob is ``log soft[k]``. The Normal mean is
     ``mu = sigmoid(k / n)``, whose gradient goes straight through to the
-    relaxed mean ``sum_i (i / n) soft[i]`` (``space.st_soft_forward`` uses
-    that relaxed mean in the forward pass as well, so the graph is
-    finite-difference checkable). The continuous stage draws
+    relaxed mean ``sum_i (i / n) soft[i]``. The continuous stage draws
     ``raw = mu + sigma * eps`` with ``sigma = softplus(h W_std) + SIGMA_FLOOR``
     and the pre-drawn eps, and the attention is ``sigmoid(raw)``. The
     ``discrete`` action mode stops at ``mu`` and uses it as the attention;
@@ -178,8 +176,8 @@ def _head(hs, w_mu, w_std, space, noise, k, mode, action_mode, keep):
     evaluates the sigma head: ``k`` is ``greedy_label(l)``, the argmax of
     ``softmax(l)``, and the attention is ``sigmoid(mu)``. ``soft =
     softmax(l)`` is computed only where it is read: by the
-    straight-through backward of a kept rollout, by ``st_soft_forward``
-    and by the ``continuous`` action mode's relaxed mean.
+    straight-through backward of a kept rollout and by the ``continuous``
+    action mode's relaxed mean.
 
     Every value is the numpy expression the stages written out in
     primitive tape ops evaluate, per (B, .) step slice, and the backward
@@ -217,10 +215,10 @@ def _head(hs, w_mu, w_std, space, noise, k, mode, action_mode, keep):
         dlp = np.log(picked)
     else:
         dlp = zeros
-        soft = _softmax(logits) if keep or space.st_soft_forward or not discrete else None
-        if discrete and not space.st_soft_forward:
+        soft = _softmax(logits) if keep or not discrete else None
+        if discrete:
             hard = greedy_label(logits)
-    if discrete and not space.st_soft_forward:
+    if discrete:
         mu_in = np.asarray(hard, dtype=np.float64)[..., None] / space.n
     else:
         mu_in = (soft * labels).sum(axis=-1, keepdims=True)

@@ -18,17 +18,13 @@ from .autodiff import _softmax
 NEAR_TIE = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionSpace:
     """Discrete action layout: labels run 0..n inclusive, so logits have
-    n+1 entries; n is also the divisor in the label -> mean map. With
-    ``st_soft_forward`` (never in training) rollouts over it use the relaxed
-    straight-through mean in the forward pass too, so finite differences
-    can check the whole graph."""
+    n+1 entries; n is also the divisor in the label -> mean map."""
 
     n: int = 100
     temperature: float = 1.0
-    st_soft_forward: bool = False
 
     def __post_init__(self):
         if self.n < 2:

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import attention
 from . import autodiff as ad
 from .attention import (
+    ACTION_MODES,
+    ROLLOUT_MODES,
     SIGMA_FLOOR,
     AttentionTrace,
     PolicyParams,
@@ -156,21 +159,24 @@ def _decode_loss():
     return loss, (ad.Tensor(rng.standard_normal((2, 4))),) + tuple(decoder.tensors())
 
 
-def _rollout_loss(action_mode, mode, rng):
+def _rollout_loss(action_mode, rng):
     """A weighted sum of the attention weights and both log-prob sums of
-    a three-step rollout over two rows, with frozen noise and the relaxed
-    straight-through forward (``ActionSpace.st_soft_forward``), as a
+    a three-step stochastic rollout over two rows, with frozen noise, as a
     function of the features, the policy GRU's weights and both head
-    weights. A deterministic rollout's sums are zero constants, so there
-    only the attention carries weight and ``w_std`` has no gradient."""
-    space = ActionSpace(n=4, st_soft_forward=True)
+    weights. A drawn label is piecewise constant in the logits, so where
+    the rollout draws one the attention columns get weight 0: finite
+    differences see none of the straight-through gradient, which
+    ``reparam.derivatives`` checks in closed form."""
+    space = ActionSpace(n=4)
     params = PolicyParams.init(3, 3, space, rng, scale=0.5)
     noise = draw_noise(np.random.default_rng(11), 2, [3], 1, space.num_labels, action_mode)[0]
     weights = rng.standard_normal((2, 3 + 2))
+    if action_mode != "continuous":
+        weights[:, :3] = 0.0
 
     def loss(features, *tensors):
-        return _weighted(policy_rollout(features, params, space, noise, mode, action_mode).weights,
-                         weights)
+        return _weighted(policy_rollout(features, params, space, noise, "stochastic",
+                                        action_mode).weights, weights)
 
     args = ((ad.Tensor(rng.standard_normal((2, 3, 3))),) + tuple(params.gru.tensors())
             + (params.w_mu[0], params.w_std[0]))
@@ -207,10 +213,8 @@ def _model_cases(rng):
         rel = region_affinity(ff, wa, wb)
         return ad.tsum(ad.square(gcn_reason(ff, rel, wg)))
 
-    heads = [(f"sample_head_{action_mode}", *_rollout_loss(action_mode, "stochastic", rng))
+    heads = [(f"sample_head_{action_mode}", *_rollout_loss(action_mode, rng))
              for action_mode in ("compound", "discrete", "continuous")]
-    heads.append(("sample_head_compound_deterministic",
-                  *_rollout_loss("compound", "deterministic", rng)))
     return [
         ("gru_step", *_fuse_loss(1, 1, rng)),
         ("gru_step_batched", *_fuse_loss(2, 3, rng)),
@@ -222,22 +226,22 @@ def _model_cases(rng):
 
 def _composite_model_check() -> tuple[bool, str]:
     """Finite differences through the whole rollout -> fuse -> loss graph,
-    on a tiny model with frozen sampling noise. The straight-through mean
-    uses its relaxed forward here so the hard jump does not poison the
-    numeric derivative. The fixture is conditioned so no gradient entry
+    on a tiny model with frozen sampling noise. The policy runs in
+    ``continuous`` mode: its mean comes from the relaxed mean of
+    ``softmax(l)``, which is smooth, where a drawn label would be
+    piecewise constant. The fixture is conditioned so no gradient entry
     sits inside the finite-difference noise floor: tokens cover the whole
-    vocabulary and lambda is small enough that the fusion GRU does not
-    saturate."""
+    vocabulary, lambda is small enough that the fusion GRU does not
+    saturate, and the model seed leaves no nonzero entry below 2e-6."""
     config = ModelConfig(feature_dim=5, word_dim=4, hidden=5, embed_dim=5, decoder_dim=4,
                          n_actions=6, batch_size=2, epochs=1, heads=1, gcn_layers=1,
-                         init_scale=0.4, decoder_init_scale=0.4, lam=2.0)
+                         pg_mode="continuous", init_scale=0.4, decoder_init_scale=0.4, lam=2.0)
     dgen = np.random.default_rng(99)
     instances = [
         Instance(class_id=0, regions=dgen.standard_normal((3, 5)), tokens=np.array([0, 2, 3, 0])),
         Instance(class_id=1, regions=dgen.standard_normal((3, 5)), tokens=np.array([1, 4, 5, 1])),
     ]
-    model = MatchingModel(config, 6, 2, np.random.default_rng(2))
-    model.space.st_soft_forward = True
+    model = MatchingModel(config, 6, 2, np.random.default_rng(4))
     labels = [0, 1]
 
     def f(*_params):
@@ -304,19 +308,17 @@ def _saturated_policy(w_mu, w_std, w_xc, b_c) -> PolicyParams:
     return PolicyParams(gru=gru, w_mu=[w_mu], w_std=[w_std], fusion_gru=gru)
 
 
-def _continuous_rollout(logits, pre, eps):
-    """A stochastic continuous-mode one-step rollout as a function of
-    (w_mu, w_std), with one row per Normal draw in ``eps``, and a policy
-    that gives every row the logits ``logits`` (n = len(logits) - 1) and
-    the pre-softplus std ``pre``."""
-    eps = np.asarray(eps, dtype=np.float64)
-    space = ActionSpace(n=len(logits) - 1)
-    noise = RolloutNoise(gumbel=None, uniform=None, normal=eps.reshape(-1, 1, 1))
-    features = ad.constant(np.zeros((eps.size, 1, 1)))
+def _one_step_rollout(logits, pre, noise, mode="stochastic", action_mode="continuous",
+                      temperature=1.0):
+    """A one-step rollout as a function of (w_mu, w_std), with one row per
+    Normal draw in ``noise``, and a policy that gives every row the logits
+    ``logits`` (n = len(logits) - 1) and the pre-softplus std ``pre``."""
+    space = ActionSpace(n=len(logits) - 1, temperature=temperature)
+    features = ad.constant(np.zeros((len(noise.normal), 1, 1)))
 
     def rollout(w_mu, w_std):
         policy = _saturated_policy(w_mu, w_std, np.zeros((1, 1)), 20.0)
-        return policy_rollout(features, policy, space, noise, "stochastic", "continuous")
+        return policy_rollout(features, policy, space, noise, mode, action_mode)
 
     args = (ad.Tensor(np.asarray(logits, dtype=np.float64)[None]), ad.Tensor(np.array([[pre]])))
     return rollout, args
@@ -326,7 +328,8 @@ def _quadrature_check(sigma, logits):
     """The continuous stage's log-density, read from the rollout on a grid
     of Normal draws eps, integrates to 1 over raw = mu + sigma * eps."""
     eps = np.linspace(-8.0, 8.0, 20_001)
-    rollout, args = _continuous_rollout(logits, math.log(math.expm1(sigma - SIGMA_FLOOR)), eps)
+    noise = RolloutNoise(gumbel=None, uniform=None, normal=eps.reshape(-1, 1, 1))
+    rollout, args = _one_step_rollout(logits, math.log(math.expm1(sigma - SIGMA_FLOOR)), noise)
     ad.clear_tape()
     log_density = rollout(*args).continuous_logprob_sum.values
     ad.clear_tape()
@@ -355,39 +358,113 @@ def _action_map_check():
 
 
 def _reparam_check():
-    """The attention sigmoid(raw), raw = mu + sigma * eps, has the pathwise
-    gradient of the reparameterised draw: d raw/d mu = 1 and
-    d raw/d sigma = eps, checked in closed form and by finite differences."""
-    eps, pre = 0.6321, 0.2
-    logits = np.array([0.3, -0.1, 0.4, 0.0])
-    rollout, args = _continuous_rollout(logits, pre, [eps])
+    """The head's gradient in closed form at the recorded draws, in every
+    sampling mode, and by finite differences where the forward is smooth
+    (``continuous``). The attention sigmoid(raw), raw = mu + sigma * eps,
+    has the pathwise d raw/d mu = 1 and d raw/d sigma = eps. A drawn or
+    greedy label k sets mu = sigmoid(k / n), whose gradient goes straight
+    through to the relaxed mean m = sum_j (j / n) soft_j:
+    d mu/d l_j = mu (1 - mu) soft_j (j / n - m) / T, with T the temperature
+    of a sampled discrete stage and 1 where ``soft`` is softmax(l)."""
+    eps, pre, temperature, uniform = 0.6321, 0.2, 0.7, 0.35
+    logits, gumbel = np.array([0.3, -0.1, 0.4, 0.0]), np.array([0.5, -0.3, 0.1, 1.2])
+    noise = RolloutNoise(gumbel=gumbel.reshape(1, 1, 1, 4), uniform=np.full((1, 1, 1), uniform),
+                         normal=np.full((1, 1, 1), eps))
+    labels, sigma = np.arange(4) / 3, math.log1p(math.exp(pre)) + SIGMA_FLOOR
+    fd_err, diffs = 0.0, {}
+    for mode, action_mode in itertools.product(ROLLOUT_MODES, ACTION_MODES):
+        rollout, (w_mu, w_std) = _one_step_rollout(logits, pre, noise, mode, action_mode,
+                                                   temperature)
 
-    def att(*inputs):
-        return ad.tsum(ad.pick(rollout(*inputs).weights, [[0]]))
+        def att(*inputs, rollout=rollout):
+            return ad.tsum(ad.pick(rollout(*inputs).weights, [[0]]))
 
-    err = ad.grad_check(att, list(args), eps=GRAD_EPS)
-    ad.clear_tape()
-    for t in args:
-        t.requires_grad = True
-    ad.backward(att(*args))
-    w_mu, w_std = args
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    labels = np.arange(4) / 3
-    mu = 1.0 / (1.0 + math.exp(-float(p @ labels)))
-    sigma = math.log1p(math.exp(pre)) + SIGMA_FLOOR
-    a = 1.0 / (1.0 + math.exp(-(mu + sigma * eps)))
-    d_mu = a * (1.0 - a)                 # d att/d mu, as d raw/d mu = 1
-    d_sigma = a * (1.0 - a) * eps        # d att/d sigma, as d raw/d sigma = eps
-    want_std = d_sigma / (1.0 + math.exp(-pre))
-    want_mu = d_mu * mu * (1.0 - mu) * p * (labels - p @ labels)
-    got_std, got_mu = float(w_std.grad[0, 0]), w_mu.grad[0]
-    ad.clear_tape()
-    rel = max(abs(got_std - want_std) / abs(want_std),
-              float(np.max(np.abs(got_mu - want_mu) / np.abs(want_mu))))
-    ok = err < GRAD_TOL and rel < 1e-12
-    return ok, (f"d att/d w_std={got_std:.6g} (closed form {want_std:.6g}), max rel diff "
-                f"{rel:.2g} over both weights, fd err {err:.2g}")
+        if action_mode == "continuous":
+            fd_err = max(fd_err, ad.grad_check(att, [w_mu, w_std], eps=GRAD_EPS))
+        w_mu.requires_grad = w_std.requires_grad = True
+        ad.backward(att(w_mu, w_std))
+        got_std = 0.0 if w_std.grad is None else float(w_std.grad[0, 0])
+        ad.clear_tape()
+        stochastic, discrete = mode == "stochastic", action_mode == "discrete"
+        sampled = stochastic and action_mode != "continuous"
+        t = temperature if sampled else 1.0
+        soft = np.exp((logits + gumbel) / t if sampled else logits)
+        soft /= soft.sum()
+        m = float(soft @ labels)
+        k = int(np.sum(np.cumsum(soft) <= uniform)) if sampled else int(np.argmax(soft))
+        mu = 1.0 / (1.0 + math.exp(-(m if action_mode == "continuous" else labels[k])))
+        a = 1.0 / (1.0 + math.exp(-(mu + sigma * eps if stochastic else mu)))
+        d_att = 1.0 if discrete else a * (1.0 - a)     # d att/d mu
+        want_mu = d_att * mu * (1.0 - mu) * soft * (labels - m) / t
+        want_std = d_att * eps / (1.0 + math.exp(-pre)) if stochastic and not discrete else 0.0
+        diffs[f"{mode}/{action_mode}"] = max(
+            float(np.max(np.abs(w_mu.grad[0] - want_mu) / np.abs(want_mu))),
+            abs(got_std - want_std) / (abs(want_std) or 1.0))
+    ok = fd_err < GRAD_TOL and max(diffs.values()) < 1e-12
+    return ok, ("max rel diff to the closed form: "
+                + ", ".join(f"{name} {diff:.2g}" for name, diff in diffs.items())
+                + f"; fd err {fd_err:.2g}")
+
+
+def _state_gradient_diff(mode, action_mode):
+    """Max |diff| / max |closed form| of the head's state gradient d att/d h
+    over a (2, 3) grid of random states, read from ``attention._head``'s
+    backward with the log-prob adjoints 0. With the logits l = h W_mu and
+    pre = h W_std, d att/d h = (d att/d mu) (d mu/d l) W_mu^T +
+    (d att/d pre) W_std^T, with d mu/d l as in ``_reparam_check`` and
+    d att/d pre = a (1 - a) eps sigmoid(pre) where a Normal is drawn."""
+    steps, batch, hidden, n, temperature = 2, 3, 4, 3, 0.7
+    rng = np.random.default_rng(17)
+    hs = rng.standard_normal((steps, batch, hidden))
+    w_mu, w_std = rng.standard_normal((hidden, n + 1)), 0.5 * rng.standard_normal((hidden, 1))
+    gumbel = rng.gumbel(size=(batch, steps, 1, n + 1))
+    uniform, normal = rng.random((batch, steps, 1)), rng.standard_normal((batch, steps, 1))
+    noise = RolloutNoise(gumbel=gumbel, uniform=uniform, normal=normal)
+    att, _, _, backward = attention._head(hs, ad.constant(w_mu), ad.constant(w_std),
+                                          ActionSpace(n=n, temperature=temperature), noise, 0,
+                                          mode, action_mode, keep=True)
+    zeros = np.zeros_like(att)
+    got = sum(backward(np.ones_like(att), zeros, zeros)[0])
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    stochastic = mode == "stochastic"
+    sampled = stochastic and action_mode != "continuous"
+    t = temperature if sampled else 1.0
+    labels = np.arange(n + 1) / n
+    logits = hs @ w_mu
+    soft = np.exp((logits + gumbel[:, :, 0].transpose(1, 0, 2)) / t if sampled else logits)
+    soft /= soft.sum(axis=-1, keepdims=True)
+    m = soft @ labels[:, None]
+    if action_mode == "continuous":
+        mu = sigmoid(m)
+    elif sampled:
+        k = categorical_sample(soft.reshape(-1, n + 1), uniform[:, :, 0].T.reshape(-1))
+        mu = sigmoid(k.reshape(steps, batch, 1) / n)
+    else:
+        mu = sigmoid(np.argmax(logits, axis=-1)[..., None] / n)
+    d_mu_d_l = mu * (1.0 - mu) * soft * (labels - m) / t
+    pre = hs @ w_std
+    eps = normal[:, :, 0].T[..., None]
+    if action_mode == "discrete":
+        d_mu, d_pre = 1.0, 0.0
+    else:
+        sigma = np.log1p(np.exp(pre)) + SIGMA_FLOOR
+        a = sigmoid(mu + sigma * eps if stochastic else mu)
+        d_mu = a * (1.0 - a)
+        d_pre = d_mu * eps * sigmoid(pre) if stochastic else 0.0
+    want = (d_mu * d_mu_d_l) @ w_mu.T + d_pre * w_std.T
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _state_gradient_check():
+    """``_state_gradient_diff`` in all six sampling modes."""
+    diffs = {f"{mode}/{action_mode}": _state_gradient_diff(mode, action_mode)
+             for mode, action_mode in itertools.product(ROLLOUT_MODES, ACTION_MODES)}
+    return max(diffs.values()) < 1e-12, (
+        "max rel diff of the state gradient to the closed form: "
+        + ", ".join(f"{name} {diff:.2g}" for name, diff in diffs.items()))
 
 
 def _categorical_check():
@@ -413,6 +490,7 @@ def distributions_suite() -> list[CheckResult]:
            lambda: _quadrature_check(0.7, [0.5, 0.0, -0.5]))
     _check(results, "action_to_mu.endpoints", _action_map_check)
     _check(results, "reparam.derivatives", _reparam_check)
+    _check(results, "reparam.state_gradient", _state_gradient_check)
     _check(results, "categorical.monte_carlo", _categorical_check)
     return results
 

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pgmatch.autodiff as ad
+import pgmatch.attention as attention
+from pgmatch.attention import ACTION_MODES, ROLLOUT_MODES
 from pgmatch.distributions import ActionSpace, categorical_sample, greedy_label
+from pgmatch.verify import _reparam_check, _state_gradient_check, _state_gradient_diff
 from unfused import (
     action_to_mu,
     discrete_logprob,
@@ -40,6 +46,15 @@ class TestActionSpace:
             ActionSpace(n=1)
         with pytest.raises(ValueError):
             ActionSpace(temperature=0.0)
+
+    def test_frozen_with_two_fields(self):
+        space = ActionSpace(n=4)
+        assert [f.name for f in dataclasses.fields(space)] == ["n", "temperature"]
+        # a leftover switch assigned to the space raises instead of being ignored
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.relaxed_forward = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.temperature = 0.5
 
 
 class TestGumbelSoftmax:
@@ -402,3 +417,59 @@ class TestStraightThrough:
         assert discrete_logprob(soft, hard).item() <= 0.0
         assert np.isfinite(normal_logprob(raw, mu, sigma).item())
         assert 0.0 < att.item() < 1.0
+
+
+class TestHeadGradientCheck:
+    """``reparam.derivatives`` compares the head's backward with its
+    closed form in every sampling mode, so a broken backward fails it."""
+
+    @staticmethod
+    def diffs(detail):
+        return {name: float(x) for name, x in re.findall(r"(\w+/\w+) ([^,;\s]+)", detail)}
+
+    def test_passes_in_every_mode(self):
+        ok, detail = _reparam_check()
+        assert ok, detail
+        diffs = self.diffs(detail)
+        assert len(diffs) == 6 and max(diffs.values()) < 1e-12, detail
+
+    def test_broken_logit_backward_fails_every_mode(self, monkeypatch):
+        # drops the -soft * <g, soft> term of the softmax backward, so every
+        # logit gradient is wrong while every forward value is not
+        monkeypatch.setattr(attention, "_softmax_grad", lambda g, soft: g * soft)
+        ok, detail = _reparam_check()
+        assert not ok
+        diffs = self.diffs(detail)
+        assert len(diffs) == 6 and min(diffs.values()) > 1e-3, detail
+
+
+class TestStateGradientCheck:
+    """``reparam.state_gradient`` compares the head's state gradient
+    d att/d h with its closed form; ``reparam.derivatives`` reads only the
+    head weights' gradients, over a constant state."""
+
+    @pytest.mark.parametrize("mode,action_mode",
+                             list(itertools.product(ROLLOUT_MODES, ACTION_MODES)))
+    def test_matches_closed_form(self, mode, action_mode):
+        assert _state_gradient_diff(mode, action_mode) < 1e-12
+
+    def test_spurious_state_gradient_fails_only_this_check(self, monkeypatch):
+        # the backward sends an extra g_att * h into the state, as a head
+        # without a sampled Normal would with h_parts = [g_mu * hs]
+        head = attention._head
+
+        def leaky_head(hs, *args, **kwargs):
+            att, dlp, clp, backward = head(hs, *args, **kwargs)
+
+            def leaky(g_att, g_dlp, g_clp):
+                h_parts, g_wmu, g_wstd = backward(g_att, g_dlp, g_clp)
+                return h_parts + [g_att * hs], g_wmu, g_wstd
+
+            return att, dlp, clp, leaky
+
+        monkeypatch.setattr(attention, "_head", leaky_head)
+        ok, detail = _state_gradient_check()
+        assert not ok
+        diffs = TestHeadGradientCheck.diffs(detail)
+        assert len(diffs) == 6 and min(diffs.values()) > 1e-3, detail
+        assert _reparam_check()[0]

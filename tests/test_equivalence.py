@@ -6,11 +6,15 @@ at commit 6cd5abb9b17a2aa9340ca31eab908df0d67ca89e, with
     PYTHONPATH=src python tests/make_equivalence_fixture.py tests/data/equivalence.npz
 
 run in a checkout of that commit. It holds, for every combination of
-pg_mode, head count and ``st_soft_forward``, each loss component, the
-mean reward and each parameter gradient of one ``_batch_losses`` call on
-a seeded rollout stream, and the deterministic per-instance embeddings.
-Matching the stochastic cases also pins the order in which the rollout
-noise is drawn. Each array must agree within 1e-12 x max(1, max|parent|).
+pg_mode and head count, each loss component, the mean reward and each
+parameter gradient of one ``_batch_losses`` call on a seeded rollout
+stream, and the deterministic per-instance embeddings. Matching the
+stochastic cases also pins the order in which the rollout noise is drawn.
+Each array must agree within 1e-12 x max(1, max|parent|).
+
+That commit also ran every case with the action space's relaxed
+straight-through forward, since retired; its ``-st1`` arrays stay in the
+file unread, and the cases read here keep their ``-st0`` keys.
 """
 
 import os

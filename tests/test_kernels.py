@@ -48,14 +48,16 @@ def assert_same_bits(fused, reference):
 
 MODES = ("stochastic", "deterministic")
 ACTION_MODES = ("compound", "discrete", "continuous")
-# one block; three blocks of 2, 2 and 1 steps (128 // 48 = 2); a single row;
-# the gallery batch, one step per block, so the workspaces serve every block
+# a small batch; a wide batch over more steps; a single row; the 128-row
+# gallery batch, as the eval and read paths run the deterministic rollout
 SHAPES = [(3, 3), (48, 5), (1, 4), (128, 3)]
+# the action space the kernels are built with; the smallest one, at the
+# unit temperature a default config trains with
+SPACES = [ActionSpace(n=5, temperature=0.8), ActionSpace(n=2)]
 
 
-def setup(batch, length, heads, action_mode, seed=8):
+def setup(batch, length, heads, action_mode, seed=8, space=SPACES[0]):
     rng = np.random.default_rng(seed)
-    space = ActionSpace(n=5, temperature=0.8)
     params = PolicyParams.init(4, 5, space, rng, heads=heads, scale=0.6)
     features = ad.Tensor(rng.standard_normal((batch, length, 4)), requires_grad=True)
     noise = draw_noise(np.random.default_rng(seed + 1), batch, [length], heads,
@@ -71,11 +73,11 @@ def logprob_loss(loss, dsum, csum, adv):
 
 
 class TestRolloutKernels:
-    @pytest.mark.parametrize("mode,action_mode,st_soft_forward,heads",
-                             list(itertools.product(MODES, ACTION_MODES, (False, True), (1, 2))))
-    def test_rollout_matches_primitive_graph(self, mode, action_mode, st_soft_forward, heads):
-        rng, space, params, features, noise = setup(3, 3, heads, action_mode)
-        space.st_soft_forward = st_soft_forward
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"n{s.n}-T{s.temperature:g}")
+    @pytest.mark.parametrize("mode,action_mode,heads",
+                             list(itertools.product(MODES, ACTION_MODES, (1, 2))))
+    def test_rollout_matches_primitive_graph(self, mode, action_mode, heads, space):
+        rng, space, params, features, noise = setup(3, 3, heads, action_mode, space=space)
         w_att = rng.standard_normal((3, 3))
         adv = ad.constant(rng.standard_normal(3))
         leaves = [features] + params.tensors()

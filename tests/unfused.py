@@ -183,11 +183,7 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode):
             soft = ad.softmax(logits, axis=-1)
             hard = np.argmax(soft.values, axis=-1)
         dlp = discrete_logprob(soft, hard) if stochastic else _ZERO
-        if space.st_soft_forward:
-            mu_in = soft_action_value(soft, space.n)
-        else:
-            mu_in = straight_through(hard, soft, space.n)
-        mu = sigmoid(mu_in)
+        mu = sigmoid(straight_through(hard, soft, space.n))
 
     if action_mode == "discrete":
         return mu, dlp, _ZERO
