@@ -124,7 +124,10 @@ def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
     categorical ``random()``, the Normal ``standard_normal()``, each only in
     the action modes that use it. Training trajectories depend on this
     order, so the batched sampler reproduces it exactly. A mode with one
-    stage draws consecutively, so its whole batch is one generator call."""
+    stage draws consecutively, so its whole batch is one generator call.
+
+    Every returned array owns its memory: a branch's noise is freed once
+    its rollout has run, and none keeps the whole draw alive."""
     if action_mode not in ACTION_MODES:
         raise ValueError(f"unknown action mode {action_mode!r}")
     discrete = action_mode != "continuous"
@@ -147,8 +150,8 @@ def draw_noise(rng: np.random.Generator, batch: int, lengths, heads: int,
     return [RolloutNoise(
         gumbel=(None if u is None else
                 gumbel_from_uniform(u[:, lo:hi, :-1]).reshape(batch, n, heads, num_labels)),
-        uniform=None if u is None else u[:, lo:hi, -1].reshape(batch, n, heads),
-        normal=None if z is None else z[:, lo:hi].reshape(batch, n, heads))
+        uniform=None if u is None else u[:, lo:hi, -1].reshape(batch, n, heads).copy(),
+        normal=None if z is None else z[:, lo:hi].reshape(batch, n, heads).copy())
         for n, lo, hi in zip(lengths, cols[:-1], cols[1:])]
 
 
@@ -329,6 +332,7 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
     atts, dlps, clps, bws = zip(*(
         _head(hs, w_mu, w_std, space, noise, k, mode, action_mode, keep)
         for k, (w_mu, w_std) in enumerate(heads)))
+    bws = list(bws)  # each head's backward is dropped once it has run
     combined = atts[0] if len(atts) == 1 else 0.5 * (atts[0] + atts[1])
     out[:, :length] = combined[..., 0].T
     if stochastic:
@@ -346,10 +350,12 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
         g_w_mu, g_w_std = [None] * len(heads), [None] * len(heads)
         for k in reversed(range(len(heads))):
             h_parts, g_wmu, g_wstd = bws[k](g_head, g_dlp, g_clp)
+            bws[k] = None
             parts += h_parts
             g_w_mu[k] = add_in_order(g_wmu[::-1])
             if g_wstd is not None:
                 g_w_std[k] = add_in_order(g_wstd[::-1])
+            del g_wmu, g_wstd  # the per-step products, before the GRU's backward
         g_x = gru.backward(parts)
         return [g.transpose(1, 0, 2) for g in g_x] + gru.grads + g_w_mu + g_w_std
 

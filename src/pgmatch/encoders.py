@@ -106,9 +106,13 @@ class GruSequence:
     contiguous (B, q) halves take the two state products (one GEMM per
     weight: a GEMM over the concatenated weights changes the last bit at
     some widths), so the bias add and the sigmoid run once over the block.
-    With ``keep`` on, the gates, ``r * h`` and the candidate are written
-    straight into the per-step storage ``backward`` reads; with it off,
-    one slot of each is reused.
+    With ``keep`` on, the gates and the candidate are written straight
+    into the per-step storage ``backward`` reads; with it off, one slot of
+    each is reused. ``r * h`` is a one-step workspace either way:
+    ``backward`` rebuilds the whole sequence's product from the kept
+    gates and states with the same multiply, so a kept sequence holds no
+    (T, B, q) copy of it, and the workspaces are freed when ``forward``
+    returns.
 
     A stacked matmul computes each (B, .) slice exactly as a 2-D product
     does, so every value is the same numpy expression on the same
@@ -127,20 +131,19 @@ class GruSequence:
         self.b_zr = np.stack((params.b_z.values, params.b_r.values))[:, None]
         q = params.hidden_size
         self.keep = keep
-        # the sigmoid's denominator and (1 - z) h of one step
-        self.work = np.empty((2, batch, q)), np.empty((batch, q))
         # per step when kept, else one slot; states[t] is the state before step t
         slots = length if keep else 1
-        self.zr = np.empty((slots, 2, batch, q))
-        self.rh, self.cand = np.empty((slots, batch, q)), np.empty((slots, batch, q))
+        self.zr, self.cand = np.empty((slots, 2, batch, q)), np.empty((slots, batch, q))
         self.states = np.zeros((length + 1, batch, q))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the (T, B, p) input ``x``; returns the state after each
         step, (T, B, q)."""
         w_xz, w_hz, _, w_xr, w_hr, _, w_xc, w_hc, b_c = self.weights
-        work, omz_h = self.work
-        x_zr = np.empty((len(x), 2) + omz_h.shape)
+        # the sigmoid's denominator, (1 - z) h and r h of one step
+        shape = self.states.shape[1:]
+        work, omz_h, rh = np.empty((2,) + shape), np.empty(shape), np.empty(shape)
+        x_zr = np.empty((len(x), 2) + shape)
         np.matmul(x, w_xz, out=x_zr[:, 0])
         np.matmul(x, w_xr, out=x_zr[:, 1])
         x_c = np.matmul(x, w_xc)
@@ -149,7 +152,7 @@ class GruSequence:
         states = self.states
         for t in range(len(x)):
             s = t if self.keep else 0
-            zr, rh, cand = self.zr[s], self.rh[s], self.cand[s]
+            zr, cand = self.zr[s], self.cand[s]
             z, r = zr
             h = states[t]
             np.matmul(h, w_hz, out=z)
@@ -180,7 +183,8 @@ class GruSequence:
         g_az, g_ar, g_ac = (np.empty(self.cand.shape) for _ in range(3))
         hp, cand = self.states[:-1], self.cand
         z, r = self.zr[:, 0], self.zr[:, 1]
-        # the factors that do not depend on the adjoint, for every step
+        # the factors that do not depend on the adjoint, for every step;
+        # freed before the weight-gradient products
         omz, omr, dcand = 1.0 - z, 1.0 - r, 1.0 - cand * cand
         w_hz_t, w_hr_t, w_hc_t = w_hz.T, w_hr.T, w_hc.T
         g_next = g_end
@@ -196,9 +200,10 @@ class GruSequence:
             g_az[i] = g_z * z[i] * omz[i]
             if i > 0:  # the zero initial state takes no gradient
                 g_next = ((g * omz[i] + g_rh * r[i]) + g_hr) + g_az[i] @ w_hz_t
+        del omz, omr, dcand
         # one weight's per-step products at a time, each summed last step first
         x_t, h_t = x.transpose(0, 2, 1), hp.transpose(0, 2, 1)
-        rh_t = self.rh.transpose(0, 2, 1)
+        rh_t = np.multiply(r, hp).transpose(0, 2, 1)
         parts = (g.sum(axis=1) if a is None else np.matmul(a, g)
                  for a, g in ((x_t, g_az), (h_t, g_az), (None, g_az), (x_t, g_ar), (h_t, g_ar),
                               (None, g_ar), (x_t, g_ac), (rh_t, g_ac), (None, g_ac)))

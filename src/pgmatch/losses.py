@@ -15,6 +15,7 @@ from .autodiff import (
     _matmul_grads,
     _matmul_values,
     _reduce_to,
+    _scatter_rows,
     add,
     constant,
     log_softmax,
@@ -215,8 +216,10 @@ def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> T
     its own window part, then the delayed-by-1 part, then the
     delayed-by-2 part; the broadcast biases and the conditioning are
     summed with the engine's ``_reduce_to``; the token lookup adds into
-    the ``[tok_table; start]`` table with ``np.add.at`` before the table
-    is split. Results match the primitive graph bit for bit."""
+    the ``[tok_table; start]`` table with the engine's ``_scatter_rows``
+    before the table is split. Results match the primitive graph bit for
+    bit. The record keeps each convolution's (B, N, C) input, not its
+    (B, N, 3C) window: backward builds the window again."""
     ids = np.asarray(targets, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] < 1:
         raise ValueError(f"text_decoding_loss: empty target (shape {ids.shape})")
@@ -235,10 +238,10 @@ def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> T
     inputs = np.concatenate([np.full((batch, 1), vocab), ids[:, :-1]], axis=1).astype(np.intp)
     cond = _matmul_values(emb, w_cond)
     hidden = np.add(table[inputs], cond.reshape(batch, 1, channels))
-    windows, masks = [], []
+    conv_inputs, masks = [], []
     for w, b in convs:
-        windows.append(_window(hidden))
-        pre = np.add(_matmul_values(windows[-1], w), b)
+        conv_inputs.append(hidden)
+        pre = np.add(_matmul_values(_window(hidden), w), b)
         masks.append(pre > 0)
         hidden = np.where(masks[-1], pre, 0.0)
     logits = np.add(_matmul_values(hidden, out_w), decoder.out_b.values)
@@ -254,13 +257,12 @@ def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> T
         g_logits = g_lsm - np.exp(lsm) * g_lsm.sum(axis=-1, keepdims=True)
         g_hidden, g_out_w = _matmul_grads(g_logits, hidden, out_w)
         conv_grads = []
-        for (w, b), window, mask in zip(reversed(convs), reversed(windows), reversed(masks)):
+        for (w, b), x, mask in zip(reversed(convs), reversed(conv_inputs), reversed(masks)):
             g_pre = g_hidden * mask
-            g_window, g_w = _matmul_grads(g_pre, window, w)
+            g_window, g_w = _matmul_grads(g_pre, _window(x), w)
             conv_grads = [g_w, _reduce_to(g_pre, b.shape)] + conv_grads
             g_hidden = _window_grad(g_window, channels)
-        g_table = np.zeros_like(table)
-        np.add.at(g_table, inputs, g_hidden)
+        g_table = _scatter_rows(inputs, g_hidden, vocab + 1)
         g_cond = _reduce_to(g_hidden, (batch, 1, channels)).reshape(batch, channels)
         g_emb, g_w_cond = _matmul_grads(g_cond, emb, w_cond)
         return [g_emb, g_table[:vocab], g_table[vocab:].reshape(channels), g_w_cond,

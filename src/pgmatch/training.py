@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -89,10 +87,10 @@ def _batch_losses(model: MatchingModel, instances, labels, rollout_rng):
     cfg = model.config
     regions = np.stack([inst.regions for inst in instances])
     tokens = np.stack([inst.tokens for inst in instances])
-    img_noise, txt_noise = model.draw_noise(rollout_rng, len(instances),
-                                            (regions.shape[1], tokens.shape[1]))
-    img, img_trace = model.embed_image(regions, img_noise, mode="stochastic")
-    txt, txt_trace = model.embed_text(tokens, txt_noise, mode="stochastic")
+    noise = model.draw_noise(rollout_rng, len(instances), (regions.shape[1], tokens.shape[1]))
+    # each branch's noise is handed over and freed once its rollout has run
+    img, img_trace = model.embed_image(regions, noise.pop(0), mode="stochastic")
+    txt, txt_trace = model.embed_text(tokens, noise.pop(0), mode="stochastic")
 
     sim = matmul(img, transpose(txt))
     rewards = instance_rewards(sim.values, cfg.reward_mode)
@@ -242,6 +240,11 @@ def run_ablation(base_config: ModelConfig, grid, dataset: SyntheticDataset,
     """Train and evaluate every (cell, seed) combination. ``grid`` is a list
     of (name, config-overrides) pairs. Failures are captured per cell, not
     propagated. Returns (per-run records, aggregated rows)."""
+    # imported here: the process pool's modules cost every process that
+    # imports pgmatch about 1 MB of RSS
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     cells = [(base_config.to_dict(), name, overrides, int(seed), dataset)
              for name, overrides in grid for seed in seeds]
     runs = []

@@ -305,6 +305,28 @@ class TestDecoderKernel:
         assert len(ad.active_tape().records) == 24
 
 
+class TestScatterRows:
+    """The backward of ``gather_rows`` (the word lookup; the decoder's
+    table lookup shares its ``_scatter_rows``) is one ``np.bincount``. It
+    must give the bytes of ``np.add.at`` into zeros, the sign of a zero
+    included: a row whose parts are all -0.0 sums to +0.0."""
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 6), (0,)])
+    def test_same_bytes_as_add_at(self, shape):
+        rng = np.random.default_rng(21)
+        ids = rng.integers(0, 4, shape)  # table rows 4 and 5 take nothing
+        g = rng.standard_normal(shape + (3,))
+        g[ids == 0] = -0.0
+        g[ids == 1, 1] = -0.0
+        table = ad.Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        ad.gather_rows(table, ids)
+        (got,) = ad.active_tape().records[-1][2](g)
+        want = np.zeros((6, 3))
+        np.add.at(want, ids, g)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
+
+
 class TestSigmoid:
     SPECIALS = np.array([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 745.0, -745.0, 37.0,
                          np.inf, -np.inf])

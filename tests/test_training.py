@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -13,6 +15,7 @@ import pgmatch.training as training
 import recipe_digests
 from pgmatch.config import PG_MODES, ModelConfig
 from pgmatch.data import generate_dataset
+from pgmatch.encoders import GruParams, GruSequence
 from pgmatch.model import MatchingModel
 from pgmatch.rewards import diagonal_ranks
 from pgmatch.training import (
@@ -316,6 +319,16 @@ class TestAblation:
         assert runs[1:] == serial_runs
         assert [(row["runs"], row["failures"]) for row in rows] == [(0, 1), (1, 0)]
 
+    def test_importing_pgmatch_leaves_the_process_pool_out(self):
+        """Only ``run_ablation`` imports the process pool, whose modules
+        cost about 1 MB of RSS in every process that imports pgmatch."""
+        code = "import sys, pgmatch; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(training.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 # public functions of ``pgmatch.autodiff`` that are not ops recording under
 # their own name, and the record name of each op whose name differs
@@ -408,7 +421,8 @@ class TestStepMemory:
     def test_a_warm_reference_step_peaks_under_4_2_mb(self):
         """One train step after two warm-up steps (Adam's buffers exist).
         Measured with numpy 2.4: 4.98 MB when backward kept the tape and
-        Adam held five parameter-sized vectors, 3.40 MB now."""
+        Adam held five parameter-sized vectors, 3.40 MB while the kernels
+        kept state no backward line read, 2.65 MB now."""
         model, batch = _benchmark_model("reference")
         opt = ad.Adam(model.trainable_parameters(), lr=1e-3)
         rng = np.random.default_rng(1)
@@ -429,3 +443,48 @@ class TestStepMemory:
             tracemalloc.stop()
             ad.clear_tape()
         assert peak < 4_200_000
+
+    def test_a_stress_epoch_peaks_under_14_mb(self):
+        """The traced peak of one ``stress``-shaped training epoch (two
+        steps and a validation pass), from the start of ``train``; no
+        timing enters it, and it repeats to within 25 KB for fixed code
+        and shapes. Measured with numpy 2.4: 15.45 MB while the forward
+        pass kept the whole noise draw, every GRU's (T, B, q) r h and the
+        decoder's windows, 13.17 MB now."""
+        _, data_args, config = next(r for r in recipe_digests.recipes() if r[0] == "stress")
+        dataset = generate_dataset(**data_args)
+        tracemalloc.start()
+        try:
+            train(config.replaced(epochs=1), dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14_000_000
+
+    @pytest.mark.parametrize("action_mode", ["compound", "discrete", "continuous"])
+    def test_each_noise_array_owns_its_memory(self, action_mode):
+        """A branch's noise is freed with its rollout, so no returned
+        array may be a view into a buffer that holds more: the whole draw."""
+        noises = attention.draw_noise(np.random.default_rng(1), 4, (3, 2), 2, 6, action_mode)
+        arrays = [a for noise in noises for a in (noise.gumbel, noise.uniform, noise.normal)
+                  if a is not None]
+        buffers = []
+        for a in arrays:
+            buffer = a
+            while buffer.base is not None:
+                buffer = buffer.base
+            assert buffer.nbytes == a.nbytes
+            buffers.append(buffer)
+        for a, b in itertools.combinations(buffers, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_a_kept_gru_sequence_holds_no_whole_sequence_reset_product(self):
+        """``backward`` rebuilds r h from the kept gates and states."""
+        rng = np.random.default_rng(3)
+        run = GruSequence(GruParams.init(4, 5, rng), 3, 6, keep=True)
+        run.forward(rng.standard_normal((6, 3, 4)))
+        rh = run.zr[:, 1] * run.states[:-1]
+        held = [v for value in vars(run).values()
+                for v in (value if isinstance(value, (list, tuple)) else [value])
+                if isinstance(v, np.ndarray)]
+        assert not any(v.shape == rh.shape and np.array_equal(v, rh) for v in held)
