@@ -387,7 +387,7 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     computation.
 
     One tape record, sharing ``GruSequence`` with the rollout. The scaled
-    features of all steps are one array; their running sum adds them step
+    features of all steps are one array; ``add_in_order`` sums them step
     by step in time order, and in the backward pass each scaled
     feature's adjoint is the mean's part plus the GRU's three input
     parts, in that order, as per-step records added them."""
@@ -405,11 +405,8 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     s = scale.T[..., None]
     adjusted = xs * s
     hs = run.forward(adjusted)
-    acc = adjusted[0]
-    for a in adjusted[1:]:
-        acc = acc + a
     c = float(1.0 / length)
-    out = hs[-1] + c * acc
+    out = hs[-1] + c * add_in_order(adjusted)
 
     def backward(g):
         g_xc, g_xr, g_xz = run.backward(g_end=g)

@@ -9,7 +9,6 @@ little-endian float64 values.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -262,6 +261,8 @@ def _load_split(path, split, info, ds: SyntheticDataset) -> list:
 def dataset_fingerprint(path) -> str:
     """sha256 over ``manifest.json`` and the two matrix files of each split
     it names, name-sorted; other files in ``path`` do not count."""
+    import hashlib  # here, so that importing pgmatch does not load libcrypto
+
     splits = read_json(os.path.join(path, "manifest.json"), DatasetError)["splits"]
     names = {"manifest.json"} | {f"{split}_{kind}.bin" for split in splits
                                  for kind in ("regions", "tokens")}

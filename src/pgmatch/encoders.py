@@ -100,16 +100,19 @@ class GruSequence:
     input-gradient and weight-gradient products the same way, and sums
     each weight's per-step gradients from the last step to the first.
 
-    A step allocates nothing: the workspaces are allocated once per
-    sequence, and every product and elementwise op writes into them with
-    ``out=``. The z and r gates share one (2, B, q) block, whose two
-    contiguous (B, q) halves take the two state products (one GEMM per
-    weight: a GEMM over the concatenated weights changes the last bit at
-    some widths), so the bias add and the sigmoid run once over the block.
-    With ``keep`` on, the gates and the candidate are written straight
-    into the per-step storage ``backward`` reads; with it off, one slot of
-    each is reused. ``r * h`` is a one-step workspace either way:
-    ``backward`` rebuilds the whole sequence's product from the kept
+    A step allocates nothing, forward or backward: the workspaces are
+    allocated once per sequence, the biases are broadcast to (B, q) once,
+    and every product and elementwise op writes into a workspace with
+    ``out=``. The z and r gates share one (2, B, q) block, and so do their
+    adjoints, so a step's two state products (``h W_hz`` and ``h W_hr``
+    forward, the gate adjoints times ``W_hz^T`` and ``W_hr^T`` backward)
+    are one ``np.matmul`` over the stacked (2, q, q) weights: two GEMMs in
+    one call, each the 2-D product bit for bit. They are stacked, not
+    concatenated: one GEMM over ``[W_hz | W_hr]`` changes the last bit at
+    some widths. With ``keep`` on, the gates and the candidate are written
+    straight into the per-step storage ``backward`` reads; with it off,
+    one slot of each is reused. ``r * h`` is a one-step workspace either
+    way: ``backward`` rebuilds the whole sequence's product from the kept
     gates and states with the same multiply, so a kept sequence holds no
     (T, B, q) copy of it, and the workspaces are freed when ``forward``
     returns.
@@ -128,20 +131,31 @@ class GruSequence:
 
     def __init__(self, params: GruParams, batch: int, length: int, keep: bool):
         self.weights = [t.values for t in params.tensors()]
-        self.b_zr = np.stack((params.b_z.values, params.b_r.values))[:, None]
         q = params.hidden_size
         self.keep = keep
         # per step when kept, else one slot; states[t] is the state before step t
         slots = length if keep else 1
         self.zr, self.cand = np.empty((slots, 2, batch, q)), np.empty((slots, batch, q))
-        self.states = np.zeros((length + 1, batch, q))
+        self.states = np.empty((length + 1, batch, q))
+        self.states[0] = 0.0
+
+    def _w_hzr(self) -> np.ndarray:
+        """``W_hz`` and ``W_hr`` stacked, (2, q, q): a step's two state
+        products in one ``np.matmul``. Built per call: a kept copy would
+        raise the traced peak of a train step."""
+        w_hz, w_hr = self.weights[1], self.weights[4]
+        return np.concatenate((w_hz, w_hr)).reshape((2,) + w_hz.shape)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the (T, B, p) input ``x``; returns the state after each
         step, (T, B, q)."""
-        w_xz, w_hz, _, w_xr, w_hr, _, w_xc, w_hc, b_c = self.weights
+        w_xz, _, b_z, w_xr, _, b_r, w_xc, w_hc, b_c = self.weights
+        states = self.states
+        shape = states.shape[1:]
+        w_hzr = self._w_hzr()
+        b_zr, b_cs = np.empty((2,) + shape), np.empty(shape)
+        b_zr[0], b_zr[1], b_cs[...] = b_z, b_r, b_c
         # the sigmoid's denominator, (1 - z) h and r h of one step
-        shape = self.states.shape[1:]
         work, omz_h, rh = np.empty((2,) + shape), np.empty(shape), np.empty(shape)
         x_zr = np.empty((len(x), 2) + shape)
         np.matmul(x, w_xz, out=x_zr[:, 0])
@@ -149,26 +163,25 @@ class GruSequence:
         x_c = np.matmul(x, w_xc)
         if self.keep:
             self.x = x
-        states = self.states
-        for t in range(len(x)):
-            s = t if self.keep else 0
-            zr, cand = self.zr[s], self.cand[s]
-            z, r = zr
-            h = states[t]
-            np.matmul(h, w_hz, out=z)
-            np.matmul(h, w_hr, out=r)
-            zr += x_zr[t]
-            zr += self.b_zr
+            zrs, cands = self.zr, self.cand
+        else:
+            zrs, cands = [self.zr[0]] * len(x), [self.cand[0]] * len(x)
+        for h, h_next, zr, cand, x_zr_t, x_c_t in zip(states[:-1], states[1:], zrs, cands,
+                                                      x_zr, x_c):
+            np.matmul(h, w_hzr, out=zr)
+            zr += x_zr_t
+            zr += b_zr
             _sigmoid(zr, out=zr, work=work)
+            z, r = zr
             np.multiply(r, h, out=rh)
             np.matmul(rh, w_hc, out=cand)
-            cand += x_c[t]
-            cand += b_c
+            cand += x_c_t
+            cand += b_cs
             np.tanh(cand, out=cand)
             np.subtract(1.0, z, out=omz_h)
             omz_h *= h
-            h = np.multiply(z, cand, out=states[t + 1])
-            h += omz_h
+            np.multiply(z, cand, out=h_next)
+            h_next += omz_h
         return states[1:]
 
     def backward(self, parts=(), g_end=None) -> tuple:
@@ -177,38 +190,57 @@ class GruSequence:
         step, ``g_end``), plus each entry of ``parts`` ((T, B, q) arrays,
         per step) in order. Returns the input gradients ``(g_xc, g_xr,
         g_xz)``, each (T, B, p), and sets the weight gradients ``grads``."""
-        w_xz, w_hz, _, w_xr, w_hr, _, w_xc, w_hc, _ = self.weights
-        x = self.x
-        n = len(x)
-        g_az, g_ar, g_ac = (np.empty(self.cand.shape) for _ in range(3))
-        hp, cand = self.states[:-1], self.cand
-        z, r = self.zr[:, 0], self.zr[:, 1]
-        # the factors that do not depend on the adjoint, for every step;
-        # freed before the weight-gradient products
-        omz, omr, dcand = 1.0 - z, 1.0 - r, 1.0 - cand * cand
-        w_hz_t, w_hr_t, w_hc_t = w_hz.T, w_hr.T, w_hc.T
-        g_next = g_end
-        for i in range(n - 1, -1, -1):
-            g = g_next
-            for part in parts:
-                g = part[i] if g is None else g + part[i]
-            g_z = g * cand[i] - g * hp[i]
-            g_ac[i] = (g * z[i]) * dcand[i]
-            g_rh = g_ac[i] @ w_hc_t
-            g_ar[i] = g_rh * hp[i] * r[i] * omr[i]
-            g_hr = g_ar[i] @ w_hr_t
-            g_az[i] = g_z * z[i] * omz[i]
-            if i > 0:  # the zero initial state takes no gradient
-                g_next = ((g * omz[i] + g_rh * r[i]) + g_hr) + g_az[i] @ w_hz_t
-        del omz, omr, dcand
+        w_xz, _, _, w_xr, _, _, w_xc, _, _ = self.weights
+        g_zr, g_ac = self._gate_adjoints(parts, g_end)
+        g_az, g_ar = g_zr[:, 0], g_zr[:, 1]
+        hp, r = self.states[:-1], self.zr[:, 1]
         # one weight's per-step products at a time, each summed last step first
-        x_t, h_t = x.transpose(0, 2, 1), hp.transpose(0, 2, 1)
+        x_t, h_t = self.x.transpose(0, 2, 1), hp.transpose(0, 2, 1)
         rh_t = np.multiply(r, hp).transpose(0, 2, 1)
         parts = (g.sum(axis=1) if a is None else np.matmul(a, g)
                  for a, g in ((x_t, g_az), (h_t, g_az), (None, g_az), (x_t, g_ar), (h_t, g_ar),
                               (None, g_ar), (x_t, g_ac), (rh_t, g_ac), (None, g_ac)))
         self.grads = [add_in_order(part[::-1]) for part in parts]
         return np.matmul(g_ac, w_xc.T), np.matmul(g_ar, w_xr.T), np.matmul(g_az, w_xz.T)
+
+    def _gate_adjoints(self, parts, g_end) -> tuple:
+        """The recurrence of ``backward``, last step first: the adjoints of
+        the z|r gate pre-activations, (T, 2, B, q) like ``zr``, and of the
+        candidate's, (T, B, q). Its whole-sequence factors and step views
+        are freed when it returns, before the weight-gradient products."""
+        w_hc_t, w_hzr_t = self.weights[7].T, self._w_hzr().transpose(0, 2, 1)
+        zr, cand = self.zr, self.cand
+        g_zr, g_ac = np.empty(zr.shape), np.empty(cand.shape)
+        # the factors that do not depend on the adjoint, for every step
+        omzr, dcand = 1.0 - zr, 1.0 - cand * cand
+        shape = cand.shape[1:]
+        g_sum, g_next, g_rh, work = (np.empty(shape) for _ in range(4))
+        g_h = np.empty((2,) + shape)  # the state products of the z and r adjoints
+        g = g_end
+        steps = zip(range(len(cand) - 1, -1, -1), g_zr[::-1], g_ac[::-1], zr[::-1],
+                    omzr[::-1], cand[::-1], dcand[::-1], self.states[-2::-1])
+        for i, g_zr_t, g_ac_t, zr_t, omzr_t, cand_t, dcand_t, h in steps:
+            for part in parts:
+                g = part[i] if g is None else np.add(g, part[i], out=g_sum)
+            z, r = zr_t
+            # each half first takes the factor its gate's derivative scales:
+            # g c - g h for z, (g_ac W_hc^T) h for r
+            g_z, g_rh_h = g_zr_t
+            np.multiply(g, cand_t, out=g_z)
+            g_z -= np.multiply(g, h, out=work)
+            np.multiply(g, z, out=g_ac_t)
+            g_ac_t *= dcand_t
+            np.matmul(g_ac_t, w_hc_t, out=g_rh)
+            np.multiply(g_rh, h, out=g_rh_h)
+            g_zr_t *= zr_t
+            g_zr_t *= omzr_t
+            if i:  # the zero initial state takes no gradient
+                np.matmul(g_zr_t, w_hzr_t, out=g_h)
+                g = np.multiply(g, omzr_t[0], out=g_next)
+                g += np.multiply(g_rh, r, out=work)
+                g += g_h[1]
+                g += g_h[0]
+        return g_zr, g_ac
 
 
 def region_batch(regions) -> np.ndarray:

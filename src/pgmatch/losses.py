@@ -252,20 +252,26 @@ def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> T
     loss = scale * np.asarray(np.take_along_axis(lsm, idx, axis=-1).sum())
 
     def backward(g):
-        g_lsm = np.zeros_like(lsm)
-        np.put_along_axis(g_lsm, idx, scale * g, axis=-1)
-        g_logits = g_lsm - np.exp(lsm) * g_lsm.sum(axis=-1, keepdims=True)
+        # the adjoint of lsm, turned into that of the logits in place
+        g_logits = np.zeros_like(lsm)
+        np.put_along_axis(g_logits, idx, scale * g, axis=-1)
+        g_logits -= np.exp(lsm) * g_logits.sum(axis=-1, keepdims=True)
+        g_out_b = _reduce_to(g_logits, decoder.out_b.shape)
         g_hidden, g_out_w = _matmul_grads(g_logits, hidden, out_w)
+        del g_logits  # each adjoint goes once it is used, to keep the peak low
         conv_grads = []
         for (w, b), x, mask in zip(reversed(convs), reversed(conv_inputs), reversed(masks)):
             g_pre = g_hidden * mask
+            del g_hidden
             g_window, g_w = _matmul_grads(g_pre, _window(x), w)
             conv_grads = [g_w, _reduce_to(g_pre, b.shape)] + conv_grads
+            del g_pre
             g_hidden = _window_grad(g_window, channels)
+            del g_window
         g_table = _scatter_rows(inputs, g_hidden, vocab + 1)
         g_cond = _reduce_to(g_hidden, (batch, 1, channels)).reshape(batch, channels)
         g_emb, g_w_cond = _matmul_grads(g_cond, emb, w_cond)
         return [g_emb, g_table[:vocab], g_table[vocab:].reshape(channels), g_w_cond,
-                *conv_grads, g_out_w, _reduce_to(g_logits, decoder.out_b.shape)]
+                *conv_grads, g_out_w, g_out_b]
 
     return record_op("text_decode", [embeddings] + decoder.tensors(), loss, backward)

@@ -6,7 +6,6 @@ committed by replacing ``checkpoint.json``)."""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -159,6 +158,8 @@ class MatchingModel:
         disk names, and ``outdir`` itself if this save created it and
         committed nothing. A killed save leaves the previous checkpoint
         loadable, plus files that the next save's prune deletes."""
+        import hashlib  # here, so that importing pgmatch does not load libcrypto
+
         named = self.named_parameters()
         flat = np.concatenate([t.values.ravel() for t in named.values()]).reshape(1, -1)
         fname = f"params-{hashlib.sha256(flat).hexdigest()[:16]}.bin"

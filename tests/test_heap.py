@@ -1,7 +1,8 @@
 """The heap policy of ``pgmatch._heap``: training steps reuse the heap
 pages earlier steps freed instead of faulting fresh ones in, and
 ``pgmatch`` imports and trains where the C library has no ``mallopt``
-or ``malloc_trim``."""
+or ``malloc_trim``, and importing it leaves OpenSSL's libcrypto out of
+the process."""
 
 import ctypes
 import os
@@ -72,3 +73,15 @@ def test_import_and_train_without_mallopt(fake_cdll):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1"
+
+
+def test_import_leaves_libcrypto_unloaded():
+    """``hashlib`` loads libcrypto, about 3.4 MB of RSS that nothing on the
+    train or read path uses; only fingerprinting a dataset and saving a
+    checkpoint import it."""
+    code = "import sys, pgmatch, pgmatch.cli; print('_hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

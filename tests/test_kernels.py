@@ -357,9 +357,12 @@ class TestGruSequence:
     records, with input and hidden widths that differ either way (the text
     policy GRU reads 32-wide words into a 64-wide state)."""
 
-    @pytest.mark.parametrize("batch,length", [(1, 4), (5, 3), (2, 40), (48, 5), (128, 3)])
-    @pytest.mark.parametrize("width,hidden", [(3, 7), (7, 3)])
-    def test_states_and_gradients_match_per_step_records(self, batch, length, width, hidden):
+    @staticmethod
+    def check(batch, length, width, hidden, adjoint="parts"):
+        """States of a kept and an unkept run, the summed input gradient
+        and the weight gradients. ``adjoint`` "parts" sends every state a
+        per-step part, as a rollout's heads do; "end" sends only the last
+        state one, as ``fuse`` does."""
         rng = np.random.default_rng(13)
         gru = GruParams.init(width, hidden, rng, scale=0.6)
         x = rng.standard_normal((length, batch, width))
@@ -369,7 +372,10 @@ class TestGruSequence:
         unkept = GruSequence(gru, batch, length, keep=False)
         states = kept.forward(x).copy()
         unkept_states = unkept.forward(x).copy()
-        g_xc, g_xr, g_xz = kept.backward((w_out,))
+        if adjoint == "parts":
+            g_xc, g_xr, g_xz = kept.backward((w_out,))
+        else:
+            g_xc, g_xr, g_xz = kept.backward(g_end=w_out[-1])
         fused = [states, unkept_states, (g_xc + g_xr) + g_xz] + kept.grads
 
         # each state's loss term is recorded before the next step reads the
@@ -378,13 +384,29 @@ class TestGruSequence:
         h, loss, values = ad.constant(np.zeros((batch, hidden))), None, []
         for t, step in enumerate(steps):
             h = unfused.gru_step(step, h, gru)
-            term = ad.tsum(unfused.mul(h, ad.constant(w_out[t])))
-            loss = term if loss is None else ad.add(loss, term)
+            if adjoint == "parts" or t == length - 1:
+                term = ad.tsum(unfused.mul(h, ad.constant(w_out[t])))
+                loss = term if loss is None else ad.add(loss, term)
             values.append(h.values)
         values = np.stack(values)
         grads = gradients(loss, steps + gru.tensors())
         reference = [values, values, np.stack(grads[:length])] + grads[length:]
         assert_same_bits(fused, reference)
+
+    @pytest.mark.parametrize("batch,length", [(1, 4), (5, 3), (2, 40), (48, 5), (128, 3)])
+    @pytest.mark.parametrize("width,hidden", [(3, 7), (7, 3)])
+    def test_states_and_gradients_match_per_step_records(self, batch, length, width, hidden):
+        self.check(batch, length, width, hidden)
+
+    @pytest.mark.parametrize("adjoint", ["parts", "end"])
+    @pytest.mark.parametrize("batch", [1, 16, 32, 128])
+    @pytest.mark.parametrize("width,hidden", [(64, 64), (32, 64), (32, 32), (7, 5), (64, 30),
+                                              (32, 63)])
+    def test_stacked_state_products_at_model_widths(self, batch, width, hidden, adjoint):
+        """The model's GRU widths, and hidden widths at which one GEMM over
+        the concatenated ``[W_hz | W_hr]`` changes the last bit: the
+        stacked z|r state products of both directions keep every bit."""
+        self.check(batch, 3, width, hidden, adjoint)
 
 
 class TestFlatAdam:
