@@ -387,8 +387,10 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     computation.
 
     One tape record, sharing ``GruSequence`` with the rollout. The scaled
-    features of all steps are one array; ``add_in_order`` sums them step
-    by step in time order, and in the backward pass each scaled
+    features of all steps are one time-major C-ordered array (in the
+    features' batch-major layout, width 1 would change the bits of the
+    weight-gradient products); their running sum adds them step by step
+    in time order, and in the backward pass each scaled
     feature's adjoint is the mean's part plus the GRU's three input
     parts, in that order, as per-step records added them."""
     _check_sequence("fuse", features, gru, trace.length)
@@ -403,10 +405,13 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     scale = lam * trace.attention
     run = GruSequence(gru, batch, length, keep)
     s = scale.T[..., None]
-    adjusted = xs * s
+    adjusted = np.multiply(xs, s, order="C")
     hs = run.forward(adjusted)
+    acc = adjusted[0]
+    for a in adjusted[1:]:
+        acc = acc + a
     c = float(1.0 / length)
-    out = hs[-1] + c * add_in_order(adjusted)
+    out = hs[-1] + c * acc
 
     def backward(g):
         g_xc, g_xr, g_xz = run.backward(g_end=g)

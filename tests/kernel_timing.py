@@ -1,18 +1,17 @@
 """Time the GRU kernels layer by layer, in ms per call.
 
-    PYTHONPATH=src python tests/kernel_timing.py [--src TREE ...] [--batch B ...]
-                                                 [--rounds N] [--target-ms MS]
+    PYTHONPATH=src python tests/kernel_timing.py [--src TREE ...] [--rounds N]
 
 For each of the model's four GRUs at the ``stress`` workload's widths and
-lengths (policy and fusion, image and text branch) and each batch size,
-it times three calls of ``encoders.GruSequence``: ``forward`` of a kept
+lengths (policy and fusion, image and text branch) and each batch size
+in ``BATCHES``, it times three calls of ``encoders.GruSequence``: ``forward`` of a kept
 sequence (the training path; building the sequence is part of the
 call), ``forward`` of an unkept one (the read path) and ``backward`` of
 a kept one with one per-step state part, as a rollout sends it.
 
 Each round runs every case once in a fresh child process: a few warm-up
 calls, then ``BLOCKS`` blocks of as many calls as fill about
-``--target-ms``, each block timed with ``time.perf_counter``. A round's
+``TARGET_MS``, each block timed with ``time.perf_counter``. A round's
 reading is the fastest block's mean per call: noise from a shared
 machine only ever adds time. The table gives the median and the
 interquartile range of the readings over the rounds. The children run
@@ -50,8 +49,10 @@ import time
 GRUS = (("img.policy", 64, 64, 16), ("txt.policy", 32, 64, 12),
         ("img.fusion", 64, 64, 16), ("txt.fusion", 32, 32, 12))
 KERNELS = ("forward.kept", "forward.unkept", "backward")
+BATCHES = (1, 16, 32, 128)
 WARMUP = 3
 BLOCKS = 5
+TARGET_MS = 20.0
 
 
 def _quartiles(values):
@@ -60,7 +61,7 @@ def _quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def child(batches, target_ms: float) -> dict:
+def child() -> dict:
     """One round in this process: {case: ms per call}."""
     import numpy as np
 
@@ -68,7 +69,7 @@ def child(batches, target_ms: float) -> dict:
 
     out = {}
     for name, p, q, length in GRUS:
-        for batch in batches:
+        for batch in BATCHES:
             rng = np.random.default_rng(0)
             gru = GruParams.init(p, q, rng, scale=0.3)
             x = rng.standard_normal((length, batch, p))
@@ -86,7 +87,7 @@ def child(batches, target_ms: float) -> dict:
                 for _ in range(WARMUP):
                     fn()
                 per_call = (time.perf_counter() - start) / WARMUP
-                n = max(1, int(target_ms / 1e3 / per_call))
+                n = max(1, int(TARGET_MS / 1e3 / per_call))
                 blocks = []
                 for _ in range(BLOCKS):
                     start = time.perf_counter()
@@ -97,12 +98,11 @@ def child(batches, target_ms: float) -> dict:
     return out
 
 
-def run_round(tree, batches, target_ms: float) -> dict:
+def run_round(tree) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     if tree is not None:
         env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
-    command = [sys.executable, os.path.abspath(__file__), "--child", "--target-ms",
-               str(target_ms), "--batch", *map(str, batches)]
+    command = [sys.executable, os.path.abspath(__file__), "--child"]
     done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -112,20 +112,17 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append", default=None, metavar="TREE",
                         help="a source tree to time (repeat to compare; default: the "
                              "pgmatch on PYTHONPATH)")
-    parser.add_argument("--batch", type=int, nargs="+", default=[1, 16, 32, 128])
     parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--target-ms", type=float, default=20.0,
-                        help="each block of timed calls fills about this long (default 20)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(child(args.batch, args.target_ms)))
+        print(json.dumps(child()))
         return 0
     trees = args.src or [None]
     readings = {tree: [] for tree in trees}
     for k in range(args.rounds):
         for tree in (trees if k % 2 == 0 else trees[::-1]):
-            readings[tree].append(run_round(tree, args.batch, args.target_ms))
+            readings[tree].append(run_round(tree))
 
     labels = [tree or "PYTHONPATH" for tree in trees]
     for tree, label in zip(trees, labels):

@@ -163,12 +163,15 @@ class TestFuseKernel:
                                leaves)
         assert_same_bits(fused, reference)
 
-    @pytest.mark.parametrize("batch,length", SHAPES)
-    def test_neutral_trace_matches_primitive_graph(self, batch, length):
+    @pytest.mark.parametrize("batch,length,width", [s + (4,) for s in SHAPES]
+                             + [(3, 3, 1), (48, 5, 1), (48, 9, 1)])
+    def test_neutral_trace_matches_primitive_graph(self, batch, length, width):
+        # at width 1 the time axis of the scaled features is the contiguous
+        # one, along which numpy's add.reduce sums pairwise
         rng = np.random.default_rng(12)
-        gru = GruParams.init(4, 4, rng, scale=0.6)
-        features = ad.Tensor(rng.standard_normal((batch, length, 4)), requires_grad=True)
-        w_out = ad.constant(rng.standard_normal((batch, 4)))
+        gru = GruParams.init(width, width, rng, scale=0.6)
+        features = ad.Tensor(rng.standard_normal((batch, length, width)), requires_grad=True)
+        w_out = ad.constant(rng.standard_normal((batch, width)))
         leaves = [features] + gru.tensors()
 
         out = fuse(features, neutral_trace(length, 20.0), 20.0, gru)
