@@ -387,10 +387,11 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     computation.
 
     One tape record, sharing ``GruSequence`` with the rollout. The scaled
-    features of all steps are one time-major C-ordered array (in the
-    features' batch-major layout, width 1 would change the bits of the
-    weight-gradient products); their running sum adds them step by step
-    in time order, and in the backward pass each scaled
+    features of all steps are one time-major array in C order, which
+    ``add_in_order`` sums step by step in time order (in the features'
+    batch-major layout, width 1 would make the time axis the contiguous
+    one, which numpy sums pairwise, and would take the weight-gradient
+    products off BLAS), and in the backward pass each scaled
     feature's adjoint is the mean's part plus the GRU's three input
     parts, in that order, as per-step records added them."""
     _check_sequence("fuse", features, gru, trace.length)
@@ -407,11 +408,8 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     s = scale.T[..., None]
     adjusted = np.multiply(xs, s, order="C")
     hs = run.forward(adjusted)
-    acc = adjusted[0]
-    for a in adjusted[1:]:
-        acc = acc + a
     c = float(1.0 / length)
-    out = hs[-1] + c * acc
+    out = hs[-1] + c * add_in_order(adjusted)
 
     def backward(g):
         g_xc, g_xr, g_xz = run.backward(g_end=g)

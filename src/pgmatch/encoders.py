@@ -78,8 +78,9 @@ def add_in_order(parts):
     """``parts[0] + parts[1] + ...``, one addition at a time in that order,
     which is how the engine sums the gradient parts of a chain of records.
     ``np.add.reduce`` over the leading axis adds in order while a part has
-    several entries; single entries it sums pairwise, so those go through
-    the sequential ``np.add.accumulate``."""
+    several entries and the parts are C-ordered; along a contiguous axis
+    it sums pairwise, so single entries go through the sequential
+    ``np.add.accumulate``."""
     if parts[0].size == 1:
         return np.add.accumulate(parts, axis=0)[-1]
     return np.add.reduce(parts, axis=0)
@@ -101,8 +102,9 @@ class GruSequence:
     each weight's per-step gradients from the last step to the first.
 
     A step allocates nothing, forward or backward: the workspaces are
-    allocated once per sequence, and every product and elementwise op
-    writes into a workspace with ``out=``. The z and r gates share one (2, B, q) block, and so do their
+    allocated once per sequence, the biases are broadcast to (B, q) once,
+    and every product and elementwise op writes into a workspace with
+    ``out=``. The z and r gates share one (2, B, q) block, and so do their
     adjoints, so a step's two state products (``h W_hz`` and ``h W_hr``
     forward, the gate adjoints times ``W_hz^T`` and ``W_hr^T`` backward)
     are one ``np.matmul`` over the stacked (2, q, q) weights: two GEMMs in
@@ -130,7 +132,6 @@ class GruSequence:
 
     def __init__(self, params: GruParams, batch: int, length: int, keep: bool):
         self.weights = [t.values for t in params.tensors()]
-        self.b_zr = np.stack((params.b_z.values, params.b_r.values))[:, None]
         q = params.hidden_size
         self.keep = keep
         # per step when kept, else one slot; states[t] is the state before step t
@@ -149,10 +150,14 @@ class GruSequence:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the (T, B, p) input ``x``; returns the state after each
         step, (T, B, q)."""
-        w_xz, _, _, w_xr, _, _, w_xc, w_hc, b_c = self.weights
+        w_xz, _, b_z, w_xr, _, b_r, w_xc, w_hc, b_c = self.weights
         states = self.states
         shape = states.shape[1:]
-        w_hzr, b_zr = self._w_hzr(), self.b_zr
+        w_hzr = self._w_hzr()
+        # the biases as (B, q) rows: a same-shape add runs faster per step
+        # than one that broadcasts a (q,) row
+        b_zr, b_cs = np.empty((2,) + shape), np.empty(shape)
+        b_zr[0], b_zr[1], b_cs[...] = b_z, b_r, b_c
         # the sigmoid's denominator, (1 - z) h and r h of one step
         work, omz_h, rh = np.empty((2,) + shape), np.empty(shape), np.empty(shape)
         x_zr = np.empty((len(x), 2) + shape)
@@ -174,7 +179,7 @@ class GruSequence:
             np.multiply(r, h, out=rh)
             np.matmul(rh, w_hc, out=cand)
             cand += x_c_t
-            cand += b_c
+            cand += b_cs
             np.tanh(cand, out=cand)
             np.subtract(1.0, z, out=omz_h)
             omz_h *= h
