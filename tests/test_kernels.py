@@ -163,8 +163,10 @@ class TestFuseKernel:
                                leaves)
         assert_same_bits(fused, reference)
 
-    @pytest.mark.parametrize("batch,length,width", [s + (4,) for s in SHAPES]
-                             + [(3, 3, 1), (48, 5, 1), (48, 9, 1)])
+    @pytest.mark.parametrize("batch,length,width",
+                             [pytest.param(b, t, 4, id=f"{b}-{t}") for b, t in SHAPES]
+                             + [pytest.param(b, t, 1, id=f"{b}-{t}-width1")
+                                for b, t in [(3, 3), (48, 5), (48, 9)]])
     def test_neutral_trace_matches_primitive_graph(self, batch, length, width):
         # at width 1 the time axis of the scaled features is the contiguous
         # one, along which numpy's add.reduce sums pairwise
