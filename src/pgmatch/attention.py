@@ -395,6 +395,9 @@ def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) ->
     feature's adjoint is the mean's part plus the GRU's three input
     parts, in that order, as per-step records added them."""
     _check_sequence("fuse", features, gru, trace.length)
+    if gru.hidden_size != features.shape[2]:
+        raise ShapeError(f"fuse: a fusion GRU of hidden size {gru.hidden_size} does not fit "
+                         f"features of width {features.shape[2]}")
     if lam <= 0:
         raise ValueError(f"fuse: lambda must be positive, got {lam}")
     batch, length = features.shape[:2]

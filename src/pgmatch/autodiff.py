@@ -11,6 +11,7 @@ the grads.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -41,17 +42,16 @@ class Tensor:
 
     ``requires_grad`` marks a leaf whose gradient should be accumulated
     (parameters, grad-check inputs). Tensors produced by ops are tracked
-    automatically whenever any input is tracked; plain constants carry no
-    node id and contribute no gradient.
+    automatically whenever any input is tracked; plain constants are
+    untracked and contribute no gradient.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_node_id", "_tape_gen")
+    __slots__ = ("values", "grad", "requires_grad", "_tape_gen")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._node_id = None
         self._tape_gen = -1
 
     @property
@@ -78,23 +78,25 @@ def constant(values) -> Tensor:
 
 class ParamSource:
     """Where a model's trainable leaves get their values, one named
-    parameter at a time.
+    parameter at a time, and the one float64 vector they are all views of.
 
     From an rng, each weight is ``scale * N(0, 1)`` drawn in the order the
-    parameters are created, and each bias is zero. From ``stored`` arrays
-    (name -> float64 array), each parameter is its stored array itself: no
-    draw, no copy. A missing name or a different shape raises
-    ``ValueError``; ``unused`` lists the stored names nothing took.
+    parameters are created, and each bias is zero; ``pack`` then copies
+    the draws into one vector, once. From a ``flat`` vector, each
+    parameter is the next ``size`` values of it, reshaped: no draw, no
+    copy. ``ValueError`` names the parameter the vector runs out at;
+    ``pack`` raises it for values left over.
 
     ``scope`` prefixes the names of what it creates (``img.gru.w_xz``).
     ``named`` holds every parameter created so far, under any scope, in
     creation order."""
 
-    def __init__(self, rng: np.random.Generator | None = None, stored: dict | None = None):
+    def __init__(self, rng: np.random.Generator | None = None, flat: np.ndarray | None = None):
         self.rng = rng
-        self.stored = stored
+        self.flat = flat
         self.prefix = ""
         self.named = {}
+        self.end = [0]  # the running offset into ``flat``, one for every scope
 
     @classmethod
     def of(cls, source) -> "ParamSource":
@@ -102,7 +104,7 @@ class ParamSource:
         return source if isinstance(source, ParamSource) else cls(rng=source)
 
     def scope(self, name: str) -> "ParamSource":
-        child = copy.copy(self)  # shares rng, stored and named
+        child = copy.copy(self)  # shares rng, flat, named and end
         child.prefix = f"{self.prefix}{name}."
         return child
 
@@ -114,68 +116,58 @@ class ParamSource:
 
     def _create(self, name, shape, draw) -> Tensor:
         name = self.prefix + name
-        if self.stored is None:
-            values = draw()
-        elif name not in self.stored:
-            raise ValueError(f"missing parameter {name!r}")
-        else:
-            values = self.stored[name]
-            if values.shape != shape:
-                raise ValueError(f"parameter {name}: shape {values.shape} != expected {shape}")
-        t = Tensor(values, requires_grad=True)
-        self.named[name] = t
+        values = draw() if self.flat is None else self._take(name, shape)
+        t = self.named[name] = Tensor(values, requires_grad=True)
         return t
 
-    def unused(self) -> list:
-        return sorted(set(self.stored or ()) - set(self.named))
+    def _take(self, name, shape) -> np.ndarray:
+        lo = self.end[0]
+        hi = self.end[0] = lo + math.prod(shape)
+        if hi > self.flat.size:
+            raise ValueError(f"{self.flat.size} values run out at parameter {name!r}")
+        return self.flat[lo:hi].reshape(shape)
+
+    def pack(self) -> np.ndarray:
+        """The vector every parameter in ``named`` is a consecutive view
+        of, in creation order; drawn parameters are copied into it here."""
+        if self.flat is None:
+            self.flat = np.concatenate([t.values.ravel() for t in self.named.values()])
+            for name, t in self.named.items():
+                t.values = self._take(name, t.shape)
+        if self.end[0] != self.flat.size:
+            raise ValueError(f"{self.flat.size} values, but the parameters hold {self.end[0]}")
+        return self.flat
 
 
 class Tape:
     """Ordered record of op applications for one forward pass.
 
-    Records are (out_id, inputs, backward_fn, op_name) tuples in
-    construction order, which is topological by immutability. ``backward``
-    consumes them. ``clear`` advances the generation; node ids from older
-    generations go stale. While ``recording`` is off, ops compute their
-    values and record nothing (``training.evaluate`` runs its forward pass
-    that way).
+    Records are (out, inputs, backward_fn, op_name) tuples in construction
+    order, which is topological by immutability. ``backward`` consumes
+    them. A tensor is tracked if it requires grad (a leaf) or is the output
+    of a record of the current generation; ``clear`` advances the
+    generation, so older outputs go stale. While ``recording`` is off, ops
+    compute their values and record nothing (``training.evaluate`` runs
+    its forward pass that way).
     """
 
     def __init__(self):
         self.records = []
         self.recording = True
         self.generation = 0
-        self._next_id = 0
-        self._tensors = {}
 
     def clear(self):
         self.records.clear()
-        self._tensors.clear()
-        self._next_id = 0
         self.generation += 1
 
     def is_tracked(self, t: Tensor) -> bool:
         return t.requires_grad or t._tape_gen == self.generation
 
-    def _register(self, t: Tensor) -> int:
-        t._node_id = self._next_id
-        t._tape_gen = self.generation
-        self._tensors[t._node_id] = t
-        self._next_id += 1
-        return t._node_id
-
     def record(self, name: str, inputs, out_values, backward_fn) -> Tensor:
         out = Tensor(out_values)
-        if not self.recording:
-            return out
-        gen = self.generation
-        # a tensor registered in this generation is tracked; so is a leaf
-        # that requires grad, registered on first use
-        if any(t.requires_grad or t._tape_gen == gen for t in inputs):
-            for t in inputs:
-                if t.requires_grad and t._tape_gen != gen:
-                    self._register(t)
-            self.records.append((self._register(out), tuple(inputs), backward_fn, name))
+        if self.recording and any(map(self.is_tracked, inputs)):
+            out._tape_gen = self.generation
+            self.records.append((out, tuple(inputs), backward_fn, name))
         return out
 
 
@@ -210,41 +202,40 @@ def backward(loss: Tensor):
     created with ``requires_grad``) the loss depends on.
 
     One backward per recorded graph: it consumes the tape, popping each
-    record (and its output's registry entry) as it goes, so what a record's
-    backward function saved is freed once its adjoints are out. A later
-    backward whose adjoint reaches a consumed record raises ``TapeError``
-    before any gradient is written; record the graph again instead."""
+    record as it goes, so what a record's backward function saved is freed
+    once its adjoints are out. Adjoints are keyed by ``id`` of the tensor,
+    which its record or the leaf list keeps alive. A later backward whose
+    adjoint reaches a consumed record raises ``TapeError`` before any
+    gradient is written; record the graph again instead."""
     t = _TAPE
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not t.is_tracked(loss):
         raise TapeError("backward on a tensor not recorded on the active tape (stale tape?)")
-    if loss._tape_gen != t.generation:  # a leaf used as the loss itself
-        t._register(loss)
 
-    gen = t.generation
-    records, tensors = t.records, t._tensors
-    adjoints = {loss._node_id: np.ones_like(loss.values)}
+    records, is_tracked = t.records, t.is_tracked
+    adjoints = {id(loss): np.ones_like(loss.values)}
+    leaves = [loss] if loss.requires_grad else []  # a leaf used as the loss itself
     while records:
-        out_id, inputs, backward_fn, _name = records.pop()
-        del tensors[out_id]
+        out, inputs, backward_fn, _name = records.pop()
         # an op's output is consumed only by later records, so its adjoint
         # is complete here; what remains at the end belongs to leaves
-        g = adjoints.pop(out_id, None)
+        g = adjoints.pop(id(out), None)
         if g is None:
             continue
         for inp, ig in zip(inputs, backward_fn(g)):
-            if ig is None or inp._tape_gen != gen:  # untracked constant
+            if ig is None or not is_tracked(inp):  # untracked constant
                 continue
-            nid = inp._node_id
-            prev = adjoints.get(nid)
-            adjoints[nid] = ig if prev is None else prev + ig
-    if not adjoints.keys() <= tensors.keys():
+            prev = adjoints.get(id(inp))
+            if prev is None and inp.requires_grad:
+                leaves.append(inp)
+            adjoints[id(inp)] = ig if prev is None else prev + ig
+    if len(adjoints) != len(leaves):
         raise TapeError("backward twice over one recorded graph: it reaches a record "
                         "an earlier backward consumed")
-    for nid, adj in adjoints.items():
-        tensor = tensors[nid]
-        tensor.grad = adj.copy() if tensor.grad is None else tensor.grad + adj
+    for leaf in leaves:
+        adj = adjoints[id(leaf)]
+        leaf.grad = adj.copy() if leaf.grad is None else leaf.grad + adj
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 
 import numpy as np
@@ -31,9 +30,10 @@ class MatchingModel:
     def __init__(self, config: ModelConfig, vocab_size: int, num_instances: int,
                  rng: np.random.Generator | ParamSource):
         """``rng`` draws a new model's parameters, always in the same order;
-        a ``ParamSource`` of stored arrays builds a saved model from them
+        a ``ParamSource`` of a ``flat`` vector builds a saved model from it
         (``load_checkpoint``, ``TrainResult.rebuild``), which must hold
-        exactly this model's parameter names (``ValueError`` otherwise)."""
+        exactly this model's values (``ValueError`` otherwise). Either way
+        the parameters are consecutive views of ``flat``."""
         config.validate()
         self.config = config
         self.vocab_size = vocab_size
@@ -56,9 +56,8 @@ class MatchingModel:
         self.classifier = src.weight("classifier", (c.embed_dim, num_instances), s)
         self.decoder = DecoderParams.init(vocab_size, c.embed_dim, c.decoder_dim,
                                           src.scope("decoder"), scale=c.decoder_init_scale)
-        if extra := src.unused():
-            raise ValueError(f"unknown parameters {extra}")
         self._named = src.named
+        self.flat = src.pack()
 
     # -- parameters ---------------------------------------------------------
 
@@ -95,9 +94,6 @@ class MatchingModel:
             # only the PG losses remain; they stop at the policy inputs
             drop(lambda n: ".fusion_gru." in n or n.startswith("proj_"))
         return list(named.values())
-
-    def state_arrays(self) -> dict:
-        return {name: t.values.copy() for name, t in self.named_parameters().items()}
 
     # -- forward ------------------------------------------------------------
     #
@@ -147,8 +143,9 @@ class MatchingModel:
 
     def save_checkpoint(self, outdir):
         """Write the checkpoint into ``outdir``; replacing its
-        ``checkpoint.json`` commits it. Every parameter goes, in
-        ``named_parameters`` order, into one (1, total) matrix file named
+        ``checkpoint.json`` commits it. ``flat``, which holds every
+        parameter in ``named_parameters`` order, goes into one (1, total)
+        matrix file named
         ``params-<first 16 hex digits of the sha256 of its values>.bin``, so
         the file the manifest on disk names is never rewritten with other
         bytes. Both files go through a ``.tmp`` file and ``os.replace``.
@@ -161,7 +158,7 @@ class MatchingModel:
         import hashlib  # here, so that importing pgmatch does not load libcrypto
 
         named = self.named_parameters()
-        flat = np.concatenate([t.values.ravel() for t in named.values()]).reshape(1, -1)
+        flat = self.flat.reshape(1, -1)
         fname = f"params-{hashlib.sha256(flat).hexdigest()[:16]}.bin"
         manifest = {"format": "pgmatch-checkpoint-v2", "config": self.config.to_dict(),
                     "vocab_size": self.vocab_size, "num_instances": self.num_instances,
@@ -182,10 +179,11 @@ class MatchingModel:
 
     @classmethod
     def load_checkpoint(cls, path) -> "MatchingModel":
-        """Rebuild a model from ``save_checkpoint`` output: each parameter
-        is a view of the one array its ``file`` is read into, in ``params``
-        order. A missing or malformed file raises ``CheckpointError``
-        naming the file and the field."""
+        """Rebuild a model from ``save_checkpoint`` output: its parameters
+        are consecutive views of the one array its ``file`` is read into.
+        ``params`` must equal the ``[name, shape]`` list the config builds.
+        A missing or malformed file raises ``CheckpointError`` naming the
+        file and the field."""
         manifest_file = os.path.join(path, "checkpoint.json")
 
         def fail(message, file=manifest_file):
@@ -206,39 +204,35 @@ class MatchingModel:
         for key in ("vocab_size", "num_instances"):
             if not _is_int(manifest[key]) or manifest[key] < 1:
                 fail(f"field {key!r} is {manifest[key]!r}, expected a positive integer")
-        fname = manifest["file"]
+        fname, params = manifest["file"], manifest["params"]
         if (not isinstance(fname, str) or fname in ("", ".", "..") or "\0" in fname
                 or os.path.basename(fname) != fname):
             fail(f"field 'file' is {fname!r}, expected a file name inside {path}")
-        if not isinstance(manifest["params"], list):
+        if not isinstance(params, list):
             fail("field 'params' is not a list")
-        shapes = {}
-        for i, entry in enumerate(manifest["params"]):
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                    and isinstance(entry[1], list)
-                    and all(_is_int(n) and n >= 0 for n in entry[1])):
-                fail(f"field 'params[{i}]' is {entry!r}, expected a [name, shape] pair "
-                     f"whose shape is a list of non-negative integers")
-            if entry[0] in shapes:
-                fail(f"field 'params' names {entry[0]!r} twice")
-            shapes[entry[0]] = tuple(entry[1])
         bin_file = os.path.join(path, fname)
         try:
-            flat = read_matrix(bin_file).reshape(-1)
+            src = ParamSource(flat=read_matrix(bin_file).reshape(-1))
         except (OSError, DatasetError) as exc:
             reason = exc.strerror if isinstance(exc, OSError) else exc
             fail(f"cannot read the file that field 'file' names ({reason})", bin_file)
-        ends = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
-        if flat.size != ends[-1]:
-            fail(f"{flat.size} values, but the shapes in field 'params' hold {ends[-1]}",
-                 bin_file)
         try:
-            arrays = {name: flat[lo:hi].reshape(shape)
-                      for (name, shape), lo, hi in zip(shapes.items(), ends, ends[1:])}
-            return cls(config, manifest["vocab_size"], manifest["num_instances"],
-                       ParamSource(stored=arrays))
-        except ValueError as exc:
-            fail(f"field 'params': {exc}")
+            model = cls(config, manifest["vocab_size"], manifest["num_instances"], src)
+        except ValueError as exc:  # the file's values do not fill the parameters
+            model, problem = None, exc
+        built = [[name, list(t.shape)] for name, t in src.named.items()]
+        # a vector that ran out built the list up to the parameter before that
+        listed = params[:len(built)] if src.end[0] > src.flat.size else params
+        if listed != built:
+            end = object()
+            i, got, want = next((i, a, b) for i, (a, b) in enumerate(
+                itertools.zip_longest(listed, built, fillvalue=end)) if a != b)
+            got, want = ("the end of the list" if e is end else repr(e) for e in (got, want))
+            fail(f"field 'params' differs from the model's [name, shape] list at "
+                 f"'params[{i}]': it is {got}, expected {want}")
+        if model is None:
+            fail(problem, bin_file)
+        return model
 
 
 def _prune(outdir, created):

@@ -58,8 +58,8 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainResult:
     records: list
-    final_params: dict
-    best_params: dict
+    final_params: np.ndarray  # a model's ``flat`` vector
+    best_params: np.ndarray
     best_epoch: int
     best_metric: float
     config: ModelConfig
@@ -69,9 +69,8 @@ class TrainResult:
     def rebuild(self, best: bool = True) -> MatchingModel:
         """A model holding a copy of the best (or final) parameters."""
         params = self.best_params if best else self.final_params
-        stored = {name: values.copy() for name, values in params.items()}
         return MatchingModel(self.config, self.vocab_size, self.num_instances,
-                             ParamSource(stored=stored))
+                             ParamSource(flat=params.copy()))
 
 
 def canonical_records(records) -> list:
@@ -181,11 +180,11 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
         if score > best_metric:
             best_metric = score
             best_epoch = epoch
-            best_params = model.state_arrays()
+            best_params = model.flat.copy()
 
     clear_tape()
     release_freed_pages()  # the heap kept the steps' pages; nothing reuses them now
-    return TrainResult(records=records, final_params=model.state_arrays(),
+    return TrainResult(records=records, final_params=model.flat.copy(),
                        best_params=best_params, best_epoch=best_epoch,
                        best_metric=best_metric, config=config,
                        vocab_size=dataset.vocab_size, num_instances=len(train_split))

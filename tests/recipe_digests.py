@@ -99,11 +99,11 @@ def read_path_bytes(model, instances) -> bytes:
     return img.tobytes() + txt.tobytes()
 
 
-def params_digest(params: dict):
-    """sha256 over the raw bytes of ``params`` (name -> array), in name order."""
+def params_digest(model):
+    """sha256 over the raw bytes of ``model``'s parameters, in name order."""
     digest = hashlib.sha256()
-    for name in sorted(params):
-        digest.update(params[name].tobytes())
+    for _name, t in sorted(model.named_parameters().items()):
+        digest.update(t.values.tobytes())
     return digest
 
 
@@ -113,7 +113,7 @@ def reload_digest(model, instances) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         model.save_checkpoint(os.path.join(tmp, "checkpoint"))
         loaded = MatchingModel.load_checkpoint(os.path.join(tmp, "checkpoint"))
-    digest = params_digest({name: t.values for name, t in loaded.named_parameters().items()})
+    digest = params_digest(loaded)
     digest.update(read_path_bytes(loaded, instances))
     return digest.hexdigest()
 
@@ -125,7 +125,7 @@ def digests(dataset_args: dict, config: ModelConfig) -> tuple[str, str, str, str
     final = result.rebuild(best=False)
     test = dataset.split("test")
     return (hashlib.sha256(records.encode()).hexdigest(),
-            params_digest(result.final_params).hexdigest(),
+            params_digest(final).hexdigest(),
             hashlib.sha256(read_path_bytes(final, test)).hexdigest(),
             reload_digest(final, test))
 

@@ -183,8 +183,7 @@ def test_criterion_9_determinism():
     a = train(config, dataset)
     b = train(config, dataset)
     logs_equal = canonical_records(a.records) == canonical_records(b.records)
-    params_equal = all(np.array_equal(a.final_params[k], b.final_params[k])
-                       for k in a.final_params)
+    params_equal = np.array_equal(a.final_params, b.final_params)
     ok = logs_equal and params_equal
     _report(9, "determinism", ok,
             f"metric logs bit-identical (wall-time stripped): {logs_equal}; "

@@ -17,13 +17,6 @@ from pgmatch.encoders import GruParams
 from unfused import gru_step
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.clear_tape()
-    yield
-    ad.clear_tape()
-
-
 def zero_policy(dim, hidden, space, heads=1):
     z = lambda *shape: ad.Tensor(np.zeros(shape))
     gru = GruParams(w_xz=z(dim, hidden), w_hz=z(hidden, hidden), b_z=z(hidden),
@@ -228,6 +221,14 @@ class TestFuse:
         feats = random_features(rng, 3, 4)
         with pytest.raises(ValueError, match="3 features vs trace length 2"):
             fuse(feats, neutral_trace(2, 1.0), 1.0, GruParams.init(4, 4, rng))
+
+    @pytest.mark.parametrize("width, hidden", [(1, 4), (4, 3)])
+    def test_fusion_gru_of_another_width(self, width, hidden):
+        rng = np.random.default_rng(12)
+        feats = random_features(rng, 3, width, batch=2)
+        gru = GruParams.init(width, hidden, rng)
+        with pytest.raises(ad.ShapeError, match=f"hidden size {hidden} .* width {width}"):
+            fuse(feats, neutral_trace(3, 1.0), 1.0, gru)
 
     def test_invalid_lambda(self):
         feats = random_features(np.random.default_rng(0), 2, 3)

@@ -6,13 +6,6 @@ from pgmatch.verify import GRAD_EPS, GRAD_TOL
 from unfused import log, mul, shift, sigmoid, tanh
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.clear_tape()
-    yield
-    ad.clear_tape()
-
-
 class TestForwardOps:
     def test_sigmoid_symmetry_point(self):
         out = sigmoid(ad.Tensor([0.0]))
@@ -117,11 +110,19 @@ class TestBackward:
             ad.backward(loss)
 
     def test_backward_consumes_the_tape(self):
+        """After backward the tape holds no records and the leaf has its
+        gradient; a second backward over the same graph raises before
+        writing any gradient."""
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        ad.backward(ad.tsum(sigmoid(ad.square(x))))
-        tape = ad.active_tape()
-        assert tape.records == []
-        assert list(tape._tensors.values()) == [x]  # only the leaf stays registered
+        loss = ad.tsum(sigmoid(ad.square(x)))
+        ad.backward(loss)
+        assert ad.active_tape().records == []
+        grad = x.grad.copy()
+        s = 1.0 / (1.0 + np.exp(-x.values ** 2))
+        np.testing.assert_allclose(grad, 2.0 * x.values * s * (1.0 - s), rtol=1e-12)
+        with pytest.raises(ad.TapeError, match="consumed"):
+            ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, grad)
 
     def test_backward_reaching_a_consumed_record_raises(self):
         """A graph built on an output of a consumed record cannot send its

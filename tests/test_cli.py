@@ -472,9 +472,20 @@ class TestMalformedCheckpoint:
         assert "checkpoint.json" in err and "word_table" in err and "shape" in err
 
     def test_shape_not_filled_by_file(self, trained, ckpt, capsys):
+        # the manifest is checked against the config before the file's size
         self.edit_manifest(ckpt, lambda m: self.entry(m, "proj_img").__setitem__(1, [2, 2]))
         err = self.eval_error(trained, ckpt, capsys)
-        assert self.data_file(ckpt) in err and "'params'" in err and "values" in err
+        assert "checkpoint.json" in err and "'params[" in err and "['proj_img', [2, 2]]" in err
+
+    def test_file_too_short(self, trained, ckpt, capsys):
+        # the values run out at the last parameter; the list up to it agrees
+        path = ckpt / self.data_file(ckpt)
+        values = read_matrix(path)
+        write_matrix(path, values[:, :-1])
+        last = json.loads((ckpt / "checkpoint.json").read_text())["params"][-1][0]
+        err = self.eval_error(trained, ckpt, capsys)
+        assert self.data_file(ckpt) in err
+        assert f"{values.size - 1} values run out at parameter {last!r}" in err
 
     def test_value_count_not_the_sum_of_the_shapes(self, trained, ckpt, capsys):
         path = ckpt / self.data_file(ckpt)
@@ -493,9 +504,10 @@ class TestMalformedCheckpoint:
         assert "checkpoint.json" in err and "'params[" in err and "proj_img" in err
 
     def test_duplicate_parameter(self, trained, ckpt, capsys):
+        count = len(json.loads((ckpt / "checkpoint.json").read_text())["params"])
         self.edit_manifest(ckpt, lambda m: m["params"].append(list(self.entry(m, "proj_img"))))
         err = self.eval_error(trained, ckpt, capsys)
-        assert "checkpoint.json" in err and "'params'" in err and "'proj_img' twice" in err
+        assert "checkpoint.json" in err and f"'params[{count}]'" in err and "proj_img" in err
 
     @pytest.mark.parametrize("bad", [{"classifier": [4, 4]}, ["classifier"],
                                      ["classifier", [4], "x"], [7, [4]], "classifier"])

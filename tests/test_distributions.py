@@ -27,13 +27,6 @@ from unfused import (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.clear_tape()
-    yield
-    ad.clear_tape()
-
-
 class TestActionSpace:
     def test_defaults(self):
         space = ActionSpace()

@@ -13,13 +13,6 @@ from pgmatch.encoders import (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.clear_tape()
-    yield
-    ad.clear_tape()
-
-
 def zero_gru(p, q):
     z = lambda *shape: ad.Tensor(np.zeros(shape))
     return GruParams(w_xz=z(p, q), w_hz=z(q, q), b_z=z(q),

@@ -23,13 +23,6 @@ from pgmatch.encoders import GruParams, GruSequence
 from pgmatch.losses import DecoderParams, text_decoding_loss
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.clear_tape()
-    yield
-    ad.clear_tape()
-
-
 def gradients(loss, tensors):
     for t in tensors:
         t.grad = None

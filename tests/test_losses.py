@@ -17,13 +17,6 @@ from pgmatch.losses import (
 from unfused import discrete_logprob, mul, normal_logprob
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.clear_tape()
-    yield
-    ad.clear_tape()
-
-
 def make_trace(dsum, csum):
     return AttentionTrace(weights=ad.constant(np.zeros((1, 0))), length=0,
                           discrete_logprob_sum=dsum, continuous_logprob_sum=csum)

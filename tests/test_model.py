@@ -21,13 +21,6 @@ TINY = dict(feature_dim=6, word_dim=5, hidden=6, embed_dim=6, decoder_dim=4,
             n_actions=8, batch_size=2, epochs=1)
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.clear_tape()
-    yield
-    ad.clear_tape()
-
-
 def tiny_model(seed=0, **overrides):
     config = ModelConfig(**{**TINY, **overrides})
     return MatchingModel(config, vocab_size=9, num_instances=4,
@@ -62,23 +55,20 @@ class TestParameters:
 
     def test_state_roundtrip(self):
         model = tiny_model(seed=1)
-        other = MatchingModel(model.config, 9, 4, ParamSource(stored=model.state_arrays()))
+        other = MatchingModel(model.config, 9, 4, ParamSource(flat=model.flat.copy()))
         assert list(other.named_parameters()) == list(model.named_parameters())
         for name, t in model.named_parameters().items():
             np.testing.assert_array_equal(t.values, other.named_parameters()[name].values)
 
     def test_state_mismatch_detected(self):
+        """Too few or too many values for the config's parameters raise
+        ``ValueError``; too few name the parameter they run out at."""
         model = tiny_model()
-        state = model.state_arrays()
-        state.pop("classifier")
-        with pytest.raises(ValueError, match="classifier"):
-            MatchingModel(model.config, 9, 4, ParamSource(stored=state))
-        state = dict(model.state_arrays(), stray=np.zeros(3))
-        with pytest.raises(ValueError, match="stray"):
-            MatchingModel(model.config, 9, 4, ParamSource(stored=state))
-        state = dict(model.state_arrays(), proj_img=np.zeros((6, 5)))
-        with pytest.raises(ValueError, match="proj_img"):
-            MatchingModel(model.config, 9, 4, ParamSource(stored=state))
+        size, last = model.flat.size, list(model.named_parameters())[-1]
+        with pytest.raises(ValueError, match=f"{size - 1} values run out at parameter '{last}'"):
+            MatchingModel(model.config, 9, 4, ParamSource(flat=np.zeros(size - 1)))
+        with pytest.raises(ValueError, match=f"{size + 1} values, but the parameters hold {size}"):
+            MatchingModel(model.config, 9, 4, ParamSource(flat=np.zeros(size + 1)))
 
 
 class TestForward:
@@ -283,18 +273,24 @@ class TestCheckpoint:
         assert manifest["params"] == [[name, list(t.shape)]
                                       for name, t in model.named_parameters().items()]
 
-    def test_loaded_parameters_are_consecutive_views_of_one_buffer(self, tmp_path):
+    @pytest.mark.parametrize("how", ["fresh", "load_checkpoint", "rebuild"])
+    def test_loaded_parameters_are_consecutive_views_of_one_buffer(self, tmp_path, how):
         model = tiny_model(seed=20, heads=2)
         model.save_checkpoint(tmp_path / "ckpt")
-        params = list(MatchingModel.load_checkpoint(tmp_path / "ckpt").named_parameters().values())
-        buffer = params[0].values.base
+        flat = model.flat.copy()
+        result = TrainResult(records=[], final_params=flat, best_params=flat, best_epoch=0,
+                             best_metric=0.0, config=model.config, vocab_size=9, num_instances=4)
+        built = {"fresh": lambda: model, "rebuild": result.rebuild,
+                 "load_checkpoint": lambda: MatchingModel.load_checkpoint(tmp_path / "ckpt")}[how]()
+        buffer = built.flat
         assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
         assert buffer.size == sum(t.size for t in model.named_parameters().values())
         start = buffer.__array_interface__["data"][0]
-        for t in params:
-            assert t.values.base is buffer and t.values.flags.c_contiguous
+        for t in built.parameters():
+            assert np.shares_memory(t.values, buffer) and t.values.flags.c_contiguous
             assert t.values.__array_interface__["data"][0] == start
             start += t.values.nbytes
+        assert start == buffer.__array_interface__["data"][0] + buffer.nbytes
 
     def test_a_load_reads_the_manifest_and_one_matrix(self, tmp_path, monkeypatch):
         tiny_model(seed=21, heads=2).save_checkpoint(tmp_path / "ckpt")
@@ -310,16 +306,17 @@ class TestCheckpoint:
 
 class TestLoading:
     """``load_checkpoint`` and ``TrainResult.rebuild`` build the model from
-    the arrays they hold: nothing is drawn, and each parameter gets its own
-    writable memory, equal bit for bit to the saved values."""
+    the vector they hold: nothing is drawn, and each parameter gets its own
+    writable memory in the model's buffer, equal bit for bit to the saved
+    values."""
 
     @pytest.fixture(params=["load_checkpoint", "rebuild"])
     def loaded(self, request, tmp_path, monkeypatch):
         """(saved model, model loaded the way ``request.param`` names,
-        arrays it was loaded from), with every rng construction failing."""
+        vectors it was loaded from), with every rng construction failing."""
         model = tiny_model(seed=13, heads=2)
         model.save_checkpoint(tmp_path / "ckpt")
-        state = model.state_arrays()
+        state = model.flat.copy()
         result = TrainResult(records=[], final_params=state, best_params=state, best_epoch=0,
                              best_metric=0.0, config=model.config, vocab_size=9, num_instances=4)
 
@@ -329,7 +326,7 @@ class TestLoading:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         if request.param == "load_checkpoint":
             return model, MatchingModel.load_checkpoint(tmp_path / "ckpt"), []
-        return model, result.rebuild(), list(result.best_params.values())
+        return model, result.rebuild(), [result.best_params]
 
     def test_parameters_are_the_saved_bits_in_owned_arrays(self, loaded):
         model, other, sources = loaded

@@ -64,9 +64,8 @@ class TestTrain:
         a = train(config, ds)
         b = train(config, ds)
         assert canonical_records(a.records) == canonical_records(b.records)
-        for name in a.final_params:
-            np.testing.assert_array_equal(a.final_params[name], b.final_params[name])
-            np.testing.assert_array_equal(a.best_params[name], b.best_params[name])
+        assert np.array_equal(a.final_params, b.final_params)
+        assert np.array_equal(a.best_params, b.best_params)
 
     def test_seed_changes_trajectory(self):
         ds = tiny_dataset()
