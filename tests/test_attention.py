@@ -14,7 +14,7 @@ from pgmatch.attention import (
 )
 from pgmatch.distributions import ActionSpace, gumbel_from_uniform
 from pgmatch.encoders import GruParams
-from unfused import gru_step
+from unfused import gru_step, square
 
 
 def zero_policy(dim, hidden, space, heads=1):
@@ -251,7 +251,7 @@ class TestFuse:
         feats = random_features(rng, 3, 3, batch=2)
         trace = rollout(feats, params, space, rng)
         out = fuse(feats, trace, 2.0, params.fusion_gru)
-        ad.backward(ad.tsum(ad.square(out)))
+        ad.backward(ad.tsum(square(out)))
         assert params.w_std[0].grad is not None and np.any(params.w_std[0].grad != 0.0)
         assert params.w_mu[0].grad is not None and np.any(params.w_mu[0].grad != 0.0)
 

@@ -3,7 +3,7 @@ import pytest
 
 import pgmatch.autodiff as ad
 from pgmatch.verify import GRAD_EPS, GRAD_TOL
-from unfused import log, mul, shift, sigmoid, tanh
+from unfused import div, log, mul, shift, sigmoid, sqrt, square, tanh
 
 
 class TestForwardOps:
@@ -35,18 +35,19 @@ class TestForwardOps:
         with pytest.raises(ad.ShapeError, match="matmul"):
             ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))))
 
-    def test_domain_errors(self):
-        with pytest.raises(ad.DomainError):
-            log(ad.Tensor([1.0, -1.0]))
-        with pytest.raises(ad.DomainError):
-            ad.div(ad.Tensor([1.0]), ad.Tensor([0.0]))
-        with pytest.raises(ad.DomainError):
-            ad.sqrt(ad.Tensor([-2.0]))
+    def test_matmul_of_a_vector_with_a_matrix_rejected(self):
+        """A vector goes only with a vector (a dot product); a vector with
+        a matrix, either way round, is not promoted."""
+        v, m = ad.Tensor(np.ones(3)), ad.Tensor(np.ones((3, 3)))
+        for a, b in ((v, m), (m, v), (v, ad.Tensor(np.ones((2, 3, 3))))):
+            with pytest.raises(ad.ShapeError, match="matmul"):
+                ad.matmul(a, b)
+        assert ad.matmul(v, v).item() == 3.0
 
     def test_finite_on_finite_inputs(self):
         rng = np.random.default_rng(2)
         x = ad.Tensor(rng.standard_normal((5, 5)) * 30)
-        for op in (sigmoid, tanh, ad.relu, ad.square):
+        for op in (sigmoid, tanh, ad.relu, square):
             assert np.all(np.isfinite(op(x).values)), op.__name__
         assert np.all(np.isfinite(ad.softmax(x, axis=1).values))
 
@@ -81,12 +82,12 @@ class TestBackward:
         rng = np.random.default_rng(4)
         vals = rng.standard_normal(5)
         x = ad.Tensor(vals, requires_grad=True)
-        ad.backward(ad.add(ad.tsum(ad.square(x)), ad.scalar_mul(ad.tsum(sigmoid(x)), 0.2)))
+        ad.backward(ad.add(ad.tsum(square(x)), ad.scalar_mul(ad.tsum(sigmoid(x)), 0.2)))
         combined = x.grad.copy()
 
         ad.clear_tape()
         x.grad = None
-        ad.backward(ad.tsum(ad.square(x)))
+        ad.backward(ad.tsum(square(x)))
         ad.backward(ad.scalar_mul(ad.tsum(sigmoid(x)), 0.2))
         np.testing.assert_allclose(x.grad, combined, atol=1e-15)
 
@@ -104,7 +105,7 @@ class TestBackward:
 
     def test_double_backward_rejected(self):
         x = ad.Tensor([1.0], requires_grad=True)
-        loss = ad.tsum(ad.square(x))
+        loss = ad.tsum(square(x))
         ad.backward(loss)
         with pytest.raises(ad.TapeError, match="twice"):
             ad.backward(loss)
@@ -114,7 +115,7 @@ class TestBackward:
         gradient; a second backward over the same graph raises before
         writing any gradient."""
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        loss = ad.tsum(sigmoid(ad.square(x)))
+        loss = ad.tsum(sigmoid(square(x)))
         ad.backward(loss)
         assert ad.active_tape().records == []
         grad = x.grad.copy()
@@ -129,7 +130,7 @@ class TestBackward:
         gradient through that record, so backward raises before writing
         any gradient."""
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        y = ad.square(x)
+        y = square(x)
         ad.backward(ad.tsum(y))
         grad = x.grad.copy()
         with pytest.raises(ad.TapeError, match="consumed"):
@@ -235,14 +236,19 @@ def oracle_op_cases():
     col = ad.Tensor(rng.standard_normal((3, 1)))
     seq = ad.Tensor(rng.standard_normal((2, 4, 3)))
     seq_weights = ad.constant(np.arange(24.0).reshape(2, 4, 3))
+    pos_col = ad.Tensor(0.5 + rng.random((3, 1)))
     return {
         "sigmoid": (lambda t: ad.tsum(sigmoid(t)), (x,)),
         "tanh": (lambda t: ad.tsum(tanh(t)), (x,)),
         "log": (lambda t: ad.tsum(log(t)), (pos,)),
+        "square": (lambda t: ad.tsum(square(t)), (x,)),
+        "sqrt": (lambda t: ad.tsum(sqrt(t)), (pos,)),
+        "div": (lambda p, q: ad.tsum(div(p, q)), (a, pos)),
+        "div_broadcast_column": (lambda p, q: ad.tsum(div(p, q)), (a, pos_col)),
         "mul": (lambda p, q: ad.tsum(mul(p, q)), (a, b)),
         "mul_scalar_operand": (lambda p, q: ad.tsum(mul(p, q)), (a, ad.Tensor(np.asarray(0.7)))),
-        "mul_broadcast_row": (lambda p, q: ad.tsum(mul(ad.square(p), q)), (a, row)),
-        "mul_broadcast_column": (lambda p, q: ad.tsum(mul(ad.square(p), q)), (a, col)),
+        "mul_broadcast_row": (lambda p, q: ad.tsum(mul(square(p), q)), (a, row)),
+        "mul_broadcast_column": (lambda p, q: ad.tsum(mul(square(p), q)), (a, col)),
         "shift": (lambda t: ad.tsum(mul(shift(t, 1), seq_weights)), (seq,)),
         "shift_by_two": (lambda t: ad.tsum(mul(shift(t, 2), seq_weights)), (seq,)),
     }
@@ -257,6 +263,14 @@ class TestOracleOps:
     def test_matches_finite_differences(self, name):
         fn, args = oracle_op_cases()[name]
         assert ad.grad_check(fn, list(args), eps=GRAD_EPS) < GRAD_TOL
+
+    def test_domain_errors(self):
+        with pytest.raises(ad.DomainError):
+            log(ad.Tensor([1.0, -1.0]))
+        with pytest.raises(ad.DomainError):
+            div(ad.Tensor([1.0]), ad.Tensor([0.0]))
+        with pytest.raises(ad.DomainError):
+            sqrt(ad.Tensor([-2.0]))
 
 
 class TestGradCheck:
@@ -301,7 +315,7 @@ class TestAdam:
         target = ad.constant([5.0])
         for _ in range(5000):
             ad.clear_tape()
-            loss = ad.tsum(ad.square(ad.sub(p, target)))
+            loss = ad.tsum(square(ad.sub(p, target)))
             ad.backward(loss)
             opt.step()
             if abs(p.values[0] - 5.0) < 1e-2:

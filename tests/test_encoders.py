@@ -11,6 +11,7 @@ from pgmatch.encoders import (
     region_affinity,
     region_batch,
 )
+from unfused import square
 
 
 def zero_gru(p, q):
@@ -190,7 +191,7 @@ class TestGruStep:
         x = ad.Tensor(rng.standard_normal((2, 3, 3)))
 
         def loss(f, *weights):
-            return ad.tsum(ad.square(fuse(f, neutral_trace(3, 1.0), 1.0, params)))
+            return ad.tsum(square(fuse(f, neutral_trace(3, 1.0), 1.0, params)))
 
         assert ad.grad_check(loss, [x] + params.tensors()) < 1e-4
 

@@ -303,6 +303,41 @@ class TestDecoderKernel:
         assert len(ad.active_tape().records) == 24
 
 
+class TestL2Normalize:
+    """``autodiff.l2_normalize`` (one record) against the 5 primitive
+    records of ``unfused.l2_normalize``, by bytes, so a zero's sign counts:
+    the output and the input gradient, with -0.0 entries in the input and
+    in the adjoint, and with an all-zero row, whose norm is sqrt(eps)."""
+
+    @staticmethod
+    def run(normalize, x, w):
+        """The normalized rows and the input gradient of their dot product
+        with ``w``, whose entries are the adjoint the normalization gets."""
+        leaf = ad.Tensor(x, requires_grad=True)
+        out = normalize(leaf)
+        records = [r[3] for r in ad.active_tape().records]
+        loss = ad.matmul(ad.reshape(out, (x.size,)), ad.constant(w))
+        (grad,) = gradients(loss, [leaf])
+        return records, out.values, grad
+
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["signed-zeros", "zero-row"])
+    @pytest.mark.parametrize("shape", [(5,), (1, 64), (16, 64), (32, 64), (2, 3, 4)])
+    def test_same_bytes_as_primitive_graph(self, shape, zero_row):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal(shape)
+        x[rng.random(shape) < 0.2] = -0.0
+        if zero_row:
+            x.reshape(-1, shape[-1])[0] = np.where(rng.random(shape[-1]) < 0.5, 0.0, -0.0)
+        w = rng.standard_normal(x.size)
+        w[rng.random(x.size) < 0.2] = -0.0
+        records, out, grad = self.run(ad.l2_normalize, x, w)
+        want_records, want_out, want_grad = self.run(unfused.l2_normalize, x, w)
+        assert records == ["l2_normalize"]
+        assert want_records == ["square", "sum", "add", "sqrt", "div"]
+        assert out.tobytes() == want_out.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 class TestScatterRows:
     """The backward of ``gather_rows`` (the word lookup; the decoder's
     table lookup shares its ``_scatter_rows``) is one ``np.bincount``. It

@@ -190,11 +190,11 @@ class TestBatchMajor:
         """The sequence kernels make the count independent of the regions,
         the tokens and the heads: each branch's fusion is one record, and
         with attention on its rollout is one more. The encoders,
-        projections and losses are a fixed 53 records (each text decode
+        projections and losses are a fixed 45 records (each text decode
         is one), and each sampled stage adds, per branch, the pick and
         reshape of its log-prob sum and its PG surrogate (3)."""
         stages = {"off": 0, "discrete": 1, "continuous": 1, "compound": 2}[pg_mode]
-        expect = 53 + 2 * (1 + (stages > 0)) + 2 * 3 * stages
+        expect = 45 + 2 * (1 + (stages > 0)) + 2 * 3 * stages
         for regions, tokens in ((3, 4), (5, 6), (9, 2)):
             ds = generate_dataset(classes=8, regions=regions, tokens=tokens, dim=6,
                                   noise_scale=0.15, seed=0)
@@ -332,7 +332,7 @@ class TestAblation:
 # public functions of ``pgmatch.autodiff`` that are not ops recording under
 # their own name, and the record name of each op whose name differs
 NOT_RECORDING_OPS = {"constant", "record_op", "will_record", "backward", "grad_check",
-                     "active_tape", "clear_tape", "l2_normalize"}
+                     "active_tape", "clear_tape"}
 RECORD_NAMES = {"tsum": "sum"}
 
 
@@ -359,10 +359,10 @@ class TestOpSet:
 
 class TestRecordCount:
     @pytest.mark.parametrize("workload", ["reference", "stress"])
-    def test_a_benchmark_train_step_records_69_entries(self, workload):
+    def test_a_benchmark_train_step_records_61_entries(self, workload):
         """One train step of a benchmark recipe: the kernels keep the tape
-        at 69 records whatever the batch size and sequence lengths, one
-        of them per text decode."""
+        at 61 records whatever the batch size and sequence lengths, one
+        of them per text decode and one per projection's normalization."""
         _, data_args, config = next(r for r in recipe_digests.recipes() if r[0] == workload)
         ds = generate_dataset(**data_args)
         split = ds.split("train")
@@ -372,8 +372,9 @@ class TestRecordCount:
         _batch_losses(model, batch, list(range(len(batch))), np.random.default_rng(1))
         names = [record[3] for record in ad.active_tape().records]
         ad.clear_tape()
-        assert len(names) == 69
+        assert len(names) == 61
         assert names.count("text_decode") == 2
+        assert names.count("l2_normalize") == 2
 
 
 def _benchmark_model(workload):

@@ -1,12 +1,14 @@
 """The GRU cell, the compound-action head, the rollout, the fusion and
-the text decoder written out in primitive tape ops, one record per step
-or smaller: the reference the kernels (``attention.policy_rollout``,
-``attention.fuse``, ``losses.text_decoding_loss``) are checked against,
-bit for bit, in ``test_kernels.py``. These are the compositions the
-package ran before the kernels replaced them, with the sampling helpers
-they were built from; nothing in ``src/`` uses them. The ops only these
-compositions record (``mul``, ``sigmoid``, ``tanh``, ``log``, ``shift``)
-live here too, as custom records on the engine's tape.
+the text decoder and the row normalization written out in primitive tape
+ops, one record per step or smaller: the reference the kernels
+(``attention.policy_rollout``, ``attention.fuse``,
+``losses.text_decoding_loss``, ``autodiff.l2_normalize``) are checked
+against, bit for bit, in ``test_kernels.py``. These are the compositions
+the package ran before the kernels replaced them, with the sampling
+helpers they were built from; nothing in ``src/`` uses them. The ops only
+these compositions record (``mul``, ``div``, ``square``, ``sqrt``,
+``sigmoid``, ``tanh``, ``log``, ``shift``) live here too, as custom
+records on the engine's tape.
 """
 
 from __future__ import annotations
@@ -38,6 +40,37 @@ def mul(a, b):
         return ad._reduce_to(g * bv, av.shape), ad._reduce_to(g * av, bv.shape)
 
     return ad.record_op("mul", (a, b), out, bw)
+
+
+def div(a, b):
+    """Elementwise quotient with broadcasting; the denominator is never zero."""
+    av, bv = a.values, b.values
+    if np.any(bv == 0.0):
+        raise ad.DomainError("div: zero denominator")
+    out = ad._broadcast("div", np.divide, a, b)
+
+    def bw(g):
+        return ad._reduce_to(g / bv, av.shape), ad._reduce_to(-g * av / (bv * bv), bv.shape)
+
+    return ad.record_op("div", (a, b), out, bw)
+
+
+def square(a):
+    v = a.values
+    return ad.record_op("square", (a,), v * v, lambda g: (2.0 * v * g,))
+
+
+def sqrt(a):
+    if np.any(a.values <= 0.0):
+        raise ad.DomainError("sqrt: non-positive input")
+    r = np.sqrt(a.values)
+    return ad.record_op("sqrt", (a,), r, lambda g: (g / (2.0 * r),))
+
+
+def l2_normalize(v, eps=1e-12):
+    """``autodiff.l2_normalize`` in 5 primitive records."""
+    norm = sqrt(ad.add(ad.tsum(square(v), axis=-1, keepdims=True), ad.constant(eps)))
+    return div(v, norm)
 
 
 def sigmoid(a):
@@ -136,7 +169,7 @@ def normal_logprob(x, mu, sigma):
     sigma = sigma if isinstance(sigma, ad.Tensor) else ad.constant(np.asarray(float(sigma)))
     if np.any(sigma.values <= 0.0):
         raise ad.DomainError(f"normal_logprob: sigma must be positive, got {sigma.values}")
-    quad = ad.div(ad.square(ad.sub(x, mu)), ad.scalar_mul(ad.square(sigma), 2.0))
+    quad = div(square(ad.sub(x, mu)), ad.scalar_mul(square(sigma), 2.0))
     return ad.sub(ad.sub(ad.constant(np.asarray(-0.5 * LOG_2PI)), log(sigma)), quad)
 
 
