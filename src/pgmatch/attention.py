@@ -4,9 +4,9 @@ and fuse the adjusted features into a single embedding.
 
 A rollout runs a whole batch at once, looping over timesteps only; each
 instance's row is one episode. The rollout and the fusion are one tape
-record each. The trace keeps the per-step attention weights plus the
-per-instance episode log-probability sums that the PG losses
-differentiate.
+record each. The rollout's one output packs the per-step attention
+weights with the per-instance episode log-probability sums that the PG
+losses differentiate.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from .autodiff import (
     _softmax_grad,
     active_tape,
     constant,
-    pick,
     record_op,
-    reshape,
     will_record,
 )
 from .distributions import ActionSpace, categorical_sample, greedy_label, gumbel_from_uniform
@@ -84,17 +82,15 @@ class PolicyParams:
 class AttentionTrace:
     """Record of one batch of sampling episodes. ``weights`` holds each
     step's attention weight, combined over heads, in its first ``length``
-    columns: the (B, T + 2) output of ``policy_rollout`` (whose last two
-    columns are the episode log-prob sums, 0 for a stage the rollout does
-    not sample), or a (1, T) constant with attention off. The log-prob
-    sums the PG losses read are (B,) tensors, one entry per instance: a
-    pick of the packed column for a sampled stage, a zero constant for an
-    unsampled one and for every stage of a deterministic rollout."""
+    columns: the (B, T + 2) output of ``policy_rollout``, or a (1, T)
+    constant with attention off. In the rollout's output, column
+    ``length`` holds each instance's episode sum of discrete log-probs and
+    column ``length + 1`` its sum of continuous log-densities, which the
+    PG losses read; a column reads 0 for a stage the rollout does not
+    sample and for both stages of a deterministic rollout."""
 
     weights: Tensor
     length: int
-    discrete_logprob_sum: Tensor
-    continuous_logprob_sum: Tensor
 
     @property
     def attention(self) -> np.ndarray:
@@ -295,9 +291,8 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
     stochastic mode every step samples the compound distribution row-wise
     from ``noise`` (see ``draw_noise``); in deterministic mode the argmax
     category is taken and the attention is the squashed mean. A
-    deterministic action has probability one, so that mode's log-prob
-    sums are zero constants, as an unsampled stage's are, and its packed
-    sum columns read 0.
+    deterministic action has probability one, so that mode's packed sum
+    columns read 0, as an unsampled stage's column does.
 
     The whole rollout is one tape record: the policy GRU over all T steps
     (``GruSequence``), every head's sample over all T states (``_head``),
@@ -319,8 +314,6 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
         raise ValueError("stochastic rollout needs noise pre-drawn from the rollout rng")
     _check_sequence("policy_rollout", features, params.gru)
     batch, length = features.shape[:2]
-    sampled_discrete = stochastic and action_mode != "continuous"
-    sampled_continuous = stochastic and action_mode != "discrete"
     heads = list(zip(params.w_mu, params.w_std))
     inputs = ((features,) * 3 + tuple(params.gru.tensors()) + tuple(params.w_mu)
               + tuple(params.w_std))
@@ -359,24 +352,14 @@ def policy_rollout(features: Tensor, params: PolicyParams, space: ActionSpace,
         g_x = gru.backward(parts)
         return [g.transpose(1, 0, 2) for g in g_x] + gru.grads + g_w_mu + g_w_std
 
-    packed = record_op("policy_rollout", inputs, out, backward)
-    zero = constant(np.zeros(batch))
-    return AttentionTrace(
-        weights=packed, length=length,
-        discrete_logprob_sum=(reshape(pick(packed, np.full((batch, 1), length)), (batch,))
-                              if sampled_discrete else zero),
-        continuous_logprob_sum=(reshape(pick(packed, np.full((batch, 1), length + 1)), (batch,))
-                                if sampled_continuous else zero))
-
-
-_ZERO = constant(np.asarray(0.0))
+    return AttentionTrace(weights=record_op("policy_rollout", inputs, out, backward),
+                          length=length)
 
 
 def neutral_trace(length: int, lam: float) -> AttentionTrace:
-    """Attention switched off: every weight is 1/lambda so the scaled
-    features equal the originals and the PG sums are zero constants."""
-    return AttentionTrace(weights=constant(np.full((1, length), 1.0 / lam)), length=length,
-                          discrete_logprob_sum=_ZERO, continuous_logprob_sum=_ZERO)
+    """Attention switched off: every weight is 1/lambda, so the scaled
+    features equal the originals; there are no log-prob sums."""
+    return AttentionTrace(weights=constant(np.full((1, length), 1.0 / lam)), length=length)
 
 
 def fuse(features: Tensor, trace: AttentionTrace, lam: float, gru: GruParams) -> Tensor:

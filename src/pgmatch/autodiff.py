@@ -274,17 +274,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _TAPE.record("add", (a, b), out, lambda g: (_reduce_to(g, sa), _reduce_to(g, sb)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast("sub", np.subtract, a, b)
-    sa, sb = a.shape, b.shape
-    return _TAPE.record("sub", (a, b), out, lambda g: (_reduce_to(g, sa), _reduce_to(-g, sb)))
-
-
-def scalar_mul(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _TAPE.record("scalar_mul", (a,), c * a.values, lambda g: (c * g,))
-
-
 def _matmul_values(av, bv):
     """``np.matmul`` of two arrays; a 3-D or deeper ``av`` times a 2-D
     ``bv`` is folded into one 2-D product."""
@@ -297,8 +286,6 @@ def _matmul_grads(g, av, bv):
     """Gradients of ``_matmul_values(av, bv)`` for the output adjoint ``g``."""
     if av.ndim == 2 and bv.ndim == 2:
         return g @ bv.T, av.T @ g
-    if av.ndim == 1:  # dot -> 0-d
-        return g * bv, g * av
     if bv.ndim == 2:  # fold a's leading axes into rows
         g_rows = g.reshape(-1, g.shape[-1])
         return (g_rows @ bv.T).reshape(av.shape), av.reshape(-1, av.shape[-1]).T @ g_rows
@@ -307,12 +294,11 @@ def _matmul_grads(g, av, bv):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``np.matmul`` semantics for the dot of two vectors, and for
-    matrices and stacks of matrices whose leading axes broadcast, e.g.
-    (B, n, k) @ (k, m) with a shared weight or (B, n, k) @ (B, k, m). A
-    vector times a matrix is not supported."""
+    """``np.matmul`` semantics for matrices and stacks of matrices whose
+    leading axes broadcast, e.g. (B, n, k) @ (k, m) with a shared weight
+    or (B, n, k) @ (B, k, m). A vector operand is not supported."""
     av, bv = a.values, b.values
-    if av.ndim == 0 or bv.ndim == 0 or (av.ndim == 1) != (bv.ndim == 1):
+    if av.ndim < 2 or bv.ndim < 2:
         raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
     try:
         out = _matmul_values(av, bv)
@@ -327,37 +313,6 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
     return _TAPE.record("transpose", (a,), np.swapaxes(a.values, -1, -2),
                         lambda g: (np.swapaxes(g, -1, -2),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape_in = a.shape
-    return _TAPE.record("reshape", (a,), a.values.reshape(shape),
-                        lambda g: (g.reshape(shape_in),))
-
-
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Sum of all entries, or along one axis."""
-    shape = a.shape
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _TAPE.record("sum", (a,), np.asarray(a.values.sum(axis=axis, keepdims=keepdims)), bw)
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    """Join tensors of equal rank along ``axis``; all other extents match."""
-    tensors = list(tensors)
-    try:
-        out = np.concatenate([t.values for t in tensors], axis=axis)
-    except ValueError:
-        shapes = ", ".join(str(t.shape) for t in tensors)
-        raise ShapeError(f"concat: shapes {shapes} do not conform on axis {axis}") from None
-    bounds = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
-    return _TAPE.record("concat", tuple(tensors), out,
-                        lambda g: tuple(np.split(g, bounds, axis=axis)))
 
 
 def _sigmoid(x, out=None, work=None):
@@ -400,20 +355,6 @@ def _softmax_grad(g, s, axis=-1):
     return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.values.ndim == 0:
-        raise ShapeError("log_softmax: scalar input has no axis")
-    z = a.values - a.values.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = z - lse
-    s = np.exp(out)
-
-    def bw(g):
-        return (g - s * g.sum(axis=axis, keepdims=True),)
-
-    return _TAPE.record("log_softmax", (a,), out, bw)
-
-
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Row lookup for an id array of any shape: the result has shape
     ``ids.shape + (cols,)``. Gradients scatter back into exactly the used
@@ -438,26 +379,6 @@ def _scatter_rows(ids, g, rows):
     cols = g.shape[-1]
     flat = (ids[..., None] * cols + np.arange(cols)).ravel()
     return np.bincount(flat, weights=g.ravel(), minlength=rows * cols).reshape(rows, cols)
-
-
-def pick(a: Tensor, index) -> Tensor:
-    """One entry per row along the last axis, ``np.take_along_axis``
-    style: ``index`` has ``a``'s rank and a last extent of 1, so a (B, C)
-    input and a (B, 1) index give the (B, 1) picked column."""
-    v = a.values
-    idx = np.asarray(index, dtype=np.intp)
-    if v.ndim == 0 or idx.shape != v.shape[:-1] + (1,):
-        raise ShapeError(f"pick: index shape {idx.shape} does not fit shape {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= v.shape[-1]):
-        raise IndexError(f"pick: index out of range [0, {v.shape[-1]})")
-    out = np.take_along_axis(v, idx, axis=-1)
-
-    def bw(g):
-        acc = np.zeros_like(v)
-        np.put_along_axis(acc, idx, g, axis=-1)
-        return (acc,)
-
-    return _TAPE.record("pick", (a,), out, bw)
 
 
 def l2_normalize(v: Tensor, eps: float = 1e-12) -> Tensor:

@@ -212,7 +212,7 @@ def cmd_train(args) -> int:
             result = train(config, dataset, log_fh=log_fh)
         except TrainingDiverged as exc:
             log_fh.write(record_line({"type": "abort", "epoch": exc.epoch, "step": exc.step,
-                                      "components": exc.components,
+                                      "components": exc.components, "term": exc.term,
                                       "parameter": exc.parameter}) + "\n")
             print(f"training diverged: {exc}", file=sys.stderr)
             return 2

@@ -18,15 +18,7 @@ from .autodiff import (
     _scatter_rows,
     add,
     constant,
-    log_softmax,
-    matmul,
-    pick,
     record_op,
-    relu,
-    scalar_mul,
-    sub,
-    transpose,
-    tsum,
 )
 
 
@@ -68,62 +60,132 @@ def total_loss(**parts: Tensor) -> LossBundle:
     return LossBundle(total=total, **parts)
 
 
-def _pg_surrogate(logprob_sums: Tensor, advantages, batch_mean: bool) -> Tensor:
+def _pg_surrogate(trace, column: int, advantages, batch_mean: bool) -> Tensor:
+    """Minus the dot product of the advantages (over the batch size with
+    ``batch_mean``) with column ``column`` of the packed rollout output,
+    one record. Its adjoint is that column of a zero array."""
     advantages = np.asarray(advantages, dtype=np.float64)
-    if logprob_sums.shape != advantages.shape:
-        raise ValueError(f"{logprob_sums.shape} log-prob sums vs {advantages.shape} advantages")
+    packed = trace.weights
+    if advantages.ndim != 1 or packed.shape != (advantages.size, trace.length + 2):
+        raise ValueError(f"{packed.shape} packed rollout output of {trace.length} steps vs "
+                         f"{advantages.shape} advantages")
     scale = 1.0 / advantages.size if batch_mean else 1.0
-    return matmul(constant(-advantages * scale), logprob_sums)
+    w = -advantages * scale
+
+    def backward(g):
+        g_packed = np.zeros(packed.shape)
+        g_packed[:, column] = g * w
+        return (g_packed,)
+
+    # the copy keeps the dot on contiguous operands
+    return record_op("pg_surrogate", (packed,), np.matmul(w, packed.values[:, column].copy()),
+                     backward)
 
 
 def discrete_pg_loss(trace, advantages, batch_mean: bool = True) -> Tensor:
     """REINFORCE surrogate for the categorical stage: minus the dot product
-    of the advantages with the per-instance episode log-prob sums, averaged
-    over the batch. Advantages are constants; gradients flow only through
-    the log-probs."""
-    return _pg_surrogate(trace.discrete_logprob_sum, advantages, batch_mean)
+    of the advantages with the per-instance episode log-prob sums (column
+    ``length`` of ``trace.weights``), averaged over the batch. Advantages
+    are constants; gradients flow only through the log-probs."""
+    return _pg_surrogate(trace, trace.length, advantages, batch_mean)
 
 
 def continuous_pg_loss(trace, advantages, batch_mean: bool = True) -> Tensor:
     """REINFORCE surrogate for the Normal stage, on the episode sums of the
-    raw-sample log-densities."""
-    return _pg_surrogate(trace.continuous_logprob_sum, advantages, batch_mean)
+    raw-sample log-densities (column ``length + 1``)."""
+    return _pg_surrogate(trace, trace.length + 1, advantages, batch_mean)
 
 
 def triplet_loss(sim: Tensor, margin: float = 0.2) -> Tensor:
     """Hinge ranking loss with in-batch hardest negatives, averaged over
     instances. Negatives are selected on detached values (one masked
     argmax per direction); gradients reach only the diagonal and the
-    selected entries."""
+    selected entries.
+
+    One record. It evaluates the numpy expressions of the primitive chain
+    it replaced (``tests/unfused.py``): ``margin - diag`` plus each
+    direction's negative, the ReLU, each hinge's sum, and ``1/K`` times
+    their sum. Backward builds that chain's three (K, K) parts, the
+    image-side negatives (a transposed pick), the text-side negatives and
+    the diagonal's, and adds them in the order the engine did."""
     if margin <= 0:
         raise ValueError(f"margin must be positive, got {margin}")
     k_total = sim.shape[0]
     if sim.values.ndim != 2 or sim.shape[0] != sim.shape[1] or k_total < 2:
         raise ValueError(f"triplet loss needs a square gallery of size >= 2, got {sim.shape}")
-    masked = sim.values.copy()
+    s = sim.values
+    masked = s.copy()
     np.fill_diagonal(masked, -np.inf)
     hardest_col_per_row = masked.argmax(axis=1)[:, None]
     hardest_row_per_col = masked.argmax(axis=0)[:, None]
+    diag = np.arange(k_total)[:, None]
 
-    slack = sub(constant(np.asarray(float(margin))), pick(sim, np.arange(k_total)[:, None]))
-    neg_txt = pick(sim, hardest_col_per_row)
-    neg_img = pick(transpose(sim), hardest_row_per_col)
-    loss = add(tsum(relu(add(slack, neg_txt))), tsum(relu(add(slack, neg_img))))
-    return scalar_mul(loss, 1.0 / k_total)
+    slack = np.subtract(np.asarray(float(margin)), np.take_along_axis(s, diag, axis=-1))
+    hinge_txt = np.add(slack, np.take_along_axis(s, hardest_col_per_row, axis=-1))
+    hinge_img = np.add(slack, np.take_along_axis(s.T, hardest_row_per_col, axis=-1))
+    mask_txt, mask_img = hinge_txt > 0, hinge_img > 0
+    scale = float(1.0 / k_total)
+    loss = scale * np.add(np.asarray(np.where(mask_txt, hinge_txt, 0.0).sum()),
+                          np.asarray(np.where(mask_img, hinge_img, 0.0).sum()))
+
+    def backward(g):
+        g_sum = np.broadcast_to(scale * g, (k_total, 1))
+        g_txt, g_img = g_sum * mask_txt, g_sum * mask_img
+        p_img, p_txt, p_diag = np.zeros((3, k_total, k_total))
+        np.put_along_axis(p_img.T, hardest_row_per_col, g_img, axis=-1)
+        np.put_along_axis(p_txt, hardest_col_per_row, g_txt, axis=-1)
+        np.put_along_axis(p_diag, diag, -(g_img + g_txt), axis=-1)
+        return ((p_img + p_txt) + p_diag,)
+
+    return record_op("triplet", (sim,), loss, backward)
 
 
-def instance_loss(embeddings: Tensor, labels, classifier: Tensor) -> Tensor:
-    """Mean softmax cross-entropy of each embedding row against its
-    instance label, through a classifier shared by both modalities."""
+def _nll(logits, picks, scale):
+    """``scale`` times the sum of the log-softmax entries (along the last
+    axis) that ``picks`` selects, and the function that turns its adjoint
+    into the logits' adjoint: the numpy expressions of a log-softmax,
+    pick, sum and scale chain of records, forward and backward."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    loss = scale * np.asarray(np.take_along_axis(lsm, picks, axis=-1).sum())
+
+    def backward(g):
+        g_logits = np.zeros_like(lsm)
+        np.put_along_axis(g_logits, picks, scale * g, axis=-1)
+        g_logits -= np.exp(lsm) * g_logits.sum(axis=-1, keepdims=True)
+        return g_logits
+
+    return loss, backward
+
+
+def instance_loss(img: Tensor, txt: Tensor, labels, classifier: Tensor) -> Tensor:
+    """Mean softmax cross-entropy of each embedding row of both branches
+    against its instance label, through a classifier shared by both
+    modalities: row b of the (B, embed_dim) ``img`` and of ``txt`` both
+    have label ``labels[b]``.
+
+    One record over the (2B, C) logits of the stacked rows. It evaluates
+    the numpy expressions of the primitive chain it replaced
+    (``tests/unfused.py``) and splits the rows' gradient back at B."""
     labels = np.asarray(labels, dtype=np.intp)
-    if embeddings.shape[0] != labels.size:
-        raise ValueError(f"{embeddings.shape[0]} embeddings vs {labels.size} labels")
+    if img.shape != txt.shape or img.shape[0] != labels.size:
+        raise ValueError(f"{img.shape} image and {txt.shape} text embeddings vs "
+                         f"{labels.size} labels")
     num_classes = classifier.shape[1]
     bad = labels[(labels < 0) | (labels >= num_classes)]
     if bad.size:
         raise ValueError(f"label {bad[0]} outside [0, {num_classes})")
-    lsm = log_softmax(matmul(embeddings, classifier), axis=-1)
-    return scalar_mul(tsum(pick(lsm, labels[:, None])), -1.0 / labels.size)
+    batch = labels.size
+    emb, w = np.concatenate([img.values, txt.values]), classifier.values
+    picks = np.concatenate([labels, labels])[:, None]
+    loss, nll_backward = _nll(np.matmul(emb, w), picks, float(-1.0 / (2 * batch)))
+
+    def backward(g):
+        g_logits = nll_backward(g)
+        g_img, g_txt = np.split(g_logits @ w.T, [batch])
+        return g_img, g_txt, emb.T @ g_logits
+
+    return record_op("instance", (img, txt, classifier), loss, backward)
 
 
 @dataclass
@@ -245,17 +307,10 @@ def text_decoding_loss(embeddings: Tensor, targets, decoder: DecoderParams) -> T
         masks.append(pre > 0)
         hidden = np.where(masks[-1], pre, 0.0)
     logits = np.add(_matmul_values(hidden, out_w), decoder.out_b.values)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    idx = ids.astype(np.intp)[..., None]
-    scale = float(-1.0 / ids.size)
-    loss = scale * np.asarray(np.take_along_axis(lsm, idx, axis=-1).sum())
+    loss, nll_backward = _nll(logits, ids.astype(np.intp)[..., None], float(-1.0 / ids.size))
 
     def backward(g):
-        # the adjoint of lsm, turned into that of the logits in place
-        g_logits = np.zeros_like(lsm)
-        np.put_along_axis(g_logits, idx, scale * g, axis=-1)
-        g_logits -= np.exp(lsm) * g_logits.sum(axis=-1, keepdims=True)
+        g_logits = nll_backward(g)
         g_out_b = _reduce_to(g_logits, decoder.out_b.shape)
         g_hidden, g_out_w = _matmul_grads(g_logits, hidden, out_w)
         del g_logits  # each adjoint goes once it is used, to keep the peak low

@@ -24,13 +24,13 @@ from .autodiff import (
     active_tape,
     backward,
     clear_tape,
-    concat,
     matmul,
     transpose,
 )
 from .config import ModelConfig
 from .data import SyntheticDataset
 from .losses import (
+    COMPONENTS,
     continuous_pg_loss,
     discrete_pg_loss,
     instance_loss,
@@ -44,14 +44,18 @@ from .rewards import diagonal_ranks, instance_rewards, pg_baseline, similarity_m
 
 class TrainingDiverged(RuntimeError):
     """A non-finite loss, or with ``parameter`` set, a non-finite gradient
-    of that parameter (the first one, in optimizer order)."""
+    of that parameter (the first one, in optimizer order). For a loss,
+    ``term`` names its first non-finite component in ``COMPONENTS``
+    order, or ``total`` if every component is finite."""
 
     def __init__(self, epoch: int, step: int, components: dict, parameter: str | None = None):
         self.epoch = epoch
         self.step = step
         self.components = components
         self.parameter = parameter
-        what = "loss" if parameter is None else f"gradient of {parameter}"
+        self.term = None if parameter is not None else next(
+            (name for name in COMPONENTS if not np.isfinite(components[name])), "total")
+        what = f"loss ({self.term})" if parameter is None else f"gradient of {parameter}"
         super().__init__(f"non-finite {what} at epoch {epoch}, step {step}: {components}")
 
 
@@ -99,8 +103,7 @@ def _batch_losses(model: MatchingModel, instances, labels, rollout_rng):
     if cfg.loss_triplet:
         parts["triplet"] = triplet_loss(sim, cfg.margin)
     if cfg.loss_instance:
-        parts["instance"] = instance_loss(concat([img, txt], axis=0), list(labels) * 2,
-                                          model.classifier)
+        parts["instance"] = instance_loss(img, txt, labels, model.classifier)
     if cfg.loss_decode:
         parts["text_decode_image"] = text_decoding_loss(img, tokens, model.decoder)
         parts["text_decode_text"] = text_decoding_loss(txt, tokens, model.decoder)

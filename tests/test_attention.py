@@ -14,7 +14,7 @@ from pgmatch.attention import (
 )
 from pgmatch.distributions import ActionSpace, gumbel_from_uniform
 from pgmatch.encoders import GruParams
-from unfused import gru_step, square
+from unfused import gru_step, square, tsum
 
 
 def zero_policy(dim, hidden, space, heads=1):
@@ -51,9 +51,19 @@ def rollout(feats, params, space, rng, action_mode="compound"):
     return policy_rollout(feats, params, space, noise, action_mode=action_mode)
 
 
+def discrete_sums(trace):
+    """The episode sums of the discrete log-probs, column ``length``."""
+    return trace.weights.values[:, trace.length]
+
+
+def continuous_sums(trace):
+    """The episode sums of the continuous log-densities, column ``length + 1``."""
+    return trace.weights.values[:, trace.length + 1]
+
+
 def trace_values(trace):
-    vals = (trace.discrete_logprob_sum.values.tolist()
-            + trace.continuous_logprob_sum.values.tolist())
+    vals = (discrete_sums(trace).tolist()
+            + continuous_sums(trace).tolist())
     vals.extend(trace.attention.T.ravel().tolist())
     return vals
 
@@ -96,8 +106,8 @@ class TestPolicyRollout:
             trace = rollout(feats, params, space, master)
             assert trace.length == feats.shape[1]
             assert trace.attention.shape == (batch, feats.shape[1])
-            assert trace.discrete_logprob_sum.shape == (batch,)
-            assert np.all(trace.discrete_logprob_sum.values <= 0.0)
+            assert discrete_sums(trace).shape == (batch,)
+            assert np.all(discrete_sums(trace) <= 0.0)
             assert np.all((0.0 < trace.attention) & (trace.attention < 1.0))
 
     def test_episode_discrete_logprob_additivity(self):
@@ -106,15 +116,15 @@ class TestPolicyRollout:
         params = random_policy(3, 4, space, rng)
         feats = random_features(rng, 5, 3, batch=2)
         noise = noise_for(rng, feats, params, space)
-        whole = policy_rollout(feats, params, space, noise).discrete_logprob_sum.values
+        whole = discrete_sums(policy_rollout(feats, params, space, noise))
         prev = np.zeros(2)
         for t in range(5):
             # the first t+1 steps of an episode are an episode of their own,
             # and each step adds one log-probability
             prefix = policy_rollout(ad.Tensor(feats.values[:, :t + 1]), params, space, noise)
-            step = prefix.discrete_logprob_sum.values - prev
+            step = discrete_sums(prefix) - prev
             assert np.all(step < 0.0)
-            prev = prefix.discrete_logprob_sum.values
+            prev = discrete_sums(prefix)
         np.testing.assert_allclose(whole, prev, rtol=1e-12)
 
     def test_batch_rows_match_single_instance_rollouts(self):
@@ -129,11 +139,11 @@ class TestPolicyRollout:
             row = RolloutNoise(gumbel=noise.gumbel[b:b + 1], uniform=noise.uniform[b:b + 1],
                                normal=noise.normal[b:b + 1])
             single = policy_rollout(ad.Tensor(feats.values[b:b + 1]), params, space, row)
-            np.testing.assert_allclose(single.discrete_logprob_sum.values,
-                                       batched.discrete_logprob_sum.values[b:b + 1],
+            np.testing.assert_allclose(discrete_sums(single),
+                                       discrete_sums(batched)[b:b + 1],
                                        rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(single.continuous_logprob_sum.values,
-                                       batched.continuous_logprob_sum.values[b:b + 1],
+            np.testing.assert_allclose(continuous_sums(single),
+                                       continuous_sums(batched)[b:b + 1],
                                        rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(single.attention[0], batched.attention[b], rtol=1e-12)
 
@@ -251,7 +261,7 @@ class TestFuse:
         feats = random_features(rng, 3, 3, batch=2)
         trace = rollout(feats, params, space, rng)
         out = fuse(feats, trace, 2.0, params.fusion_gru)
-        ad.backward(ad.tsum(square(out)))
+        ad.backward(tsum(square(out)))
         assert params.w_std[0].grad is not None and np.any(params.w_std[0].grad != 0.0)
         assert params.w_mu[0].grad is not None and np.any(params.w_mu[0].grad != 0.0)
 
@@ -275,7 +285,7 @@ class TestMultiHead:
         noise = noise_for(np.random.default_rng(99), feats, single, space)
         t1 = policy_rollout(feats, single, space, noise)
         atts1 = t1.attention.tolist()
-        d1 = t1.discrete_logprob_sum.values.copy()
+        d1 = discrete_sums(t1).copy()
         ad.clear_tape()
         # the second head sees the first head's noise
         shared = RolloutNoise(gumbel=np.repeat(noise.gumbel, 2, axis=2),
@@ -283,7 +293,7 @@ class TestMultiHead:
                               normal=np.repeat(noise.normal, 2, axis=2))
         t2 = policy_rollout(feats, double, space, shared)
         assert t2.attention.tolist() == atts1
-        np.testing.assert_allclose(t2.discrete_logprob_sum.values, 2.0 * d1, rtol=1e-12)
+        np.testing.assert_allclose(discrete_sums(t2), 2.0 * d1, rtol=1e-12)
 
     def test_deterministic_identical_heads_equal_single(self):
         space = ActionSpace(n=6)
@@ -323,7 +333,7 @@ class TestActionModes:
         feats = random_features(rng, 3, 3, batch=2)
         trace = rollout(feats, params, space, rng, action_mode="discrete")
         assert np.all(np.isin(trace.attention, squashed_labels(space.n)))
-        assert np.all(trace.continuous_logprob_sum.values == 0.0)
+        assert np.all(continuous_sums(trace) == 0.0)
 
     def test_continuous_mode_has_no_discrete_logprob(self):
         space = ActionSpace(n=6)
@@ -331,8 +341,8 @@ class TestActionModes:
         params = random_policy(3, 4, space, rng)
         feats = random_features(rng, 3, 3, batch=2)
         trace = rollout(feats, params, space, rng, action_mode="continuous")
-        assert np.all(trace.discrete_logprob_sum.values == 0.0)
-        assert np.all(trace.continuous_logprob_sum.values != 0.0)
+        assert np.all(discrete_sums(trace) == 0.0)
+        assert np.all(continuous_sums(trace) != 0.0)
 
     def test_unknown_modes_rejected(self):
         space = ActionSpace(n=6)
@@ -351,6 +361,5 @@ class TestNeutralTrace:
     def test_scale_is_inverse_lambda(self):
         trace = neutral_trace(4, 20.0)
         assert np.all(trace.attention == 1 / 20.0) and trace.attention.shape == (1, 4)
-        assert trace.discrete_logprob_sum.item() == 0.0
-        assert trace.continuous_logprob_sum.item() == 0.0
+        assert trace.weights.shape == (1, 4)  # no log-prob sum columns
         assert trace.length == 4

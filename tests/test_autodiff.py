@@ -3,7 +3,24 @@ import pytest
 
 import pgmatch.autodiff as ad
 from pgmatch.verify import GRAD_EPS, GRAD_TOL
-from unfused import div, log, mul, shift, sigmoid, sqrt, square, tanh
+from unfused import (
+    concat,
+    div,
+    dot,
+    log,
+    log_softmax,
+    mul,
+    pick,
+    reshape,
+    scalar_mul,
+    shift,
+    sigmoid,
+    sqrt,
+    square,
+    sub,
+    tanh,
+    tsum,
+)
 
 
 class TestForwardOps:
@@ -42,7 +59,13 @@ class TestForwardOps:
         for a, b in ((v, m), (m, v), (v, ad.Tensor(np.ones((2, 3, 3))))):
             with pytest.raises(ad.ShapeError, match="matmul"):
                 ad.matmul(a, b)
-        assert ad.matmul(v, v).item() == 3.0
+
+    def test_matmul_of_two_vectors_rejected(self):
+        """The engine has no dot product: every operand has rank 2 or more."""
+        v = ad.Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ad.ShapeError, match="matmul"):
+            ad.matmul(v, v)
+        assert ad.active_tape().records == []
 
     def test_finite_on_finite_inputs(self):
         rng = np.random.default_rng(2)
@@ -60,12 +83,12 @@ class TestForwardOps:
 class TestBackward:
     def test_linear_sum(self):
         x = ad.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
-        ad.backward(ad.tsum(x))
+        ad.backward(tsum(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0, 1.0])
 
     def test_quadratic(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        ad.backward(ad.tsum(mul(x, x)))
+        ad.backward(tsum(mul(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_composite_matches_finite_differences(self):
@@ -74,7 +97,7 @@ class TestBackward:
         b = ad.Tensor(rng.standard_normal((3, 4)))
 
         def f(p, q):
-            return ad.tsum(tanh(ad.matmul(sigmoid(ad.matmul(p, q)), p)))
+            return tsum(tanh(ad.matmul(sigmoid(ad.matmul(p, q)), p)))
 
         assert ad.grad_check(f, [a, b], eps=1e-5) < 1e-4
 
@@ -82,13 +105,13 @@ class TestBackward:
         rng = np.random.default_rng(4)
         vals = rng.standard_normal(5)
         x = ad.Tensor(vals, requires_grad=True)
-        ad.backward(ad.add(ad.tsum(square(x)), ad.scalar_mul(ad.tsum(sigmoid(x)), 0.2)))
+        ad.backward(ad.add(tsum(square(x)), scalar_mul(tsum(sigmoid(x)), 0.2)))
         combined = x.grad.copy()
 
         ad.clear_tape()
         x.grad = None
-        ad.backward(ad.tsum(square(x)))
-        ad.backward(ad.scalar_mul(ad.tsum(sigmoid(x)), 0.2))
+        ad.backward(tsum(square(x)))
+        ad.backward(scalar_mul(tsum(sigmoid(x)), 0.2))
         np.testing.assert_allclose(x.grad, combined, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -98,14 +121,14 @@ class TestBackward:
 
     def test_stale_tape_rejected(self):
         x = ad.Tensor([1.0], requires_grad=True)
-        loss = ad.tsum(x)
+        loss = tsum(x)
         ad.clear_tape()
         with pytest.raises(ad.TapeError, match="stale"):
             ad.backward(loss)
 
     def test_double_backward_rejected(self):
         x = ad.Tensor([1.0], requires_grad=True)
-        loss = ad.tsum(square(x))
+        loss = tsum(square(x))
         ad.backward(loss)
         with pytest.raises(ad.TapeError, match="twice"):
             ad.backward(loss)
@@ -115,7 +138,7 @@ class TestBackward:
         gradient; a second backward over the same graph raises before
         writing any gradient."""
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        loss = ad.tsum(sigmoid(square(x)))
+        loss = tsum(sigmoid(square(x)))
         ad.backward(loss)
         assert ad.active_tape().records == []
         grad = x.grad.copy()
@@ -131,10 +154,10 @@ class TestBackward:
         any gradient."""
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         y = square(x)
-        ad.backward(ad.tsum(y))
+        ad.backward(tsum(y))
         grad = x.grad.copy()
         with pytest.raises(ad.TapeError, match="consumed"):
-            ad.backward(ad.tsum(ad.scalar_mul(y, 2.0)))
+            ad.backward(tsum(scalar_mul(y, 2.0)))
         np.testing.assert_array_equal(x.grad, grad)
 
     def test_repeated_seeded_run_bit_identical(self):
@@ -143,7 +166,7 @@ class TestBackward:
             rng = np.random.default_rng(42)
             x = ad.Tensor(rng.standard_normal((6, 6)), requires_grad=True)
             y = ad.Tensor(rng.standard_normal((6, 6)))
-            loss = ad.tsum(sigmoid(ad.matmul(x, y)))
+            loss = tsum(sigmoid(ad.matmul(x, y)))
             ad.backward(loss)
             return loss.item(), x.grad.copy()
 
@@ -159,7 +182,7 @@ class TestBatchOps:
         x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         row = ad.Tensor(rng.standard_normal(4), requires_grad=True)
         col = ad.Tensor(rng.standard_normal((3, 1)), requires_grad=True)
-        ad.backward(ad.tsum(mul(ad.add(x, row), col)))
+        ad.backward(tsum(mul(ad.add(x, row), col)))
         np.testing.assert_allclose(row.grad, np.full(4, col.values.sum()), rtol=1e-12)
         np.testing.assert_allclose(col.grad, (x.values + row.values).sum(axis=1, keepdims=True),
                                    rtol=1e-12)
@@ -184,28 +207,28 @@ class TestBatchOps:
         rng = np.random.default_rng(8)
         a = ad.Tensor(rng.standard_normal((3, 2, 4)))
         w = ad.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        ad.backward(ad.tsum(ad.matmul(a, w)))
+        ad.backward(tsum(ad.matmul(a, w)))
         expect = sum(a.values[i].T @ np.ones((2, 5)) for i in range(3))
         np.testing.assert_allclose(w.grad, expect, rtol=1e-12)
 
     def test_pick_by_index_vector(self):
         m = ad.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        out = ad.pick(m, [[1], [3], [0]])
+        out = pick(m, [[1], [3], [0]])
         np.testing.assert_array_equal(out.values, [[1.0], [7.0], [8.0]])
-        ad.backward(ad.tsum(out))
+        ad.backward(tsum(out))
         expect = np.zeros((3, 4))
         expect[[0, 1, 2], [1, 3, 0]] = 1.0
         np.testing.assert_array_equal(m.grad, expect)
         with pytest.raises(ad.ShapeError):
-            ad.pick(m, [1, 3, 0])
+            pick(m, [1, 3, 0])
         with pytest.raises(IndexError):
-            ad.pick(m, [[1], [4], [0]])
+            pick(m, [[1], [4], [0]])
 
     def test_sum_along_axis(self):
         x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        np.testing.assert_array_equal(ad.tsum(x, axis=0).values, [3.0, 5.0, 7.0])
-        np.testing.assert_array_equal(ad.tsum(x, axis=-1, keepdims=True).values, [[3.0], [12.0]])
-        ad.backward(ad.tsum(mul(ad.tsum(x, axis=1), ad.constant([1.0, 2.0]))))
+        np.testing.assert_array_equal(tsum(x, axis=0).values, [3.0, 5.0, 7.0])
+        np.testing.assert_array_equal(tsum(x, axis=-1, keepdims=True).values, [[3.0], [12.0]])
+        ad.backward(tsum(mul(tsum(x, axis=1), ad.constant([1.0, 2.0]))))
         np.testing.assert_array_equal(x.grad, [[1.0] * 3, [2.0] * 3])
 
     def test_shift_and_concat(self):
@@ -214,10 +237,10 @@ class TestBatchOps:
         shifted = shift(x, 1).values
         np.testing.assert_array_equal(shifted[:, 0], 0.0)
         np.testing.assert_array_equal(shifted[:, 1:], seq[:, :3])
-        window = ad.concat([shift(x, 1), x], axis=-1)
+        window = concat([shift(x, 1), x], axis=-1)
         assert window.shape == (1, 4, 6)
         with pytest.raises(ad.ShapeError, match="concat"):
-            ad.concat([x, ad.Tensor(np.zeros((1, 3, 3)))], axis=-1)
+            concat([x, ad.Tensor(np.zeros((1, 3, 3)))], axis=-1)
 
     def test_row_wise_l2_normalize(self):
         rng = np.random.default_rng(9)
@@ -237,20 +260,48 @@ def oracle_op_cases():
     seq = ad.Tensor(rng.standard_normal((2, 4, 3)))
     seq_weights = ad.constant(np.arange(24.0).reshape(2, 4, 3))
     pos_col = ad.Tensor(0.5 + rng.random((3, 1)))
+    v1 = ad.Tensor(rng.standard_normal(3))
+    v2 = ad.Tensor(rng.standard_normal(4))
+    v3 = ad.Tensor(rng.standard_normal(4))
+    mat = ad.Tensor(rng.standard_normal((4, 3)))
+    rows = ad.Tensor(rng.standard_normal(3))
+    pairs = ad.Tensor(rng.standard_normal((2, 4, 2)))
+    weights_7 = ad.constant(np.arange(7.0))
+    weights_12 = ad.constant(np.arange(12.0).reshape(3, 4))
+    weights_24 = ad.constant(np.arange(24.0).reshape(4, 6))
+
+    def sum_of_squares(t):
+        return tsum(square(t))
+
     return {
-        "sigmoid": (lambda t: ad.tsum(sigmoid(t)), (x,)),
-        "tanh": (lambda t: ad.tsum(tanh(t)), (x,)),
-        "log": (lambda t: ad.tsum(log(t)), (pos,)),
-        "square": (lambda t: ad.tsum(square(t)), (x,)),
-        "sqrt": (lambda t: ad.tsum(sqrt(t)), (pos,)),
-        "div": (lambda p, q: ad.tsum(div(p, q)), (a, pos)),
-        "div_broadcast_column": (lambda p, q: ad.tsum(div(p, q)), (a, pos_col)),
-        "mul": (lambda p, q: ad.tsum(mul(p, q)), (a, b)),
-        "mul_scalar_operand": (lambda p, q: ad.tsum(mul(p, q)), (a, ad.Tensor(np.asarray(0.7)))),
-        "mul_broadcast_row": (lambda p, q: ad.tsum(mul(square(p), q)), (a, row)),
-        "mul_broadcast_column": (lambda p, q: ad.tsum(mul(square(p), q)), (a, col)),
-        "shift": (lambda t: ad.tsum(mul(shift(t, 1), seq_weights)), (seq,)),
-        "shift_by_two": (lambda t: ad.tsum(mul(shift(t, 2), seq_weights)), (seq,)),
+        "sub": (lambda p, q: sum_of_squares(sub(p, q)), (a, b)),
+        "scalar_mul": (lambda t: sum_of_squares(scalar_mul(t, 2.5)), (x,)),
+        "scalar_mul_negative": (lambda t: sum_of_squares(scalar_mul(t, -0.8)), (x,)),
+        "mean": (lambda t: scalar_mul(sum_of_squares(t), 1.0 / 12), (x,)),
+        "sum_axis": (lambda t: sum_of_squares(tsum(t, axis=1)), (seq,)),
+        "log_softmax": (lambda t: tsum(mul(log_softmax(t, axis=1), weights_12)), (x,)),
+        "reshape": (lambda t: tsum(mul(reshape(t, (4, 6)), weights_24)), (seq,)),
+        "concat": (lambda p, q: tsum(mul(concat([p, q]), weights_7)), (v1, v2)),
+        "concat_last_axis": (lambda p, q: sum_of_squares(concat([p, scalar_mul(q, 2.0), p],
+                                                                axis=-1)), (seq, pairs)),
+        "concat_rows": (lambda p, q: sum_of_squares(concat([p, reshape(q, (1, 3))], axis=0)),
+                        (mat, rows)),
+        "pick_vector": (lambda t: sum_of_squares(pick(t, [1])), (v1,)),
+        "pick_index_vector": (lambda t: sum_of_squares(pick(t, [[2], [0], [1], [2]])), (mat,)),
+        "dot": (lambda p, q: sum_of_squares(dot(p, q)), (v2, v3)),
+        "sigmoid": (lambda t: tsum(sigmoid(t)), (x,)),
+        "tanh": (lambda t: tsum(tanh(t)), (x,)),
+        "log": (lambda t: tsum(log(t)), (pos,)),
+        "square": (lambda t: tsum(square(t)), (x,)),
+        "sqrt": (lambda t: tsum(sqrt(t)), (pos,)),
+        "div": (lambda p, q: tsum(div(p, q)), (a, pos)),
+        "div_broadcast_column": (lambda p, q: tsum(div(p, q)), (a, pos_col)),
+        "mul": (lambda p, q: tsum(mul(p, q)), (a, b)),
+        "mul_scalar_operand": (lambda p, q: tsum(mul(p, q)), (a, ad.Tensor(np.asarray(0.7)))),
+        "mul_broadcast_row": (lambda p, q: tsum(mul(square(p), q)), (a, row)),
+        "mul_broadcast_column": (lambda p, q: tsum(mul(square(p), q)), (a, col)),
+        "shift": (lambda t: tsum(mul(shift(t, 1), seq_weights)), (seq,)),
+        "shift_by_two": (lambda t: tsum(mul(shift(t, 2), seq_weights)), (seq,)),
     }
 
 
@@ -278,12 +329,12 @@ class TestGradCheck:
         rng = np.random.default_rng(5)
         a = ad.Tensor(rng.standard_normal((3, 3)))
         b = ad.Tensor(rng.standard_normal((3, 3)))
-        err = ad.grad_check(lambda p, q: ad.tsum(sigmoid(ad.matmul(p, q))), [a, b])
+        err = ad.grad_check(lambda p, q: tsum(sigmoid(ad.matmul(p, q))), [a, b])
         assert err < 1e-4
 
     def test_constant_function_zero_error(self):
         x = ad.Tensor([1.0, 2.0])
-        err = ad.grad_check(lambda t: ad.tsum(ad.constant([3.0])), [x])
+        err = ad.grad_check(lambda t: tsum(ad.constant([3.0])), [x])
         assert err == 0.0
 
 
@@ -315,7 +366,7 @@ class TestAdam:
         target = ad.constant([5.0])
         for _ in range(5000):
             ad.clear_tape()
-            loss = ad.tsum(square(ad.sub(p, target)))
+            loss = tsum(square(sub(p, target)))
             ad.backward(loss)
             opt.step()
             if abs(p.values[0] - 5.0) < 1e-2:

@@ -109,6 +109,25 @@ class TestTrain:
                      "--set", "feature_dim=99"]) == 1
         assert "feature_dim" in capsys.readouterr().err
 
+    def test_divergence_abort_record_names_the_term(self, dataset_dir, tmp_path, monkeypatch,
+                                                     capsys):
+        import pgmatch.training as training
+
+        real = training._batch_losses
+
+        def poisoned(*args):
+            bundle, reward = real(*args)
+            bundle.triplet.values = bundle.total.values = np.asarray(np.nan)
+            return bundle, reward
+
+        monkeypatch.setattr(training, "_batch_losses", poisoned)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(run)] + FAST_TRAIN) == 2
+        assert "non-finite loss (triplet)" in capsys.readouterr().err
+        abort = json.loads((run / "metrics.jsonl").read_text().splitlines()[-1])
+        assert abort["type"] == "abort"
+        assert (abort["term"], abort["parameter"], abort["step"]) == ("triplet", None, 0)
+
     def test_no_loss_term_is_user_error(self, dataset_dir, tmp_path, capsys):
         run = tmp_path / "r"
         assert main(["train", "--data", str(dataset_dir), "--out", str(run), "--pg", "off",

@@ -1,6 +1,7 @@
 """The kernels compute exactly what their primitive compositions
 (``unfused.py``) compute: the same output bits and the same bits in every
-input gradient, including the features both sequence kernels read."""
+input gradient, including the features both sequence kernels read and
+the packed rollout output that the fusion and the PG surrogates read."""
 
 import itertools
 
@@ -9,6 +10,8 @@ import pytest
 
 import pgmatch.attention as attention
 import pgmatch.autodiff as ad
+import pgmatch.training as training
+import recipe_digests
 import unfused
 from pgmatch.attention import (
     PolicyParams,
@@ -18,9 +21,19 @@ from pgmatch.attention import (
     neutral_trace,
     policy_rollout,
 )
+from pgmatch.config import PG_MODES
+from pgmatch.data import generate_dataset
 from pgmatch.distributions import ActionSpace
 from pgmatch.encoders import GruParams, GruSequence
-from pgmatch.losses import DecoderParams, text_decoding_loss
+from pgmatch.losses import (
+    DecoderParams,
+    continuous_pg_loss,
+    discrete_pg_loss,
+    instance_loss,
+    text_decoding_loss,
+    triplet_loss,
+)
+from pgmatch.model import MatchingModel
 
 
 def gradients(loss, tensors):
@@ -58,10 +71,23 @@ def setup(batch, length, heads, action_mode, seed=8, space=SPACES[0]):
     return rng, space, params, features, noise
 
 
-def logprob_loss(loss, dsum, csum, adv):
+def sum_columns(trace):
+    """Both log-prob sum columns of a kernel rollout's packed output."""
+    return [trace.weights.values[:, trace.length + i].copy() for i in (0, 1)]
+
+
+def with_pg_losses(loss, trace, adv):
+    """``loss`` plus both PG surrogates of a kernel rollout; the one of a
+    stage the rollout does not sample reads a column its backward ignores."""
+    return ad.add(ad.add(loss, discrete_pg_loss(trace, adv)), continuous_pg_loss(trace, adv))
+
+
+def with_oracle_pg_losses(loss, dsum, csum, adv):
+    """``loss`` plus the oracle's surrogate of each sum a sampled stage
+    tracks (an unsampled stage's sum is a zero constant)."""
     for lp in (dsum, csum):
         if ad.active_tape().is_tracked(lp):
-            loss = ad.add(loss, ad.tsum(unfused.mul(lp, adv)))
+            loss = ad.add(loss, unfused.pg_surrogate(lp, adv))
     return loss
 
 
@@ -72,37 +98,34 @@ class TestRolloutKernels:
     def test_rollout_matches_primitive_graph(self, mode, action_mode, heads, space):
         rng, space, params, features, noise = setup(3, 3, heads, action_mode, space=space)
         w_att = rng.standard_normal((3, 3))
-        adv = ad.constant(rng.standard_normal(3))
+        adv = rng.standard_normal(3)
         leaves = [features] + params.tensors()
 
         trace = policy_rollout(features, params, space, noise, mode, action_mode)
         weighted = unfused.mul(trace.weights, ad.constant(np.pad(w_att, ((0, 0), (0, 2)))))
-        fused = [trace.attention.copy(), trace.discrete_logprob_sum.values.copy(),
-                 trace.continuous_logprob_sum.values.copy()]
-        fused += gradients(logprob_loss(ad.tsum(weighted), trace.discrete_logprob_sum,
-                                        trace.continuous_logprob_sum, adv), leaves)
+        fused = [trace.attention.copy()] + sum_columns(trace)
+        fused += gradients(with_pg_losses(unfused.tsum(weighted), trace, adv), leaves)
 
         atts, dsum, csum = unfused.policy_rollout(unfused.steps(features), params, space, noise,
                                                   mode, action_mode)
-        loss = ad.tsum(unfused.mul(atts[0], ad.constant(w_att[:, :1])))
+        loss = unfused.tsum(unfused.mul(atts[0], ad.constant(w_att[:, :1])))
         for t, att in enumerate(atts[1:], start=1):
-            loss = ad.add(loss, ad.tsum(unfused.mul(att, ad.constant(w_att[:, t:t + 1]))))
+            loss = ad.add(loss, unfused.tsum(unfused.mul(att, ad.constant(w_att[:, t:t + 1]))))
         reference = [np.concatenate([a.values for a in atts], axis=1), dsum.values.copy(),
                      csum.values.copy()]
-        reference += gradients(logprob_loss(loss, dsum, csum, adv), leaves)
+        reference += gradients(with_oracle_pg_losses(loss, dsum, csum, adv), leaves)
         assert_same_bits(fused, reference)
 
-    def test_unsampled_stage_sums_are_constant_zeros(self):
+    def test_unsampled_stage_sum_column_is_zero(self):
         _, space, params, features, noise = setup(3, 3, 1, "continuous")
         trace = policy_rollout(features, params, space, noise, action_mode="continuous")
-        assert not ad.active_tape().is_tracked(trace.discrete_logprob_sum)
-        assert np.array_equal(trace.discrete_logprob_sum.values, np.zeros(3))
+        assert np.array_equal(trace.weights.values[:, 3], np.zeros(3))
 
     def test_one_record_with_the_features_once_per_gate(self):
         _, space, params, features, noise = setup(2, 3, 2, "compound")
         trace = policy_rollout(features, params, space, noise)
         records = ad.active_tape().records
-        assert [r[3] for r in records] == ["policy_rollout", "pick", "reshape", "pick", "reshape"]
+        assert [r[3] for r in records] == ["policy_rollout"]
         assert records[0][1][:4] == (features,) * 3 + (params.gru.w_xz,)
         assert trace.weights.shape == (2, 3 + 2)
 
@@ -135,25 +158,22 @@ class TestFuseKernel:
                                                     heads):
         rng, space, params, features, noise = setup(batch, length, heads, action_mode)
         w_out = ad.constant(rng.standard_normal((batch, 4)))
-        adv = ad.constant(rng.standard_normal(batch))
+        adv = rng.standard_normal(batch)
         leaves = [features] + params.tensors()
 
         trace = policy_rollout(features, params, space, noise, mode, action_mode)
         out = fuse(features, trace, 3.0, params.fusion_gru)
-        fused = [out.values.copy(), trace.attention.copy(),
-                 trace.discrete_logprob_sum.values.copy(),
-                 trace.continuous_logprob_sum.values.copy()]
-        fused += gradients(logprob_loss(ad.tsum(unfused.mul(out, w_out)),
-                                        trace.discrete_logprob_sum,
-                                        trace.continuous_logprob_sum, adv), leaves)
+        fused = [out.values.copy(), trace.attention.copy()] + sum_columns(trace)
+        fused += gradients(with_pg_losses(unfused.tsum(unfused.mul(out, w_out)), trace, adv),
+                           leaves)
 
         steps = unfused.steps(features)
         atts, dsum, csum = unfused.policy_rollout(steps, params, space, noise, mode, action_mode)
         out = unfused.fuse(steps, atts, 3.0, params.fusion_gru)
         reference = [out.values.copy(), np.concatenate([a.values for a in atts], axis=1),
                      dsum.values.copy(), csum.values.copy()]
-        reference += gradients(logprob_loss(ad.tsum(unfused.mul(out, w_out)), dsum, csum, adv),
-                               leaves)
+        reference += gradients(with_oracle_pg_losses(unfused.tsum(unfused.mul(out, w_out)),
+                                                     dsum, csum, adv), leaves)
         assert_same_bits(fused, reference)
 
     @pytest.mark.parametrize("batch,length,width",
@@ -170,10 +190,10 @@ class TestFuseKernel:
         leaves = [features] + gru.tensors()
 
         out = fuse(features, neutral_trace(length, 20.0), 20.0, gru)
-        fused = [out.values.copy()] + gradients(ad.tsum(unfused.mul(out, w_out)), leaves)
+        fused = [out.values.copy()] + gradients(unfused.tsum(unfused.mul(out, w_out)), leaves)
         att = ad.constant(np.full((1, 1), 1.0 / 20.0))
         out = unfused.fuse(unfused.steps(features), [att] * length, 20.0, gru)
-        reference = [out.values.copy()] + gradients(ad.tsum(unfused.mul(out, w_out)), leaves)
+        reference = [out.values.copy()] + gradients(unfused.tsum(unfused.mul(out, w_out)), leaves)
         assert_same_bits(fused, reference)
 
     def test_one_record(self):
@@ -221,7 +241,7 @@ class TestRecordingOff:
     @pytest.mark.parametrize("heads", [1, 2])
     def test_deterministic_read_path(self, batch, length, action_mode, heads):
         """The read path ``evaluate`` runs: one record when recording, the
-        same bits without it, and zero-constant log-prob sums either way."""
+        same bits without it, and log-prob sum columns of zeros either way."""
         _, space, params, features, _ = setup(batch, length, heads, action_mode)
         tape = ad.active_tape()
 
@@ -229,9 +249,6 @@ class TestRecordingOff:
             trace = policy_rollout(features, params, space, None, "deterministic", action_mode)
             names = [r[3] for r in tape.records]
             out = fuse(features, trace, 3.0, params.fusion_gru)
-            for lp in (trace.discrete_logprob_sum, trace.continuous_logprob_sum):
-                assert not tape.is_tracked(lp)
-                assert np.array_equal(lp.values, np.zeros(batch))
             assert not np.any(trace.weights.values[:, length:])
             return names, [trace.weights.values.copy(), out.values.copy()]
 
@@ -316,7 +333,7 @@ class TestL2Normalize:
         leaf = ad.Tensor(x, requires_grad=True)
         out = normalize(leaf)
         records = [r[3] for r in ad.active_tape().records]
-        loss = ad.matmul(ad.reshape(out, (x.size,)), ad.constant(w))
+        loss = unfused.tsum(unfused.mul(out, ad.constant(w.reshape(x.shape))))
         (grad,) = gradients(loss, [leaf])
         return records, out.values, grad
 
@@ -336,6 +353,149 @@ class TestL2Normalize:
         assert want_records == ["square", "sum", "add", "sqrt", "div"]
         assert out.tobytes() == want_out.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
+
+
+def scaled_loss_bytes(loss_fn, leaves, adjoint):
+    """The record names ``loss_fn`` appends, its output's bytes, and the
+    bytes of every leaf's gradient when the output's adjoint is
+    ``adjoint`` (an oracle ``scalar_mul`` passes it on exactly)."""
+    before = len(ad.active_tape().records)
+    out = loss_fn()
+    names = [r[3] for r in ad.active_tape().records[before:]]
+    grads = gradients(unfused.scalar_mul(out, adjoint), leaves)
+    return names, [out.values.tobytes()] + [g.tobytes() for g in grads]
+
+
+def triplet_gallery(k_total, kind, rng):
+    """A (K, K) similarity matrix. ``grid`` takes eighths in [-1, 1], so
+    off-diagonal maxima tie; with the margin 0.25 every third row's
+    text-side hinge is exactly 0 and the next row's is inactive.
+    ``normal`` is a standard-normal draw with one tied maximum. In both,
+    some zeros are +0.0 and some -0.0."""
+    if kind == "grid":
+        sim = rng.integers(-8, 9, (k_total, k_total)) / 8.0
+        masked = sim.copy()
+        np.fill_diagonal(masked, -np.inf)
+        for offset, lift in ((0, 0.25), (1, 0.5)):
+            rows = np.arange(offset, k_total, 3)
+            sim[rows, rows] = masked[rows].max(axis=1) + lift
+    else:
+        sim = rng.standard_normal((k_total, k_total))
+        sim[rng.random(sim.shape) < 0.1] = 0.0
+        sim[0, 1] = sim[0, -1] = np.abs(sim).max() + 1.0
+    sim[(sim == 0.0) & (rng.random(sim.shape) < 0.5)] = -0.0
+    return sim
+
+
+class TestLossHeadKernels:
+    """The loss head's three records, ``triplet``, ``instance`` and
+    ``pg_surrogate``, against the primitive chains of ``unfused.py`` (13,
+    6 and 3 records), by bytes: the output and every input gradient."""
+
+    @pytest.mark.parametrize("adjoint", [-1.0, -0.0, 0.75])
+    @pytest.mark.parametrize("kind", ["grid", "normal"])
+    @pytest.mark.parametrize("k_total", [2, 16, 32])
+    def test_triplet_same_bytes_as_primitive_graph(self, k_total, kind, adjoint):
+        rng = np.random.default_rng(40 + k_total)
+        for _ in range(5):
+            sim = ad.Tensor(triplet_gallery(k_total, kind, rng), requires_grad=True)
+            names, got = scaled_loss_bytes(lambda: triplet_loss(sim, 0.25), [sim], adjoint)
+            want_names, want = scaled_loss_bytes(lambda: unfused.triplet_loss(sim, 0.25), [sim],
+                                                 adjoint)
+            assert names == ["triplet"] and len(want_names) == 13
+            assert got == want
+
+    def test_triplet_gallery_has_ties_and_zero_hinges(self):
+        """The grid gallery reaches the cases it is there for."""
+        sim = triplet_gallery(16, "grid", np.random.default_rng(56))
+        masked = sim.copy()
+        np.fill_diagonal(masked, -np.inf)
+        assert np.any((masked == masked.max(axis=1, keepdims=True)).sum(axis=1) > 1)
+        hinges = 0.25 - np.diag(sim) + masked.max(axis=1)
+        assert np.any(hinges == 0.0) and np.any(hinges < 0.0) and np.any(hinges > 0.0)
+        assert np.any(np.signbit(sim) & (sim == 0.0)) and np.any(~np.signbit(sim) & (sim == 0.0))
+
+    @pytest.mark.parametrize("adjoint", [1.0, -0.0])
+    @pytest.mark.parametrize("batch", [1, 16, 32])
+    def test_instance_same_bytes_as_primitive_graph(self, batch, adjoint):
+        rng = np.random.default_rng(60 + batch)
+        img, txt = (ad.Tensor(rng.standard_normal((batch, 8)), requires_grad=True)
+                    for _ in range(2))
+        classifier = ad.Tensor(rng.standard_normal((8, 5)), requires_grad=True)
+        labels = rng.integers(0, 5, batch)  # five classes: labels repeat from B = 16
+        leaves = [img, txt, classifier]
+        names, got = scaled_loss_bytes(lambda: instance_loss(img, txt, labels, classifier),
+                                       leaves, adjoint)
+        want_names, want = scaled_loss_bytes(
+            lambda: unfused.instance_loss(img, txt, labels, classifier), leaves, adjoint)
+        assert names == ["instance"] and len(want_names) == 6
+        assert got == want
+
+    @pytest.mark.parametrize("advantages", ["zero", "mixed"])
+    @pytest.mark.parametrize("batch_mean", [True, False])
+    @pytest.mark.parametrize("stages", [("discrete",), ("continuous",),
+                                        ("discrete", "continuous")])
+    def test_pg_surrogate_same_bytes_as_primitive_graph(self, stages, batch_mean, advantages):
+        """A compound rollout's packed output, read by the fusion and by
+        the surrogates. The oracle picks its sums before the fusion runs,
+        as the rollout used to, so the fusion's part of the packed
+        output's adjoint came first there and comes last here. Zero
+        advantages give -0.0 weights."""
+        rng, space, params, features, noise = setup(6, 4, 1, "compound")
+        adv = rng.standard_normal(6)
+        adv[::2 if advantages == "mixed" else 1] = 0.0
+        w_out = ad.constant(rng.standard_normal((6, 4)))
+        leaves = [features] + params.tensors()
+        columns = {"discrete": 0, "continuous": 1}
+        kernels = {"discrete": discrete_pg_loss, "continuous": continuous_pg_loss}
+
+        def loss(pg_terms):
+            trace = policy_rollout(features, params, space, noise)
+            sums = {stage: unfused.logprob_sum(trace, trace.length + columns[stage])
+                    for stage in stages} if pg_terms is None else {}
+            out = unfused.tsum(unfused.mul(fuse(features, trace, 3.0, params.fusion_gru), w_out))
+            for stage in stages:
+                term = (unfused.pg_surrogate(sums[stage], adv, batch_mean) if pg_terms is None
+                        else pg_terms[stage](trace, adv, batch_mean))
+                out = ad.add(out, term)
+            return out
+
+        names, got = scaled_loss_bytes(lambda: loss(kernels), leaves, -1.0)
+        want_names, want = scaled_loss_bytes(lambda: loss(None), leaves, -1.0)
+        assert names.count("pg_surrogate") == len(stages) and "pick" not in names
+        assert want_names.count("pick") == len(stages)
+        assert got == want
+
+
+class TestWholeStepAgainstOracle:
+    """One train step's losses and backward with the loss-head kernels,
+    and with ``training``'s loss functions replaced by the oracle's
+    chains: byte-identical gradients for every parameter."""
+
+    @pytest.mark.parametrize("pg_mode", PG_MODES)
+    def test_parameter_gradients_same_bytes(self, monkeypatch, pg_mode):
+        _, data_args, config = next(r for r in recipe_digests.recipes() if r[0] == "reference")
+        config = config.__class__.from_dict({**config.to_dict(), "pg_mode": pg_mode})
+        ds = generate_dataset(**data_args)
+        split = ds.split("train")
+        model = MatchingModel(config, ds.vocab_size, len(split), np.random.default_rng(0))
+        batch = split[:config.batch_size]
+
+        def step():
+            ad.clear_tape()
+            bundle, _ = training._batch_losses(model, batch, list(range(len(batch))),
+                                               np.random.default_rng(1))
+            names = [r[3] for r in ad.active_tape().records]
+            values = bundle.total.values.tobytes()
+            grads = gradients(bundle.total, model.parameters())
+            return names, [values] + [g.tobytes() for g in grads]
+
+        names, got = step()
+        for name in ("triplet_loss", "instance_loss", "discrete_pg_loss", "continuous_pg_loss"):
+            monkeypatch.setattr(training, name, getattr(unfused, name))
+        want_names, want = step()
+        assert "triplet" in names and "triplet" not in want_names
+        assert got == want
 
 
 class TestScatterRows:
@@ -418,7 +578,7 @@ class TestGruSequence:
         for t, step in enumerate(steps):
             h = unfused.gru_step(step, h, gru)
             if adjoint == "parts" or t == length - 1:
-                term = ad.tsum(unfused.mul(h, ad.constant(w_out[t])))
+                term = unfused.tsum(unfused.mul(h, ad.constant(w_out[t])))
                 loss = term if loss is None else ad.add(loss, term)
             values.append(h.values)
         values = np.stack(values)

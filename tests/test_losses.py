@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pgmatch.autodiff as ad
-from pgmatch.attention import AttentionTrace
+from pgmatch.attention import AttentionTrace, neutral_trace
 from pgmatch.losses import (
     DecoderParams,
     continuous_pg_loss,
@@ -14,24 +14,30 @@ from pgmatch.losses import (
     total_loss,
     triplet_loss,
 )
-from unfused import discrete_logprob, mul, normal_logprob
+from unfused import concat, discrete_logprob, mul, normal_logprob, reshape, tsum
 
 
 def make_trace(dsum, csum):
-    return AttentionTrace(weights=ad.constant(np.zeros((1, 0))), length=0,
-                          discrete_logprob_sum=dsum, continuous_logprob_sum=csum)
+    """A trace of zero steps whose packed output is the two (B,) sums, as
+    the columns the PG losses read."""
+    batch = dsum.shape[0]
+    return AttentionTrace(weights=concat([reshape(dsum, (batch, 1)), reshape(csum, (batch, 1))]),
+                          length=0)
 
 
 def sums(*values):
     return ad.constant(np.array(values, dtype=np.float64))
 
 
-def logprob_trace(logits_tensor, indices):
+def logprobs(logits_tensor, indices):
     """One episode per index: the log-prob of drawing it from softmax(logits)."""
     n = len(indices)
     probs = mul(ad.softmax(logits_tensor, axis=-1), ad.constant(np.ones((n, 1))))
-    lp = ad.reshape(discrete_logprob(probs, np.array(indices)), (n,))
-    return make_trace(lp, ad.constant(np.zeros(n)))
+    return reshape(discrete_logprob(probs, np.array(indices)), (n,))
+
+
+def logprob_trace(logits_tensor, indices):
+    return make_trace(logprobs(logits_tensor, indices), ad.constant(np.zeros(len(indices))))
 
 
 class TestDiscretePgLoss:
@@ -63,7 +69,7 @@ class TestDiscretePgLoss:
 
         ad.clear_tape()
         logits.grad = None
-        ad.backward(logprob_trace(logits, [1]).discrete_logprob_sum)
+        ad.backward(tsum(logprobs(logits, [1])))
         np.testing.assert_allclose(got, -adv * logits.grad, rtol=1e-12)
 
     def test_finite_difference_check(self):
@@ -77,6 +83,22 @@ class TestDiscretePgLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="vs"):
             discrete_pg_loss(make_trace(sums(), sums()), [1.0])
+
+    def test_one_record_reading_its_column(self):
+        """Each surrogate is one record on the packed output, and its
+        gradient is minus the scaled advantages in its own column only."""
+        packed = ad.Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
+        trace = AttentionTrace(weights=packed, length=2)
+        loss = ad.add(discrete_pg_loss(trace, [1.0, 2.0]),
+                      continuous_pg_loss(trace, [3.0, -1.0], batch_mean=False))
+        assert [r[3] for r in ad.active_tape().records] == ["pg_surrogate", "pg_surrogate", "add"]
+        assert loss.item() == -(2.0 + 2.0 * 6.0) / 2 - (3.0 * 3.0 - 7.0)
+        ad.backward(loss)
+        np.testing.assert_array_equal(packed.grad, [[0.0, 0.0, -0.5, -3.0], [0.0, 0.0, -1.0, 1.0]])
+
+    def test_neutral_trace_has_no_sums_to_read(self):
+        with pytest.raises(ValueError, match="vs"):
+            discrete_pg_loss(neutral_trace(3, 20.0), [1.0])
 
 
 class TestContinuousPgLoss:
@@ -102,8 +124,8 @@ class TestContinuousPgLoss:
             ad.clear_tape()
             sigma = ad.Tensor(np.asarray(0.7), requires_grad=True)
             sigma.grad = None
-            lp = ad.reshape(normal_logprob(ad.constant(np.asarray(x)),
-                                           ad.constant(np.asarray(0.1)), sigma), (1,))
+            lp = reshape(normal_logprob(ad.constant(np.asarray(x)),
+                                        ad.constant(np.asarray(0.1)), sigma), (1,))
             loss = continuous_pg_loss(make_trace(lp, lp), [adv])
             ad.backward(loss)
             # |x - mu| = 0.3 < sigma: density falls as sigma grows, so the
@@ -158,33 +180,42 @@ class TestInstanceLoss:
         classes = 7
         embs = ad.Tensor(np.random.default_rng(0).standard_normal((1, 4)))
         zero_cls = ad.Tensor(np.zeros((4, classes)))
-        loss = instance_loss(embs, [3], zero_cls)
+        loss = instance_loss(embs, embs, [3], zero_cls)
         np.testing.assert_allclose(loss.item(), math.log(classes), rtol=1e-12)
 
     def test_confident_correct_goes_to_zero(self):
         emb = ad.Tensor(np.array([[1.0]]))
         cls = ad.Tensor(np.array([[40.0, 0.0, 0.0]]))
-        assert instance_loss(emb, [0], cls).item() < 1e-12
+        assert instance_loss(emb, emb, [0], cls).item() < 1e-12
 
     def test_matches_naive_softmax_ce(self):
+        """Both branches' rows, each against its instance's label."""
         rng = np.random.default_rng(2)
-        embs = ad.Tensor(rng.standard_normal((3, 4)))
+        img = ad.Tensor(rng.standard_normal((3, 4)))
+        txt = ad.Tensor(rng.standard_normal((3, 4)))
         cls = ad.Tensor(rng.standard_normal((4, 8)))
         labels = [1, 5, 0]
-        loss = instance_loss(embs, labels, cls)
+        loss = instance_loss(img, txt, labels, cls)
         expect = 0.0
-        for emb, label in zip(embs.values, labels):
+        for emb, label in zip(np.concatenate([img.values, txt.values]), labels * 2):
             logits = emb @ cls.values
             p = np.exp(logits - logits.max())
             p /= p.sum()
             expect -= math.log(p[label])
-        np.testing.assert_allclose(loss.item(), expect / 3, atol=1e-12)
+        np.testing.assert_allclose(loss.item(), expect / 6, atol=1e-12)
 
     def test_label_out_of_range(self):
         emb = ad.Tensor(np.zeros((1, 4)))
         cls = ad.Tensor(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="label 3"):
-            instance_loss(emb, [3], cls)
+            instance_loss(emb, emb, [3], cls)
+
+    def test_branch_shapes_must_match_the_labels(self):
+        cls = ad.Tensor(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="vs 2 labels"):
+            instance_loss(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((3, 4))), [0, 1], cls)
+        with pytest.raises(ValueError, match="vs 1 labels"):
+            instance_loss(ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((2, 4))), [0], cls)
 
 
 class TestTextDecodingLoss:

@@ -104,8 +104,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         emb, trace = model.embed_image(rng.standard_normal((3, 6)), None)
         assert np.all(trace.attention == 1 / model.config.lam)
-        assert trace.attention.shape == (1, 3)
-        assert trace.discrete_logprob_sum.item() == 0.0
+        assert trace.weights.shape == (1, 3)  # no log-prob sum columns
 
     def test_deterministic_mode_no_rng_needed(self):
         model = tiny_model()

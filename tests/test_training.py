@@ -120,6 +120,28 @@ class TestTrain:
         assert not np.isfinite(err.value.components["total"])
         assert err.value.parameter is None
 
+    @pytest.mark.parametrize("poisoned", ["instance", "text_decode_text", None])
+    def test_divergence_names_the_first_non_finite_term(self, monkeypatch, poisoned):
+        """The term is the first non-finite component in ``COMPONENTS``
+        order (``pg_discrete_text`` is also poisoned, after the others),
+        or ``total`` when only the sum is."""
+        import pgmatch.training as train_mod
+
+        real = train_mod._batch_losses
+
+        def poisoned_losses(model, instances, labels, rng):
+            bundle, reward = real(model, instances, labels, rng)
+            for name in ([poisoned, "pg_discrete_text"] if poisoned else []):
+                getattr(bundle, name).values = np.asarray(np.inf)
+            bundle.total.values = np.asarray(np.nan)
+            return bundle, reward
+
+        monkeypatch.setattr(train_mod, "_batch_losses", poisoned_losses)
+        with pytest.raises(TrainingDiverged, match=rf"loss \({poisoned or 'total'}\)") as err:
+            train(ModelConfig(**{**TINY, "epochs": 1}), tiny_dataset())
+        assert err.value.term == (poisoned or "total")
+        assert err.value.parameter is None
+
     def test_nonfinite_gradient_aborts_naming_the_parameter(self, monkeypatch):
         import pgmatch.training as train_mod
 
@@ -147,6 +169,7 @@ class TestTrain:
             train(ModelConfig(**{**TINY, "epochs": 1}), tiny_dataset())
         assert (err.value.epoch, err.value.step) == (1, 1)
         assert err.value.parameter == "txt.w_mu.0"
+        assert err.value.term is None
         assert np.isfinite(err.value.components["total"])
 
     def test_best_checkpoint_tracks_best_validation(self):
@@ -190,11 +213,11 @@ class TestBatchMajor:
         """The sequence kernels make the count independent of the regions,
         the tokens and the heads: each branch's fusion is one record, and
         with attention on its rollout is one more. The encoders,
-        projections and losses are a fixed 45 records (each text decode
-        is one), and each sampled stage adds, per branch, the pick and
-        reshape of its log-prob sum and its PG surrogate (3)."""
+        projections and losses are a fixed 28 records (the triplet and
+        instance losses and each text decode are one), and each sampled
+        stage adds, per branch, its PG surrogate (1)."""
         stages = {"off": 0, "discrete": 1, "continuous": 1, "compound": 2}[pg_mode]
-        expect = 45 + 2 * (1 + (stages > 0)) + 2 * 3 * stages
+        expect = 28 + 2 * (1 + (stages > 0)) + 2 * 1 * stages
         for regions, tokens in ((3, 4), (5, 6), (9, 2)):
             ds = generate_dataset(classes=8, regions=regions, tokens=tokens, dim=6,
                                   noise_scale=0.15, seed=0)
@@ -330,10 +353,9 @@ class TestAblation:
 
 
 # public functions of ``pgmatch.autodiff`` that are not ops recording under
-# their own name, and the record name of each op whose name differs
+# their own name
 NOT_RECORDING_OPS = {"constant", "record_op", "will_record", "backward", "grad_check",
                      "active_tape", "clear_tape"}
-RECORD_NAMES = {"tsum": "sum"}
 
 
 class TestOpSet:
@@ -351,7 +373,7 @@ class TestOpSet:
             recorded |= {record[3] for record in ad.active_tape().records}
             ad.backward(bundle.total)
         ad.clear_tape()
-        ops = {RECORD_NAMES.get(name, name) for name, fn in vars(ad).items()
+        ops = {name for name, fn in vars(ad).items()
                if inspect.isfunction(fn) and fn.__module__ == ad.__name__
                and not name.startswith("_") and name not in NOT_RECORDING_OPS}
         assert ops - recorded == set()
@@ -359,10 +381,11 @@ class TestOpSet:
 
 class TestRecordCount:
     @pytest.mark.parametrize("workload", ["reference", "stress"])
-    def test_a_benchmark_train_step_records_61_entries(self, workload):
+    def test_a_benchmark_train_step_records_36_entries(self, workload):
         """One train step of a benchmark recipe: the kernels keep the tape
-        at 61 records whatever the batch size and sequence lengths, one
-        of them per text decode and one per projection's normalization."""
+        at 36 records whatever the batch size and sequence lengths, one
+        of them per text decode, one per projection's normalization, one
+        per loss of the head but the PG terms, and one per PG term."""
         _, data_args, config = next(r for r in recipe_digests.recipes() if r[0] == workload)
         ds = generate_dataset(**data_args)
         split = ds.split("train")
@@ -372,9 +395,11 @@ class TestRecordCount:
         _batch_losses(model, batch, list(range(len(batch))), np.random.default_rng(1))
         names = [record[3] for record in ad.active_tape().records]
         ad.clear_tape()
-        assert len(names) == 61
+        assert len(names) == 36
         assert names.count("text_decode") == 2
         assert names.count("l2_normalize") == 2
+        assert names.count("triplet") == names.count("instance") == 1
+        assert names.count("pg_surrogate") == 4
 
 
 def _benchmark_model(workload):

@@ -1,14 +1,18 @@
-"""The GRU cell, the compound-action head, the rollout, the fusion and
-the text decoder and the row normalization written out in primitive tape
-ops, one record per step or smaller: the reference the kernels
-(``attention.policy_rollout``, ``attention.fuse``,
-``losses.text_decoding_loss``, ``autodiff.l2_normalize``) are checked
-against, bit for bit, in ``test_kernels.py``. These are the compositions
-the package ran before the kernels replaced them, with the sampling
-helpers they were built from; nothing in ``src/`` uses them. The ops only
-these compositions record (``mul``, ``div``, ``square``, ``sqrt``,
-``sigmoid``, ``tanh``, ``log``, ``shift``) live here too, as custom
-records on the engine's tape.
+"""The GRU cell, the compound-action head, the rollout, the fusion, the
+text decoder, the row normalization and the loss head written out in
+primitive tape ops, one record per step or smaller: the reference the
+kernels (``attention.policy_rollout``, ``attention.fuse``,
+``losses.text_decoding_loss``, ``autodiff.l2_normalize``,
+``losses.triplet_loss``, ``losses.instance_loss`` and the PG surrogate
+of ``losses.discrete_pg_loss`` and ``losses.continuous_pg_loss``) are
+checked against, bit for bit, in ``test_kernels.py``. These are the
+compositions the package ran before the kernels replaced them, with the
+sampling helpers they were built from; nothing in ``src/`` uses them.
+The ops only these compositions record (``sub``, ``mul``, ``div``,
+``scalar_mul``, ``square``, ``sqrt``, ``sigmoid``, ``tanh``, ``log``,
+``log_softmax``, ``tsum``, ``reshape``, ``concat``, ``pick``, ``dot``,
+``shift``) live here too, as custom records on the engine's tape, each
+under the record name the engine gave it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,88 @@ def sigmoid_nine_ops(x):
     seven-op form: the same branches, two more numpy ops."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sub(a, b):
+    """Elementwise difference with broadcasting."""
+    out = ad._broadcast("sub", np.subtract, a, b)
+    sa, sb = a.shape, b.shape
+    return ad.record_op("sub", (a, b), out,
+                        lambda g: (ad._reduce_to(g, sa), ad._reduce_to(-g, sb)))
+
+
+def scalar_mul(a, c):
+    c = float(c)
+    return ad.record_op("scalar_mul", (a,), c * a.values, lambda g: (c * g,))
+
+
+def dot(a, b):
+    """The dot product of two vectors, a 0-d ``matmul`` record."""
+    av, bv = a.values, b.values
+    if av.ndim != 1 or bv.shape != av.shape:
+        raise ad.ShapeError(f"dot: shapes {a.shape} and {b.shape} are not two equal vectors")
+    return ad.record_op("matmul", (a, b), np.matmul(av, bv), lambda g: (g * bv, g * av))
+
+
+def reshape(a, shape):
+    shape_in = a.shape
+    return ad.record_op("reshape", (a,), a.values.reshape(shape),
+                        lambda g: (g.reshape(shape_in),))
+
+
+def tsum(a, axis=None, keepdims=False):
+    """Sum of all entries, or along one axis."""
+    shape = a.shape
+
+    def bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
+
+    return ad.record_op("sum", (a,), np.asarray(a.values.sum(axis=axis, keepdims=keepdims)), bw)
+
+
+def concat(tensors, axis=-1):
+    """Join tensors of equal rank along ``axis``; all other extents match."""
+    tensors = list(tensors)
+    try:
+        out = np.concatenate([t.values for t in tensors], axis=axis)
+    except ValueError:
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise ad.ShapeError(f"concat: shapes {shapes} do not conform on axis {axis}") from None
+    bounds = np.cumsum([t.values.shape[axis] for t in tensors])[:-1]
+    return ad.record_op("concat", tuple(tensors), out,
+                        lambda g: tuple(np.split(g, bounds, axis=axis)))
+
+
+def log_softmax(a, axis=-1):
+    if a.values.ndim == 0:
+        raise ad.ShapeError("log_softmax: scalar input has no axis")
+    z = a.values - a.values.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    out = z - lse
+    s = np.exp(out)
+    return ad.record_op("log_softmax", (a,), out,
+                        lambda g: (g - s * g.sum(axis=axis, keepdims=True),))
+
+
+def pick(a, index):
+    """One entry per row along the last axis, ``np.take_along_axis``
+    style: ``index`` has ``a``'s rank and a last extent of 1, so a (B, C)
+    input and a (B, 1) index give the (B, 1) picked column."""
+    v = a.values
+    idx = np.asarray(index, dtype=np.intp)
+    if v.ndim == 0 or idx.shape != v.shape[:-1] + (1,):
+        raise ad.ShapeError(f"pick: index shape {idx.shape} does not fit shape {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= v.shape[-1]):
+        raise IndexError(f"pick: index out of range [0, {v.shape[-1]})")
+
+    def bw(g):
+        acc = np.zeros_like(v)
+        np.put_along_axis(acc, idx, g, axis=-1)
+        return (acc,)
+
+    return ad.record_op("pick", (a,), np.take_along_axis(v, idx, axis=-1), bw)
 
 
 def mul(a, b):
@@ -69,7 +155,7 @@ def sqrt(a):
 
 def l2_normalize(v, eps=1e-12):
     """``autodiff.l2_normalize`` in 5 primitive records."""
-    norm = sqrt(ad.add(ad.tsum(square(v), axis=-1, keepdims=True), ad.constant(eps)))
+    norm = sqrt(ad.add(tsum(square(v), axis=-1, keepdims=True), ad.constant(eps)))
     return div(v, norm)
 
 
@@ -121,7 +207,7 @@ def gumbel_softmax(logits, temperature, rng, noise=None):
     if noise is None:
         noise = gumbel_from_uniform(rng.random(logits.shape))
     perturbed = ad.add(logits, ad.constant(noise))
-    return ad.softmax(ad.scalar_mul(perturbed, 1.0 / temperature), axis=-1)
+    return ad.softmax(scalar_mul(perturbed, 1.0 / temperature), axis=-1)
 
 
 def discrete_logprob(probs, index):
@@ -129,7 +215,7 @@ def discrete_logprob(probs, index):
     idx = np.asarray(index, dtype=np.intp)[..., None]
     if np.any(np.take_along_axis(probs.values, idx, axis=-1) <= 0.0):
         raise ad.DomainError(f"discrete_logprob: zero probability at index {index}")
-    return log(ad.pick(probs, idx))
+    return log(pick(probs, idx))
 
 
 def action_to_mu(index, n):
@@ -150,7 +236,7 @@ def straight_through(hard_index, soft_probs, n):
 def soft_action_value(soft_probs, n):
     """sum_i (i / n) * probs[i] per row, as a (..., 1) column."""
     labels = np.arange(soft_probs.shape[-1], dtype=np.float64) / n
-    return ad.tsum(mul(soft_probs, ad.constant(labels)), axis=-1, keepdims=True)
+    return tsum(mul(soft_probs, ad.constant(labels)), axis=-1, keepdims=True)
 
 
 def normal_sample_reparam(mu, sigma, rng, eps=None):
@@ -169,8 +255,8 @@ def normal_logprob(x, mu, sigma):
     sigma = sigma if isinstance(sigma, ad.Tensor) else ad.constant(np.asarray(float(sigma)))
     if np.any(sigma.values <= 0.0):
         raise ad.DomainError(f"normal_logprob: sigma must be positive, got {sigma.values}")
-    quad = div(square(ad.sub(x, mu)), ad.scalar_mul(square(sigma), 2.0))
-    return ad.sub(ad.sub(ad.constant(np.asarray(-0.5 * LOG_2PI)), log(sigma)), quad)
+    quad = div(square(sub(x, mu)), scalar_mul(square(sigma), 2.0))
+    return sub(sub(ad.constant(np.asarray(-0.5 * LOG_2PI)), log(sigma)), quad)
 
 
 def timestep(a, t):
@@ -195,7 +281,7 @@ def gru_step(x, h, params):
     z = sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xz), ad.matmul(h, p.w_hz)), p.b_z))
     r = sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xr), ad.matmul(h, p.w_hr)), p.b_r))
     cand = tanh(ad.add(ad.add(ad.matmul(x, p.w_xc), ad.matmul(mul(r, h), p.w_hc)), p.b_c))
-    return ad.add(mul(ad.sub(_ONE, z), h), mul(z, cand))
+    return ad.add(mul(sub(_ONE, z), h), mul(z, cand))
 
 
 def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode):
@@ -251,28 +337,28 @@ def policy_rollout(steps, params, space, noise=None, mode="stochastic",
             csum = ad.add(csum, clp)
         combined = head_atts[0]
         if len(head_atts) == 2:
-            combined = ad.scalar_mul(ad.add(head_atts[0], head_atts[1]), 0.5)
+            combined = scalar_mul(ad.add(head_atts[0], head_atts[1]), 0.5)
         atts.append(combined)
-    return atts, ad.reshape(dsum, (batch,)), ad.reshape(csum, (batch,))
+    return atts, reshape(dsum, (batch,)), reshape(csum, (batch,))
 
 
 def fuse(steps, atts, lam, gru):
     """``attention.fuse`` on (B, d) step tensors and per-step attention
     columns (or (1, 1) constants)."""
-    adjusted = [mul(f, ad.scalar_mul(att, lam)) for f, att in zip(steps, atts)]
+    adjusted = [mul(f, scalar_mul(att, lam)) for f, att in zip(steps, atts)]
     h = ad.constant(np.zeros(adjusted[0].shape[:-1] + (gru.hidden_size,)))
     for a in adjusted:
         h = gru_step(a, h, gru)
     acc = adjusted[0]
     for a in adjusted[1:]:
         acc = ad.add(acc, a)
-    return ad.add(h, ad.scalar_mul(acc, 1.0 / len(adjusted)))
+    return ad.add(h, scalar_mul(acc, 1.0 / len(adjusted)))
 
 
 def _causal_conv(x, w, b):
     """Kernel-3 causal convolution over a (B, N, C) sequence: each step sees
     itself and the two before it (zeros before the start)."""
-    window = ad.concat([shift(x, 2), shift(x, 1), x], axis=-1)
+    window = concat([shift(x, 2), shift(x, 1), x], axis=-1)
     return ad.relu(ad.add(ad.matmul(window, w), b))
 
 
@@ -280,13 +366,60 @@ def text_decoding_loss(embeddings, targets, decoder):
     """``losses.text_decoding_loss`` in 24 primitive records."""
     ids = np.asarray(targets, dtype=np.int64)
     batch, channels = ids.shape[0], decoder.channels
-    table = ad.concat([decoder.tok_table, ad.reshape(decoder.start, (1, channels))], axis=0)
+    table = concat([decoder.tok_table, reshape(decoder.start, (1, channels))], axis=0)
     inputs = np.concatenate([np.full((batch, 1), decoder.vocab_size), ids[:, :-1]], axis=1)
-    cond = ad.reshape(ad.matmul(embeddings, decoder.cond), (batch, 1, channels))
+    cond = reshape(ad.matmul(embeddings, decoder.cond), (batch, 1, channels))
     x = ad.add(ad.gather_rows(table, inputs), cond)
 
     hidden = _causal_conv(x, decoder.conv1_w, decoder.conv1_b)
     hidden = _causal_conv(hidden, decoder.conv2_w, decoder.conv2_b)
 
-    lsm = ad.log_softmax(ad.add(ad.matmul(hidden, decoder.out_w), decoder.out_b), axis=-1)
-    return ad.scalar_mul(ad.tsum(ad.pick(lsm, ids[..., None])), -1.0 / ids.size)
+    lsm = log_softmax(ad.add(ad.matmul(hidden, decoder.out_w), decoder.out_b), axis=-1)
+    return scalar_mul(tsum(pick(lsm, ids[..., None])), -1.0 / ids.size)
+
+
+def triplet_loss(sim, margin=0.2):
+    """``losses.triplet_loss`` in 13 primitive records."""
+    k_total = sim.shape[0]
+    masked = sim.values.copy()
+    np.fill_diagonal(masked, -np.inf)
+    hardest_col_per_row = masked.argmax(axis=1)[:, None]
+    hardest_row_per_col = masked.argmax(axis=0)[:, None]
+
+    slack = sub(ad.constant(np.asarray(float(margin))), pick(sim, np.arange(k_total)[:, None]))
+    neg_txt = pick(sim, hardest_col_per_row)
+    neg_img = pick(ad.transpose(sim), hardest_row_per_col)
+    loss = ad.add(tsum(ad.relu(ad.add(slack, neg_txt))), tsum(ad.relu(ad.add(slack, neg_img))))
+    return scalar_mul(loss, 1.0 / k_total)
+
+
+def instance_loss(img, txt, labels, classifier):
+    """``losses.instance_loss`` in 6 primitive records."""
+    labels = np.asarray(list(labels) * 2, dtype=np.intp)
+    lsm = log_softmax(ad.matmul(concat([img, txt], axis=0), classifier), axis=-1)
+    return scalar_mul(tsum(pick(lsm, labels[:, None])), -1.0 / labels.size)
+
+
+def logprob_sum(trace, column):
+    """Column ``column`` of the packed rollout output as a (B,) tensor: a
+    pick and a reshape record."""
+    batch = trace.weights.shape[0]
+    return reshape(pick(trace.weights, np.full((batch, 1), column)), (batch,))
+
+
+def pg_surrogate(logprob_sums, advantages, batch_mean=True):
+    """Minus the dot product of the advantages (over the batch size with
+    ``batch_mean``) with the log-prob sums."""
+    advantages = np.asarray(advantages, dtype=np.float64)
+    scale = 1.0 / advantages.size if batch_mean else 1.0
+    return dot(ad.constant(-advantages * scale), logprob_sums)
+
+
+def discrete_pg_loss(trace, advantages, batch_mean=True):
+    """``losses.discrete_pg_loss`` in 3 primitive records."""
+    return pg_surrogate(logprob_sum(trace, trace.length), advantages, batch_mean)
+
+
+def continuous_pg_loss(trace, advantages, batch_mean=True):
+    """``losses.continuous_pg_loss`` in 3 primitive records."""
+    return pg_surrogate(logprob_sum(trace, trace.length + 1), advantages, batch_mean)
