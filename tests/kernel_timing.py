@@ -1,4 +1,4 @@
-"""Time the GRU kernels layer by layer, in ms per call.
+"""Time the GRU kernels layer by layer, and the read path, in ms per call.
 
     PYTHONPATH=src python tests/kernel_timing.py [--src TREE ...] [--rounds N]
 
@@ -8,6 +8,15 @@ in ``BATCHES``, it times three calls of ``encoders.GruSequence``: ``forward`` of
 sequence (the training path; building the sequence is part of the
 call), ``forward`` of an unkept one (the read path) and ``backward`` of
 a kept one with one per-step state part, as a rollout sends it.
+
+The read-path cases time ``training.evaluate`` on a model of the
+criterion-6 recipe's widths (``reference_run.json``, the config both
+perfbench workloads train), at each workload's regions and tokens and at
+each split size in ``READ_ROWS``, twice: ``serial`` with the worker
+thread gated off, and ``parallel`` with it forced on (the CPU check
+patched, so a 1-CPU box runs it too). Their ratio is where the break-even
+behind ``training.PARALLEL_MIN_ROWS`` lies. A tree without that constant
+runs both cases serially.
 
 Each round runs every case once in a fresh child process: a few warm-up
 calls, then ``BLOCKS`` blocks of as many calls as fill about
@@ -50,6 +59,9 @@ GRUS = (("img.policy", 64, 64, 16), ("txt.policy", 32, 64, 12),
         ("img.fusion", 64, 64, 16), ("txt.fusion", 32, 32, 12))
 KERNELS = ("forward.kept", "forward.unkept", "backward")
 BATCHES = (1, 16, 32, 128)
+# name, regions, tokens: the perfbench workloads' instance shapes
+READ_SHAPES = (("reference", 8, 6), ("stress", 16, 12))
+READ_ROWS = (32, 48, 64, 128, 256)
 WARMUP = 3
 BLOCKS = 5
 TARGET_MS = 20.0
@@ -61,8 +73,23 @@ def _quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def child() -> dict:
-    """One round in this process: {case: ms per call}."""
+def _ms_per_call(fn) -> float:
+    """The fastest block's mean ms per call of ``fn``."""
+    start = time.perf_counter()
+    for _ in range(WARMUP):
+        fn()
+    per_call = (time.perf_counter() - start) / WARMUP
+    n = max(1, int(TARGET_MS / 1e3 / per_call))
+    blocks = []
+    for _ in range(BLOCKS):
+        start = time.perf_counter()
+        for _ in range(n):
+            fn()
+        blocks.append((time.perf_counter() - start) / n * 1e3)
+    return min(blocks)
+
+
+def gru_cases() -> dict:
     import numpy as np
 
     from pgmatch.encoders import GruParams, GruSequence
@@ -82,20 +109,40 @@ def child() -> dict:
                 "backward": lambda: kept.backward((part,)),
             }
             for kernel in KERNELS:
-                fn = calls[kernel]
-                start = time.perf_counter()
-                for _ in range(WARMUP):
-                    fn()
-                per_call = (time.perf_counter() - start) / WARMUP
-                n = max(1, int(TARGET_MS / 1e3 / per_call))
-                blocks = []
-                for _ in range(BLOCKS):
-                    start = time.perf_counter()
-                    for _ in range(n):
-                        fn()
-                    blocks.append((time.perf_counter() - start) / n * 1e3)
-                out[f"{name} B={batch} {kernel}"] = min(blocks)
+                out[f"{name} B={batch} {kernel}"] = _ms_per_call(calls[kernel])
     return out
+
+
+def read_cases() -> dict:
+    import numpy as np
+
+    from pgmatch import training
+    from pgmatch.config import ModelConfig
+    from pgmatch.data import generate_dataset
+    from pgmatch.model import MatchingModel
+
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference_run.json"),
+              encoding="utf-8") as fh:
+        config = ModelConfig.from_dict(json.load(fh)["config"])
+    training._usable_cpus = lambda: 2
+    classes = 16
+    out = {}
+    for name, regions, tokens in READ_SHAPES:
+        for rows in READ_ROWS:
+            ds = generate_dataset(classes=classes, regions=regions, tokens=tokens,
+                                  dim=config.feature_dim, test_per_class=rows // classes)
+            model = MatchingModel(config, ds.vocab_size, classes, np.random.default_rng(0))
+            split = ds.split("test")
+            for path, gate in (("serial", rows + 1), ("parallel", 0)):
+                training.PARALLEL_MIN_ROWS = gate
+                out[f"read.{name} rows={rows} {path}"] = _ms_per_call(
+                    lambda: training.evaluate(model, split))
+    return out
+
+
+def child() -> dict:
+    """One round in this process: {case: ms per call}."""
+    return {**gru_cases(), **read_cases()}
 
 
 def run_round(tree) -> dict:
@@ -108,7 +155,8 @@ def run_round(tree) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Time the GRU kernels in ms per call.")
+    parser = argparse.ArgumentParser(
+        description="Time the GRU kernels and the read path in ms per call.")
     parser.add_argument("--src", action="append", default=None, metavar="TREE",
                         help="a source tree to time (repeat to compare; default: the "
                              "pgmatch on PYTHONPATH)")

@@ -6,11 +6,13 @@ For each recipe it trains once and prints four sha256 digests: one of
 the metric log (``canonical_records`` as newline-joined ``record_line``s,
 so wall time is stripped), one of the final parameters (their raw bytes,
 in name order), one of the read path: the final model's test-split
-image embeddings then text embeddings (raw bytes), from the forward pass
-``training.evaluate`` runs (one batch, deterministic rollouts, tape
-recording off), and one of a reload: the final model saved with
-``save_checkpoint`` and read back with ``load_checkpoint``, digested as
-its parameters then its read-path embeddings. A change that claims to
+image embeddings then text embeddings (raw bytes), from
+``training.embed_split``, the forward pass ``training.evaluate`` runs
+(one batch, deterministic rollouts, tape recording off; no recipe's test
+split is large enough for its worker thread), and one of a reload: the
+final model saved with ``save_checkpoint`` and read back with
+``load_checkpoint``, digested as its parameters then its read-path
+embeddings. A change that claims to
 keep training, the read path and checkpoints bit-identical must print
 the same lines as its parent. The recipes are the two benchmark
 recipes (``perfbench/workloads.py``: dataset seed 7, training seed 0) and
@@ -43,11 +45,10 @@ import tempfile
 import numpy as np
 
 import pgmatch
-from pgmatch.autodiff import active_tape, clear_tape
 from pgmatch.config import ModelConfig
 from pgmatch.data import generate_dataset
 from pgmatch.model import MatchingModel
-from pgmatch.training import canonical_records, record_line, train
+from pgmatch.training import canonical_records, embed_split, record_line, train
 
 # The oldest x86-64 kernel of a DYNAMIC_ARCH OpenBLAS (SSE3). OpenBLAS
 # 0.3.31 reports it under the first of its aliases, "Katmai".
@@ -86,16 +87,7 @@ def recipes():
 def read_path_bytes(model, instances) -> bytes:
     """The raw bytes of the image then the text embeddings of
     ``instances``, embedded as ``training.evaluate`` embeds a split."""
-    regions = np.stack([inst.regions for inst in instances])
-    tokens = np.stack([inst.tokens for inst in instances])
-    clear_tape()
-    tape = active_tape()
-    tape.recording = False
-    try:
-        img = model.embed_image(regions, None, mode="deterministic")[0].values
-        txt = model.embed_text(tokens, None, mode="deterministic")[0].values
-    finally:
-        tape.recording = True
+    img, txt = embed_split(model, instances)
     return img.tobytes() + txt.tobytes()
 
 

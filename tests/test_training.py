@@ -1,8 +1,11 @@
 import inspect
 import itertools
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -46,6 +49,23 @@ def _run_cell_or_die(cell):
 def tiny_dataset(classes=8, seed=0):
     return generate_dataset(classes=classes, regions=3, tokens=4, dim=6,
                             noise_scale=0.15, seed=seed)
+
+
+def large_split(rows=128, **config):
+    """A model of TINY's widths and a test split of ``rows`` instances, at
+    least ``PARALLEL_MIN_ROWS`` of them."""
+    ds = generate_dataset(classes=16, regions=3, tokens=4, dim=6, noise_scale=0.15,
+                          seed=0, test_per_class=rows // 16)
+    model = MatchingModel(ModelConfig(**{**TINY, **config}), ds.vocab_size, 16,
+                          np.random.default_rng(0))
+    split = ds.split("test")
+    assert len(split) == rows >= training.PARALLEL_MIN_ROWS
+    return model, split
+
+
+def _evaluate_in_child(model, split, conn):
+    conn.send(evaluate(model, split))
+    conn.close()
 
 
 class TestTrain:
@@ -265,6 +285,107 @@ class TestBatchMajor:
         assert calls == [(8, 3, 6)]
 
 
+class TestEvaluateOnTwoThreads:
+    """A split of ``PARALLEL_MIN_ROWS`` or more embeds its text branch on
+    the worker thread; ``_usable_cpus`` is patched so that a 1-CPU runner
+    takes that path too."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("pg_mode", ["compound", "off"])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_the_worker_embeds_bit_for_bit(self, monkeypatch, pg_mode, heads):
+        model, split = large_split(pg_mode=pg_mode, heads=heads)
+        threads = []
+        real = MatchingModel.embed_text
+
+        def spy(self, *args, **kwargs):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatchingModel, "embed_text", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads hand over the GIL as often as they can
+        try:
+            parallel = training.embed_split(model, split)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+        serial = training.embed_split(model, split)
+        assert threads == [False, True]
+        assert [a.tobytes() for a in parallel] == [a.tobytes() for a in serial]
+
+    def test_an_error_on_the_worker_reaches_the_caller(self, monkeypatch):
+        model, split = large_split(rows=64)
+        tape = ad.active_tape()
+        images, seen = [], []
+        real = MatchingModel.embed_image
+
+        def image(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            images.append(out[0].shape)
+            return out
+
+        def broken(self, *args, **kwargs):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         tape.recording))
+            raise RuntimeError("text embedding failed")
+
+        monkeypatch.setattr(MatchingModel, "embed_image", image)
+        monkeypatch.setattr(MatchingModel, "embed_text", broken)
+        with pytest.raises(RuntimeError, match="text embedding failed"):
+            evaluate(model, split)
+        assert seen == [(False, False)] and images == [(64, TINY["embed_dim"])]
+        assert tape.recording and tape.records == []
+
+    def test_an_image_error_waits_for_the_worker(self, monkeypatch):
+        model, split = large_split(rows=64)
+        tape = ad.active_tape()
+        seen, finished = [], []
+        real = MatchingModel.embed_text
+
+        def slow(self, *args, **kwargs):
+            seen.append(tape.recording)
+            time.sleep(0.2)
+            out = real(self, *args, **kwargs)
+            seen.append(tape.recording)
+            finished.append(True)
+            return out
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("image embedding failed")
+
+        monkeypatch.setattr(MatchingModel, "embed_text", slow)
+        monkeypatch.setattr(MatchingModel, "embed_image", broken)
+        with pytest.raises(RuntimeError, match="image embedding failed"):
+            evaluate(model, split)
+        assert finished == [True] and seen == [False, False]
+        assert tape.recording and tape.records == []
+
+    def test_a_forked_child_makes_its_own_worker(self):
+        """The parent's worker thread does not exist in a forked child; a
+        child that submitted to the parent's pool would wait forever."""
+        model, split = large_split()
+        expect = evaluate(model, split)
+        assert training._worker is not None
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_evaluate_in_child, args=(model, split, send))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(60), "the forked child's evaluate did not return in 60 s"
+            assert receive.recv() == expect
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+            child.join()
+
+
 class TestEvaluate:
     def test_split_smaller_than_k(self):
         ds = tiny_dataset(classes=4)
@@ -343,8 +464,10 @@ class TestAblation:
 
     def test_importing_pgmatch_leaves_the_process_pool_out(self):
         """Only ``run_ablation`` imports the process pool, whose modules
-        cost about 1 MB of RSS in every process that imports pgmatch."""
-        code = "import sys, pgmatch; print('concurrent.futures.process' in sys.modules)"
+        cost about 1 MB of RSS in every process that imports pgmatch, and
+        only a large ``evaluate`` the thread pool."""
+        code = ("import sys, pgmatch, pgmatch.cli; "
+                "print('concurrent.futures' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(training.__file__)))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
