@@ -87,14 +87,32 @@ def record_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+# ``train`` runs the text branch of its steps in a worker process
+# (``_stepworker``) when this process may use two CPUs; the bits are those
+# of one process (README, "Train step on two processes").
+TWO_PROCESS_STEPS = True
+
+# the worker of the ``train`` call running now; ``_batch_losses`` hands it
+# the text branch of that call's model
+_step_worker = None
+
+
 def _batch_losses(model: MatchingModel, instances, labels, rollout_rng):
     cfg = model.config
     regions = np.stack([inst.regions for inst in instances])
     tokens = np.stack([inst.tokens for inst in instances])
+    worker = _step_worker
+    remote = worker is not None and worker.serves(model)
+    if remote:  # the worker draws the same noise and embeds the text branch meanwhile
+        worker.start(tokens, regions.shape[1], rollout_rng)
     noise = model.draw_noise(rollout_rng, len(instances), (regions.shape[1], tokens.shape[1]))
     # each branch's noise is handed over and freed once its rollout has run
     img, img_trace = model.embed_image(regions, noise.pop(0), mode="stochastic")
-    txt, txt_trace = model.embed_text(tokens, noise.pop(0), mode="stochastic")
+    if remote:
+        del noise
+        txt, txt_trace = worker.finish()
+    else:
+        txt, txt_trace = model.embed_text(tokens, noise.pop(0), mode="stochastic")
 
     sim = matmul(img, transpose(txt))
     rewards = instance_rewards(sim.values, cfg.reward_mode)
@@ -136,55 +154,68 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
     shuffle_rng = np.random.default_rng(seeds[2])
 
     model = MatchingModel(config, dataset.vocab_size, len(train_split), init_rng)
-    opt = Adam(model.trainable_parameters(), lr=config.lr)
-    names = {id(t): name for name, t in model.named_parameters().items()}
+    global _step_worker
+    worker = None
+    try:
+        if TWO_PROCESS_STEPS and _usable_cpus() >= 2 and hasattr(os, "memfd_create"):
+            # imported here, so that importing pgmatch does not load the transport
+            from ._stepworker import TextWorker
 
-    records = []
-    start = time.perf_counter()
+            _step_worker = worker = TextWorker(model)
+            model = worker.model  # its parameters are shared with the worker
+        opt = Adam(model.trainable_parameters(), lr=config.lr)
+        names = {id(t): name for name, t in model.named_parameters().items()}
 
-    def emit(record):
-        record["wall_time"] = round(time.perf_counter() - start, 6)
-        records.append(record)
-        if log_fh is not None:
-            log_fh.write(record_line(record) + "\n")
-            log_fh.flush()
+        records = []
+        start = time.perf_counter()
 
-    # epoch 1's R@1 sum is >= 0, so it always replaces this
-    best_metric = -1.0
-    best_epoch = 0
-    best_params = None
-    step = 0
-    eval_ks = _eval_ks(len(val_split))
+        def emit(record):
+            record["wall_time"] = round(time.perf_counter() - start, 6)
+            records.append(record)
+            if log_fh is not None:
+                log_fh.write(record_line(record) + "\n")
+                log_fh.flush()
 
-    for epoch in range(1, config.epochs + 1):
-        opt.lr = config.lr if epoch <= config.lr_drop_epoch else config.lr_after_drop
-        order = shuffle_rng.permutation(len(train_split))
-        for lo in range(0, len(order), config.batch_size):
-            chunk = order[lo:lo + config.batch_size]
-            if chunk.size < 2:
-                continue  # ranking losses need a gallery
-            instances = [train_split[i] for i in chunk]
-            labels = [int(i) for i in chunk]
-            clear_tape()
-            bundle, mean_reward = _batch_losses(model, instances, labels, rollout_rng)
-            floats = bundle.as_floats()
-            if not np.isfinite(floats["total"]):
-                raise TrainingDiverged(epoch, step, floats)
-            backward(bundle.total)
-            try:
-                opt.step()
-            except NonFiniteGradient as exc:
-                raise TrainingDiverged(epoch, step, floats, names[id(exc.tensor)]) from None
-            step += 1
-            emit({"type": "train", "epoch": epoch, "step": step,
-                  "reward_mean": mean_reward, **floats})
-        metrics = evaluate(model, val_split, ks=eval_ks)
-        emit({"type": "eval", "epoch": epoch, "step": step, **metrics})
-        score = metrics["r1_i2t"] + metrics["r1_t2i"]
-        if score > best_metric:
-            best_metric = score
-            best_epoch = epoch
-            best_params = model.flat.copy()
+        # epoch 1's R@1 sum is >= 0, so it always replaces this
+        best_metric = -1.0
+        best_epoch = 0
+        best_params = None
+        step = 0
+        eval_ks = _eval_ks(len(val_split))
+
+        for epoch in range(1, config.epochs + 1):
+            opt.lr = config.lr if epoch <= config.lr_drop_epoch else config.lr_after_drop
+            order = shuffle_rng.permutation(len(train_split))
+            for lo in range(0, len(order), config.batch_size):
+                chunk = order[lo:lo + config.batch_size]
+                if chunk.size < 2:
+                    continue  # ranking losses need a gallery
+                instances = [train_split[i] for i in chunk]
+                labels = [int(i) for i in chunk]
+                clear_tape()
+                bundle, mean_reward = _batch_losses(model, instances, labels, rollout_rng)
+                floats = bundle.as_floats()
+                if not np.isfinite(floats["total"]):
+                    raise TrainingDiverged(epoch, step, floats)
+                backward(bundle.total)
+                try:
+                    opt.step()
+                except NonFiniteGradient as exc:
+                    raise TrainingDiverged(epoch, step, floats, names[id(exc.tensor)]) from None
+                step += 1
+                emit({"type": "train", "epoch": epoch, "step": step,
+                      "reward_mean": mean_reward, **floats})
+            metrics = evaluate(model, val_split, ks=eval_ks)
+            emit({"type": "eval", "epoch": epoch, "step": step, **metrics})
+            score = metrics["r1_i2t"] + metrics["r1_t2i"]
+            if score > best_metric:
+                best_metric = score
+                best_epoch = epoch
+                best_params = model.flat.copy()
+    finally:
+        if worker is not None:
+            _step_worker = None
+            worker.close()
 
     clear_tape()
     release_freed_pages()  # the heap kept the steps' pages; nothing reuses them now
@@ -278,6 +309,14 @@ def evaluate(model: MatchingModel, instances, ks=(1, 5, 10)) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _one_process_steps():
+    """A pool worker's initializer: the pool keeps every CPU busy already,
+    and a step worker per cell made the criterion-7 grid twice as slow
+    with ``jobs=2`` (CHANGES.md)."""
+    global TWO_PROCESS_STEPS
+    TWO_PROCESS_STEPS = False
+
+
 def _run_cell(args):
     base_dict, name, overrides, seed, dataset = args
     config = ModelConfig.from_dict({**base_dict, **overrides, "seed": seed})
@@ -300,7 +339,8 @@ def run_ablation(base_config: ModelConfig, grid, dataset: SyntheticDataset,
     cells = [(base_config.to_dict(), name, overrides, int(seed), dataset)
              for name, overrides in grid for seed in seeds]
     runs = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    pooled = partial(ProcessPoolExecutor, initializer=_one_process_steps)
+    with pooled(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         # every cell is submitted before the first result is awaited
         calls = [pool.submit(_run_cell, cell).result if pool else partial(_run_cell, cell)
                  for cell in cells]
@@ -312,7 +352,7 @@ def run_ablation(base_config: ModelConfig, grid, dataset: SyntheticDataset,
                     # a dying worker fails every pending cell: rerun this one
                     # alone (it is seeded), so only the cell that kills its
                     # worker records an error
-                    with ProcessPoolExecutor(max_workers=1) as alone:
+                    with pooled(max_workers=1) as alone:
                         runs.append(alone.submit(_run_cell, cell).result())
             except Exception as exc:  # noqa: BLE001 - cell errors must not kill the grid
                 runs.append({"cell": cell[1], "seed": cell[3], "error": str(exc)})

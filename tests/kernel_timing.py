@@ -18,6 +18,13 @@ patched, so a 1-CPU box runs it too). Their ratio is where the break-even
 behind ``training.PARALLEL_MIN_ROWS`` lies. A tree without that constant
 runs both cases serially.
 
+The train-step cases time one warm step, ``training._batch_losses``,
+``backward`` and ``Adam.step`` on one batch of each perfbench workload's
+shapes (the criterion-6 recipe's widths), twice: ``serial`` in this
+process and ``worker`` with the text branch in the step worker process
+(``_stepworker``; its start is not timed). A tree without the step
+worker runs both cases serially.
+
 Each round runs every case once in a fresh child process: a few warm-up
 calls, then ``BLOCKS`` blocks of as many calls as fill about
 ``TARGET_MS``, each block timed with ``time.perf_counter``. A round's
@@ -62,6 +69,8 @@ BATCHES = (1, 16, 32, 128)
 # name, regions, tokens: the perfbench workloads' instance shapes
 READ_SHAPES = (("reference", 8, 6), ("stress", 16, 12))
 READ_ROWS = (32, 48, 64, 128, 256)
+# name, batch, regions, tokens: the perfbench workloads' train steps
+TRAIN_SHAPES = (("reference", 16, 8, 6), ("stress", 32, 16, 12))
 WARMUP = 3
 BLOCKS = 5
 TARGET_MS = 20.0
@@ -140,9 +149,56 @@ def read_cases() -> dict:
     return out
 
 
+def train_cases() -> dict:
+    import numpy as np
+
+    from pgmatch import autodiff, training
+    from pgmatch.config import ModelConfig
+    from pgmatch.data import generate_dataset
+    from pgmatch.model import MatchingModel
+
+    try:
+        from pgmatch._stepworker import TextWorker
+    except ImportError:  # a tree without the step worker
+        TextWorker = None
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference_run.json"),
+              encoding="utf-8") as fh:
+        config = ModelConfig.from_dict(json.load(fh)["config"])
+    out = {}
+    for name, batch, regions, tokens in TRAIN_SHAPES:
+        ds = generate_dataset(classes=batch, regions=regions, tokens=tokens,
+                              dim=config.feature_dim)
+        instances, labels = ds.split("train"), list(range(batch))
+        for path in ("serial", "worker"):
+            model = MatchingModel(config.replaced(batch_size=batch), ds.vocab_size, batch,
+                                  np.random.default_rng(0))
+            worker = None
+            if path == "worker" and TextWorker is not None:
+                worker = training._step_worker = TextWorker(model)
+                worker.start_timeout = 60.0
+                model = worker.model
+                assert worker.serves(model)
+            opt = autodiff.Adam(model.trainable_parameters(), lr=config.lr)
+            rng = np.random.default_rng(1)
+
+            def step():
+                autodiff.clear_tape()
+                bundle, _ = training._batch_losses(model, instances, labels, rng)
+                autodiff.backward(bundle.total)
+                opt.step()
+
+            try:
+                out[f"train.{name} B={batch} {path}"] = _ms_per_call(step)
+            finally:
+                if worker is not None:
+                    training._step_worker = None
+                    worker.close()
+    return out
+
+
 def child() -> dict:
     """One round in this process: {case: ms per call}."""
-    return {**gru_cases(), **read_cases()}
+    return {**gru_cases(), **read_cases(), **train_cases()}
 
 
 def run_round(tree) -> dict:

@@ -1,7 +1,9 @@
+import contextlib
 import inspect
 import itertools
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -16,6 +18,7 @@ import pgmatch.attention as attention
 import pgmatch.autodiff as ad
 import pgmatch.training as training
 import recipe_digests
+from pgmatch._stepworker import TextWorker, WorkerDied
 from pgmatch.config import PG_MODES, ModelConfig
 from pgmatch.data import generate_dataset
 from pgmatch.encoders import GruParams, GruSequence
@@ -386,6 +389,188 @@ class TestEvaluateOnTwoThreads:
             child.join()
 
 
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block if it runs ``seconds`` long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# each head's categorical draw of a text rollout in a TINY batch of 4 has
+# 4 tokens x 4 rows; an image rollout's has 3 regions x 4 rows
+_TEXT_DRAW_ROWS = 16
+_DRAW_FAILS_AT = """
+import pgmatch.attention as attention
+from pgmatch.autodiff import DomainError
+
+_real, _calls = attention.categorical_sample, []
+
+
+def categorical_sample(probs, uniforms):
+    if len(probs) == {rows}:
+        _calls.append(1)
+        if len(_calls) == 2:
+            raise DomainError(f"policy_rollout: zero probability in draw {{len(_calls)}}")
+    return _real(probs, uniforms)
+
+
+attention.categorical_sample = categorical_sample
+""".format(rows=_TEXT_DRAW_ROWS)
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="the step worker needs memfd")
+class TestTrainOnTwoProcesses:
+    """With two usable CPUs, ``train`` runs the text branch of its steps
+    in a worker process. ``_usable_cpus`` is patched, so that a 1-CPU
+    runner takes that path too, and the worker serves from the first
+    step (``start_timeout``), so that a short training uses it."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Two usable CPUs; the list gets one entry per step the worker served."""
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(TextWorker, "start_timeout", 60.0)
+        served, real = [], TextWorker.finish
+
+        def finish(self):
+            served.append(1)
+            return real(self)
+
+        monkeypatch.setattr(TextWorker, "finish", finish)
+        return served
+
+    @staticmethod
+    def outcome(monkeypatch, cpus, config, dataset):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        result = train(config, dataset)
+        assert_no_child_process()
+        return (canonical_records(result.records), result.final_params.tobytes(),
+                result.best_params.tobytes())
+
+    @pytest.mark.parametrize("overrides", [
+        *({"pg_mode": mode, "heads": heads} for mode in PG_MODES for heads in (1, 2)),
+        # PG losses only: the text embedding gets no adjoint
+        {"loss_triplet": False, "loss_instance": False, "loss_decode": False},
+        {"loss_triplet": False, "loss_instance": False, "loss_decode": False, "heads": 2,
+         "pg_mode": "discrete"},
+        # attention off and one task loss: the trace is a constant
+        {"pg_mode": "off", "loss_triplet": False, "loss_instance": False},
+    ], ids=str)
+    def test_the_worker_trains_bit_for_bit(self, monkeypatch, served, overrides):
+        config, dataset = ModelConfig(**{**TINY, **overrides}), tiny_dataset()
+        two = self.outcome(monkeypatch, 2, config, dataset)
+        assert len(served) == sum(r["type"] == "train" for r in two[0]) == 4
+        one = self.outcome(monkeypatch, 1, config, dataset)
+        assert len(served) == 4
+        assert two == one
+
+    def test_a_diverged_loss_ends_the_worker(self, monkeypatch, served):
+        real = training._batch_losses
+
+        def poisoned(model, instances, labels, rng):
+            bundle, reward = real(model, instances, labels, rng)
+            if len(served) == 2:
+                bundle.total.values = np.asarray(np.nan)
+            return bundle, reward
+
+        monkeypatch.setattr(training, "_batch_losses", poisoned)
+        with pytest.raises(TrainingDiverged) as err:
+            train(ModelConfig(**{**TINY, "epochs": 1}), tiny_dataset())
+        assert (err.value.step, err.value.parameter) == (1, None)
+        assert_no_child_process()
+
+    def test_a_non_finite_text_gradient_names_the_serial_parameter(self, monkeypatch, served):
+        """A NaN adjoint of the text embedding at the second step reaches
+        every text leaf in the worker; the divergence names the first of
+        them in optimizer order, as one process does."""
+        real, calls = training.text_decoding_loss, []
+
+        def poisoned(embeddings, targets, decoder):
+            loss = real(embeddings, targets, decoder)
+            calls.append(1)
+            if len(calls) != 4:  # the text branch's decode of the second step
+                return loss
+            return ad.record_op("poison", (loss, embeddings), loss.values,
+                                lambda g: (g, np.full(embeddings.shape, np.nan)))
+
+        monkeypatch.setattr(training, "text_decoding_loss", poisoned)
+        errors = []
+        for cpus in (2, 1):
+            calls.clear()
+            monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+            with pytest.raises(TrainingDiverged) as err:
+                train(ModelConfig(**{**TINY, "epochs": 1}), tiny_dataset())
+            errors.append((err.value.parameter, err.value.epoch, err.value.step))
+            assert_no_child_process()
+        assert len(served) == 2
+        assert errors[0] == errors[1] == ("word_table", 1, 1)
+
+    def test_a_domain_error_in_the_workers_rollout_reaches_the_caller(
+            self, monkeypatch, served, tmp_path):
+        """The worker is a new interpreter, so the failing draw reaches it
+        through a ``sitecustomize`` module; this process gets the same one."""
+        (tmp_path / "sitecustomize.py").write_text(_DRAW_FAILS_AT)
+        src = os.path.dirname(os.path.dirname(training.__file__))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(tmp_path), src]))
+        namespace = {}
+        exec(_DRAW_FAILS_AT, namespace)  # noqa: S102 - the module the worker imports
+        errors, text_draws = [], []
+        try:
+            for cpus in (2, 1):
+                monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+                namespace["_calls"].clear()
+                with pytest.raises(ad.DomainError) as err:
+                    train(ModelConfig(**{**TINY, "epochs": 1}), tiny_dataset())
+                errors.append((type(err.value), str(err.value)))
+                text_draws.append(len(namespace["_calls"]))
+                assert_no_child_process()
+        finally:
+            attention.categorical_sample = namespace["_real"]
+        # with the worker, this process made no text draw: the worker raised
+        assert served == [1, 1] and text_draws == [0, 2]
+        assert errors[0] == errors[1] == (
+            ad.DomainError, "policy_rollout: zero probability in draw 2")
+
+    def test_a_killed_worker_fails_the_training_in_bounded_time(self, monkeypatch, served):
+        real = training._batch_losses
+
+        def kill_the_worker(model, instances, labels, rng):
+            if len(served) == 1:
+                os.kill(training._step_worker.pid, signal.SIGKILL)
+            return real(model, instances, labels, rng)
+
+        monkeypatch.setattr(training, "_batch_losses", kill_the_worker)
+        with deadline(60), pytest.raises(WorkerDied, match="exited"):
+            train(ModelConfig(**{**TINY, "epochs": 1}), tiny_dataset())
+        assert_no_child_process()
+
+    def test_the_worker_exits_when_the_trainer_closes_its_end(self):
+        ds = tiny_dataset()
+        model = MatchingModel(ModelConfig(**TINY), ds.vocab_size, 8, np.random.default_rng(0))
+        worker = TextWorker(model)
+        worker.start_timeout = 60.0
+        with deadline(60):
+            assert worker.serves(worker.model)
+            worker._send_fh.close()
+            pid, status = os.waitpid(worker.pid, 0)
+        worker._recv_fh.close()
+        assert pid == worker.pid and os.waitstatus_to_exitcode(status) == 0
+        assert_no_child_process()
+
+
 class TestEvaluate:
     def test_split_smaller_than_k(self):
         ds = tiny_dataset(classes=4)
@@ -464,15 +649,17 @@ class TestAblation:
 
     def test_importing_pgmatch_leaves_the_process_pool_out(self):
         """Only ``run_ablation`` imports the process pool, whose modules
-        cost about 1 MB of RSS in every process that imports pgmatch, and
-        only a large ``evaluate`` the thread pool."""
+        cost about 1 MB of RSS in every process that imports pgmatch, only
+        a large ``evaluate`` the thread pool, and only ``train`` the step
+        worker's transport."""
         code = ("import sys, pgmatch, pgmatch.cli; "
-                "print('concurrent.futures' in sys.modules)")
+                "print(*(m in sys.modules for m in ('concurrent.futures', 'multiprocessing', "
+                "'pgmatch._stepworker')))")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(training.__file__)))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "False False False"
 
 
 # public functions of ``pgmatch.autodiff`` that are not ops recording under
