@@ -1,22 +1,30 @@
-"""The text branch of train steps, forward and backward, in a worker
-process that ``training.train`` starts and ends (README, "Train step on
-two processes").
+"""The text branch of train steps, forward and backward, and the steps'
+rollout noise, in a worker process that ``training.train`` starts and
+ends (README, "Train step on two processes").
 
 The worker is a new interpreter, not a fork: a forked child would share
 the trainer's whole heap copy-on-write, and the trainer would then take
 a page fault at the first write to each of those pages. It reads the
 parameters from a shared memory file that the trainer's optimizer
-updates in place, and writes the text leaves' gradients into the same
-file. Messages go through two pipes, pickled. The trainer steps serially
-until the worker has started (about 0.1 s, for its imports).
+updates in place, and writes into the same file the text leaves'
+gradients and the image branch's rollout noise. Messages go through two
+pipes, pickled. The trainer steps serially until the worker has started
+(about 0.1 s, for its imports). Both run one BLAS thread meanwhile.
 
-Per step, the trainer sends the tokens and its rollout rng's state; the
-worker draws the same noise, embeds the text branch and sends back the
-values of the text embedding and of the packed rollout output. The
-trainer records them as proxies on its tape: ``backward`` posts their
-complete adjoints to the worker and goes on with the image branch, and a
-record at the start of the step hands the worker's gradients to the
-engine last.
+The worker owns the rollout rng once it serves: the trainer sends its
+rng's state at the first step served, and draws no noise after that
+step. Right after the worker sends a step's outputs, it draws the next
+step's whole noise at the same batch shape, keeps the text part and
+writes the image part into one of two noise slots in turn, never the one
+the trainer still reads. A step of another shape (an epoch's last,
+shorter chunk) rewinds the stream and draws again; only it waits.
+
+Per step, the trainer sends the tokens; the worker embeds the text
+branch and sends back the values of the text embedding and of the packed
+rollout output. The trainer records them as proxies on its tape:
+``backward`` posts their complete adjoints to the worker and goes on
+with the image branch, and a record at the start of the step hands the
+worker's gradients to the engine last.
 """
 
 from __future__ import annotations
@@ -31,15 +39,43 @@ import sys
 
 import numpy as np
 
-from .attention import AttentionTrace
+from .attention import AttentionTrace, RolloutNoise
 from .autodiff import ParamSource, active_tape, backward, clear_tape, record_op
 from .model import MatchingModel
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# the getter and setter of the thread count of numpy's bundled OpenBLAS
+_BLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
 
 class WorkerDied(RuntimeError):
     """The worker process exited before answering."""
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with one thread in numpy's bundled OpenBLAS, and
+    yield whether that was possible: ``False`` where numpy's BLAS has no
+    such setter. The count before is restored after the block."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_threads = (getattr(lib, name) for name in _BLAS_THREADS)
+    except (ImportError, OSError, AttributeError):
+        yield False
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    previous = get()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(previous)
 
 
 def text_leaves(model: MatchingModel):
@@ -49,27 +85,53 @@ def text_leaves(model: MatchingModel):
     return leaves, np.cumsum([0] + [p.size for p in leaves])
 
 
-def _shared_vectors(fd: int, split: int):
-    """The float64 vectors ``[:split]`` and ``[split:]`` of the shared
-    memory file ``fd``, mapped ``MAP_SHARED``."""
+def _shared_vectors(fd: int, sizes):
+    """Consecutive float64 vectors of ``sizes`` in the shared memory file
+    ``fd``, mapped ``MAP_SHARED``."""
     buf = mmap.mmap(fd, 0)
-    return np.frombuffer(buf, count=split), np.frombuffer(buf, offset=8 * split)
+    ends = np.cumsum([0, *sizes])
+    return [np.frombuffer(buf, count=hi - lo, offset=8 * lo)
+            for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+def _slot_noise(slot, model: MatchingModel, batch: int, regions: int):
+    """The image branch's rollout noise of a ``batch`` x ``regions`` step
+    as views of the noise slot ``slot``: the Gumbel vectors, the uniforms
+    and the Normals one after the other, each C-contiguous, and ``None``
+    for a stage the action mode does not sample. ``None`` with attention
+    off."""
+    mode = model.config.pg_mode
+    if mode == "off":
+        return None
+    lead, labels = (batch, regions, model.config.heads), model.space.num_labels
+    n = batch * regions * model.config.heads
+    discrete, continuous = mode != "continuous", mode != "discrete"
+    return RolloutNoise(
+        gumbel=slot[:n * labels].reshape(lead + (labels,)) if discrete else None,
+        uniform=slot[n * labels:n * (labels + 1)].reshape(lead) if discrete else None,
+        normal=slot[n * (labels + 1):n * (labels + 2)].reshape(lead) if continuous else None)
 
 
 class TextWorker:
     """The trainer's side of one worker process. Its ``model`` is a copy of
     the given model whose parameters live in the shared file: train that
-    one. A step uses the worker once it has started; ``close`` ends it."""
+    one. ``regions`` is the image branch's length, which sizes the noise
+    slots. A step uses the worker once it has started; ``close`` ends it."""
 
     # seconds a step waits for the worker to start before it runs serially
     start_timeout = 0.0
 
-    def __init__(self, model: MatchingModel):
+    def __init__(self, model: MatchingModel, regions: int):
+        cfg = model.config
         text_size = int(text_leaves(model)[1][-1])
+        # room for a full batch's image noise in every action mode: Gumbel
+        # vector, uniform and Normal; pages a mode never writes take no memory
+        slot = cfg.batch_size * regions * cfg.heads * (model.space.num_labels + 2)
+        sizes = (model.flat.size, text_size, slot, slot)
         fd = os.memfd_create("pgmatch-train-step")
         try:
-            os.ftruncate(fd, 8 * (model.flat.size + text_size))
-            flat, self.grads = _shared_vectors(fd, model.flat.size)
+            os.ftruncate(fd, 8 * sum(sizes))
+            flat, self.grads, *self.slots = _shared_vectors(fd, sizes)
             flat[:] = model.flat
             self.model = MatchingModel(model.config, model.vocab_size, model.num_instances,
                                        ParamSource(flat=flat))
@@ -85,16 +147,18 @@ class TextWorker:
                 # posix_spawn shares no page with this process, as a fork would
                 self.pid = os.posix_spawn(sys.executable, [sys.executable, "-c", code,
                                                            str(down_r), str(up_w), str(fd)],
-                                          os.environ)
+                                          {**os.environ, "OPENBLAS_NUM_THREADS": "1"})
             finally:
                 os.close(down_r)
                 os.close(up_w)
         finally:
             os.close(fd)
         self.started = False
+        self._steps = 0  # steps served
+        self._shape = None  # the (batch, regions, tokens) of the last step served
         try:
             self._post(self.model.config, self.model.vocab_size, self.model.num_instances,
-                       model.flat.size)
+                       sizes)
         except WorkerDied:
             self.close()
             raise
@@ -129,13 +193,26 @@ class TextWorker:
         return reply[1:]
 
     def start(self, tokens, regions: int, rng):
-        """Have the worker draw the step's noise from ``rng``'s state and
-        embed ``tokens``, and record the step's first record: the one that
-        hands the text leaves' gradients to ``backward``, after the image
-        branch's records."""
-        self._post("forward", tokens, regions, rng.bit_generator.state)
+        """Have the worker embed ``tokens``, record the step's first record
+        (the one that hands the text leaves' gradients to ``backward``,
+        after the image branch's records) and return the image branch's
+        noise. The first step served draws it from ``rng``, as one process
+        does, and hands the worker ``rng``'s state; every later step reads
+        it from the slot the worker drew it into."""
+        batch, words = tokens.shape
+        if self._shape is None:
+            self._post("forward", tokens, regions, rng.bit_generator.state)
+            noise = self.model.draw_noise(rng, batch, (regions, words))[0]
+        else:
+            self._post("forward", tokens, regions, None)
+            if (batch, regions, words) != self._shape:
+                self._reply("noise")  # the worker draws this step's noise again
+            noise = _slot_noise(self.slots[self._steps % 2], self.model, batch, regions)
+        self._shape = batch, regions, words
+        self._steps += 1
         self._grads_record = record_op("text_grads", self.params, np.zeros(()),
                                        lambda g: self._collect())
+        return noise
 
     def _collect(self):
         (present,) = self._reply("grads")
@@ -189,42 +266,69 @@ def serve(down: int, up: int, shared: int):
     trainer closes its end or exits."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's interrupt is the trainer's
     with open(down, "rb") as recv, open(up, "wb") as send:
-        config, vocab_size, num_instances, size = pickle.load(recv)
-        flat, grads = _shared_vectors(shared, size)
+        def reply(*message):
+            pickle.dump(message, send, protocol=pickle.HIGHEST_PROTOCOL)
+            send.flush()
+
+        config, vocab_size, num_instances, sizes = pickle.load(recv)
+        flat, grads, *slots = _shared_vectors(shared, sizes)
         os.close(shared)
         model = MatchingModel(config, vocab_size, num_instances, ParamSource(flat=flat))
-        worker = _Worker(model, grads)
-        reply = ("started",)
+        worker = _Worker(model, grads, slots, reply)
+        reply("started")
         while True:
-            pickle.dump(reply, send, protocol=pickle.HIGHEST_PROTOCOL)
-            send.flush()
             try:
                 message = pickle.load(recv)
             except EOFError:
                 return
             try:
-                reply = getattr(worker, message[0])(*message[1:])
+                getattr(worker, message[0])(*message[1:])
             except Exception as exc:  # noqa: BLE001 - the trainer raises it
-                reply = ("error", _portable(exc))
+                reply("error", _portable(exc))
 
 
 class _Worker:
-    def __init__(self, model, grads):
-        self.model, self.grads = model, grads
+    def __init__(self, model, grads, slots, reply):
+        self.model, self.grads, self.slots, self.reply = model, grads, slots, reply
         self.params, self.bounds = text_leaves(model)
         self.rng = np.random.default_rng()
+        self.steps = 0
         self.outputs = None
+        # the look-ahead: its batch shape, the rng state it began at, and the
+        # text part it drew
+        self.ahead, self.rewind, self.noise = None, None, None
+
+    def _draw(self, shape):
+        """Draw a step's whole noise at ``shape``, keep the text part, and
+        write the image part into the slot of step ``steps``."""
+        batch, regions, words = shape
+        image, self.noise = self.model.draw_noise(self.rng, batch, (regions, words))
+        if image is not None:
+            slot = _slot_noise(self.slots[self.steps % 2], self.model, batch, regions)
+            for name, values in vars(image).items():
+                if values is not None:
+                    getattr(slot, name)[...] = values
 
     def forward(self, tokens, regions, rng_state):
         clear_tape()
         self.outputs = None
-        self.rng.bit_generator.state = rng_state
-        noise = self.model.draw_noise(self.rng, len(tokens), (regions, tokens.shape[1]))[1]
-        txt, trace = self.model.embed_text(tokens, noise, mode="stochastic")
-        del noise
+        shape = (len(tokens), regions, tokens.shape[1])
+        if rng_state is not None:  # the first step served: the trainer drew its image part
+            self.rng.bit_generator.state = rng_state
+            self._draw(shape)
+        elif shape != self.ahead:
+            self.rng.bit_generator.state = self.rewind
+            self._draw(shape)
+            self.reply("noise")
+        txt, trace = self.model.embed_text(tokens, self.noise, mode="stochastic")
+        self.noise = None
+        self.steps += 1
         self.outputs = txt, trace.weights
         packed = trace.weights.values if active_tape().is_tracked(trace.weights) else None
-        return "outputs", txt.values, packed, trace.length
+        self.reply("outputs", txt.values, packed, trace.length)
+        # the next step's noise, while the trainer runs the loss head
+        self.ahead, self.rewind = shape, self.rng.bit_generator.state
+        self._draw(shape)
 
     def backward(self, g_txt, g_packed):
         # the adjoints arrive complete; the engine adds the fusion's part of
@@ -239,7 +343,7 @@ class _Worker:
             if p.grad is not None:
                 self.grads[lo:hi] = p.grad.reshape(-1)
                 p.grad = None
-        return "grads", present
+        self.reply("grads", present)
 
 
 def _portable(exc: Exception) -> Exception:

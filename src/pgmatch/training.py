@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -97,19 +97,46 @@ TWO_PROCESS_STEPS = True
 _step_worker = None
 
 
+@contextmanager
+def _two_processes(model: MatchingModel, regions: int):
+    """The step worker of a ``train`` call, or ``None`` where its steps run
+    in one process: with ``TWO_PROCESS_STEPS`` off, on one usable CPU,
+    without ``os.memfd_create``, or where numpy's BLAS thread count cannot
+    be set. The worker and this process run one BLAS thread each while
+    the block runs; the worker ends with the block."""
+    global _step_worker
+    if not (TWO_PROCESS_STEPS and _usable_cpus() >= 2 and hasattr(os, "memfd_create")):
+        yield None
+        return
+    # imported here, so that importing pgmatch does not load the transport
+    from ._stepworker import TextWorker, one_blas_thread
+
+    with one_blas_thread() as single:
+        if not single:
+            yield None
+            return
+        _step_worker = worker = TextWorker(model, regions)
+        try:
+            yield worker
+        finally:
+            _step_worker = None
+            worker.close()
+
+
 def _batch_losses(model: MatchingModel, instances, labels, rollout_rng):
     cfg = model.config
     regions = np.stack([inst.regions for inst in instances])
     tokens = np.stack([inst.tokens for inst in instances])
     worker = _step_worker
     remote = worker is not None and worker.serves(model)
-    if remote:  # the worker draws the same noise and embeds the text branch meanwhile
-        worker.start(tokens, regions.shape[1], rollout_rng)
-    noise = model.draw_noise(rollout_rng, len(instances), (regions.shape[1], tokens.shape[1]))
+    if remote:  # the worker embeds the text branch meanwhile, and owns the rollout rng
+        noise = [worker.start(tokens, regions.shape[1], rollout_rng)]
+    else:
+        noise = model.draw_noise(rollout_rng, len(instances),
+                                 (regions.shape[1], tokens.shape[1]))
     # each branch's noise is handed over and freed once its rollout has run
     img, img_trace = model.embed_image(regions, noise.pop(0), mode="stochastic")
     if remote:
-        del noise
         txt, txt_trace = worker.finish()
     else:
         txt, txt_trace = model.embed_text(tokens, noise.pop(0), mode="stochastic")
@@ -154,14 +181,8 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
     shuffle_rng = np.random.default_rng(seeds[2])
 
     model = MatchingModel(config, dataset.vocab_size, len(train_split), init_rng)
-    global _step_worker
-    worker = None
-    try:
-        if TWO_PROCESS_STEPS and _usable_cpus() >= 2 and hasattr(os, "memfd_create"):
-            # imported here, so that importing pgmatch does not load the transport
-            from ._stepworker import TextWorker
-
-            _step_worker = worker = TextWorker(model)
+    with _two_processes(model, len(train_split[0].regions)) as worker:
+        if worker is not None:
             model = worker.model  # its parameters are shared with the worker
         opt = Adam(model.trainable_parameters(), lr=config.lr)
         names = {id(t): name for name, t in model.named_parameters().items()}
@@ -212,10 +233,6 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
                 best_metric = score
                 best_epoch = epoch
                 best_params = model.flat.copy()
-    finally:
-        if worker is not None:
-            _step_worker = None
-            worker.close()
 
     clear_tape()
     release_freed_pages()  # the heap kept the steps' pages; nothing reuses them now

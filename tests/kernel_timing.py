@@ -1,4 +1,5 @@
-"""Time the GRU kernels layer by layer, and the read path, in ms per call.
+"""Time the GRU kernels layer by layer, the read path, the noise draw and
+the train step, in ms per call.
 
     PYTHONPATH=src python tests/kernel_timing.py [--src TREE ...] [--rounds N]
 
@@ -18,11 +19,14 @@ patched, so a 1-CPU box runs it too). Their ratio is where the break-even
 behind ``training.PARALLEL_MIN_ROWS`` lies. A tree without that constant
 runs both cases serially.
 
-The train-step cases time one warm step, ``training._batch_losses``,
-``backward`` and ``Adam.step`` on one batch of each perfbench workload's
-shapes (the criterion-6 recipe's widths), twice: ``serial`` in this
-process and ``worker`` with the text branch in the step worker process
-(``_stepworker``; its start is not timed). A tree without the step
+The noise cases time ``MatchingModel.draw_noise`` of one batch of each
+perfbench workload's shapes (the criterion-6 recipe's widths and action
+mode). The train-step cases time a warm step, ``training._batch_losses``,
+``backward`` and ``Adam.step`` on one batch of the same shapes, twice:
+``serial`` in this process and ``worker`` with the text branch in the
+step worker process (``_stepworker``; its start is not timed). The calls
+are consecutive steps of one training, so the worker draws each step's
+noise during the one before, as in ``train``. A tree without the step
 worker runs both cases serially.
 
 Each round runs every case once in a fresh child process: a few warm-up
@@ -53,6 +57,7 @@ the kernel-level number it cannot give.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -122,17 +127,22 @@ def gru_cases() -> dict:
     return out
 
 
+def _reference_config():
+    from pgmatch.config import ModelConfig
+
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference_run.json"),
+              encoding="utf-8") as fh:
+        return ModelConfig.from_dict(json.load(fh)["config"])
+
+
 def read_cases() -> dict:
     import numpy as np
 
     from pgmatch import training
-    from pgmatch.config import ModelConfig
     from pgmatch.data import generate_dataset
     from pgmatch.model import MatchingModel
 
-    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference_run.json"),
-              encoding="utf-8") as fh:
-        config = ModelConfig.from_dict(json.load(fh)["config"])
+    config = _reference_config()
     training._usable_cpus = lambda: 2
     classes = 16
     out = {}
@@ -149,11 +159,25 @@ def read_cases() -> dict:
     return out
 
 
+def noise_cases() -> dict:
+    import numpy as np
+
+    from pgmatch.model import MatchingModel
+
+    config = _reference_config()
+    out = {}
+    for name, batch, regions, tokens in TRAIN_SHAPES:
+        model = MatchingModel(config, 64, batch, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        out[f"noise.{name} B={batch}"] = _ms_per_call(
+            lambda: model.draw_noise(rng, batch, (regions, tokens)))
+    return out
+
+
 def train_cases() -> dict:
     import numpy as np
 
     from pgmatch import autodiff, training
-    from pgmatch.config import ModelConfig
     from pgmatch.data import generate_dataset
     from pgmatch.model import MatchingModel
 
@@ -161,9 +185,7 @@ def train_cases() -> dict:
         from pgmatch._stepworker import TextWorker
     except ImportError:  # a tree without the step worker
         TextWorker = None
-    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "reference_run.json"),
-              encoding="utf-8") as fh:
-        config = ModelConfig.from_dict(json.load(fh)["config"])
+    config = _reference_config()
     out = {}
     for name, batch, regions, tokens in TRAIN_SHAPES:
         ds = generate_dataset(classes=batch, regions=regions, tokens=tokens,
@@ -174,7 +196,9 @@ def train_cases() -> dict:
                                   np.random.default_rng(0))
             worker = None
             if path == "worker" and TextWorker is not None:
-                worker = training._step_worker = TextWorker(model)
+                # a tree whose worker has no noise slots takes the model alone
+                sized = "regions" in inspect.signature(TextWorker).parameters
+                worker = training._step_worker = TextWorker(model, *[regions] * sized)
                 worker.start_timeout = 60.0
                 model = worker.model
                 assert worker.serves(model)
@@ -198,7 +222,7 @@ def train_cases() -> dict:
 
 def child() -> dict:
     """One round in this process: {case: ms per call}."""
-    return {**gru_cases(), **read_cases(), **train_cases()}
+    return {**gru_cases(), **read_cases(), **noise_cases(), **train_cases()}
 
 
 def run_round(tree) -> dict:
@@ -212,7 +236,8 @@ def run_round(tree) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time the GRU kernels and the read path in ms per call.")
+        description="Time the GRU kernels, the read path, the noise draw and the train "
+                    "step in ms per call.")
     parser.add_argument("--src", action="append", default=None, metavar="TREE",
                         help="a source tree to time (repeat to compare; default: the "
                              "pgmatch on PYTHONPATH)")

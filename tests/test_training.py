@@ -477,6 +477,96 @@ class TestTrainOnTwoProcesses:
         assert len(served) == 4
         assert two == one
 
+    @pytest.mark.parametrize("overrides, classes, steps", [
+        # 8 instances in chunks of 3, 3 and 2: the worker draws the third
+        # step's noise again at 2 rows, and the next epoch's first at 3
+        *(({"pg_mode": mode, "batch_size": 3, "heads": heads}, 8, 6)
+          for mode in ("compound", "discrete", "continuous") for heads in (1, 2)),
+        # 9 instances in chunks of 4, 4 and 1: ``train`` skips the 1
+        ({}, 9, 4),
+    ], ids=str)
+    def test_the_look_ahead_follows_the_chunks_bit_for_bit(self, monkeypatch, served,
+                                                           overrides, classes, steps):
+        config, dataset = ModelConfig(**{**TINY, **overrides}), tiny_dataset(classes)
+        two = self.outcome(monkeypatch, 2, config, dataset)
+        assert len(served) == sum(r["type"] == "train" for r in two[0]) == steps
+        assert two == self.outcome(monkeypatch, 1, config, dataset)
+
+    def test_a_worker_that_starts_at_step_3_trains_bit_for_bit(self, monkeypatch, served):
+        """The first two steps run serially and draw in this process; the
+        third hands the rng's state to the worker."""
+        real, asked = TextWorker.serves, []
+
+        def late(self, model):
+            asked.append(1)
+            return len(asked) > 2 and real(self, model)
+
+        monkeypatch.setattr(TextWorker, "serves", late)
+        config, dataset = ModelConfig(**{**TINY, "epochs": 3}), tiny_dataset()
+        two = self.outcome(monkeypatch, 2, config, dataset)
+        assert len(asked) == 6 and len(served) == 4
+        assert two == self.outcome(monkeypatch, 1, config, dataset)
+
+    def test_the_trainer_draws_no_noise_once_the_worker_serves(self, monkeypatch, served):
+        real, drawn_at = MatchingModel.draw_noise, []
+
+        def counted(self, rng, batch, lengths):
+            drawn_at.append(len(served))
+            return real(self, rng, batch, lengths)
+
+        monkeypatch.setattr(MatchingModel, "draw_noise", counted)
+        config, dataset = ModelConfig(**{**TINY, "batch_size": 3}), tiny_dataset()
+        self.outcome(monkeypatch, 2, config, dataset)
+        # only the first step served draws here, before the worker serves it
+        assert drawn_at == [0] and len(served) == 6
+
+    def test_both_processes_run_one_blas_thread(self, monkeypatch, served):
+        """The trainer's count is 1 while it trains and is restored after
+        ``train`` returns or raises; the worker starts with one thread."""
+        import ctypes
+
+        from numpy._core import _multiarray_umath
+
+        from pgmatch import _stepworker
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        if not all(hasattr(lib, name) for name in _stepworker._BLAS_THREADS):
+            pytest.skip("numpy's BLAS has no scipy_openblas thread count")
+        get, set_threads = (getattr(lib, name) for name in _stepworker._BLAS_THREADS)
+        real, seen = training._batch_losses, []
+
+        def watched(model, instances, labels, rng):
+            environ = f"/proc/{training._step_worker.pid}/environ"
+            with open(environ, "rb") as fh:
+                seen.append((get(), b"OPENBLAS_NUM_THREADS=1" in fh.read().split(b"\0")))
+            bundle, reward = real(model, instances, labels, rng)
+            if len(seen) == 6:
+                bundle.total.values = np.asarray(np.nan)
+            return bundle, reward
+
+        monkeypatch.setattr(training, "_batch_losses", watched)
+        before = get()
+        set_threads(2)
+        try:
+            train(ModelConfig(**TINY), tiny_dataset())
+            assert get() == 2
+            with pytest.raises(TrainingDiverged):
+                train(ModelConfig(**TINY), tiny_dataset())
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert seen == [(1, True)] * 6
+        assert_no_child_process()
+
+    def test_a_blas_without_the_thread_setter_trains_in_one_process(self, monkeypatch, served):
+        from pgmatch import _stepworker
+
+        config, dataset = ModelConfig(**TINY), tiny_dataset()
+        one = self.outcome(monkeypatch, 1, config, dataset)
+        monkeypatch.setattr(_stepworker, "_BLAS_THREADS", ("no_getter", "no_setter"))
+        assert self.outcome(monkeypatch, 2, config, dataset) == one
+        assert served == []
+
     def test_a_diverged_loss_ends_the_worker(self, monkeypatch, served):
         real = training._batch_losses
 
@@ -560,7 +650,7 @@ class TestTrainOnTwoProcesses:
     def test_the_worker_exits_when_the_trainer_closes_its_end(self):
         ds = tiny_dataset()
         model = MatchingModel(ModelConfig(**TINY), ds.vocab_size, 8, np.random.default_rng(0))
-        worker = TextWorker(model)
+        worker = TextWorker(model, 3)
         worker.start_timeout = 60.0
         with deadline(60):
             assert worker.serves(worker.model)
