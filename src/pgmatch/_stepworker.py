@@ -45,37 +45,9 @@ from .model import MatchingModel
 
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# the getter and setter of the thread count of numpy's bundled OpenBLAS
-_BLAS_THREADS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
-
 
 class WorkerDied(RuntimeError):
     """The worker process exited before answering."""
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with one thread in numpy's bundled OpenBLAS, and
-    yield whether that was possible: ``False`` where numpy's BLAS has no
-    such setter. The count before is restored after the block."""
-    import ctypes
-
-    try:
-        from numpy._core import _multiarray_umath
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, set_threads = (getattr(lib, name) for name in _BLAS_THREADS)
-    except (ImportError, OSError, AttributeError):
-        yield False
-        return
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    previous = get()
-    set_threads(1)
-    try:
-        yield True
-    finally:
-        set_threads(previous)
 
 
 def text_leaves(model: MatchingModel):
@@ -163,11 +135,8 @@ class TextWorker:
             self.close()
             raise
 
-    def serves(self, model) -> bool:
-        """Whether the worker embeds ``model``'s text branch now: it is
-        this worker's model and the worker has started."""
-        if model is not self.model:
-            return False
+    def serves(self) -> bool:
+        """Whether the worker embeds the text branch now: it has started."""
         if not self.started:
             if select.select([self._recv_fh], [], [], self.start_timeout)[0]:
                 self._reply("started")

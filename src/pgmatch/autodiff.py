@@ -242,17 +242,9 @@ def backward(loss: Tensor):
 # forward ops
 #
 # Tensors are batch-major: the leading axis indexes instances, and a
-# single instance is the case B = 1. Elementwise ops broadcast with numpy
-# rules; their gradients are summed back onto each operand's shape.
+# single instance is the case B = 1. An operand that broadcasts gets its
+# gradient summed back onto its shape.
 # ---------------------------------------------------------------------------
-
-
-def _broadcast(name, op, a, b):
-    """``op`` on the operands' values, which must broadcast."""
-    try:
-        return op(a.values, b.values)
-    except ValueError:
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform") from None
 
 
 def _reduce_to(g, shape):
@@ -264,14 +256,6 @@ def _reduce_to(g, shape):
     axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
                                       if n == 1 and g.shape[lead + i] != 1)
     return g.sum(axis=axes).reshape(shape)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast("add", np.add, a, b)
-    sa, sb = a.shape, b.shape
-    if sa == sb:
-        return _TAPE.record("add", (a, b), out, lambda g: (g, g))
-    return _TAPE.record("add", (a, b), out, lambda g: (_reduce_to(g, sa), _reduce_to(g, sb)))
 
 
 def _matmul_values(av, bv):
@@ -328,20 +312,6 @@ def _sigmoid(x, out=None, work=None):
     num = np.minimum(x, 0.0, out=out)
     np.exp(num, out=num)
     return np.divide(num, den, out=num)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0
-    return _TAPE.record("relu", (a,), np.where(mask, a.values, 0.0), lambda g: (g * mask,))
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.values.ndim == 0:
-        raise ShapeError("softmax: scalar input has no axis")
-    if not -a.values.ndim <= axis < a.values.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    s = _softmax(a.values, axis)
-    return _TAPE.record("softmax", (a,), s, lambda g: (_softmax_grad(g, s, axis),))
 
 
 def _softmax(v, axis=-1):

@@ -11,13 +11,13 @@ from .autodiff import (
     ParamSource,
     ShapeError,
     Tensor,
+    _matmul_grads,
+    _matmul_values,
     _sigmoid,
-    add,
+    _softmax,
+    _softmax_grad,
     gather_rows,
-    matmul,
-    relu,
-    softmax,
-    transpose,
+    record_op,
 )
 
 
@@ -255,22 +255,49 @@ def region_batch(regions) -> np.ndarray:
     return arr
 
 
-def region_affinity(features: Tensor, w_embed_a: Tensor, w_embed_b: Tensor) -> Tensor:
-    """Pairwise affinities between embedded region features, per instance
-    of a (B, T, d) batch (or of one (T, d) set): (F @ Wa) (F @ Wb)^T. Pass
-    the same weight twice for the tied variant."""
-    return matmul(matmul(features, w_embed_a), transpose(matmul(features, w_embed_b)))
+def gcn(regions: np.ndarray, w_aff_a: Tensor, w_aff_b: Tensor, w_gcn) -> Tensor:
+    """Relational reasoning over each instance's fully-connected region
+    graph, one tape record. The row-softmax ``S`` of the affinities
+    ``(X Wa) (X Wb)^T`` of the constant (B, T, d) regions ``X`` (the tied
+    variant passes one weight twice) weighs one residual graph
+    convolution per weight ``W`` of ``w_gcn``: ``F + ReLU((S F) W)``, from
+    ``F = X``.
 
+    Forward and backward evaluate the numpy expressions of the primitive
+    chain it replaced (``tests/unfused.py``) and add the adjoints in the
+    order the engine added that chain's parts: the affinities take each
+    layer's softmax part, the last layer's first; a layer's input takes
+    ``S^T`` times its product's adjoint after the residual's; a tied
+    weight takes ``Wb``'s part before ``Wa``'s. The regions take no
+    gradient, so none is computed for them."""
+    x = regions
+    a, b = _matmul_values(x, w_aff_a.values), _matmul_values(x, w_aff_b.values)
+    b_t = np.swapaxes(b, -1, -2)
+    s = _softmax(np.matmul(a, b_t))
+    layers, f = [], x  # each layer's input, S F and ReLU mask
+    for w in w_gcn:
+        sf = np.matmul(s, f)
+        p = _matmul_values(sf, w.values)
+        mask = p > 0
+        layers.append((f, sf, mask, w.values))
+        f = np.add(f, np.where(mask, p, 0.0))
+    rows_t = x.reshape(-1, x.shape[-1]).T
 
-def gcn_reason(features: Tensor, relation: Tensor, w_graph: Tensor) -> Tensor:
-    """One residual graph-convolution layer over each instance's
-    fully-connected region graph: F + ReLU(row_softmax(relation) @ F @ W)."""
-    regions = features.shape[-2]
-    if relation.shape != features.shape[:-1] + (regions,):
-        raise ShapeError(
-            f"gcn_reason: relation {relation.shape} does not match {regions} regions")
-    propagated = matmul(matmul(softmax(relation, axis=-1), features), w_graph)
-    return add(features, relu(propagated))
+    def backward(g):
+        g_aff, g_ws = None, []
+        for i in range(len(layers) - 1, -1, -1):
+            f_in, sf, mask, w = layers[i]
+            g_sf, g_w = _matmul_grads(g * mask, sf, w)
+            g_ws.insert(0, g_w)
+            part = _softmax_grad(g_sf @ np.swapaxes(f_in, -1, -2), s)
+            g_aff = part if g_aff is None else g_aff + part
+            if i:  # the first layer's input is the regions
+                g = g + np.swapaxes(s, -1, -2) @ g_sf
+        g_a, g_b_t = _matmul_grads(g_aff, a, b_t)
+        g_b = np.swapaxes(g_b_t, -1, -2)
+        return [rows_t @ g.reshape(-1, g.shape[-1]) for g in (g_b, g_a)] + g_ws
+
+    return record_op("gcn", (w_aff_b, w_aff_a, *w_gcn), f, backward)
 
 
 def embed_words(ids, table: Tensor) -> Tensor:

@@ -16,7 +16,6 @@ from .autodiff import (
     _matmul_values,
     _reduce_to,
     _scatter_rows,
-    add,
     constant,
     record_op,
 )
@@ -48,15 +47,17 @@ def _zero() -> Tensor:
 def total_loss(**parts: Tensor) -> LossBundle:
     """Assemble the bundle from components named as in ``COMPONENTS``;
     missing components enter as zero constants so ablation switches zero
-    out exactly the disabled terms. The total adds them in
-    ``COMPONENTS`` order."""
+    out exactly the disabled terms. The total is one record: it adds
+    them to 0.0 in ``COMPONENTS`` order, as a chain of additions did, and
+    hands its adjoint to each of them."""
     unknown = sorted(set(parts) - set(COMPONENTS))
     if unknown:
         raise TypeError(f"total_loss: unknown loss terms {unknown}")
     parts = {name: _zero() if parts.get(name) is None else parts[name] for name in COMPONENTS}
-    total = _zero()
-    for name in COMPONENTS:
-        total = add(total, parts[name])
+    total = np.asarray(0.0)
+    for term in parts.values():
+        total = np.add(total, term.values)
+    total = record_op("total", parts.values(), total, lambda g: (g,) * len(COMPONENTS))
     return LossBundle(total=total, **parts)
 
 

@@ -13,11 +13,11 @@ import os
 import numpy as np
 
 from .attention import PolicyParams, draw_noise, fuse, neutral_trace, policy_rollout
-from .autodiff import ParamSource, Tensor, constant, l2_normalize, matmul
+from .autodiff import ParamSource, Tensor, l2_normalize, matmul
 from .config import ModelConfig
 from .data import DatasetError, _is_int, read_json, read_matrix, write_matrix
 from .distributions import ActionSpace
-from .encoders import embed_words, gcn_reason, region_affinity, region_batch
+from .encoders import embed_words, gcn, region_batch
 from .losses import DecoderParams
 
 
@@ -103,12 +103,7 @@ class MatchingModel:
 
     def encode_image(self, regions: np.ndarray) -> Tensor:
         """GCN-reasoned region features, (B, T, d)."""
-        feats = constant(region_batch(regions))
-        relation = region_affinity(feats, self.w_aff_a, self.w_aff_b)
-        out = feats
-        for w in self.w_gcn:
-            out = gcn_reason(out, relation, w)
-        return out
+        return gcn(region_batch(regions), self.w_aff_a, self.w_aff_b, self.w_gcn)
 
     def encode_text(self, tokens) -> Tensor:
         """Word embeddings, (B, N, word_dim)."""

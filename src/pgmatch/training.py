@@ -13,7 +13,7 @@ import os
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -92,10 +92,6 @@ def record_line(record: dict) -> str:
 # of one process (README, "Train step on two processes").
 TWO_PROCESS_STEPS = True
 
-# the worker of the ``train`` call running now; ``_batch_losses`` hands it
-# the text branch of that call's model
-_step_worker = None
-
 
 @contextmanager
 def _two_processes(model: MatchingModel, regions: int):
@@ -104,31 +100,30 @@ def _two_processes(model: MatchingModel, regions: int):
     without ``os.memfd_create``, or where numpy's BLAS thread count cannot
     be set. The worker and this process run one BLAS thread each while
     the block runs; the worker ends with the block."""
-    global _step_worker
     if not (TWO_PROCESS_STEPS and _usable_cpus() >= 2 and hasattr(os, "memfd_create")):
         yield None
         return
     # imported here, so that importing pgmatch does not load the transport
-    from ._stepworker import TextWorker, one_blas_thread
+    from ._stepworker import TextWorker
 
     with one_blas_thread() as single:
         if not single:
             yield None
             return
-        _step_worker = worker = TextWorker(model, regions)
+        worker = TextWorker(model, regions)
         try:
             yield worker
         finally:
-            _step_worker = None
             worker.close()
 
 
-def _batch_losses(model: MatchingModel, instances, labels, rollout_rng):
+def _batch_losses(model: MatchingModel, instances, labels, rollout_rng, worker=None):
+    """The loss bundle of one batch and its mean reward. A step ``worker``
+    (whose ``model`` is ``model``) runs the text branch once it serves."""
     cfg = model.config
     regions = np.stack([inst.regions for inst in instances])
     tokens = np.stack([inst.tokens for inst in instances])
-    worker = _step_worker
-    remote = worker is not None and worker.serves(model)
+    remote = worker is not None and worker.serves()
     if remote:  # the worker embeds the text branch meanwhile, and owns the rollout rng
         noise = [worker.start(tokens, regions.shape[1], rollout_rng)]
     else:
@@ -214,7 +209,8 @@ def train(config: ModelConfig, dataset: SyntheticDataset, log_fh=None) -> TrainR
                 instances = [train_split[i] for i in chunk]
                 labels = [int(i) for i in chunk]
                 clear_tape()
-                bundle, mean_reward = _batch_losses(model, instances, labels, rollout_rng)
+                bundle, mean_reward = _batch_losses(model, instances, labels, rollout_rng,
+                                                    worker)
                 floats = bundle.as_floats()
                 if not np.isfinite(floats["total"]):
                     raise TrainingDiverged(epoch, step, floats)
@@ -279,13 +275,52 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
+@cache
+def _blas_threads():
+    """The getter and setter of the thread count of numpy's bundled
+    OpenBLAS, found once per process by ``ctypes`` in the numpy extension
+    that links it, or ``None`` where numpy's BLAS has no such pair."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with one thread in numpy's bundled OpenBLAS, and
+    yield whether that was possible. The count before is restored after
+    the block. While pgmatch runs work on a second core, every thread and
+    process involved runs one BLAS thread."""
+    pair = _blas_threads()
+    if pair is None:
+        yield False
+        return
+    get, set_threads = pair
+    previous = get()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(previous)
+
 
 def embed_split(model: MatchingModel, instances):
     """The deterministic image and text embeddings of ``instances`` as
     arrays, each branch embedded as one batch with tape recording off. A
     split of ``PARALLEL_MIN_ROWS`` or more, on a process that may use two
-    CPUs, embeds its text branch on a worker thread meanwhile; the two
-    branches share no array, so the bits are those of the serial path."""
+    CPUs, embeds its text branch on a worker thread meanwhile, both under
+    ``one_blas_thread``; the two branches share no array, so the bits are
+    those of the serial path."""
     clear_tape()
     regions = np.stack([inst.regions for inst in instances])
     tokens = np.stack([inst.tokens for inst in instances])
@@ -296,11 +331,12 @@ def embed_split(model: MatchingModel, instances):
             img = model.embed_image(regions, None, mode="deterministic")[0].values
             txt = model.embed_text(tokens, None, mode="deterministic")[0].values
             return img, txt
-        text = _text_worker().submit(model.embed_text, tokens, None, mode="deterministic")
-        try:
-            img = model.embed_image(regions, None, mode="deterministic")[0].values
-        finally:
-            text.exception()  # waits for the worker, also when the image branch raised
+        with one_blas_thread():
+            text = _text_worker().submit(model.embed_text, tokens, None, mode="deterministic")
+            try:
+                img = model.embed_image(regions, None, mode="deterministic")[0].values
+            finally:
+                text.exception()  # waits for the worker, also when the image branch raised
         return img, text.result()[0].values
     finally:
         tape.recording = True
@@ -309,10 +345,14 @@ def embed_split(model: MatchingModel, instances):
 def evaluate(model: MatchingModel, instances, ks=(1, 5, 10)) -> dict:
     """Recall at K over a full split, both directions, with deterministic
     rollouts, on the embeddings of ``embed_split``. The correct item must
-    rank within the top K (descending similarity, ties by index)."""
+    rank within the top K (descending similarity, ties by index). It runs
+    under ``one_blas_thread``, the similarity product too: BLAS threads
+    left busy by a multi-threaded product would hold the second core
+    into the next call's two-thread branch."""
     if len(instances) < max(ks):
         raise ValueError(f"split of {len(instances)} is smaller than K={max(ks)}")
-    sim = similarity_matrix(*embed_split(model, instances))
+    with one_blas_thread():
+        sim = similarity_matrix(*embed_split(model, instances))
     out = {}
     for direction, view in (("i2t", sim), ("t2i", sim.T)):
         ranks = diagonal_ranks(view)

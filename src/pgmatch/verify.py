@@ -8,7 +8,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,13 +30,14 @@ from .attention import (
 from .config import ModelConfig
 from .data import Instance
 from .distributions import ActionSpace, categorical_sample
-from .encoders import GruParams, gcn_reason, region_affinity
+from .encoders import GruParams, gcn
 from .losses import (
     DecoderParams,
     continuous_pg_loss,
     discrete_pg_loss,
     instance_loss,
     text_decoding_loss,
+    total_loss,
     triplet_loss,
 )
 from .model import MatchingModel
@@ -85,52 +88,23 @@ def _sum_of_squares(t):
                         lambda g: (2.0 * g * v,))
 
 
-def _unary_cases(rng):
-    x = ad.Tensor(rng.standard_normal((3, 4)))
-    away = ad.Tensor(rng.standard_normal((3, 4)) + np.where(rng.random((3, 4)) > 0.5, 2.0, -2.0))
-    return [
-        ("relu", lambda t: _weighted(ad.relu(t), np.ones(12)), (away,)),
-        ("softmax", lambda t: _weighted(ad.softmax(t, axis=1), np.arange(12.)), (x,)),
-        ("transpose", lambda t: _sum_of_squares(ad.transpose(t)), (x,)),
-        ("l2_normalize", lambda t: _weighted(ad.l2_normalize(t), np.arange(5.)),
-         (ad.Tensor(rng.standard_normal(5) + 1.0),)),
-    ]
+def _on(loss, *shapes):
+    """A case of ``loss`` on standard-normal inputs of ``shapes``."""
+    return lambda rng: (loss, tuple(ad.Tensor(rng.standard_normal(shape)) for shape in shapes))
 
 
-def _binary_cases(rng):
-    a = ad.Tensor(rng.standard_normal((3, 4)))
-    b = ad.Tensor(rng.standard_normal((3, 4)))
-    m1 = ad.Tensor(rng.standard_normal((3, 4)))
-    m2 = ad.Tensor(rng.standard_normal((4, 2)))
-    v1 = ad.Tensor(rng.standard_normal(4))
-    col = ad.Tensor(rng.standard_normal((3, 1)))
-    return [
-        ("add", lambda p, q: _sum_of_squares(ad.add(p, q)), (a, b)),
-        ("matmul_2d", lambda p, q: _sum_of_squares(ad.matmul(p, q)), (m1, m2)),
-        ("matmul_batched_shared_weight", lambda p, q: _sum_of_squares(ad.matmul(p, q)),
-         (ad.Tensor(rng.standard_normal((2, 3, 4))), m2)),
-        ("matmul_batched", lambda p, q: _sum_of_squares(ad.matmul(p, q)),
-         (ad.Tensor(rng.standard_normal((2, 3, 4))), ad.Tensor(rng.standard_normal((2, 4, 2))))),
-        ("add_broadcast_row", lambda p, q: _sum_of_squares(ad.add(p, q)), (a, v1)),
-        ("add_broadcast_column", lambda p, q: _sum_of_squares(ad.add(p, q)), (a, col)),
-    ]
+def _scaled(f):
+    """``f`` times -1.5, so that its adjoint is not 1."""
+    return lambda *t: _weighted(f(*t), -1.5)
 
 
-def _structural_cases(rng):
-    table = ad.Tensor(rng.standard_normal((5, 3)))
-    return [
-        ("text_decode", *_decode_loss()),
-        ("gather_rows", lambda t: _sum_of_squares(ad.gather_rows(t, [0, 2, 2, 4])), (table,)),
-        ("gather_rows_batched", lambda t: _sum_of_squares(ad.gather_rows(t, [[0, 2], [2, 4]])),
-         (table,)),
-    ] + _loss_head_cases()
+def _squared_product(p, q):
+    return _sum_of_squares(ad.matmul(p, q))
 
 
-def _decode_loss():
+def _decode_loss(rng):
     """The text-decoding loss of two rows of three target tokens (with
-    repeats) as a function of the embeddings and every decoder weight.
-    It draws from its own rng, so no other case's draws move."""
-    rng = np.random.default_rng(13)
+    repeats) as a function of the embeddings and every decoder weight."""
     decoder = DecoderParams.init(5, 4, 3, rng, scale=0.5)
     targets = np.array([[1, 4, 1], [0, 2, 2]])
 
@@ -140,29 +114,26 @@ def _decode_loss():
     return loss, (ad.Tensor(rng.standard_normal((2, 4))),) + tuple(decoder.tensors())
 
 
-def _loss_head_cases():
-    """The triplet, instance and PG-surrogate records, each scaled by -1.5
-    so that its adjoint is not 1, drawn from their own rng so that no
-    other case's draws move. Two rows of the 5 x 5 gallery get a diagonal
-    3 higher, so both directions have active and inactive hinges; the
-    instance labels repeat; the PG case reads both sum columns of a
-    packed (3, 2 + 2) output, one of them over the batch mean."""
-    rng = np.random.default_rng(31)
+def _triplet_loss(rng):
+    """Two rows of the 5 x 5 gallery get a diagonal 3 higher, so both
+    directions have active and inactive hinges."""
     sim = rng.standard_normal((5, 5))
     sim[[1, 3], [1, 3]] += 3.0
+    return _scaled(lambda t: triplet_loss(t, margin=0.5)), (ad.Tensor(sim),)
+
+
+def _pg_loss(rng):
+    """Both sum columns of a packed (3, 2 + 2) output, one of them over the
+    batch mean, added by the loss total."""
     adv = rng.standard_normal(3)
 
     def pg(packed):
         trace = AttentionTrace(packed, 2)
-        return ad.add(discrete_pg_loss(trace, adv),
-                      continuous_pg_loss(trace, -adv, batch_mean=False))
+        return total_loss(pg_discrete_image=discrete_pg_loss(trace, adv),
+                          pg_continuous_text=continuous_pg_loss(trace, -adv,
+                                                                batch_mean=False)).total
 
-    losses = [("triplet", lambda t: triplet_loss(t, margin=0.5), [sim]),
-              ("instance", lambda img, txt, w: instance_loss(img, txt, [2, 0, 2], w),
-               [rng.standard_normal(shape) for shape in ((3, 4), (3, 4), (4, 5))]),
-              ("pg_surrogate", pg, [rng.standard_normal((3, 4))])]
-    return [(name, lambda *t, f=f: _weighted(f(*t), -1.5), tuple(map(ad.Tensor, values)))
-            for name, f, values in losses]
+    return _scaled(pg), (ad.Tensor(rng.standard_normal((3, 4))),)
 
 
 def _rollout_loss(action_mode, rng):
@@ -202,29 +173,45 @@ def _fuse_loss(batch, steps, rng):
                   ad.Tensor(rng.random((batch, steps)))) + tuple(gru.tensors())
 
 
-def _model_cases(rng):
-    feats = ad.Tensor(rng.standard_normal((4, 3)))
-    wa = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
-    wb = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
-    wg = ad.Tensor(0.3 * rng.standard_normal((3, 3)))
-    feats_b = ad.Tensor(rng.standard_normal((2, 4, 3)))
+def _gcn_loss(batch, layers, tied, rng):
+    """The squared GCN output over ``batch`` sets of 4 regions, as a
+    function of the affinity weights (one with ``tied``) and of each
+    layer's weight."""
+    regions = rng.standard_normal((batch, 4, 3))
+    weights = [ad.Tensor(0.3 * rng.standard_normal((3, 3))) for _ in range(2 - tied + layers)]
 
-    def affinity_loss(ff):
-        return _sum_of_squares(region_affinity(ff, wa, wb))
+    def loss(w_a, *rest):
+        w_b, *w_gcn = (w_a,) + rest if tied else rest
+        return _sum_of_squares(gcn(regions, w_a, w_b, w_gcn))
 
-    def gcn_loss(ff):
-        rel = region_affinity(ff, wa, wb)
-        return _sum_of_squares(gcn_reason(ff, rel, wg))
+    return loss, tuple(weights)
 
-    heads = [(f"sample_head_{action_mode}", *_rollout_loss(action_mode, rng))
-             for action_mode in ("compound", "discrete", "continuous")]
-    return [
-        ("gru_step", *_fuse_loss(1, 1, rng)),
-        ("gru_step_batched", *_fuse_loss(2, 3, rng)),
-        ("region_affinity", affinity_loss, (feats,)),
-        ("gcn_reason", gcn_loss, (feats,)),
-        ("gcn_reason_batched", gcn_loss, (feats_b,)),
-    ] + heads
+
+# Every op case by name: a function of the case's own generator that
+# returns the loss and its inputs. The loss head's records are scaled.
+_OP_CASES = {
+    "transpose": _on(lambda t: _sum_of_squares(ad.transpose(t)), (3, 4)),
+    "l2_normalize": lambda rng: (lambda t: _weighted(ad.l2_normalize(t), np.arange(5.)),
+                                 (ad.Tensor(rng.standard_normal(5) + 1.0),)),
+    "matmul_2d": _on(_squared_product, (3, 4), (4, 2)),
+    "matmul_batched_shared_weight": _on(_squared_product, (2, 3, 4), (4, 2)),
+    "matmul_batched": _on(_squared_product, (2, 3, 4), (2, 4, 2)),
+    "text_decode": _decode_loss,
+    "gather_rows": _on(lambda t: _sum_of_squares(ad.gather_rows(t, [0, 2, 2, 4])), (5, 3)),
+    "gather_rows_batched": _on(lambda t: _sum_of_squares(ad.gather_rows(t, [[0, 2], [2, 4]])),
+                               (5, 3)),
+    "triplet": _triplet_loss,
+    "instance": _on(_scaled(lambda img, txt, w: instance_loss(img, txt, [2, 0, 2], w)),
+                    (3, 4), (3, 4), (4, 5)),
+    "pg_surrogate": _pg_loss,
+    "gru_step": partial(_fuse_loss, 1, 1),
+    "gru_step_batched": partial(_fuse_loss, 2, 3),
+    "gcn": partial(_gcn_loss, 1, 1, False),
+    "gcn_batched_two_layers": partial(_gcn_loss, 2, 2, False),
+    "gcn_tied": partial(_gcn_loss, 2, 1, True),
+    **{f"sample_head_{action_mode}": partial(_rollout_loss, action_mode)
+       for action_mode in ("compound", "discrete", "continuous")},
+}
 
 
 def _composite_model_check() -> tuple[bool, str]:
@@ -258,11 +245,11 @@ def _composite_model_check() -> tuple[bool, str]:
 
 def gradcheck_suite() -> list[CheckResult]:
     results = []
-    rng = np.random.default_rng(7)
-    # built in this order, so every case sees the same rng draws
-    cases = _unary_cases(rng) + _binary_cases(rng) + _structural_cases(rng) + _model_cases(rng)
-    for name, fn, args in cases:
-        def run(fn=fn, args=args):
+    for name, case in _OP_CASES.items():
+        def run(name=name, case=case):
+            # inputs from a generator keyed by the case's name: no edit to
+            # another case moves them
+            fn, args = case(np.random.default_rng(zlib.crc32(name.encode())))
             err = ad.grad_check(fn, list(args), eps=GRAD_EPS)
             return err < GRAD_TOL, f"max rel err {err:.3g}"
         _check(results, f"op.{name}", run)

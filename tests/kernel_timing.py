@@ -1,7 +1,7 @@
 """Time the GRU kernels layer by layer, the read path, the noise draw and
 the train step, in ms per call.
 
-    PYTHONPATH=src python tests/kernel_timing.py [--src TREE ...] [--rounds N]
+    PYTHONPATH=src python tests/kernel_timing.py [--src TREE ...] [--rounds N] [--default-threads]
 
 For each of the model's four GRUs at the ``stress`` workload's widths and
 lengths (policy and fusion, image and text branch) and each batch size
@@ -24,10 +24,11 @@ perfbench workload's shapes (the criterion-6 recipe's widths and action
 mode). The train-step cases time a warm step, ``training._batch_losses``,
 ``backward`` and ``Adam.step`` on one batch of the same shapes, twice:
 ``serial`` in this process and ``worker`` with the text branch in the
-step worker process (``_stepworker``; its start is not timed). The calls
-are consecutive steps of one training, so the worker draws each step's
-noise during the one before, as in ``train``. A tree without the step
-worker runs both cases serially.
+step worker process (``_stepworker``; its start is not timed), under the
+one BLAS thread ``train`` sets for it. The calls are consecutive steps
+of one training, so the worker draws each step's noise during the one
+before, as in ``train``. A tree without the step worker runs both cases
+serially.
 
 Each round runs every case once in a fresh child process: a few warm-up
 calls, then ``BLOCKS`` blocks of as many calls as fill about
@@ -35,7 +36,8 @@ calls, then ``BLOCKS`` blocks of as many calls as fill about
 reading is the fastest block's mean per call: noise from a shared
 machine only ever adds time. The table gives the median and the
 interquartile range of the readings over the rounds. The children run
-single-threaded BLAS, as perfbench does.
+single-threaded BLAS, as perfbench does; with ``--default-threads`` they
+run the BLAS threads of the environment they inherit.
 
 ``--src`` names source trees (checkouts whose ``src`` holds a
 ``pgmatch``) to compare, for example a parent and a change. Each round
@@ -57,6 +59,7 @@ the kernel-level number it cannot give.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -182,9 +185,15 @@ def train_cases() -> dict:
     from pgmatch.model import MatchingModel
 
     try:
-        from pgmatch._stepworker import TextWorker
+        from pgmatch import _stepworker
+        TextWorker = _stepworker.TextWorker
     except ImportError:  # a tree without the step worker
-        TextWorker = None
+        _stepworker = TextWorker = None
+    # a tree that hands the worker to its steps in a module global
+    legacy = "worker" not in inspect.signature(training._batch_losses).parameters
+    # the BLAS thread count ``train`` sets while the worker serves
+    one_thread = getattr(training, "one_blas_thread",
+                         getattr(_stepworker, "one_blas_thread", contextlib.nullcontext))
     config = _reference_config()
     out = {}
     for name, batch, regions, tokens in TRAIN_SHAPES:
@@ -198,25 +207,30 @@ def train_cases() -> dict:
             if path == "worker" and TextWorker is not None:
                 # a tree whose worker has no noise slots takes the model alone
                 sized = "regions" in inspect.signature(TextWorker).parameters
-                worker = training._step_worker = TextWorker(model, *[regions] * sized)
+                worker = TextWorker(model, *[regions] * sized)
                 worker.start_timeout = 60.0
                 model = worker.model
-                assert worker.serves(model)
+                if legacy:
+                    training._step_worker = worker
+                assert worker.serves(*[model] * legacy)
             opt = autodiff.Adam(model.trainable_parameters(), lr=config.lr)
             rng = np.random.default_rng(1)
+            passed = [worker] if worker is not None and not legacy else []
 
             def step():
                 autodiff.clear_tape()
-                bundle, _ = training._batch_losses(model, instances, labels, rng)
+                bundle, _ = training._batch_losses(model, instances, labels, rng, *passed)
                 autodiff.backward(bundle.total)
                 opt.step()
 
             try:
-                out[f"train.{name} B={batch} {path}"] = _ms_per_call(step)
+                with one_thread() if worker is not None else contextlib.nullcontext():
+                    out[f"train.{name} B={batch} {path}"] = _ms_per_call(step)
             finally:
                 if worker is not None:
-                    training._step_worker = None
                     worker.close()
+                if legacy:
+                    training._step_worker = None
     return out
 
 
@@ -225,8 +239,10 @@ def child() -> dict:
     return {**gru_cases(), **read_cases(), **noise_cases(), **train_cases()}
 
 
-def run_round(tree) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+def run_round(tree, pin: bool) -> dict:
+    env = dict(os.environ)
+    if pin:
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     if tree is not None:
         env["PYTHONPATH"] = os.path.join(os.path.abspath(tree), "src")
     command = [sys.executable, os.path.abspath(__file__), "--child"]
@@ -242,6 +258,9 @@ def main(argv=None) -> int:
                         help="a source tree to time (repeat to compare; default: the "
                              "pgmatch on PYTHONPATH)")
     parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--default-threads", action="store_true",
+                        help="leave the children's BLAS threads at the environment's default "
+                             "instead of pinning one")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -251,11 +270,12 @@ def main(argv=None) -> int:
     readings = {tree: [] for tree in trees}
     for k in range(args.rounds):
         for tree in (trees if k % 2 == 0 else trees[::-1]):
-            readings[tree].append(run_round(tree))
+            readings[tree].append(run_round(tree, pin=not args.default_threads))
 
     labels = [tree or "PYTHONPATH" for tree in trees]
+    threads = "the environment's BLAS threads" if args.default_threads else "one BLAS thread"
     for tree, label in zip(trees, labels):
-        print(f"# {label}: {args.rounds} rounds")
+        print(f"# {label}: {args.rounds} rounds, {threads}")
     head = "".join(f"  {'median':>8}  {'iqr':>7}" for _ in trees)
     print(f"{'case':<36}{head}" + ("  ratio  wins" if len(trees) == 2 else ""))
     for case in readings[trees[0]][0]:

@@ -3,14 +3,7 @@ import pytest
 
 import pgmatch.autodiff as ad
 from pgmatch.attention import fuse, neutral_trace
-from pgmatch.encoders import (
-    GruParams,
-    GruSequence,
-    embed_words,
-    gcn_reason,
-    region_affinity,
-    region_batch,
-)
+from pgmatch.encoders import GruParams, GruSequence, embed_words, gcn, region_batch
 from unfused import square, tsum
 
 
@@ -43,81 +36,65 @@ class TestRegionTypes:
         np.testing.assert_array_equal(out.values, table.values[[1, 2, 1]])
 
 
-class TestRegionAffinity:
-    def test_orthonormal_rows_identity_weights(self):
-        f = ad.Tensor(np.eye(4)[:3])  # orthonormal rows
-        eye = ad.Tensor(np.eye(4))
-        out = region_affinity(f, eye, eye)
-        np.testing.assert_allclose(out.values, np.eye(3), atol=1e-15)
-
-    def test_zero_features(self):
-        f = ad.Tensor(np.zeros((4, 6)))
-        rng = np.random.default_rng(0)
-        out = region_affinity(f, ad.Tensor(rng.standard_normal((6, 6))),
-                              ad.Tensor(rng.standard_normal((6, 6))))
-        np.testing.assert_array_equal(out.values, np.zeros((4, 4)))
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal((4, 8))
-        wa = rng.standard_normal((8, 8))
-        wb = rng.standard_normal((8, 8))
-        out = region_affinity(ad.Tensor(f), ad.Tensor(wa), ad.Tensor(wb))
-        np.testing.assert_allclose(out.values, (f @ wa) @ (f @ wb).T, atol=1e-12)
-
-    def test_tied_weights_symmetric_psd(self):
-        rng = np.random.default_rng(2)
-        f = rng.standard_normal((5, 6))
-        w = ad.Tensor(rng.standard_normal((6, 6)))
-        out = region_affinity(ad.Tensor(f), w, w).values
-        np.testing.assert_allclose(out, out.T, atol=1e-12)
-        eigs = np.linalg.eigvalsh(out)
-        assert eigs.min() > -1e-10
+def dense_gcn(x, w_a, w_b, w_gcn):
+    """The region GCN in plain numpy."""
+    rel = (x @ w_a) @ np.swapaxes(x @ w_b, -1, -2)
+    e = np.exp(rel - rel.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    for w in w_gcn:
+        x = x + np.maximum(0.0, s @ x @ w)
+    return x
 
 
-class TestGcnReason:
+def run_gcn(x, w_a, w_b, w_gcn):
+    return gcn(x, ad.Tensor(w_a), ad.Tensor(w_b), [ad.Tensor(w) for w in w_gcn]).values
+
+
+class TestGcn:
     def test_zero_graph_weight_is_identity(self):
         rng = np.random.default_rng(3)
-        f = ad.Tensor(rng.standard_normal((4, 5)))
-        rel = ad.Tensor(rng.standard_normal((4, 4)))
-        out = gcn_reason(f, rel, ad.Tensor(np.zeros((5, 5))))
-        np.testing.assert_array_equal(out.values, f.values)
+        x = rng.standard_normal((2, 4, 5))
+        w_a, w_b = rng.standard_normal((2, 5, 5))
+        np.testing.assert_array_equal(run_gcn(x, w_a, w_b, [np.zeros((5, 5))]), x)
 
     def test_single_region(self):
         rng = np.random.default_rng(4)
-        f = rng.standard_normal((1, 5))
-        wg = rng.standard_normal((5, 5))
-        out = gcn_reason(ad.Tensor(f), ad.Tensor(np.asarray([[2.0]])), ad.Tensor(wg))
-        expect = f + np.maximum(0.0, f @ wg)  # row-softmax of a single entry is [1]
-        np.testing.assert_allclose(out.values, expect, atol=1e-12)
+        x = rng.standard_normal((1, 1, 5))
+        w_a, w_b, w_g = rng.standard_normal((3, 5, 5))
+        expect = x + np.maximum(0.0, x @ w_g)  # row-softmax of a single entry is [1]
+        np.testing.assert_allclose(run_gcn(x, w_a, w_b, [w_g]), expect, atol=1e-12)
 
-    def test_matches_dense_oracle(self):
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_dense_oracle(self, layers, tied):
         rng = np.random.default_rng(5)
-        f = rng.standard_normal((5, 6))
-        rel = rng.standard_normal((5, 5))
-        wg = rng.standard_normal((6, 6))
-        out = gcn_reason(ad.Tensor(f), ad.Tensor(rel), ad.Tensor(wg))
-        e = np.exp(rel - rel.max(axis=1, keepdims=True))
-        norm = e / e.sum(axis=1, keepdims=True)
-        expect = f + np.maximum(0.0, norm @ f @ wg)
-        np.testing.assert_allclose(out.values, expect, atol=1e-12)
+        x = rng.standard_normal((3, 5, 6))
+        w_a, w_b, *w_gcn = 0.5 * rng.standard_normal((2 + layers, 6, 6))
+        w_b = w_a if tied else w_b
+        np.testing.assert_allclose(run_gcn(x, w_a, w_b, w_gcn), dense_gcn(x, w_a, w_b, w_gcn),
+                                   atol=1e-12)
 
     def test_batch_matches_each_instance(self):
         rng = np.random.default_rng(10)
-        f = rng.standard_normal((3, 4, 5))
-        wa, wb, wg = (ad.Tensor(rng.standard_normal((5, 5))) for _ in range(3))
-        batched = gcn_reason(ad.Tensor(f), region_affinity(ad.Tensor(f), wa, wb), wg).values
+        x = rng.standard_normal((3, 4, 5))
+        weights = rng.standard_normal((4, 5, 5))
+        batched = run_gcn(x, weights[0], weights[1], weights[2:])
         for b in range(3):
-            single = ad.Tensor(f[b])
-            expect = gcn_reason(single, region_affinity(single, wa, wb), wg).values
-            np.testing.assert_allclose(batched[b], expect, rtol=1e-13, atol=1e-13)
+            expect = run_gcn(x[b:b + 1], weights[0], weights[1], weights[2:])
+            np.testing.assert_allclose(batched[b:b + 1], expect, rtol=1e-13, atol=1e-13)
 
-    def test_shape_preserved(self):
+    def test_one_record_with_weight_gradients_only(self):
+        """The regions are a constant: the record lists the weights alone,
+        ``w_b`` first."""
         rng = np.random.default_rng(6)
-        f = ad.Tensor(rng.standard_normal((7, 3)))
-        rel = region_affinity(f, ad.Tensor(rng.standard_normal((3, 3))),
-                              ad.Tensor(rng.standard_normal((3, 3))))
-        assert gcn_reason(f, rel, ad.Tensor(rng.standard_normal((3, 3)))).shape == (7, 3)
+        w_a, w_b, w_g = (ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+                         for _ in range(3))
+        out = gcn(rng.standard_normal((2, 7, 3)), w_a, w_b, [w_g])
+        assert out.shape == (2, 7, 3)
+        records = ad.active_tape().records
+        assert [r[3] for r in records] == ["gcn"] and records[0][1] == (w_b, w_a, w_g)
+        ad.backward(tsum(square(out)))
+        assert all(w.grad.shape == (3, 3) for w in (w_a, w_b, w_g))
 
 
 class TestEmbedWords:

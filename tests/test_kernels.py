@@ -10,6 +10,7 @@ import pytest
 
 import pgmatch.attention as attention
 import pgmatch.autodiff as ad
+import pgmatch.model as model_module
 import pgmatch.training as training
 import recipe_digests
 import unfused
@@ -24,13 +25,15 @@ from pgmatch.attention import (
 from pgmatch.config import PG_MODES
 from pgmatch.data import generate_dataset
 from pgmatch.distributions import ActionSpace
-from pgmatch.encoders import GruParams, GruSequence
+from pgmatch.encoders import GruParams, GruSequence, gcn
 from pgmatch.losses import (
+    COMPONENTS,
     DecoderParams,
     continuous_pg_loss,
     discrete_pg_loss,
     instance_loss,
     text_decoding_loss,
+    total_loss,
     triplet_loss,
 )
 from pgmatch.model import MatchingModel
@@ -79,7 +82,8 @@ def sum_columns(trace):
 def with_pg_losses(loss, trace, adv):
     """``loss`` plus both PG surrogates of a kernel rollout; the one of a
     stage the rollout does not sample reads a column its backward ignores."""
-    return ad.add(ad.add(loss, discrete_pg_loss(trace, adv)), continuous_pg_loss(trace, adv))
+    return unfused.add(unfused.add(loss, discrete_pg_loss(trace, adv)),
+                       continuous_pg_loss(trace, adv))
 
 
 def with_oracle_pg_losses(loss, dsum, csum, adv):
@@ -87,7 +91,7 @@ def with_oracle_pg_losses(loss, dsum, csum, adv):
     tracks (an unsampled stage's sum is a zero constant)."""
     for lp in (dsum, csum):
         if ad.active_tape().is_tracked(lp):
-            loss = ad.add(loss, unfused.pg_surrogate(lp, adv))
+            loss = unfused.add(loss, unfused.pg_surrogate(lp, adv))
     return loss
 
 
@@ -110,7 +114,8 @@ class TestRolloutKernels:
                                                   mode, action_mode)
         loss = unfused.tsum(unfused.mul(atts[0], ad.constant(w_att[:, :1])))
         for t, att in enumerate(atts[1:], start=1):
-            loss = ad.add(loss, unfused.tsum(unfused.mul(att, ad.constant(w_att[:, t:t + 1]))))
+            term = unfused.tsum(unfused.mul(att, ad.constant(w_att[:, t:t + 1])))
+            loss = unfused.add(loss, term)
         reference = [np.concatenate([a.values for a in atts], axis=1), dsum.values.copy(),
                      csum.values.copy()]
         reference += gradients(with_oracle_pg_losses(loss, dsum, csum, adv), leaves)
@@ -302,7 +307,8 @@ class TestDecoderKernel:
         leaves = [img, txt] + decoder.tensors()
 
         def pair(decode):
-            return lambda: ad.add(decode(img, targets, decoder), decode(txt, targets, decoder))
+            return lambda: unfused.add(decode(img, targets, decoder),
+                                       decode(txt, targets, decoder))
 
         fused = self.both(pair(text_decoding_loss), leaves)
         reference = self.both(pair(unfused.text_decoding_loss), leaves)
@@ -457,7 +463,7 @@ class TestLossHeadKernels:
             for stage in stages:
                 term = (unfused.pg_surrogate(sums[stage], adv, batch_mean) if pg_terms is None
                         else pg_terms[stage](trace, adv, batch_mean))
-                out = ad.add(out, term)
+                out = unfused.add(out, term)
             return out
 
         names, got = scaled_loss_bytes(lambda: loss(kernels), leaves, -1.0)
@@ -467,10 +473,87 @@ class TestLossHeadKernels:
         assert got == want
 
 
+class TestGcnKernel:
+    """``encoders.gcn`` (one record) against the chain of ``unfused.gcn``
+    (4 records plus 5 per layer), by bytes: the output and the gradient of
+    every weight, tied or not, for an adjoint with -0.0 entries. Only a
+    GCN of two or more layers sends an adjoint from one layer's input to
+    the layer before."""
+
+    @staticmethod
+    def run(gcn, x, weights, tied, w_out):
+        """The record names ``gcn`` appends, and the bytes of its output
+        and of each weight's gradient for the adjoint ``w_out``."""
+        w_a, w_b, *w_gcn = weights[:1] + weights if tied else weights
+        out = gcn(x, w_a, w_b, w_gcn)
+        names = [r[3] for r in ad.active_tape().records]
+        grads = gradients(unfused.tsum(unfused.mul(out, ad.constant(w_out))), weights)
+        return names, [out.values.tobytes()] + [g.tobytes() for g in grads]
+
+    @staticmethod
+    def setup(batch, regions, dim, weights):
+        rng = np.random.default_rng(70 + batch + weights)
+        x = rng.standard_normal((batch, regions, dim))
+        x[rng.random(x.shape) < 0.1] = -0.0
+        w_out = rng.standard_normal(x.shape)
+        w_out[rng.random(x.shape) < 0.2] = -0.0
+        return x, [ad.Tensor(0.4 * rng.standard_normal((dim, dim)), requires_grad=True)
+                   for _ in range(weights)], w_out
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    @pytest.mark.parametrize("batch,regions,dim", [(1, 5, 8), (16, 8, 64), (32, 16, 64)])
+    def test_same_bytes_as_primitive_graph(self, batch, regions, dim, tied, layers):
+        x, weights, w_out = self.setup(batch, regions, dim, 2 - tied + layers)
+        names, got = self.run(gcn, x, weights, tied, w_out)
+        want_names, want = self.run(unfused.gcn, x, weights, tied, w_out)
+        assert names == ["gcn"] and len(want_names) == 4 + 5 * layers
+        assert got == want
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_recording_off_same_values_and_no_record(self, layers):
+        x, weights, _ = self.setup(32, 16, 64, 2 + layers)
+        w_a, w_b, *w_gcn = weights
+        tape = ad.active_tape()
+        want = unfused.gcn(x, w_a, w_b, w_gcn).values
+        ad.clear_tape()
+        tape.recording = False
+        try:
+            got = gcn(x, w_a, w_b, w_gcn)
+        finally:
+            tape.recording = True
+        assert tape.records == [] and not tape.is_tracked(got)
+        assert got.values.tobytes() == want.tobytes()
+
+
+class TestTotalKernel:
+    """``losses.total_loss``'s ``total`` (one record) against the chain
+    of ``add`` records from a zero constant that it replaced, with zero
+    constants for the missing terms: the total and every term's gradient,
+    by bytes."""
+
+    @pytest.mark.parametrize("adjoint", [-1.5, -0.0])
+    @pytest.mark.parametrize("present", [COMPONENTS, COMPONENTS[1::3], COMPONENTS[-1:]],
+                             ids=["all", "some", "last"])
+    def test_same_bytes_as_add_chain(self, present, adjoint):
+        rng = np.random.default_rng(80)
+        values = rng.standard_normal(len(present))
+        values[0] = -0.0
+        terms = {name: ad.Tensor(np.asarray(v), requires_grad=True)
+                 for name, v in zip(present, values)}
+        names, got = scaled_loss_bytes(lambda: total_loss(**terms).total, list(terms.values()),
+                                       adjoint)
+        want_names, want = scaled_loss_bytes(lambda: unfused.total_loss(**terms).total,
+                                             list(terms.values()), adjoint)
+        assert names == ["total"] and set(want_names) == {"add"}
+        assert got == want
+
+
 class TestWholeStepAgainstOracle:
-    """One train step's losses and backward with the loss-head kernels,
-    and with ``training``'s loss functions replaced by the oracle's
-    chains: byte-identical gradients for every parameter."""
+    """One train step's losses and backward with the GCN, loss-head and
+    total kernels, and with the model's GCN and ``training``'s loss
+    functions replaced by the oracle's chains: byte-identical gradients
+    for every parameter."""
 
     @pytest.mark.parametrize("pg_mode", PG_MODES)
     def test_parameter_gradients_same_bytes(self, monkeypatch, pg_mode):
@@ -491,10 +574,13 @@ class TestWholeStepAgainstOracle:
             return names, [values] + [g.tobytes() for g in grads]
 
         names, got = step()
-        for name in ("triplet_loss", "instance_loss", "discrete_pg_loss", "continuous_pg_loss"):
+        for name in ("triplet_loss", "instance_loss", "discrete_pg_loss", "continuous_pg_loss",
+                     "total_loss"):
             monkeypatch.setattr(training, name, getattr(unfused, name))
+        monkeypatch.setattr(model_module, "gcn", unfused.gcn)
         want_names, want = step()
-        assert "triplet" in names and "triplet" not in want_names
+        for kernel in ("triplet", "gcn", "total"):
+            assert kernel in names and kernel not in want_names
         assert got == want
 
 
@@ -579,7 +665,7 @@ class TestGruSequence:
             h = unfused.gru_step(step, h, gru)
             if adjoint == "parts" or t == length - 1:
                 term = unfused.tsum(unfused.mul(h, ad.constant(w_out[t])))
-                loss = term if loss is None else ad.add(loss, term)
+                loss = term if loss is None else unfused.add(loss, term)
             values.append(h.values)
         values = np.stack(values)
         grads = gradients(loss, steps + gru.tensors())

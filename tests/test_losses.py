@@ -14,7 +14,7 @@ from pgmatch.losses import (
     total_loss,
     triplet_loss,
 )
-from unfused import concat, discrete_logprob, mul, normal_logprob, reshape, tsum
+from unfused import add, concat, discrete_logprob, mul, normal_logprob, reshape, softmax, tsum
 
 
 def make_trace(dsum, csum):
@@ -32,7 +32,7 @@ def sums(*values):
 def logprobs(logits_tensor, indices):
     """One episode per index: the log-prob of drawing it from softmax(logits)."""
     n = len(indices)
-    probs = mul(ad.softmax(logits_tensor, axis=-1), ad.constant(np.ones((n, 1))))
+    probs = mul(softmax(logits_tensor, axis=-1), ad.constant(np.ones((n, 1))))
     return reshape(discrete_logprob(probs, np.array(indices)), (n,))
 
 
@@ -89,8 +89,8 @@ class TestDiscretePgLoss:
         gradient is minus the scaled advantages in its own column only."""
         packed = ad.Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
         trace = AttentionTrace(weights=packed, length=2)
-        loss = ad.add(discrete_pg_loss(trace, [1.0, 2.0]),
-                      continuous_pg_loss(trace, [3.0, -1.0], batch_mean=False))
+        loss = add(discrete_pg_loss(trace, [1.0, 2.0]),
+                   continuous_pg_loss(trace, [3.0, -1.0], batch_mean=False))
         assert [r[3] for r in ad.active_tape().records] == ["pg_surrogate", "pg_surrogate", "add"]
         assert loss.item() == -(2.0 + 2.0 * 6.0) / 2 - (3.0 * 3.0 - 7.0)
         ad.backward(loss)
@@ -112,7 +112,7 @@ class TestContinuousPgLoss:
         adv = 0.8
         csum = sums(0.0)
         for _ in range(steps):
-            csum = ad.add(csum, normal_logprob(0.3, 0.3, 1.0))
+            csum = add(csum, normal_logprob(0.3, 0.3, 1.0))
         loss = continuous_pg_loss(make_trace(csum, csum), [adv])
         np.testing.assert_allclose(loss.item(), adv * steps * 0.5 * math.log(2 * math.pi),
                                    rtol=1e-12)

@@ -66,6 +66,15 @@ def large_split(rows=128, **config):
     return model, split
 
 
+def blas_thread_count():
+    """The getter and setter of numpy's BLAS thread count; the test is
+    skipped where numpy's BLAS has none."""
+    pair = training._blas_threads()
+    if pair is None:
+        pytest.skip("numpy's BLAS has no scipy_openblas thread count")
+    return pair
+
+
 def _evaluate_in_child(model, split, conn):
     conn.send(evaluate(model, split))
     conn.close()
@@ -128,8 +137,8 @@ class TestTrain:
         real = train_mod._batch_losses
         calls = []
 
-        def poisoned(model, instances, labels, rng):
-            bundle, reward = real(model, instances, labels, rng)
+        def poisoned(*args):
+            bundle, reward = real(*args)
             calls.append(1)
             if len(calls) == 2:
                 bundle.total.values = np.asarray(np.nan)
@@ -152,8 +161,8 @@ class TestTrain:
 
         real = train_mod._batch_losses
 
-        def poisoned_losses(model, instances, labels, rng):
-            bundle, reward = real(model, instances, labels, rng)
+        def poisoned_losses(*args):
+            bundle, reward = real(*args)
             for name in ([poisoned, "pg_discrete_text"] if poisoned else []):
                 getattr(bundle, name).values = np.asarray(np.inf)
             bundle.total.values = np.asarray(np.nan)
@@ -236,11 +245,12 @@ class TestBatchMajor:
         """The sequence kernels make the count independent of the regions,
         the tokens and the heads: each branch's fusion is one record, and
         with attention on its rollout is one more. The encoders,
-        projections and losses are a fixed 28 records (the triplet and
-        instance losses and each text decode are one), and each sampled
-        stage adds, per branch, its PG surrogate (1)."""
+        projections and losses are a fixed 13 records (the region GCN,
+        the triplet and instance losses, each text decode and the total
+        are one), and each sampled stage adds, per branch, its PG
+        surrogate (1)."""
         stages = {"off": 0, "discrete": 1, "continuous": 1, "compound": 2}[pg_mode]
-        expect = 28 + 2 * (1 + (stages > 0)) + 2 * 1 * stages
+        expect = 13 + 2 * (1 + (stages > 0)) + 2 * 1 * stages
         for regions, tokens in ((3, 4), (5, 6), (9, 2)):
             ds = generate_dataset(classes=8, regions=regions, tokens=tokens, dim=6,
                                   noise_scale=0.15, seed=0)
@@ -315,6 +325,69 @@ class TestEvaluateOnTwoThreads:
             parallel = training.embed_split(model, split)
         finally:
             sys.setswitchinterval(interval)
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+        serial = training.embed_split(model, split)
+        assert threads == [False, True]
+        assert [a.tobytes() for a in parallel] == [a.tobytes() for a in serial]
+
+    def test_both_threads_run_one_blas_thread(self, monkeypatch):
+        """The count reads 1 on both threads and is restored after the
+        branch; the embeddings are bit for bit those of the serial path."""
+        get, set_threads = blas_thread_count()
+        model, split = large_split()
+        seen = []
+        for name in ("embed_image", "embed_text"):
+            def spy(self, *args, real=getattr(MatchingModel, name), **kwargs):
+                seen.append(get())
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(MatchingModel, name, spy)
+        before = get()
+        set_threads(2)
+        try:
+            parallel = training.embed_split(model, split)
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1, 1]
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+        serial = training.embed_split(model, split)
+        assert [a.tobytes() for a in parallel] == [a.tobytes() for a in serial]
+
+    def test_evaluate_ranks_under_one_blas_thread(self, monkeypatch):
+        """The similarity product runs at one thread as well, on a split
+        embedded on two threads and on a serial one, so no multi-threaded
+        product runs between two ``evaluate`` calls."""
+        get, set_threads = blas_thread_count()
+        model, split = large_split()
+        seen, real = [], training.similarity_matrix
+
+        def spy(*args):
+            seen.append(get())
+            return real(*args)
+
+        monkeypatch.setattr(training, "similarity_matrix", spy)
+        before = get()
+        set_threads(2)
+        try:
+            evaluate(model, split)
+            evaluate(model, split[:training.PARALLEL_MIN_ROWS - 1])
+            assert get() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1, 1]
+
+    def test_a_blas_without_the_thread_setter_keeps_the_worker_thread(self, monkeypatch):
+        model, split = large_split()
+        monkeypatch.setattr(training, "_blas_threads", lambda: None)
+        threads, real = [], MatchingModel.embed_text
+
+        def spy(self, *args, **kwargs):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatchingModel, "embed_text", spy)
+        parallel = training.embed_split(model, split)
         monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
         serial = training.embed_split(model, split)
         assert threads == [False, True]
@@ -497,9 +570,9 @@ class TestTrainOnTwoProcesses:
         third hands the rng's state to the worker."""
         real, asked = TextWorker.serves, []
 
-        def late(self, model):
+        def late(self):
             asked.append(1)
-            return len(asked) > 2 and real(self, model)
+            return len(asked) > 2 and real(self)
 
         monkeypatch.setattr(TextWorker, "serves", late)
         config, dataset = ModelConfig(**{**TINY, "epochs": 3}), tiny_dataset()
@@ -523,23 +596,13 @@ class TestTrainOnTwoProcesses:
     def test_both_processes_run_one_blas_thread(self, monkeypatch, served):
         """The trainer's count is 1 while it trains and is restored after
         ``train`` returns or raises; the worker starts with one thread."""
-        import ctypes
-
-        from numpy._core import _multiarray_umath
-
-        from pgmatch import _stepworker
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        if not all(hasattr(lib, name) for name in _stepworker._BLAS_THREADS):
-            pytest.skip("numpy's BLAS has no scipy_openblas thread count")
-        get, set_threads = (getattr(lib, name) for name in _stepworker._BLAS_THREADS)
+        get, set_threads = blas_thread_count()
         real, seen = training._batch_losses, []
 
-        def watched(model, instances, labels, rng):
-            environ = f"/proc/{training._step_worker.pid}/environ"
-            with open(environ, "rb") as fh:
+        def watched(model, instances, labels, rng, worker):
+            with open(f"/proc/{worker.pid}/environ", "rb") as fh:
                 seen.append((get(), b"OPENBLAS_NUM_THREADS=1" in fh.read().split(b"\0")))
-            bundle, reward = real(model, instances, labels, rng)
+            bundle, reward = real(model, instances, labels, rng, worker)
             if len(seen) == 6:
                 bundle.total.values = np.asarray(np.nan)
             return bundle, reward
@@ -559,19 +622,17 @@ class TestTrainOnTwoProcesses:
         assert_no_child_process()
 
     def test_a_blas_without_the_thread_setter_trains_in_one_process(self, monkeypatch, served):
-        from pgmatch import _stepworker
-
         config, dataset = ModelConfig(**TINY), tiny_dataset()
         one = self.outcome(monkeypatch, 1, config, dataset)
-        monkeypatch.setattr(_stepworker, "_BLAS_THREADS", ("no_getter", "no_setter"))
+        monkeypatch.setattr(training, "_blas_threads", lambda: None)
         assert self.outcome(monkeypatch, 2, config, dataset) == one
         assert served == []
 
     def test_a_diverged_loss_ends_the_worker(self, monkeypatch, served):
         real = training._batch_losses
 
-        def poisoned(model, instances, labels, rng):
-            bundle, reward = real(model, instances, labels, rng)
+        def poisoned(*args):
+            bundle, reward = real(*args)
             if len(served) == 2:
                 bundle.total.values = np.asarray(np.nan)
             return bundle, reward
@@ -637,10 +698,10 @@ class TestTrainOnTwoProcesses:
     def test_a_killed_worker_fails_the_training_in_bounded_time(self, monkeypatch, served):
         real = training._batch_losses
 
-        def kill_the_worker(model, instances, labels, rng):
+        def kill_the_worker(model, instances, labels, rng, worker):
             if len(served) == 1:
-                os.kill(training._step_worker.pid, signal.SIGKILL)
-            return real(model, instances, labels, rng)
+                os.kill(worker.pid, signal.SIGKILL)
+            return real(model, instances, labels, rng, worker)
 
         monkeypatch.setattr(training, "_batch_losses", kill_the_worker)
         with deadline(60), pytest.raises(WorkerDied, match="exited"):
@@ -653,7 +714,7 @@ class TestTrainOnTwoProcesses:
         worker = TextWorker(model, 3)
         worker.start_timeout = 60.0
         with deadline(60):
-            assert worker.serves(worker.model)
+            assert worker.serves()
             worker._send_fh.close()
             pid, status = os.waitpid(worker.pid, 0)
         worker._recv_fh.close()
@@ -781,11 +842,13 @@ class TestOpSet:
 
 class TestRecordCount:
     @pytest.mark.parametrize("workload", ["reference", "stress"])
-    def test_a_benchmark_train_step_records_36_entries(self, workload):
+    def test_a_benchmark_train_step_records_21_entries(self, workload):
         """One train step of a benchmark recipe: the kernels keep the tape
-        at 36 records whatever the batch size and sequence lengths, one
-        of them per text decode, one per projection's normalization, one
-        per loss of the head but the PG terms, and one per PG term."""
+        at 21 records whatever the batch size and sequence lengths, one
+        of them for the region GCN, one per text decode, one per
+        projection's normalization, one per loss of the head but the PG
+        terms, one per PG term and one for the total. The rest are the
+        word lookup and the similarity's and projections' products."""
         _, data_args, config = next(r for r in recipe_digests.recipes() if r[0] == workload)
         ds = generate_dataset(**data_args)
         split = ds.split("train")
@@ -795,7 +858,8 @@ class TestRecordCount:
         _batch_losses(model, batch, list(range(len(batch))), np.random.default_rng(1))
         names = [record[3] for record in ad.active_tape().records]
         ad.clear_tape()
-        assert len(names) == 36
+        assert len(names) == 21
+        assert names.count("gcn") == names.count("total") == 1
         assert names.count("text_decode") == 2
         assert names.count("l2_normalize") == 2
         assert names.count("triplet") == names.count("instance") == 1

@@ -1,15 +1,17 @@
 """The GRU cell, the compound-action head, the rollout, the fusion, the
-text decoder, the row normalization and the loss head written out in
-primitive tape ops, one record per step or smaller: the reference the
-kernels (``attention.policy_rollout``, ``attention.fuse``,
-``losses.text_decoding_loss``, ``autodiff.l2_normalize``,
-``losses.triplet_loss``, ``losses.instance_loss`` and the PG surrogate
-of ``losses.discrete_pg_loss`` and ``losses.continuous_pg_loss``) are
-checked against, bit for bit, in ``test_kernels.py``. These are the
-compositions the package ran before the kernels replaced them, with the
-sampling helpers they were built from; nothing in ``src/`` uses them.
-The ops only these compositions record (``sub``, ``mul``, ``div``,
-``scalar_mul``, ``square``, ``sqrt``, ``sigmoid``, ``tanh``, ``log``,
+region GCN, the text decoder, the row normalization, the loss head and
+the loss total written out in primitive tape ops, one record per step or
+smaller: the reference the kernels (``attention.policy_rollout``,
+``attention.fuse``, ``encoders.gcn``, ``losses.text_decoding_loss``,
+``autodiff.l2_normalize``, ``losses.triplet_loss``,
+``losses.instance_loss``, the PG surrogate of ``losses.discrete_pg_loss``
+and ``losses.continuous_pg_loss``, and the total of
+``losses.total_loss``) are checked against, bit for bit, in
+``test_kernels.py``. These are the compositions the package ran before
+the kernels replaced them, with the sampling helpers they were built
+from; nothing in ``src/`` uses them. The ops only these compositions
+record (``add``, ``sub``, ``mul``, ``div``, ``scalar_mul``, ``square``,
+``sqrt``, ``sigmoid``, ``tanh``, ``relu``, ``log``, ``softmax``,
 ``log_softmax``, ``tsum``, ``reshape``, ``concat``, ``pick``, ``dot``,
 ``shift``) live here too, as custom records on the engine's tape, each
 under the record name the engine gave it.
@@ -24,6 +26,7 @@ import numpy as np
 import pgmatch.autodiff as ad
 from pgmatch.attention import SIGMA_FLOOR
 from pgmatch.distributions import categorical_sample, gumbel_from_uniform
+from pgmatch.losses import COMPONENTS, LossBundle
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -35,9 +38,27 @@ def sigmoid_nine_ops(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _broadcast(name, op, a, b):
+    """``op`` on the operands' values, which must broadcast."""
+    try:
+        return op(a.values, b.values)
+    except ValueError:
+        raise ad.ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform") from None
+
+
+def add(a, b):
+    """Elementwise sum with broadcasting."""
+    out = _broadcast("add", np.add, a, b)
+    sa, sb = a.shape, b.shape
+    if sa == sb:
+        return ad.record_op("add", (a, b), out, lambda g: (g, g))
+    return ad.record_op("add", (a, b), out,
+                        lambda g: (ad._reduce_to(g, sa), ad._reduce_to(g, sb)))
+
+
 def sub(a, b):
     """Elementwise difference with broadcasting."""
-    out = ad._broadcast("sub", np.subtract, a, b)
+    out = _broadcast("sub", np.subtract, a, b)
     sa, sb = a.shape, b.shape
     return ad.record_op("sub", (a, b), out,
                         lambda g: (ad._reduce_to(g, sa), ad._reduce_to(-g, sb)))
@@ -119,7 +140,7 @@ def pick(a, index):
 
 def mul(a, b):
     """Elementwise product with broadcasting."""
-    out = ad._broadcast("mul", np.multiply, a, b)
+    out = _broadcast("mul", np.multiply, a, b)
     av, bv = a.values, b.values
 
     def bw(g):
@@ -133,7 +154,7 @@ def div(a, b):
     av, bv = a.values, b.values
     if np.any(bv == 0.0):
         raise ad.DomainError("div: zero denominator")
-    out = ad._broadcast("div", np.divide, a, b)
+    out = _broadcast("div", np.divide, a, b)
 
     def bw(g):
         return ad._reduce_to(g / bv, av.shape), ad._reduce_to(-g * av / (bv * bv), bv.shape)
@@ -155,7 +176,7 @@ def sqrt(a):
 
 def l2_normalize(v, eps=1e-12):
     """``autodiff.l2_normalize`` in 5 primitive records."""
-    norm = sqrt(ad.add(tsum(square(v), axis=-1, keepdims=True), ad.constant(eps)))
+    norm = sqrt(add(tsum(square(v), axis=-1, keepdims=True), ad.constant(eps)))
     return div(v, norm)
 
 
@@ -167,6 +188,20 @@ def sigmoid(a):
 def tanh(a):
     t = np.tanh(a.values)
     return ad.record_op("tanh", (a,), t, lambda g: (g * (1.0 - t * t),))
+
+
+def relu(a):
+    mask = a.values > 0
+    return ad.record_op("relu", (a,), np.where(mask, a.values, 0.0), lambda g: (g * mask,))
+
+
+def softmax(a, axis=-1):
+    if a.values.ndim == 0:
+        raise ad.ShapeError("softmax: scalar input has no axis")
+    if not -a.values.ndim <= axis < a.values.ndim:
+        raise ad.ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
+    s = ad._softmax(a.values, axis)
+    return ad.record_op("softmax", (a,), s, lambda g: (ad._softmax_grad(g, s, axis),))
 
 
 def log(a):
@@ -206,8 +241,8 @@ def gumbel_softmax(logits, temperature, rng, noise=None):
         raise ValueError(f"temperature must be positive, got {temperature}")
     if noise is None:
         noise = gumbel_from_uniform(rng.random(logits.shape))
-    perturbed = ad.add(logits, ad.constant(noise))
-    return ad.softmax(scalar_mul(perturbed, 1.0 / temperature), axis=-1)
+    perturbed = add(logits, ad.constant(noise))
+    return softmax(scalar_mul(perturbed, 1.0 / temperature), axis=-1)
 
 
 def discrete_logprob(probs, index):
@@ -245,7 +280,7 @@ def normal_sample_reparam(mu, sigma, rng, eps=None):
         raise ad.DomainError(f"normal_sample_reparam: sigma must be positive, got {sigma.values}")
     if eps is None:
         eps = rng.standard_normal() if sigma.values.ndim == 0 else rng.standard_normal(sigma.shape)
-    return ad.add(mu, mul(sigma, ad.constant(eps)))
+    return add(mu, mul(sigma, ad.constant(eps)))
 
 
 def normal_logprob(x, mu, sigma):
@@ -278,10 +313,10 @@ _ZERO = ad.constant(np.asarray(0.0))
 def gru_step(x, h, params):
     """h' = (1 - z) * h + z * candidate, in 20 primitive records."""
     p = params
-    z = sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xz), ad.matmul(h, p.w_hz)), p.b_z))
-    r = sigmoid(ad.add(ad.add(ad.matmul(x, p.w_xr), ad.matmul(h, p.w_hr)), p.b_r))
-    cand = tanh(ad.add(ad.add(ad.matmul(x, p.w_xc), ad.matmul(mul(r, h), p.w_hc)), p.b_c))
-    return ad.add(mul(sub(_ONE, z), h), mul(z, cand))
+    z = sigmoid(add(add(ad.matmul(x, p.w_xz), ad.matmul(h, p.w_hz)), p.b_z))
+    r = sigmoid(add(add(ad.matmul(x, p.w_xr), ad.matmul(h, p.w_hr)), p.b_r))
+    cand = tanh(add(add(ad.matmul(x, p.w_xc), ad.matmul(mul(r, h), p.w_hc)), p.b_c))
+    return add(mul(sub(_ONE, z), h), mul(z, cand))
 
 
 def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode):
@@ -292,14 +327,14 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode):
     logits = ad.matmul(h, w_mu)
     stochastic = mode == "stochastic"
     if action_mode == "continuous":
-        mu = sigmoid(soft_action_value(ad.softmax(logits, axis=-1), space.n))
+        mu = sigmoid(soft_action_value(softmax(logits, axis=-1), space.n))
         dlp = _ZERO
     else:
         if stochastic:
             soft = gumbel_softmax(logits, space.temperature, None, noise=noise.gumbel[:, t, k])
             hard = categorical_sample(soft.values, uniforms=noise.uniform[:, t, k])
         else:
-            soft = ad.softmax(logits, axis=-1)
+            soft = softmax(logits, axis=-1)
             hard = np.argmax(soft.values, axis=-1)
         dlp = discrete_logprob(soft, hard) if stochastic else _ZERO
         mu = sigmoid(straight_through(hard, soft, space.n))
@@ -308,7 +343,7 @@ def sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode):
         return mu, dlp, _ZERO
     if not stochastic:
         return sigmoid(mu), dlp, _ZERO
-    sigma = ad.add(softplus(ad.matmul(h, w_std)), ad.constant(np.asarray(SIGMA_FLOOR)))
+    sigma = add(softplus(ad.matmul(h, w_std)), ad.constant(np.asarray(SIGMA_FLOOR)))
     raw = normal_sample_reparam(mu, sigma, None, eps=noise.normal[:, t, k, None])
     return sigmoid(raw), dlp, normal_logprob(raw, mu, sigma)
 
@@ -333,11 +368,11 @@ def policy_rollout(steps, params, space, noise=None, mode="stochastic",
         for k, (w_mu, w_std) in enumerate(zip(params.w_mu, params.w_std)):
             att, dlp, clp = sample_head(h, w_mu, w_std, space, noise, t, k, mode, action_mode)
             head_atts.append(att)
-            dsum = ad.add(dsum, dlp)
-            csum = ad.add(csum, clp)
+            dsum = add(dsum, dlp)
+            csum = add(csum, clp)
         combined = head_atts[0]
         if len(head_atts) == 2:
-            combined = scalar_mul(ad.add(head_atts[0], head_atts[1]), 0.5)
+            combined = scalar_mul(add(head_atts[0], head_atts[1]), 0.5)
         atts.append(combined)
     return atts, reshape(dsum, (batch,)), reshape(csum, (batch,))
 
@@ -351,15 +386,43 @@ def fuse(steps, atts, lam, gru):
         h = gru_step(a, h, gru)
     acc = adjusted[0]
     for a in adjusted[1:]:
-        acc = ad.add(acc, a)
-    return ad.add(h, scalar_mul(acc, 1.0 / len(adjusted)))
+        acc = add(acc, a)
+    return add(h, scalar_mul(acc, 1.0 / len(adjusted)))
+
+
+def region_affinity(features, w_embed_a, w_embed_b):
+    """Pairwise affinities between embedded region features, per instance
+    of a (B, T, d) batch (or of one (T, d) set): (F @ Wa) (F @ Wb)^T. Pass
+    the same weight twice for the tied variant."""
+    return ad.matmul(ad.matmul(features, w_embed_a), ad.transpose(ad.matmul(features, w_embed_b)))
+
+
+def gcn_reason(features, relation, w_graph):
+    """One residual graph-convolution layer over each instance's
+    fully-connected region graph: F + ReLU(row_softmax(relation) @ F @ W)."""
+    regions = features.shape[-2]
+    if relation.shape != features.shape[:-1] + (regions,):
+        raise ad.ShapeError(
+            f"gcn_reason: relation {relation.shape} does not match {regions} regions")
+    propagated = ad.matmul(ad.matmul(softmax(relation, axis=-1), features), w_graph)
+    return add(features, relu(propagated))
+
+
+def gcn(regions, w_aff_a, w_aff_b, w_gcn):
+    """``encoders.gcn`` in 4 primitive records plus 5 per layer."""
+    features = ad.constant(regions)
+    relation = region_affinity(features, w_aff_a, w_aff_b)
+    out = features
+    for w in w_gcn:
+        out = gcn_reason(out, relation, w)
+    return out
 
 
 def _causal_conv(x, w, b):
     """Kernel-3 causal convolution over a (B, N, C) sequence: each step sees
     itself and the two before it (zeros before the start)."""
     window = concat([shift(x, 2), shift(x, 1), x], axis=-1)
-    return ad.relu(ad.add(ad.matmul(window, w), b))
+    return relu(add(ad.matmul(window, w), b))
 
 
 def text_decoding_loss(embeddings, targets, decoder):
@@ -369,12 +432,12 @@ def text_decoding_loss(embeddings, targets, decoder):
     table = concat([decoder.tok_table, reshape(decoder.start, (1, channels))], axis=0)
     inputs = np.concatenate([np.full((batch, 1), decoder.vocab_size), ids[:, :-1]], axis=1)
     cond = reshape(ad.matmul(embeddings, decoder.cond), (batch, 1, channels))
-    x = ad.add(ad.gather_rows(table, inputs), cond)
+    x = add(ad.gather_rows(table, inputs), cond)
 
     hidden = _causal_conv(x, decoder.conv1_w, decoder.conv1_b)
     hidden = _causal_conv(hidden, decoder.conv2_w, decoder.conv2_b)
 
-    lsm = log_softmax(ad.add(ad.matmul(hidden, decoder.out_w), decoder.out_b), axis=-1)
+    lsm = log_softmax(add(ad.matmul(hidden, decoder.out_w), decoder.out_b), axis=-1)
     return scalar_mul(tsum(pick(lsm, ids[..., None])), -1.0 / ids.size)
 
 
@@ -389,7 +452,7 @@ def triplet_loss(sim, margin=0.2):
     slack = sub(ad.constant(np.asarray(float(margin))), pick(sim, np.arange(k_total)[:, None]))
     neg_txt = pick(sim, hardest_col_per_row)
     neg_img = pick(ad.transpose(sim), hardest_row_per_col)
-    loss = ad.add(tsum(ad.relu(ad.add(slack, neg_txt))), tsum(ad.relu(ad.add(slack, neg_img))))
+    loss = add(tsum(relu(add(slack, neg_txt))), tsum(relu(add(slack, neg_img))))
     return scalar_mul(loss, 1.0 / k_total)
 
 
@@ -423,3 +486,14 @@ def discrete_pg_loss(trace, advantages, batch_mean=True):
 def continuous_pg_loss(trace, advantages, batch_mean=True):
     """``losses.continuous_pg_loss`` in 3 primitive records."""
     return pg_surrogate(logprob_sum(trace, trace.length + 1), advantages, batch_mean)
+
+
+def total_loss(**parts):
+    """``losses.total_loss`` with its total as a chain of ``add`` records
+    from a zero constant, in ``COMPONENTS`` order."""
+    parts = {name: ad.constant(np.asarray(0.0)) if parts.get(name) is None else parts[name]
+             for name in COMPONENTS}
+    total = ad.constant(np.asarray(0.0))
+    for term in parts.values():
+        total = add(total, term)
+    return LossBundle(total=total, **parts)
